@@ -6,7 +6,10 @@ Two analytic routes and one empirical diagnostic:
   I(q) = integral over the ball B_a of Re(1 / (q - psi(z))) dz.  Recurrence
   is equivalent to I(q) diverging as q decreases to 0; any finite procedure
   can only fit the divergence, so the verdict states its evidence and admits
-  an honest Inconclusive.
+  an honest Inconclusive.  psi does not depend on q: a verdict evaluates it
+  once, on composite Gauss-Kronrod panels in dimensions 1-2 (times a
+  periodic trapezoid in the angle in dimension 2) or on scrambled-Sobol
+  nodes in dimension 3 and up, and reads every q off the same values.
 * The one-dimensional mean criterion: with a finite one-period mean, the
   process is recurrent exactly when that mean vanishes.  The drift test is
   the same zero test applied to a plain Levy model.
@@ -22,13 +25,11 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln, ndtri
 from scipy.stats import qmc
 
 from .models import DimensionMismatch, LevyModel
 from .schedule import SemiLevySchedule, period_exponent, period_mean, sample_paths
-from .skeleton import occupation_time
 from .util import format_float, split_seed
 
 __all__ = [
@@ -49,6 +50,20 @@ __all__ = [
 
 # relative tolerance demanded of deterministic quadrature (d <= 2)
 QUAD_REL_TOL = 1e-6
+# composite Gauss-Kronrod panels are refined until the summed error estimate
+# is below this fraction of every ladder level
+PANEL_REL_TOL = 1e-9
+# refinement budget per ladder, in place of an unbounded bisection: panels,
+# and psi points (the angular doubling in d = 2 counts against it)
+MAX_PANELS = 2000
+PSI_POINT_BUDGET = 2**24
+# psi is evaluated on at most this many points per period_exponent call
+PSI_CHUNK = 2**16
+# d = 2 angular trapezoid: starting and largest node counts, and the relative
+# change between successive doublings under which a circle's mean has settled
+RING_START = 32
+RING_MAX = 16384
+RING_REL_TOL = 1e-10
 # analytic zero test for means computed in closed form
 MEAN_ZERO_TOL = 1e-12
 # q-ladder defaults: ratio 4 separates sqrt-divergence, log-divergence and
@@ -123,9 +138,14 @@ def _render_value(v) -> str:
 
 
 def _cf_integrand(psi: np.ndarray, q: float) -> np.ndarray:
-    # Re(1/(q - psi)) = (q - Re psi) / ((q - Re psi)^2 + (Im psi)^2) >= 0
+    # Re(1/(q - psi)) = (q - Re psi) / ((q - Re psi)^2 + (Im psi)^2) >= 0; an
+    # overflow would turn a huge exponent into a silent zero, so it raises
     re = q - psi.real
-    return re / (re * re + psi.imag * psi.imag)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return re / (re * re + psi.imag * psi.imag)
+    except FloatingPointError as exc:
+        raise QuadratureError(f"Chung-Fuchs integrand out of range at q={q:g}") from exc
 
 
 def _origin_ladder(a: float) -> np.ndarray:
@@ -135,57 +155,125 @@ def _origin_ladder(a: float) -> np.ndarray:
     return a * 10.0 ** (-np.arange(1, 17, dtype=float))
 
 
-def _integral_1d(schedule: SemiLevySchedule, a: float, q: float) -> float:
-    def f(z: float) -> float:
-        psi = period_exponent(schedule, np.array([[z]]))
-        return float(_cf_integrand(psi, q)[0])
-
-    ladder = _origin_ladder(a)
-    points = np.concatenate([-ladder, [0.0], ladder])
-    out = integrate.quad(
-        f, -a, a, points=np.sort(points), limit=800, epsabs=0.0, epsrel=1e-9, full_output=1
-    )
-    value, abserr = out[0], out[1]
-    if abserr > QUAD_REL_TOL * max(abs(value), 1e-300):
-        raise QuadratureError(
-            f"1-d quadrature error {abserr:g} exceeds relative tolerance {QUAD_REL_TOL:g} "
-            f"at q={q:g}, a={a:g}"
-        )
-    return value
-
-
-def _ring_average(schedule: SemiLevySchedule, r: float, q: float) -> float:
-    # angular mean over the circle of radius r; trapezoid on a periodic smooth
-    # integrand converges fast under node doubling
-    prev = None
-    k = 32
-    while k <= 16384:
-        theta = np.arange(k) * (2.0 * np.pi / k)
-        pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-        val = float(np.mean(_cf_integrand(period_exponent(schedule, pts), q)))
-        if prev is not None and abs(val - prev) <= 1e-10 * max(abs(val), 1e-300):
-            return val
-        prev = val
-        k *= 2
-    return val
+# QUADPACK qk21 (Piessens et al. 1983) on [-1, 1], listed from the node
+# 0.9956... down to 0: the 21-point Kronrod nodes and weights, and the
+# 10-point Gauss weights, which sit on every other node.  Mirroring gives the
+# whole rule with its nodes ascending.
+_XGK = np.array([
+    0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+    0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+    0.2943928627014602, 0.14887433898163122, 0.0,
+])
+_WGK = np.array([
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
+    0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
+    0.14277593857706009, 0.14773910490133849, 0.1494455540029169,
+])
+_WG = np.array([
+    0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0, 0.21908636251598204,
+    0.0, 0.26926671930999635, 0.0, 0.29552422471475287, 0.0,
+])
+_GK_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+_GK_KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
+_GK_GAUSS = np.concatenate([_WG, _WG[-2::-1]])
 
 
-def _integral_2d(schedule: SemiLevySchedule, a: float, q: float) -> float:
-    def f(r: float) -> float:
-        if r == 0.0:
-            return 0.0
-        return 2.0 * np.pi * r * _ring_average(schedule, r, q)
+class _Psi:
+    """psi of one schedule on demand, in bounded chunks, counted against the budget."""
 
-    out = integrate.quad(
-        f, 0.0, a, points=_origin_ladder(a), limit=800, epsabs=0.0, epsrel=1e-8, full_output=1
-    )
-    value, abserr = out[0], out[1]
-    if abserr > QUAD_REL_TOL * max(abs(value), 1e-300):
-        raise QuadratureError(
-            f"2-d quadrature error {abserr:g} exceeds relative tolerance {QUAD_REL_TOL:g} "
-            f"at q={q:g}, a={a:g}"
-        )
-    return value
+    def __init__(self, schedule: SemiLevySchedule, qs: np.ndarray):
+        self.schedule, self.qs, self.points = schedule, qs, 0
+
+    def affords(self, n: int) -> bool:
+        return self.points + n <= PSI_POINT_BUDGET
+
+    def integrand(self, z: np.ndarray) -> np.ndarray:
+        """_cf_integrand(psi(z), q) at every level q, shape (levels, len(z))."""
+        self.points += len(z)
+        out = np.empty((self.qs.size, len(z)))
+        for i in range(0, len(z), PSI_CHUNK):
+            psi = period_exponent(self.schedule, z[i : i + PSI_CHUNK])
+            for level, q in enumerate(self.qs):
+                out[level, i : i + PSI_CHUNK] = _cf_integrand(psi, float(q))
+        return out
+
+    def line(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Integrand at the points x of the line, and its (zero) error."""
+        return self.integrand(x[:, None]), np.zeros((self.qs.size, x.size))
+
+    def rings(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Integral of the integrand around each circle of radius r, and its error.
+
+        Periodic trapezoid in the angle from RING_START nodes, doubled (new
+        midpoints only) for the circles whose mean still moved by more than
+        RING_REL_TOL at some level; the last move is the error estimate,
+        infinite until there is one.
+        """
+        k = RING_START
+        sums = self._ring_sums(r, np.arange(k) * (2.0 * np.pi / k))
+        mean, err = sums / k, np.full_like(sums, np.inf)
+        todo = np.arange(r.size)
+        while todo.size and k < RING_MAX and self.affords(todo.size * k):
+            sums[:, todo] += self._ring_sums(r[todo], np.arange(1, 2 * k, 2) * (np.pi / k))
+            k *= 2
+            fine = sums[:, todo] / k
+            err[:, todo] = np.abs(fine - mean[:, todo])
+            mean[:, todo] = fine
+            todo = todo[np.any(err[:, todo] > RING_REL_TOL * np.abs(fine), axis=0)]
+        return 2.0 * np.pi * r * mean, 2.0 * np.pi * r * err
+
+    def _ring_sums(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        unit = np.column_stack([np.cos(theta), np.sin(theta)])
+        rows = max(1, PSI_CHUNK // theta.size)
+        out = np.empty((self.qs.size, r.size))
+        for i in range(0, r.size, rows):
+            block = r[i : i + rows]
+            f = self.integrand((block[:, None, None] * unit).reshape(-1, 2))
+            out[:, i : i + rows] = f.reshape(self.qs.size, block.size, -1).sum(axis=2)
+        return out
+
+
+def _gk_panels(nodes, lo: np.ndarray, hi: np.ndarray):
+    # G10/K21 value of every level on each panel [lo, hi], QUADPACK's error
+    # estimate of it, and the integrated error of the node values
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fx, fx_err = nodes((center[:, None] + half[:, None] * _GK_NODES).ravel())
+    fx = fx.reshape(-1, lo.size, _GK_NODES.size)
+    resk = fx @ _GK_KRONROD
+    err = np.abs(resk - fx @ _GK_GAUSS) * half
+    resasc = np.abs(fx - 0.5 * resk[..., None]) @ _GK_KRONROD * half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc > 0.0) & (err > 0.0), scaled, err)
+    err = np.maximum(50.0 * np.finfo(float).eps * (np.abs(fx) @ _GK_KRONROD) * half, err)
+    return resk * half, err, (fx_err.reshape(fx.shape) @ _GK_KRONROD) * half
+
+
+def _gk_ladder(nodes, psi: _Psi, breaks: np.ndarray, node_cost: int):
+    """Composite G10/K21 integral of every level over [breaks[0], breaks[-1]].
+
+    Panels are bisected, all levels at once, where their error estimate
+    exceeds an equal share of PANEL_REL_TOL, until the summed estimate meets
+    it at every level or a budget runs out; node_cost is the fewest psi
+    points one node takes.  The returned error adds the node errors.
+    """
+    lo, hi = breaks[:-1], breaks[1:]
+    value, err, node_err = _gk_panels(nodes, lo, hi)
+    while True:
+        total = np.maximum(np.abs(value.sum(axis=1)), 1e-300)
+        if np.all(err.sum(axis=1) <= PANEL_REL_TOL * total):
+            break
+        bad = np.max(err / total[:, None], axis=0) > PANEL_REL_TOL / lo.size
+        n_bad = int(bad.sum())  # zero only when an estimate is NaN
+        cost = 2 * n_bad * _GK_NODES.size * node_cost
+        if not 0 < n_bad <= MAX_PANELS - lo.size or not psi.affords(cost):
+            break
+        mid = 0.5 * (lo[bad] + hi[bad])
+        new_lo, new_hi = np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]])
+        parts = zip((value, err, node_err), _gk_panels(nodes, new_lo, new_hi))
+        value, err, node_err = (np.concatenate([old[:, ~bad], new], axis=1) for old, new in parts)
+        lo, hi = np.concatenate([lo[~bad], new_lo]), np.concatenate([hi[~bad], new_hi])
+    return value.sum(axis=1), (err + node_err).sum(axis=1)
 
 
 def _ball_volume(dim: int, a: float) -> float:
@@ -207,22 +295,56 @@ def _ball_points(dim: int, a: float, n_log2: int, seed: int) -> np.ndarray:
     return (radius / norms)[:, None] * g
 
 
-def _qmc_psi_batches(
-    schedule: SemiLevySchedule, a: float, seed: int, n_log2: int, replicates: int
-) -> list[np.ndarray]:
-    # psi does not depend on q, so a whole q-ladder reuses these evaluations
-    batches = []
-    for r in range(replicates):
-        pts = _ball_points(schedule.dim, a, n_log2, split_seed(seed, r))
-        batches.append(period_exponent(schedule, pts))
-    return batches
+def _qmc_ladder(schedule: SemiLevySchedule, a: float, qs, seed: int, n_log2=16, replicates=16):
+    # one psi batch per scrambled Sobol stream, shared by every level; each
+    # stream estimates I(q) as the ball volume times its mean integrand
+    vol = _ball_volume(schedule.dim, a)
+    batches = [
+        period_exponent(schedule, _ball_points(schedule.dim, a, n_log2, split_seed(seed, r)))
+        for r in range(replicates)
+    ]
+    values, stderrs = np.empty(len(qs)), np.empty(len(qs))
+    for level, q in enumerate(qs):
+        estimates = np.array([vol * float(np.mean(_cf_integrand(psi, float(q)))) for psi in batches])
+        values[level] = estimates.mean()
+        stderrs[level] = estimates.std(ddof=1) / math.sqrt(replicates)
+    return values, stderrs, replicates << n_log2
 
 
-def _qmc_integral(batches: list[np.ndarray], vol: float, q: float) -> tuple[float, float]:
-    estimates = np.array([vol * float(np.mean(_cf_integrand(psi, q))) for psi in batches])
-    value = float(estimates.mean())
-    stderr = float(estimates.std(ddof=1) / math.sqrt(len(estimates)))
-    return value, stderr
+def _ladder(schedule: SemiLevySchedule, a: float, qs, seed: int):
+    """I(q) over B_a at every q, the error of each value, and the work done.
+
+    psi does not depend on q, so it is evaluated once on a fixed node set and
+    every level is a weighted sum of _cf_integrand(psi, q) over it: composite
+    G10/K21 panels on the _origin_ladder breakpoints in d = 1, the same
+    panels in the radius times a periodic trapezoid in the angle in d = 2
+    (absolute error estimates), scrambled-Sobol batches in d >= 3 (standard
+    errors).  I(q) is finite and positive for every Levy exponent, so any
+    other value raises QuadratureError, as does, in d <= 2, an error above
+    QUAD_REL_TOL of the value.
+    """
+    qs = np.asarray(qs, dtype=float)
+    dim = schedule.dim
+    if dim >= 3:
+        values, errors, points = _qmc_ladder(schedule, a, qs, seed)
+    else:
+        psi, ladder = _Psi(schedule, qs), _origin_ladder(a)
+        if dim == 1:
+            breaks = np.concatenate([[-a], -ladder, [0.0], ladder[::-1], [a]])
+            values, errors = _gk_ladder(psi.line, psi, breaks, 1)
+        else:
+            breaks = np.concatenate([[0.0], ladder[::-1], [a]])
+            values, errors = _gk_ladder(psi.rings, psi, breaks, 2 * RING_START)
+        points = psi.points
+    for q, value, error in zip(qs, values, errors):
+        if not (np.isfinite(value) and value > 0.0):
+            raise QuadratureError(f"{dim}-d Chung-Fuchs integral is {value!r} at q={q:g}, a={a:g}")
+        if dim <= 2 and not error <= QUAD_REL_TOL * value:
+            raise QuadratureError(
+                f"{dim}-d quadrature error {error:g} exceeds relative tolerance {QUAD_REL_TOL:g} "
+                f"at q={q:g}, a={a:g}"
+            )
+    return values, errors, {"psi_points": int(points)}
 
 
 def ball_integral_qmc(
@@ -239,9 +361,8 @@ def ball_integral_qmc(
     each (the defaults give 2**20 > 1e6 nodes); the standard error is the
     spread of the per-stream estimates.
     """
-    vol = _ball_volume(schedule.dim, a)
-    batches = _qmc_psi_batches(schedule, a, seed, n_log2, replicates)
-    return _qmc_integral(batches, vol, q)
+    values, stderrs, _ = _qmc_ladder(schedule, a, [q], seed, n_log2, replicates)
+    return float(values[0]), float(stderrs[0])
 
 
 def chung_fuchs_integral(
@@ -249,21 +370,17 @@ def chung_fuchs_integral(
 ) -> float:
     """I(q) = integral over B_a of Re(1/(q - psi(z))) dz for the one-period law.
 
-    Deterministic adaptive quadrature for dimensions 1 and 2 (relative
-    tolerance 1e-6, raising QuadratureError rather than returning a silently
-    wrong value); quasi-Monte Carlo over the ball for dimension >= 3, with
-    the standard error available through ball_integral_qmc.
+    Deterministic composite Gauss-Kronrod quadrature for dimensions 1 and 2
+    (relative tolerance 1e-6, raising QuadratureError rather than returning a
+    silently wrong value); quasi-Monte Carlo over the ball for dimension >= 3,
+    with the standard error available through ball_integral_qmc.
     """
     if not a > 0:
         raise ValueError("a must be positive")
     if not q > 0:
         raise ValueError("q must be positive")
-    if schedule.dim == 1:
-        return _integral_1d(schedule, a, q)
-    if schedule.dim == 2:
-        return _integral_2d(schedule, a, q)
-    value, _ = ball_integral_qmc(schedule, a, q, seed=seed)
-    return value
+    values, _, _ = _ladder(schedule, a, [q], seed)
+    return float(values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -303,25 +420,19 @@ def chung_fuchs_verdict(
         raise ValueError("a and q0 must be positive")
 
     qs = q0 * Q_RATIO ** (-np.arange(levels, dtype=float))
-    if schedule.dim <= 2:
-        values = np.array([chung_fuchs_integral(schedule, a, float(q)) for q in qs])
-        stderrs = np.zeros(levels)
-    else:
-        vol = _ball_volume(schedule.dim, a)
-        batches = _qmc_psi_batches(schedule, a, seed, n_log2=16, replicates=16)
-        pairs = [_qmc_integral(batches, vol, float(q)) for q in qs]
-        values = np.array([v for v, _ in pairs])
-        stderrs = np.array([s for _, s in pairs])
-
+    values, errors, work = _ladder(schedule, a, qs, seed)
     evidence: dict = {
         "a": a,
         "q0": q0,
         "levels": levels,
         "qs": qs,
         "integrals": values,
+        "psi_points": work["psi_points"],
     }
-    if schedule.dim >= 3:
-        evidence["stderrs"] = stderrs
+    if schedule.dim <= 2:
+        evidence["quad_rel_err"] = float(np.max(errors / values))
+    else:
+        evidence["stderrs"] = errors
 
     last = float(values[-1])
     scale = max(abs(last), 1e-300)
@@ -329,7 +440,7 @@ def chung_fuchs_verdict(
     # noise guard for stochastic integration: a ladder that moved less than
     # the noise floor supports no classification at all
     if schedule.dim >= 3:
-        noise_floor = QMC_SIGNAL_FACTOR * float(stderrs.max())
+        noise_floor = QMC_SIGNAL_FACTOR * float(errors.max())
         if float(values.max() - values.min()) < noise_floor:
             evidence["reason"] = "ladder variation below the integration noise floor"
             evidence["noise_floor"] = noise_floor
@@ -536,8 +647,3 @@ def empirical_verdict(report: OccupationReport) -> Verdict:
         "flag": report.flag or "none",
     }
     return Verdict(Decision.INCONCLUSIVE, Criterion.EMPIRICAL, evidence)
-
-
-def occupation_of_paths(paths, a: float) -> np.ndarray:
-    """Occupation times of B_a for a list of paths (convenience for exports)."""
-    return np.array([occupation_time(p, a) for p in paths])

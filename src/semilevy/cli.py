@@ -502,25 +502,7 @@ def _run_classify(config: RunConfig, out: Path) -> str:
     if criterion == "auto":
         criterion = "mean" if schedule.dim == 1 and period_mean(schedule) is not None else "chung-fuchs"
 
-    lines = []
-    if criterion == "mean":
-        verdict = mean_criterion(schedule)
-    elif criterion == "drift":
-        verdict = drift_test(equivalent_levy_model(schedule))
-    elif criterion == "chung-fuchs":
-        kwargs = {"a": a, "seed": config.seed}
-        if config.q0 is not None:
-            kwargs["q0"] = config.q0
-        if config.levels is not None:
-            kwargs["levels"] = config.levels
-        verdict = chung_fuchs_verdict(schedule, **kwargs)
-        if config.sweep:
-            for a_value, sweep_verdict in radius_sweep(
-                schedule, (0.5 * a, a, 2.0 * a), seed=config.seed
-            ):
-                lines.append(f"sweep a={format_float(a_value)} {sweep_verdict.to_line()}")
-    elif criterion == "empirical":
-        horizons = _require(config.horizons, "horizons", "classify (criterion=empirical)")
+    def diagnostic(horizons):
         report = empirical_diagnostic(
             schedule,
             a,
@@ -531,22 +513,34 @@ def _run_classify(config: RunConfig, out: Path) -> str:
             threads=_worker_count(config),
         )
         (out / "occupation.csv").write_text(occupations_csv(report.final_occupations()))
-        verdict = empirical_verdict(report)
+        return report
+
+    lines = []
+    if criterion == "mean":
+        verdict = mean_criterion(schedule)
+    elif criterion == "drift":
+        verdict = drift_test(equivalent_levy_model(schedule))
+    elif criterion == "chung-fuchs":
+        kwargs = {"seed": config.seed}
+        if config.q0 is not None:
+            kwargs["q0"] = config.q0
+        if config.levels is not None:
+            kwargs["levels"] = config.levels
+        verdict = chung_fuchs_verdict(schedule, a=a, **kwargs)
+        if config.sweep:
+            # the middle radius is the main verdict's own
+            low, high = radius_sweep(schedule, (0.5 * a, 2.0 * a), **kwargs)
+            for a_value, sweep_verdict in (low, (a, verdict), high):
+                lines.append(f"sweep a={format_float(a_value)} {sweep_verdict.to_line()}")
+    elif criterion == "empirical":
+        horizons = _require(config.horizons, "horizons", "classify (criterion=empirical)")
+        verdict = empirical_verdict(diagnostic(horizons))
     else:  # pragma: no cover - parse_config already rejects unknown criteria
         raise ConfigError(f"unknown criterion {criterion!r}")
 
     lines.insert(0, verdict.to_line())
     if criterion != "empirical" and config.horizons is not None:
-        report = empirical_diagnostic(
-            schedule,
-            a,
-            config.horizons,
-            config.n_paths or 100,
-            split_seed(config.seed, 1),
-            step=config.step or 0.1,
-            threads=_worker_count(config),
-        )
-        (out / "occupation.csv").write_text(occupations_csv(report.final_occupations()))
+        report = diagnostic(config.horizons)
         lines.append(
             "diagnostic flag=" + (report.flag or "none")
             + " mean_occupation=" + ",".join(format_float(v) for v in report.mean)

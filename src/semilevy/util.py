@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -48,6 +48,3 @@ def arrays_equal(a, b) -> bool:
     b = np.asarray(b)
     return a.shape == b.shape and bool(np.all(a == b))
 
-
-def as_float_array(values: Sequence[float]) -> np.ndarray:
-    return np.asarray(values, dtype=float)

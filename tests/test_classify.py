@@ -1,11 +1,16 @@
 """Classification: quadrature against closed forms, verdicts on known fixtures."""
 
+import time
+
 import numpy as np
 import pytest
+from scipy import integrate
 
+from semilevy import classify
 from semilevy.classify import (
     Criterion,
     Decision,
+    QuadratureError,
     Verdict,
     ball_integral_qmc,
     chung_fuchs_integral,
@@ -20,12 +25,13 @@ from semilevy.models import (
     BrownianDrift,
     CompoundPoisson,
     DimensionMismatch,
+    GaussianJump,
     PointMass,
     PureDrift,
     SumModel,
     SymmetricStable,
 )
-from semilevy.schedule import make_splice, period_exponent, single_segment
+from semilevy.schedule import SemiLevySchedule, make_splice, period_exponent, single_segment
 
 BM1 = single_segment(BrownianDrift(0.0, 1.0), 1.0)
 BM3 = single_segment(BrownianDrift(np.zeros(3), np.eye(3)), 1.0)
@@ -109,8 +115,141 @@ def test_quadrature_failure_is_explicit():
     from semilevy.classify import QuadratureError
 
     sched = single_segment(CompoundPoisson(1.0, PointMass(1.0e6)), 1.0)
+    start = time.perf_counter()
     with pytest.raises(QuadratureError):
         chung_fuchs_integral(sched, 1.0, 1e-3)
+    # the panel budget stops the bisection early: well under a second here
+    assert time.perf_counter() - start < 5.0
+
+
+# ---------------------------------------------------------------------------
+# the vectorized ladder integrator
+# ---------------------------------------------------------------------------
+
+LADDER_QS = 1e-2 * 4.0 ** (-np.arange(8, dtype=float))
+BM2 = single_segment(BrownianDrift(np.zeros(2), np.eye(2)), 1.0)
+
+
+def test_gauss_kronrod_constants():
+    # the odd positions are the 10-point Gauss-Legendre rule; G10 is exact to
+    # degree 19 and K21 to degree 31
+    x, w = np.polynomial.legendre.leggauss(10)
+    assert classify._GK_NODES[1::2] == pytest.approx(x, abs=1e-15)
+    assert classify._GK_GAUSS[1::2] == pytest.approx(w, abs=1e-15)
+    for degree in range(32):
+        exact = (1.0 + (-1.0) ** degree) / (degree + 1)
+        values = classify._GK_NODES**degree
+        assert values @ classify._GK_KRONROD == pytest.approx(exact, abs=1e-15)
+        if degree < 20:
+            assert values @ classify._GK_GAUSS == pytest.approx(exact, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "sched, oracle, rel",
+    [
+        (BM1, lambda q: bm1_oracle(1.0, q), 1e-8),
+        (CAUCHY, lambda q: cauchy_oracle(1.0, q), 1e-8),
+        (single_segment(PureDrift(1.0), 1.0), lambda q: 2.0 * np.arctan(1.0 / q), 1e-8),
+        (BM2, lambda q: 2.0 * np.pi * np.log(1.0 + 1.0 / (2.0 * q)), 1e-6),
+    ],
+)
+def test_ladder_every_level_closed_form(sched, oracle, rel):
+    values, errors, work = classify._ladder(sched, 1.0, LADDER_QS, seed=0)
+    for q, value in zip(LADDER_QS, values):
+        assert value == pytest.approx(oracle(q), rel=rel)
+    assert np.all(errors <= classify.QUAD_REL_TOL * values)
+    assert work["psi_points"] > 0
+
+
+def _quad_reference(sched, a, q):
+    # one q at a time with scalar callbacks, on the same origin breakpoints
+    def f(z):
+        return float(classify._cf_integrand(period_exponent(sched, np.array([[z]])), q)[0])
+
+    def ring(r):
+        def g(theta):
+            pt = np.array([[r * np.cos(theta), r * np.sin(theta)]])
+            return float(classify._cf_integrand(period_exponent(sched, pt), q)[0])
+
+        return r * integrate.quad(g, 0.0, 2.0 * np.pi, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+
+    ladder = classify._origin_ladder(a)
+    if sched.dim == 1:
+        points = np.sort(np.concatenate([-ladder, [0.0], ladder]))
+        return integrate.quad(f, -a, a, points=points, limit=800, epsabs=0.0, epsrel=1e-10)[0]
+    return integrate.quad(ring, 0.0, a, points=ladder, limit=800, epsabs=0.0, epsrel=1e-9)[0]
+
+
+@pytest.mark.parametrize(
+    "sched, q",
+    [
+        (make_splice(BrownianDrift(1.0, 1.0), BrownianDrift(-0.5, 1.0), 1.0, 3.0), 1e-5),
+        (
+            SemiLevySchedule(
+                3.0,
+                (
+                    (1.0, BrownianDrift(-0.4, 1.0)),
+                    (1.0, SymmetricStable(1.5, 0.5, 1)),
+                    (1.0, CompoundPoisson(1.0, GaussianJump(0.2, 0.25))),
+                ),
+            ),
+            1e-5,
+        ),
+        (single_segment(BrownianDrift(np.array([0.5, 0.0]), np.eye(2)), 1.0), 1e-2),
+    ],
+)
+def test_ladder_matches_scipy_quad_reference(sched, q):
+    values, _, _ = classify._ladder(sched, 1.0, [q], seed=0)
+    assert values[0] == pytest.approx(_quad_reference(sched, 1.0, q), rel=1e-6)
+
+
+def test_ladder_d3_equals_ball_integral_qmc():
+    values, errors, work = classify._ladder(BM3, 1.0, LADDER_QS, seed=5)
+    for q, value, error in zip(LADDER_QS, values, errors):
+        assert (value, error) == ball_integral_qmc(BM3, 1.0, float(q), seed=5)
+    assert work["psi_points"] == 2**20
+
+
+def test_ladder_evaluates_psi_in_few_bounded_calls(monkeypatch):
+    sizes = []
+
+    def counting(schedule, z):
+        sizes.append(len(z))
+        return period_exponent(schedule, z)
+
+    monkeypatch.setattr(classify, "period_exponent", counting)
+    v = chung_fuchs_verdict(BM1)
+    assert len(sizes) <= 24
+    assert v.evidence["psi_points"] == sum(sizes)
+    sizes.clear()
+    v = chung_fuchs_verdict(single_segment(BrownianDrift(np.array([0.5, 0.0]), np.eye(2)), 1.0))
+    assert max(sizes) <= classify.PSI_CHUNK
+    assert v.evidence["psi_points"] == sum(sizes)
+
+
+def test_ladder_point_budget_raises(monkeypatch):
+    # the sharp angular peak of 2-d BM with drift needs far more than this
+    monkeypatch.setattr(classify, "PSI_POINT_BUDGET", 100_000)
+    sched = single_segment(BrownianDrift(np.array([0.5, 0.0]), np.eye(2)), 1.0)
+    with pytest.raises(QuadratureError):
+        chung_fuchs_verdict(sched)
+
+
+def test_nan_exponent_raises_instead_of_refining(monkeypatch):
+    monkeypatch.setattr(classify, "period_exponent", lambda schedule, z: np.full(len(z), np.nan + 0j))
+    for sched in (BM1, BM2, BM3):
+        with pytest.raises(QuadratureError):
+            chung_fuchs_integral(sched, 1.0, 1e-2)
+
+
+def test_overflowing_exponent_raises():
+    # a Gaussian at scale 1e200 is recurrent; its exponent overflows the
+    # integrand, which used to read as an all-zero, converged ladder
+    sched = single_segment(SymmetricStable(2.0, 1e200, 1), 1.0)
+    with pytest.raises(QuadratureError):
+        chung_fuchs_integral(sched, 1.0, 1e-2)
+    with pytest.raises(QuadratureError):
+        chung_fuchs_verdict(sched)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +276,16 @@ def test_verdict_bm3_transient():
     v = chung_fuchs_verdict(BM3, seed=0)
     assert v.decision is Decision.TRANSIENT
     assert v.evidence["remaining_frac"] < 0.01
+    assert v.evidence["psi_points"] == 2**20
+    assert "quad_rel_err" not in v.evidence
+
+
+def test_verdict_evidence_reports_work_and_error():
+    for sched in (BM1, BM2):
+        v = chung_fuchs_verdict(sched)
+        assert 0 < v.evidence["psi_points"] < classify.PSI_POINT_BUDGET
+        assert 0.0 < v.evidence["quad_rel_err"] <= classify.QUAD_REL_TOL
+        assert "stderrs" not in v.evidence
 
 
 def test_verdict_drifting_bm_transient():

@@ -241,6 +241,22 @@ def test_run_classify_with_diagnostic(tmp_path, capsys):
     assert (tmp_path / "occupation.csv").read_text().startswith("path_id,occupation")
 
 
+def test_run_classify_sweep_uses_config_ladder(tmp_path, capsys):
+    text = (
+        "[schedule]\nperiod = 1.0\nsegment = 1.0 brownian drift=0.0 var=1.0\n"
+        "[run]\ncommand = classify\nseed = 3\ncriterion = chung-fuchs\n"
+        "levels = 6\nq0 = 0.02\nsweep = true\n"
+    )
+    run(parse_config(text), out_dir=tmp_path)
+    capsys.readouterr()
+    main_line, *sweep = (tmp_path / "verdict.txt").read_text().splitlines()
+    assert [line.split()[1] for line in sweep] == ["a=0.5", "a=1.0", "a=2.0"]
+    for line in [main_line, *sweep]:
+        assert " levels=6 " in line and " q0=0.02 " in line
+    # the middle radius is the main verdict itself
+    assert sweep[1] == "sweep a=1.0 " + main_line
+
+
 def test_run_missing_required_key(tmp_path):
     text = "[schedule]\nperiod = 1.0\nsegment = 1.0 drift gamma=0.0\n[run]\ncommand = simulate\nseed = 1\n"
     with pytest.raises(ConfigError, match="horizon"):
@@ -278,6 +294,19 @@ def test_main_numerical_failure_exits_two(tmp_path, capsys):
     )
     assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_main_overflowing_exponent_exits_two(tmp_path, capsys):
+    # a recurrent Gaussian whose exponent overflows the integrand: an error,
+    # not an all-zero ladder read as Transient
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "[schedule]\nperiod = 1.0\nsegment = 1.0 stable alpha=2.0 scale=1e200\n"
+        "[run]\nseed = 4\ncriterion = chung-fuchs\n"
+    )
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "verdict.txt").exists()
 
 
 def test_main_inconclusive_exits_zero(tmp_path, capsys):
