@@ -29,7 +29,8 @@ from scipy.special import gammaln, ndtri
 from scipy.stats import qmc
 
 from .models import DimensionMismatch, LevyModel
-from .schedule import SemiLevySchedule, period_exponent, period_mean, sample_paths
+from .schedule import SemiLevySchedule, _ensemble, _grid_occupancy, _grid_times, period_exponent, period_mean
+from .skeleton import _occupation
 from .util import format_float, split_seed
 
 __all__ = [
@@ -549,6 +550,8 @@ def drift_test(model: LevyModel) -> Verdict:
 
 FLAG_RECURRENT = "growth-consistent-with-recurrence"
 FLAG_TRANSIENT = "saturation-consistent-with-transience"
+# paths drawn and reduced at a time by empirical_diagnostic
+DIAGNOSTIC_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -585,15 +588,15 @@ def empirical_diagnostic(
     n_paths: int,
     seed: int,
     step: float = 0.1,
-    threads: int = 1,
 ) -> OccupationReport:
     """Occupation times of B_a per horizon over a path ensemble.
 
-    Growth of the mean occupation by at least 20% over the last pair of
-    horizons is flagged as consistent with recurrence, growth under 2% as
-    consistent with transience; anything between stays unflagged.  Horizons
-    are read at the nearest grid point, so they should be large relative to
-    the step.
+    Path i is sample_path with split_seed(seed, i), drawn in chunks of
+    DIAGNOSTIC_CHUNK paths, so only one chunk is held at a time.  Growth of
+    the mean occupation by at least 20% over the last pair of horizons is
+    flagged as consistent with recurrence, growth under 2% as consistent
+    with transience; anything between stays unflagged.  Horizons are read at
+    the nearest grid point, so they should be large relative to the step.
     """
     horizons = np.asarray(horizons, dtype=float)
     if horizons.ndim != 1 or horizons.size < 2:
@@ -603,16 +606,15 @@ def empirical_diagnostic(
     if n_paths < 50:
         raise ValueError("need at least 50 paths for the diagnostic")
 
-    paths = sample_paths(schedule, float(horizons[-1]), step, n_paths, seed, threads=threads)
-    grid = paths[0].grid
+    grid = _grid_times(float(horizons[-1]), step)
+    occupancy = _grid_occupancy(schedule, grid)
+    dt = np.diff(grid)
     idx = np.clip(np.searchsorted(grid, horizons * (1.0 + 1e-12), side="right") - 1, 0, None)
 
     occ = np.empty((n_paths, horizons.size))
-    for i, path in enumerate(paths):
-        dt = np.diff(path.grid)
-        inside = np.linalg.norm(path.values[:-1], axis=1) < a
-        cum = np.concatenate([[0.0], np.cumsum(dt * inside)])
-        occ[i] = cum[idx]
+    for lo in range(0, n_paths, DIAGNOSTIC_CHUNK):
+        seeds = [split_seed(seed, i) for i in range(lo, min(lo + DIAGNOSTIC_CHUNK, n_paths))]
+        occ[lo : lo + len(seeds)] = _occupation(_ensemble(schedule, occupancy, seeds), dt, a)[:, idx]
 
     mean = occ.mean(axis=0)
     growth = mean[-1] / max(mean[-2], 1e-300)

@@ -26,14 +26,16 @@ Model kinds for ``segment = <duration> <kind> key=value...``:
 * ``drift``:    ``gamma=<vector>``.
 
 Run keys: ``command`` (or given as the CLI subcommand), ``seed`` (required,
-never defaulted from system entropy), ``out``, ``threads``, and per command:
+never defaulted from system entropy), ``out``, and per command:
 ``horizon step n_paths`` (simulate), ``criterion a q0 levels sweep`` plus
 optional ``horizons n_paths step`` for the occupation diagnostic (classify),
 ``rs n_steps n_walks a`` (skeleton), ``horizons n_paths t_grid n_samples``
 (lln).  Identical config text and seed give byte-identical outputs; side
 activities (occupation diagnostic, weak-law estimates) draw from the derived
 stream split_seed(seed, 1) so they never share a stream with the main
-command.
+command.  Parallelism is automatic: long paths and walks are drawn on a
+thread pool sized from the stream length and the CPU count, and every
+output is the same whatever the pool size.
 
 Exit codes: 0 success (an Inconclusive verdict is a success), 1 usage or
 parse failure, 2 numerical failure.
@@ -42,7 +44,6 @@ parse failure, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,14 +82,6 @@ COMMANDS = ("simulate", "classify", "skeleton", "lln")
 CRITERIA = ("auto", "chung-fuchs", "mean", "drift", "empirical")
 
 
-def _worker_count(config: "RunConfig") -> int:
-    # threads key caps the pool; default is the machine's parallelism.
-    # Per-index seed splitting keeps outputs identical at any pool size.
-    if config.threads is not None:
-        return config.threads
-    return os.cpu_count() or 1
-
-
 class ConfigError(ValueError):
     """Configuration text failed to parse or validate."""
 
@@ -101,7 +94,6 @@ class RunConfig:
     command: str
     seed: int
     out: Optional[str] = None
-    threads: Optional[int] = None
     a: Optional[float] = None
     q0: Optional[float] = None
     levels: Optional[int] = None
@@ -341,11 +333,6 @@ def parse_config(text: str, default_command: Optional[str] = None) -> RunConfig:
     item = take("out")
     if item is not None:
         fields["out"] = item[1]
-    item = take("threads")
-    if item is not None:
-        fields["threads"] = _int(item[1], item[0], "threads")
-        if fields["threads"] < 1:
-            _fail(item[0], "threads must be at least 1")
 
     positive_floats = {"a": "a", "q0": "q0", "horizon": "horizon", "step": "step"}
     for key, name in positive_floats.items():
@@ -446,7 +433,6 @@ def render_config(config: RunConfig) -> str:
         "n_steps": config.n_steps,
         "n_walks": config.n_walks,
         "n_samples": config.n_samples,
-        "threads": config.threads,
     }
     for key in sorted(scalars):
         if scalars[key] is not None:
@@ -484,9 +470,7 @@ def _run_simulate(config: RunConfig, out: Path) -> str:
     horizon = _require(config.horizon, "horizon", "simulate")
     step = _require(config.step, "step", "simulate")
     n_paths = config.n_paths or 1
-    paths = sample_paths(
-        config.schedule, horizon, step, n_paths, config.seed, threads=_worker_count(config)
-    )
+    paths = sample_paths(config.schedule, horizon, step, n_paths, config.seed)
     for i, path in enumerate(paths):
         (out / f"path_{i:04d}.csv").write_text(path.to_csv())
     return (
@@ -501,6 +485,13 @@ def _run_classify(config: RunConfig, out: Path) -> str:
     criterion = config.criterion or "auto"
     if criterion == "auto":
         criterion = "mean" if schedule.dim == 1 and period_mean(schedule) is not None else "chung-fuchs"
+    given = {"levels": config.levels is not None, "q0": config.q0 is not None, "sweep": config.sweep}
+    ignored = [key for key, is_set in given.items() if is_set]
+    if ignored and criterion != "chung-fuchs":
+        raise ConfigError(
+            f"run keys {', '.join(ignored)} apply only to criterion chung-fuchs, "
+            f"but this run uses criterion {criterion}"
+        )
 
     def diagnostic(horizons):
         report = empirical_diagnostic(
@@ -510,7 +501,6 @@ def _run_classify(config: RunConfig, out: Path) -> str:
             config.n_paths or 100,
             split_seed(config.seed, 1),
             step=config.step or 0.1,
-            threads=_worker_count(config),
         )
         (out / "occupation.csv").write_text(occupations_csv(report.final_occupations()))
         return report
@@ -554,9 +544,7 @@ def _run_skeleton(config: RunConfig, out: Path) -> str:
     n_steps = _require(config.n_steps, "n_steps", "skeleton")
     n_walks = _require(config.n_walks, "n_walks", "skeleton")
     a = _require(config.a, "a", "skeleton")
-    walks = sample_walks(
-        config.schedule, rs, n_steps, n_walks, config.seed, threads=_worker_count(config)
-    )
+    walks = sample_walks(config.schedule, rs, n_steps, n_walks, config.seed)
     curve = ball_visit_curve(walks, a)
     (out / "ball_visits.csv").write_text(curve.to_csv())
     return (
@@ -569,11 +557,10 @@ def _run_lln(config: RunConfig, out: Path) -> str:
     schedule = config.schedule
     horizons = _require(config.horizons, "horizons", "lln")
     n_paths = config.n_paths or 100
-    threads = _worker_count(config)
     if period_mean(schedule) is not None:
-        report = slln_check(schedule, horizons, n_paths, config.seed, threads=threads)
+        report = slln_check(schedule, horizons, n_paths, config.seed)
     else:
-        report = divergence_check(schedule, horizons, n_paths, config.seed, threads=threads)
+        report = divergence_check(schedule, horizons, n_paths, config.seed)
     (out / "lln.csv").write_text(report.deviations_csv())
     summary = f"lln: flag={report.flag or 'none'}"
     if config.t_grid is not None:

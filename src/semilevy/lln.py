@@ -18,11 +18,13 @@ import numpy as np
 
 from .schedule import (
     SemiLevySchedule,
+    _ensemble,
+    _grid_occupancy,
     period_covariance,
     period_mean,
     sample_interval_increment,
 )
-from .util import format_csv_float, map_indexed, split_seed
+from .util import format_csv_float, split_seed
 
 __all__ = [
     "LLNReport",
@@ -88,26 +90,12 @@ class LLNReport:
 
 
 def _horizon_values(
-    schedule: SemiLevySchedule,
-    horizons: np.ndarray,
-    n_paths: int,
-    seed: int,
-    threads: int,
+    schedule: SemiLevySchedule, horizons: np.ndarray, n_paths: int, seed: int
 ) -> np.ndarray:
-    """X at each horizon for each path, via exact increments between horizons."""
-
-    def one(i: int) -> np.ndarray:
-        rng = np.random.default_rng(split_seed(seed, i))
-        out = np.empty((horizons.size, schedule.dim))
-        x = np.zeros(schedule.dim)
-        prev = 0.0
-        for j, t in enumerate(horizons):
-            x = x + sample_interval_increment(schedule, prev, float(t), rng)
-            prev = float(t)
-            out[j] = x
-        return out
-
-    return np.stack(map_indexed(one, int(n_paths), threads))
+    """X at each horizon for each path, (paths, horizons, d), one exact cell per gap."""
+    occupancy = _grid_occupancy(schedule, np.concatenate([[0.0], horizons]))
+    seeds = [split_seed(seed, i) for i in range(int(n_paths))]
+    return _ensemble(schedule, occupancy, seeds)[:, 1:]
 
 
 def _check_horizons(horizons: Sequence[float]) -> np.ndarray:
@@ -124,7 +112,6 @@ def slln_check(
     horizons: Sequence[float],
     n_paths: int,
     seed: int,
-    threads: int = 1,
 ) -> LLNReport:
     """Deviation of X_T / T from the per-period mean rate, across horizons.
 
@@ -140,7 +127,7 @@ def slln_check(
     if mu is None:
         raise ValueError("one-period mean is absent (E[|X_p|] = infinity); use divergence_check")
     c = mu / schedule.period
-    vals = _horizon_values(schedule, h, n_paths, seed, threads)  # (paths, T, d)
+    vals = _horizon_values(schedule, h, n_paths, seed)  # (paths, T, d)
     dev = np.linalg.norm(vals / h[None, :, None] - c, axis=2)
     mean_dev = dev.mean(axis=0)
     max_dev = dev.max(axis=0)
@@ -166,7 +153,6 @@ def divergence_check(
     horizons: Sequence[float],
     n_paths: int,
     seed: int,
-    threads: int = 1,
 ) -> LLNReport:
     """Running maxima of |X_T| / T for schedules with an infinite one-period mean.
 
@@ -184,7 +170,7 @@ def divergence_check(
         raise ValueError("need at least 50 paths")
     if period_mean(schedule) is not None:
         raise ValueError("one-period mean exists; slln_check applies, not divergence_check")
-    vals = _horizon_values(schedule, h, n_paths, seed, threads)
+    vals = _horizon_values(schedule, h, n_paths, seed)
     ratios = np.linalg.norm(vals, axis=2) / h[None, :]
     running = np.maximum.accumulate(ratios, axis=1)
     median_running = np.median(running, axis=0)

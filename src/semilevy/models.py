@@ -7,7 +7,7 @@ characteristic exponent psi, normalized so that
 
 Increments are drawn exactly in law (no Euler stepping), so path and walk
 statistics built on top carry no discretization bias.  Models are immutable
-and safe to share between threads; every sampling call takes the numpy
+and safe to share across a thread pool; every sampling call takes the numpy
 Generator it should consume, there is no hidden global state.
 
 Jump distributions for the compound Poisson model come from a small closed
@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Optional, Union
 
 import numpy as np
 
-from .util import arrays_equal
+from .util import arrays_equal, weighted_sum
 
 __all__ = [
     "DimensionMismatch",
@@ -47,6 +48,11 @@ __all__ = [
 
 # tolerance of the positive-semidefinite acceptance check for covariances
 PSD_TOL = 1e-10
+
+# most jumps one compound Poisson batch may expect to draw (rate times the
+# summed durations); a batch draws all its jumps in one array, so this bounds
+# its memory to about 512 MB per coordinate
+MAX_EXPECTED_JUMPS = 1 << 26
 
 
 class DimensionMismatch(ValueError):
@@ -502,6 +508,12 @@ class CompoundPoisson(LevyModel):
         return self.rate * (self.jump.char_function(pts) - 1.0)
 
     def _sample_batch(self, dts, rng):
+        expected = self.rate * float(dts.sum())
+        if expected > MAX_EXPECTED_JUMPS:
+            raise ValueError(
+                f"compound Poisson batch expects {expected:.3g} jumps, "
+                f"more than the bound of {MAX_EXPECTED_JUMPS}; lower the rate or the horizon"
+            )
         counts = rng.poisson(self.rate * dts)
         total = int(counts.sum())
         if total == 0:
@@ -593,22 +605,12 @@ class SumModel(LevyModel):
         return out
 
     def _unit_mean(self):
-        total = np.zeros(self.dim)
-        for c in self.components:
-            mu = c._unit_mean()
-            if mu is None:
-                return None
-            total += mu
-        return total
+        means = (c._unit_mean() for c in self.components)
+        return weighted_sum(repeat(1.0), means, np.zeros(self.dim))
 
     def _unit_cov(self):
-        total = np.zeros((self.dim, self.dim))
-        for c in self.components:
-            cov = c._unit_cov()
-            if cov is None:
-                return None
-            total += cov
-        return total
+        covs = (c._unit_cov() for c in self.components)
+        return weighted_sum(repeat(1.0), covs, np.zeros((self.dim, self.dim)))
 
     def scaled(self, s):
         return SumModel(tuple(c.scaled(s) for c in self.components))

@@ -16,6 +16,7 @@ discretization bias.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -23,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .models import DimensionMismatch, LevyModel, SumModel
-from .util import format_csv_float, map_indexed, split_seed
+from .util import format_csv_float, map_indexed, split_seed, weighted_sum
 
 __all__ = [
     "SemiLevySchedule",
@@ -195,12 +196,7 @@ def single_segment(model: LevyModel, p: float = 1.0) -> SemiLevySchedule:
 
 def increment_exponent(schedule: SemiLevySchedule, s: float, t: float, z):
     """log E[exp(i <z, X_t - X_s>)], exact via the occupancy decomposition."""
-    occ = schedule.segment_occupancy(s, t)
-    single = np.asarray(z).ndim < 2
-    total = 0.0 + 0.0j if single else np.zeros(np.asarray(z).shape[0], dtype=complex)
-    for dur, (_, model) in zip(occ, schedule.segments):
-        total = total + dur * model.char_exponent(z)
-    return total
+    return _weighted_exponent(schedule, schedule.segment_occupancy(s, t), z)
 
 
 def period_exponent(schedule: SemiLevySchedule, z):
@@ -210,33 +206,24 @@ def period_exponent(schedule: SemiLevySchedule, z):
     schedule (unit-time law = one-period increment law), the quantity the
     Chung-Fuchs classifier integrates against.
     """
-    single = np.asarray(z).ndim < 2
-    total = 0.0 + 0.0j if single else np.zeros(np.asarray(z).shape[0], dtype=complex)
-    for dur, model in zip(schedule.durations, schedule.models):
-        total = total + dur * model.char_exponent(z)
-    return total
+    return _weighted_exponent(schedule, schedule.durations, z)
+
+
+def _weighted_exponent(schedule: SemiLevySchedule, weights: np.ndarray, z):
+    """Sum over segments of weight_k * psi_k(z): a complex scalar, or (m,) for (m, d) points."""
+    return weighted_sum(weights, (model.char_exponent(z) for model in schedule.models), 0.0 + 0.0j)
 
 
 def period_mean(schedule: SemiLevySchedule) -> Optional[np.ndarray]:
     """Mean of the one-period increment, or None when any segment mean is infinite."""
-    total = np.zeros(schedule.dim)
-    for dur, model in zip(schedule.durations, schedule.models):
-        mu = model.mean(1.0)
-        if mu is None:
-            return None
-        total += dur * mu
-    return total
+    means = (model.mean(1.0) for model in schedule.models)
+    return weighted_sum(schedule.durations, means, np.zeros(schedule.dim))
 
 
 def period_covariance(schedule: SemiLevySchedule) -> Optional[np.ndarray]:
     """Covariance of the one-period increment, or None without second moments."""
-    total = np.zeros((schedule.dim, schedule.dim))
-    for dur, model in zip(schedule.durations, schedule.models):
-        cov = model.covariance(1.0)
-        if cov is None:
-            return None
-        total += dur * cov
-    return total
+    covs = (model.covariance(1.0) for model in schedule.models)
+    return weighted_sum(schedule.durations, covs, np.zeros((schedule.dim, schedule.dim)))
 
 
 def equivalent_levy_model(schedule: SemiLevySchedule) -> LevyModel:
@@ -300,6 +287,36 @@ def _sample_cells(schedule: SemiLevySchedule, occupancy: np.ndarray, rng: np.ran
     return incr
 
 
+# Members of at least this many cells are drawn on a thread pool.  Their
+# numpy kernels release the interpreter lock for long enough to overlap;
+# shorter members cost more in pool start-up and hand-off than they gain.
+_POOL_MIN_CELLS = 1 << 14
+
+
+def _workers(n_members: int, cells: int) -> int:
+    """Pool size for an ensemble: one per CPU and member for long members, else 1."""
+    if cells < _POOL_MIN_CELLS:
+        return 1
+    return min(os.cpu_count() or 1, n_members)
+
+
+def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list) -> np.ndarray:
+    """Cumulative sums of independent cell draws, shape (n, cells + 1, d).
+
+    Member i starts at the origin and is drawn from default_rng(seeds[i]),
+    so it does not depend on the other members or on the pool size.
+    """
+    cells = occupancy.shape[0]
+    out = np.zeros((len(seeds), cells + 1, schedule.dim))
+
+    def one(i: int) -> None:
+        incr = _sample_cells(schedule, occupancy, np.random.default_rng(seeds[i]))
+        np.cumsum(incr, axis=0, out=out[i, 1:])
+
+    map_indexed(one, len(seeds), _workers(len(seeds), cells))
+    return out
+
+
 def sample_path(schedule: SemiLevySchedule, horizon: float, step: float, seed: int) -> PathSample:
     """Sample the process on the grid {0, step, 2 step, ...} up to the horizon.
 
@@ -308,30 +325,15 @@ def sample_path(schedule: SemiLevySchedule, horizon: float, step: float, seed: i
     segment boundaries, so no draw ever straddles two models.
     """
     times = _grid_times(horizon, step)
-    occupancy = _grid_occupancy(schedule, times)
-    rng = np.random.default_rng(seed)
-    incr = _sample_cells(schedule, occupancy, rng)
-    values = np.vstack([np.zeros((1, schedule.dim)), np.cumsum(incr, axis=0)])
+    values = _ensemble(schedule, _grid_occupancy(schedule, times), [seed])[0]
     return PathSample(grid=times, values=values, seed=int(seed))
 
 
 def sample_paths(
-    schedule: SemiLevySchedule,
-    horizon: float,
-    step: float,
-    n_paths: int,
-    seed: int,
-    threads: int = 1,
+    schedule: SemiLevySchedule, horizon: float, step: float, n_paths: int, seed: int
 ) -> list[PathSample]:
     """Independent paths; path i is reproduced by sample_path with split_seed(seed, i)."""
     times = _grid_times(horizon, step)
-    occupancy = _grid_occupancy(schedule, times)
-
-    def one(i: int) -> PathSample:
-        child = split_seed(seed, i)
-        rng = np.random.default_rng(child)
-        incr = _sample_cells(schedule, occupancy, rng)
-        values = np.vstack([np.zeros((1, schedule.dim)), np.cumsum(incr, axis=0)])
-        return PathSample(grid=times, values=values, seed=child)
-
-    return map_indexed(one, int(n_paths), threads)
+    seeds = [split_seed(seed, i) for i in range(int(n_paths))]
+    values = _ensemble(schedule, _grid_occupancy(schedule, times), seeds)
+    return [PathSample(grid=times, values=v, seed=s) for v, s in zip(values, seeds)]

@@ -21,16 +21,29 @@ def split_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def map_indexed(fn: Callable[[int], T], n: int, threads: int = 1) -> list[T]:
-    """Evaluate fn(0), ..., fn(n-1), optionally on a thread pool.
+def map_indexed(fn: Callable[[int], T], n: int, workers: int = 1) -> list[T]:
+    """Evaluate fn(0), ..., fn(n-1), on a thread pool when workers > 1.
 
     Results come back in index order, so output is independent of scheduling;
     callers keep determinism by seeding each index through split_seed.
     """
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, range(n)))
     return [fn(i) for i in range(n)]
+
+
+def weighted_sum(weights, terms, total):
+    """total + sum of w * t over paired weights and terms.
+
+    None propagates: the result is None as soon as a term is None (an
+    infinite moment stays infinite under positive weights).
+    """
+    for w, t in zip(weights, terms):
+        if t is None:
+            return None
+        total = total + w * t
+    return total
 
 
 def format_float(x: float) -> str:

@@ -31,7 +31,9 @@ from semilevy.models import (
     SumModel,
     SymmetricStable,
 )
-from semilevy.schedule import SemiLevySchedule, make_splice, period_exponent, single_segment
+from semilevy.schedule import SemiLevySchedule, make_splice, period_exponent, sample_path, single_segment
+from semilevy.skeleton import occupation_time
+from semilevy.util import split_seed
 
 BM1 = single_segment(BrownianDrift(0.0, 1.0), 1.0)
 BM3 = single_segment(BrownianDrift(np.zeros(3), np.eye(3)), 1.0)
@@ -425,6 +427,18 @@ def test_diagnostic_bm_sqrt_growth():
     ratios = report.mean[1:] / report.mean[:-1]
     assert np.all((1.25 <= ratios) & (ratios <= 1.6))
     assert report.flag == "growth-consistent-with-recurrence"
+
+
+@pytest.mark.parametrize(
+    "sched", [BM1, single_segment(BrownianDrift([0.1, 0.0], np.eye(2)), 1.0)], ids=["d1", "d2"]
+)
+def test_diagnostic_rows_are_single_path_occupations(sched):
+    # 50 paths span several chunks; each row is still path i of the seed contract
+    seed, step, horizons = 8, 0.1, [4.0, 9.3]
+    report = empirical_diagnostic(sched, 1.0, horizons, 50, seed=seed, step=step)
+    for i in range(report.n_paths):
+        path = sample_path(sched, horizons[-1], step, split_seed(seed, i))
+        assert report.occupations[i, -1] == occupation_time(path, 1.0)
 
 
 def test_diagnostic_validation_and_verdict():

@@ -72,6 +72,14 @@ def test_parse_rejects_unknown_and_duplicate_keys():
         parse_config(BASIC + "seed = 43\n")
 
 
+def test_threads_is_an_unknown_run_key(tmp_path, capsys):
+    # the pool is chosen from the stream length; there is no key for it
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(BASIC + "threads = 2\n")
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "unknown run keys: threads" in capsys.readouterr().err
+
+
 def test_parse_requires_seed():
     text = "[schedule]\nperiod = 1.0\nsegment = 1.0 drift gamma=0.0\n[run]\ncommand = classify\n"
     with pytest.raises(ConfigError, match="seed"):
@@ -318,3 +326,33 @@ def test_main_inconclusive_exits_zero(tmp_path, capsys):
     )
     assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert "decision=Inconclusive" in capsys.readouterr().out
+
+
+def test_ladder_keys_outside_chung_fuchs_exit_one(tmp_path, capsys):
+    # auto resolves to the mean criterion here, which has no ladder to honour
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "[schedule]\nperiod = 1.0\nsegment = 1.0 brownian drift=0.0 var=1.0\n"
+        "[run]\nseed = 4\nsweep = true\nlevels = 6\n"
+    )
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "levels, sweep" in err and "criterion mean" in err
+    assert not (tmp_path / "o" / "verdict.txt").exists()
+    cfg.write_text(
+        "[schedule]\nperiod = 1.0\nsegment = 1.0 brownian drift=0.0 var=1.0\n"
+        "[run]\nseed = 4\ncriterion = drift\nq0 = 0.1\n"
+    )
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "q0" in capsys.readouterr().err
+
+
+def test_unbounded_compound_poisson_draw_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "[schedule]\nperiod = 1.0\nsegment = 1.0 cpoisson rate=1e12 jump=point jump_x=1.0\n"
+        "[run]\nseed = 4\nhorizon = 1.0\nstep = 0.5\n"
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "jumps" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "path_0000.csv").exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semilevy.models import (
+    MAX_EXPECTED_JUMPS,
     BrownianDrift,
     CompoundPoisson,
     DimensionMismatch,
@@ -154,6 +155,25 @@ def test_compound_poisson_mean():
     draws = sample_increment(CompoundPoisson(2.0, PointMass(1.0)), 1.0, rng, size=n)[:, 0]
     # Poisson(2) count of unit jumps: mean 2, variance 2
     assert abs(draws.mean() - 2.0) < 3.0 * np.sqrt(2.0) / np.sqrt(n)
+
+
+def test_compound_poisson_refuses_unbounded_draw():
+    # rate 1e12 over one time unit would need terabytes of jumps; the bound is
+    # checked before any draw, so the generator is left untouched
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    model = CompoundPoisson(1e12, PointMass(1.0))
+    with pytest.raises(ValueError, match="jumps"):
+        sample_increment(model, 1.0, rng)
+    # the bound is on the whole batch: 1000 cells of 1e5 expected jumps each
+    assert 1000 * 1e5 > MAX_EXPECTED_JUMPS
+    with pytest.raises(ValueError, match="jumps"):
+        model._sample_batch(np.full(1000, 1e-7), rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="jumps"):
+        SumModel((BrownianDrift(0.0, 1.0), model)).sample_increment(1.0, rng)
+    draws = model._sample_batch(np.full(3, 1e-7), rng)
+    assert draws.shape == (3, 1) and np.all(draws > 9e4)
 
 
 # ---------------------------------------------------------------------------

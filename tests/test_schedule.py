@@ -1,13 +1,17 @@
 """Schedules: increment laws, splice construction, and exact path sampling."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semilevy import schedule as schedule_module
 from semilevy.models import BrownianDrift, CompoundPoisson, LaplaceJump, PureDrift, SymmetricStable
 from semilevy.schedule import (
     SemiLevySchedule,
+    _workers,
     equivalent_levy_model,
     increment_exponent,
     make_splice,
@@ -19,7 +23,8 @@ from semilevy.schedule import (
     sample_paths,
     single_segment,
 )
-from semilevy.util import split_seed
+from semilevy.skeleton import RationalStep, sample_walks
+from semilevy.util import map_indexed, split_seed
 
 BM = BrownianDrift(0.0, 1.0)
 SPLICE = make_splice(
@@ -187,9 +192,48 @@ def test_sample_paths_split_seeds():
         assert path.seed == split_seed(5, i)
         direct = sample_path(SPLICE, horizon=2.3, step=0.23, seed=path.seed)
         assert np.array_equal(direct.values, path.values)
-    threaded = sample_paths(SPLICE, horizon=2.3, step=0.23, n_paths=3, seed=5, threads=3)
-    for a, b in zip(paths, threaded):
-        assert np.array_equal(a.values, b.values)
+
+
+def test_serial_and_pooled_ensembles_are_bit_identical(monkeypatch):
+    # force each branch of the pool choice through its private threshold
+    pool_sizes = []
+
+    def spy(fn, n, workers=1):
+        pool_sizes.append(workers)
+        return map_indexed(fn, n, workers)
+
+    def draw():
+        paths = sample_paths(SPLICE, horizon=2.3, step=0.23, n_paths=5, seed=5)
+        walks = sample_walks(SPLICE, RationalStep(2, 3), 12, 5, seed=5)
+        return [p.values for p in paths] + [w.steps for w in walks]
+
+    monkeypatch.setattr(schedule_module, "map_indexed", spy)
+    monkeypatch.setattr(schedule_module.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(schedule_module, "_POOL_MIN_CELLS", 10**9)
+    serial = draw()
+    assert pool_sizes == [1, 1]
+    monkeypatch.setattr(schedule_module, "_POOL_MIN_CELLS", 1)
+    pooled = draw()
+    assert pool_sizes[2:] == [3, 3]
+    assert len(serial) == len(pooled) == 10
+    for a, b in zip(serial, pooled):
+        assert np.array_equal(a, b)
+
+
+def test_worker_count_follows_stream_length(monkeypatch):
+    # pure arithmetic: no pool is started here
+    threshold = schedule_module._POOL_MIN_CELLS
+    cpus = os.cpu_count() or 1
+    for n in (1, 2, 3, 50, 10**4):
+        assert _workers(n, 1) == 1
+        assert _workers(n, threshold - 1) == 1
+        assert 1 <= _workers(n, threshold) <= min(cpus, n)
+        assert 1 <= _workers(n, 10**9) <= min(cpus, n)
+    monkeypatch.setattr(schedule_module.os, "cpu_count", lambda: 64)
+    assert [_workers(n, threshold) for n in (1, 3, 10**4)] == [1, 3, 64]
+    assert _workers(10**4, threshold - 1) == 1
+    monkeypatch.setattr(schedule_module.os, "cpu_count", lambda: None)
+    assert _workers(10**4, threshold) == 1
 
 
 def test_splice_variance_of_period_value():
