@@ -19,11 +19,6 @@ from .models import (
     SumModel,
     SymmetricStable,
     UniformJump,
-    char_exponent,
-    covariance,
-    mean,
-    sample_increment,
-    scale_time,
 )
 from .schedule import (
     PathSample,
@@ -47,7 +42,6 @@ from .skeleton import (
     occupation_time,
     sample_walk,
     sample_walks,
-    skeleton_period,
 )
 from .classify import (
     Criterion,
@@ -81,11 +75,6 @@ __all__ = [
     "SumModel",
     "SymmetricStable",
     "UniformJump",
-    "char_exponent",
-    "covariance",
-    "mean",
-    "sample_increment",
-    "scale_time",
     "PathSample",
     "SemiLevySchedule",
     "equivalent_levy_model",
@@ -105,7 +94,6 @@ __all__ = [
     "occupation_time",
     "sample_walk",
     "sample_walks",
-    "skeleton_period",
     "Criterion",
     "Decision",
     "OccupationReport",

@@ -29,7 +29,15 @@ from scipy.special import gammaln, ndtri
 from scipy.stats import qmc
 
 from .models import DimensionMismatch, LevyModel
-from .schedule import SemiLevySchedule, _ensemble, _grid_occupancy, _grid_times, period_exponent, period_mean
+from .schedule import (
+    SemiLevySchedule,
+    _check_values,
+    _ensemble,
+    _grid_occupancy,
+    _grid_times,
+    period_exponent,
+    period_mean,
+)
 from .skeleton import _occupation
 from .util import format_float, split_seed
 
@@ -606,7 +614,8 @@ def empirical_diagnostic(
     if n_paths < 50:
         raise ValueError("need at least 50 paths for the diagnostic")
 
-    grid = _grid_times(float(horizons[-1]), step)
+    _check_values(n_paths, horizons.size)
+    grid = _grid_times(float(horizons[-1]), step, min(n_paths, DIAGNOSTIC_CHUNK), schedule.dim)
     occupancy = _grid_occupancy(schedule, grid)
     dt = np.diff(grid)
     idx = np.clip(np.searchsorted(grid, horizons * (1.0 + 1e-12), side="right") - 1, 0, None)

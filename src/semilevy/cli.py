@@ -26,7 +26,7 @@ Model kinds for ``segment = <duration> <kind> key=value...``:
 * ``drift``:    ``gamma=<vector>``.
 
 Run keys: ``command`` (or given as the CLI subcommand), ``seed`` (required,
-never defaulted from system entropy), ``out``, and per command:
+never defaulted from system entropy), and per command:
 ``horizon step n_paths`` (simulate), ``criterion a q0 levels sweep`` plus
 optional ``horizons n_paths step`` for the occupation diagnostic (classify),
 ``rs n_steps n_walks a`` (skeleton), ``horizons n_paths t_grid n_samples``
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -93,7 +93,6 @@ class RunConfig:
     schedule: SemiLevySchedule
     command: str
     seed: int
-    out: Optional[str] = None
     a: Optional[float] = None
     q0: Optional[float] = None
     levels: Optional[int] = None
@@ -111,7 +110,7 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# value readers and writers
 # ---------------------------------------------------------------------------
 
 
@@ -145,46 +144,179 @@ def _matrix(s: str, lineno: Optional[int], name: str) -> np.ndarray:
     return np.array(rows)
 
 
+def _diagonal(s: str, lineno: int, name: str):
+    # a covariance by its diagonal; one value stands for that multiple of the identity
+    v = _vector(s, lineno, name)
+    return v[0] if v.size == 1 else np.diag(v)
+
+
+def _checked(read, ok, rule: str):
+    """Reader that applies `read`, then fails with '<name> <rule>' unless ok(value)."""
+
+    def checked(s: str, lineno: int, name: str):
+        value = read(s, lineno, name)
+        if not ok(value):
+            _fail(lineno, f"{name} {rule}")
+        return value
+
+    return checked
+
+
+def _choice(options: tuple):
+    rule = f"must be one of {', '.join(options)}"
+    return _checked(lambda s, lineno, name: s.lower(), options.__contains__, rule)
+
+
+def _bool(s: str, lineno: int, name: str) -> bool:
+    low = s.lower()
+    if low in ("true", "false"):
+        return low == "true"
+    _fail(lineno, f"{name}: expected true or false, got {s!r}")
+
+
+def _rational_step(s: str, lineno: int, name: str) -> RationalStep:
+    num, sep, den = s.partition("/")
+    if not sep:
+        _fail(lineno, f"{name} must look like n1/n2")
+    return RationalStep(_int(num, lineno, name), _int(den, lineno, name))
+
+
+def _floats(s: str, lineno: int, name: str) -> tuple:
+    return tuple(_float(tok, lineno, name) for tok in s.split(","))
+
+
+def _render_vector(v) -> str:
+    return ",".join(format_float(x) for x in np.atleast_1d(v))
+
+
+def _render_matrix(m: np.ndarray) -> str:
+    return ";".join(_render_vector(row) for row in np.atleast_2d(m))
+
+
+# ---------------------------------------------------------------------------
+# the grammar's tables: model kinds, jump kinds and run keys
+# ---------------------------------------------------------------------------
+
+
+def _read_kind(kinds: dict, what: str, text: str, params: dict, lineno: int):
+    """The catalog object of kind `text` in `kinds`, its parameters popped from params."""
+    kind = text.lower()
+    if kind not in kinds:
+        _fail(lineno, f"unknown {what} kind {kind!r} ({', '.join(kinds)})")
+    cls, spec, defaults = kinds[kind]
+    values = {}
+    for name, field, (read, _) in spec:
+        if name in params and field not in values:
+            values[field] = read(params, name, lineno)
+    for _, field, _ in spec:
+        if field not in values and field not in defaults:
+            _fail(lineno, f"{kind} {what} needs {' or '.join(n for n, f, _ in spec if f == field)}")
+    try:
+        return cls(**{**defaults, **values})
+    except ValueError as exc:
+        _fail(lineno, f"invalid {kind} {what}: {exc}")
+
+
+def _render_kind(obj) -> str:
+    """`<kind> <parameter>=<value> ...` of a catalog object; the inverse of _read_kind."""
+    if type(obj) not in _KIND_OF:
+        raise ConfigError(f"{type(obj).__name__} is not expressible in the config grammar")
+    kind, spec = _KIND_OF[type(obj)]
+    tokens = [f"{name}={write(getattr(obj, field))}" for name, field, (_, write) in spec if write]
+    return " ".join([kind, *tokens])
+
+
+def _read_jump(params: dict, name: str, lineno: int):
+    # a jump law: its kind, whose own parameters sit in the same segment
+    return _read_kind(JUMP_KINDS, name, params.pop(name), params, lineno)
+
+
+def _param(read, write):
+    """Codec of a segment parameter: pop and read its text; write a field value."""
+    return (lambda params, name, lineno: read(params.pop(name), lineno, name)), write
+
+
+_VECTOR = _param(_vector, _render_vector)
+_MATRIX = _param(_matrix, _render_matrix)
+_DIAGONAL = _param(_diagonal, None)  # the diagonal spelling of a matrix, never written
+_FLOAT = _param(_float, format_float)
+_INT = _param(_int, str)
+_JUMP = (_read_jump, _render_kind)
+
+# config kind -> (class, ((config parameter, dataclass field, codec), ...),
+# defaults of the optional fields).  Render writes the parameters in this
+# order; a field given in two spellings keeps the first, and the second is
+# reported as an unknown parameter.
+MODEL_KINDS = {
+    "brownian": (
+        BrownianDrift,
+        (("drift", "drift", _VECTOR), ("cov", "cov", _MATRIX), ("var", "cov", _DIAGONAL)),
+        {},
+    ),
+    "stable": (
+        SymmetricStable,
+        (("alpha", "alpha", _FLOAT), ("scale", "scale", _FLOAT), ("dim", "dim", _INT)),
+        {"dim": 1},
+    ),
+    "cpoisson": (CompoundPoisson, (("rate", "rate", _FLOAT), ("jump", "jump", _JUMP)), {}),
+    "drift": (PureDrift, (("gamma", "gamma", _VECTOR),), {}),
+}
+JUMP_KINDS = {
+    "point": (PointMass, (("jump_x", "x", _VECTOR),), {}),
+    "uniform": (UniformJump, (("jump_lo", "lo", _VECTOR), ("jump_hi", "hi", _VECTOR)), {}),
+    "gauss": (
+        GaussianJump,
+        (("jump_mean", "mu", _VECTOR), ("jump_cov", "cov", _MATRIX), ("jump_var", "cov", _DIAGONAL)),
+        {},
+    ),
+    "laplace": (LaplaceJump, (("jump_loc", "loc", _VECTOR), ("jump_scale", "scale", _VECTOR)), {}),
+}
+_KIND_OF = {cls: (kind, spec) for kind, (cls, spec, _) in {**MODEL_KINDS, **JUMP_KINDS}.items()}
+
+_POSITIVE = _checked(_float, lambda v: v > 0, "must be positive")
+_COUNT = _checked(_int, lambda v: v >= 1, "must be at least 1")
+_INCREASING = _checked(
+    _floats, lambda v: min(v) > 0 and all(np.diff(v) > 0), "must be positive and strictly increasing"
+)
+
+# run key -> (reader, writer); render writes the keys that differ from their
+# RunConfig default, in this order
+RUN_KEYS = {
+    "command": (_choice(COMMANDS), str),
+    "seed": (_int, str),
+    "a": (_POSITIVE, format_float),
+    "horizon": (_POSITIVE, format_float),
+    "q0": (_POSITIVE, format_float),
+    "step": (_POSITIVE, format_float),
+    "levels": (_checked(_int, lambda v: v >= 6, "must be at least 6"), str),
+    "n_paths": (_COUNT, str),
+    "n_samples": (_COUNT, str),
+    "n_steps": (_COUNT, str),
+    "n_walks": (_COUNT, str),
+    "criterion": (_choice(CRITERIA), str),
+    "sweep": (_bool, lambda v: str(v).lower()),
+    "rs": (_rational_step, lambda rs: f"{rs.num}/{rs.den}"),
+    "horizons": (_INCREASING, _render_vector),
+    "t_grid": (_INCREASING, _render_vector),
+}
+
+
+# ---------------------------------------------------------------------------
+# parsing and rendering
+# ---------------------------------------------------------------------------
+
+
 def _kv_pairs(tokens: list[str], lineno: int) -> dict:
     params = {}
     for tok in tokens:
         key, sep, value = tok.partition("=")
+        key = key.lower()
         if not sep or not key or not value:
             _fail(lineno, f"expected key=value, got {tok!r}")
         if key in params:
             _fail(lineno, f"duplicate parameter {key!r}")
-        params[key.lower()] = value
+        params[key] = value
     return params
-
-
-def _pop(params: dict, key: str, lineno: int, kind: str):
-    if key not in params:
-        _fail(lineno, f"{kind} segment is missing {key!r}")
-    return params.pop(key)
-
-
-def _parse_jump(params: dict, lineno: int):
-    jump_kind = _pop(params, "jump", lineno, "cpoisson").lower()
-    if jump_kind == "point":
-        return PointMass(_vector(_pop(params, "jump_x", lineno, "cpoisson"), lineno, "jump_x"))
-    if jump_kind == "uniform":
-        lo = _vector(_pop(params, "jump_lo", lineno, "cpoisson"), lineno, "jump_lo")
-        hi = _vector(_pop(params, "jump_hi", lineno, "cpoisson"), lineno, "jump_hi")
-        return UniformJump(lo, hi)
-    if jump_kind == "gauss":
-        mu = _vector(_pop(params, "jump_mean", lineno, "cpoisson"), lineno, "jump_mean")
-        if "jump_cov" in params:
-            cov = _matrix(params.pop("jump_cov"), lineno, "jump_cov")
-        elif "jump_var" in params:
-            cov = np.diag(np.broadcast_to(_vector(params.pop("jump_var"), lineno, "jump_var"), mu.shape))
-        else:
-            _fail(lineno, "gauss jump needs jump_cov or jump_var")
-        return GaussianJump(mu, cov)
-    if jump_kind == "laplace":
-        loc = _vector(_pop(params, "jump_loc", lineno, "cpoisson"), lineno, "jump_loc")
-        scale = _vector(_pop(params, "jump_scale", lineno, "cpoisson"), lineno, "jump_scale")
-        return LaplaceJump(loc, scale)
-    _fail(lineno, f"unknown jump kind {jump_kind!r} (point, uniform, gauss, laplace)")
 
 
 def _parse_segment(lineno: int, text: str) -> tuple[float, LevyModel]:
@@ -194,58 +326,11 @@ def _parse_segment(lineno: int, text: str) -> tuple[float, LevyModel]:
     duration = _float(tokens[0], lineno, "duration")
     if duration <= 0:
         _fail(lineno, "segment duration must be positive")
-    kind = tokens[1].lower()
     params = _kv_pairs(tokens[2:], lineno)
-    try:
-        if kind == "brownian":
-            drift = _vector(_pop(params, "drift", lineno, "brownian"), lineno, "drift")
-            if "cov" in params:
-                cov = _matrix(params.pop("cov"), lineno, "cov")
-            elif "var" in params:
-                cov = np.diag(np.broadcast_to(_vector(params.pop("var"), lineno, "var"), drift.shape))
-            else:
-                _fail(lineno, "brownian segment needs cov or var")
-            model: LevyModel = BrownianDrift(drift, cov)
-        elif kind == "stable":
-            alpha = _float(_pop(params, "alpha", lineno, "stable"), lineno, "alpha")
-            scale = _float(_pop(params, "scale", lineno, "stable"), lineno, "scale")
-            dim = _int(params.pop("dim"), lineno, "dim") if "dim" in params else 1
-            model = SymmetricStable(alpha, scale, dim)
-        elif kind == "cpoisson":
-            rate = _float(_pop(params, "rate", lineno, "cpoisson"), lineno, "rate")
-            model = CompoundPoisson(rate, _parse_jump(params, lineno))
-        elif kind == "drift":
-            model = PureDrift(_vector(_pop(params, "gamma", lineno, "drift"), lineno, "gamma"))
-        else:
-            _fail(lineno, f"unknown model kind {kind!r} (brownian, stable, cpoisson, drift)")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        _fail(lineno, f"invalid {kind} segment: {exc}")
+    model = _read_kind(MODEL_KINDS, "model", tokens[1], params, lineno)
     if params:
-        _fail(lineno, f"unknown {kind} parameters: {', '.join(sorted(params))}")
+        _fail(lineno, f"unknown {tokens[1].lower()} parameters: {', '.join(sorted(params))}")
     return duration, model
-
-
-def _parse_float_list(s: str, lineno: int, name: str) -> tuple:
-    values = tuple(_float(tok, lineno, name) for tok in s.split(","))
-    if any(v <= 0 for v in values) or any(b <= a for a, b in zip(values, values[1:])):
-        _fail(lineno, f"{name} must be positive and strictly increasing")
-    return values
-
-
-def _parse_rs(s: str, lineno: int) -> RationalStep:
-    num, sep, den = s.partition("/")
-    if not sep:
-        _fail(lineno, "rs must look like n1/n2")
-    return RationalStep(_int(num, lineno, "rs"), _int(den, lineno, "rs"))
-
-
-def _parse_bool(s: str, lineno: int, name: str) -> bool:
-    low = s.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    _fail(lineno, f"{name}: expected true or false, got {s!r}")
 
 
 def parse_config(text: str, default_command: Optional[str] = None) -> RunConfig:
@@ -288,6 +373,8 @@ def parse_config(text: str, default_command: Optional[str] = None) -> RunConfig:
             elif key == "segment":
                 segments.append(_parse_segment(lineno, value))
             elif key == "dim":
+                if declared_dim is not None:
+                    _fail(lineno, "duplicate dim")
                 declared_dim = _int(value, lineno, "dim")
             else:
                 _fail(lineno, f"unknown schedule key {key!r}")
@@ -307,151 +394,32 @@ def parse_config(text: str, default_command: Optional[str] = None) -> RunConfig:
     if declared_dim is not None and declared_dim != schedule.dim:
         _fail(None, f"declared dim {declared_dim} but segments have dimension {schedule.dim}")
 
-    fields: dict = {}
-
-    def take(key):
-        return run_raw.pop(key, None)
-
-    item = take("command")
-    if item is not None:
-        lineno, value = item
-        command = value.lower()
-        if command not in COMMANDS:
-            _fail(lineno, f"unknown command {command!r} (expected one of {', '.join(COMMANDS)})")
-        if default_command is not None and command != default_command:
-            _fail(lineno, f"config says command={command} but the CLI subcommand is {default_command}")
-    elif default_command is not None:
-        command = default_command
-    else:
+    unknown = sorted(set(run_raw) - set(RUN_KEYS))
+    if unknown:
+        _fail(min(run_raw[key][0] for key in unknown), f"unknown run keys: {', '.join(unknown)}")
+    values = {key: RUN_KEYS[key][0](value, lineno, key) for key, (lineno, value) in run_raw.items()}
+    command = values.setdefault("command", default_command)
+    if command is None:
         _fail(None, "run section must set command (or pass it as the CLI subcommand)")
-
-    item = take("seed")
-    if item is None:
+    if default_command not in (None, command):
+        lineno = run_raw["command"][0]
+        _fail(lineno, f"config says command={command} but the CLI subcommand is {default_command}")
+    if "seed" not in values:
         _fail(None, "run section must set seed (seeds are never defaulted from system entropy)")
-    fields["seed"] = _int(item[1], item[0], "seed")
-
-    item = take("out")
-    if item is not None:
-        fields["out"] = item[1]
-
-    positive_floats = {"a": "a", "q0": "q0", "horizon": "horizon", "step": "step"}
-    for key, name in positive_floats.items():
-        item = take(key)
-        if item is not None:
-            val = _float(item[1], item[0], name)
-            if val <= 0:
-                _fail(item[0], f"{name} must be positive")
-            fields[name] = val
-
-    positive_ints = {"levels": 6, "n_paths": 1, "n_steps": 1, "n_walks": 1, "n_samples": 1}
-    for key, floor in positive_ints.items():
-        item = take(key)
-        if item is not None:
-            val = _int(item[1], item[0], key)
-            if val < floor:
-                _fail(item[0], f"{key} must be at least {floor}")
-            fields[key] = val
-
-    item = take("criterion")
-    if item is not None:
-        crit = item[1].lower()
-        if crit not in CRITERIA:
-            _fail(item[0], f"unknown criterion {crit!r} (expected one of {', '.join(CRITERIA)})")
-        fields["criterion"] = crit
-    item = take("sweep")
-    if item is not None:
-        fields["sweep"] = _parse_bool(item[1], item[0], "sweep")
-    item = take("rs")
-    if item is not None:
-        fields["rs"] = _parse_rs(item[1], item[0])
-    for key in ("horizons", "t_grid"):
-        item = take(key)
-        if item is not None:
-            fields[key] = _parse_float_list(item[1], item[0], key)
-
-    if run_raw:
-        lineno = min(ln for ln, _ in run_raw.values())
-        _fail(lineno, f"unknown run keys: {', '.join(sorted(run_raw))}")
-
-    return RunConfig(schedule=schedule, command=command, **fields)
-
-
-# ---------------------------------------------------------------------------
-# rendering (canonical inverse of parse_config)
-# ---------------------------------------------------------------------------
-
-
-def _render_vector(v: np.ndarray) -> str:
-    return ",".join(format_float(x) for x in np.atleast_1d(v))
-
-
-def _render_matrix(m: np.ndarray) -> str:
-    return ";".join(_render_vector(row) for row in np.atleast_2d(m))
-
-
-def _render_segment(duration: float, model: LevyModel) -> str:
-    dur = format_float(duration)
-    if isinstance(model, BrownianDrift):
-        return f"{dur} brownian drift={_render_vector(model.drift)} cov={_render_matrix(model.cov)}"
-    if isinstance(model, SymmetricStable):
-        return (
-            f"{dur} stable alpha={format_float(model.alpha)} "
-            f"scale={format_float(model.scale)} dim={model.dim}"
-        )
-    if isinstance(model, CompoundPoisson):
-        head = f"{dur} cpoisson rate={format_float(model.rate)}"
-        j = model.jump
-        if isinstance(j, PointMass):
-            return f"{head} jump=point jump_x={_render_vector(j.x)}"
-        if isinstance(j, UniformJump):
-            return f"{head} jump=uniform jump_lo={_render_vector(j.lo)} jump_hi={_render_vector(j.hi)}"
-        if isinstance(j, GaussianJump):
-            return f"{head} jump=gauss jump_mean={_render_vector(j.mu)} jump_cov={_render_matrix(j.cov)}"
-        if isinstance(j, LaplaceJump):
-            return f"{head} jump=laplace jump_loc={_render_vector(j.loc)} jump_scale={_render_vector(j.scale)}"
-        raise ConfigError(f"jump distribution {type(j).__name__} is not expressible in the config grammar")
-    if isinstance(model, PureDrift):
-        return f"{dur} drift gamma={_render_vector(model.gamma)}"
-    raise ConfigError(f"model {type(model).__name__} is not expressible in the config grammar")
+    return RunConfig(schedule=schedule, **values)
 
 
 def render_config(config: RunConfig) -> str:
     """Canonical text form; parse_config(render_config(c)) == c."""
     lines = ["[schedule]", f"period = {format_float(config.schedule.period)}"]
     for duration, model in config.schedule.segments:
-        lines.append(f"segment = {_render_segment(duration, model)}")
-    lines += ["", "[run]", f"command = {config.command}", f"seed = {config.seed}"]
-    scalars = {
-        "a": config.a,
-        "q0": config.q0,
-        "horizon": config.horizon,
-        "step": config.step,
-    }
-    ints = {
-        "levels": config.levels,
-        "n_paths": config.n_paths,
-        "n_steps": config.n_steps,
-        "n_walks": config.n_walks,
-        "n_samples": config.n_samples,
-    }
-    for key in sorted(scalars):
-        if scalars[key] is not None:
-            lines.append(f"{key} = {format_float(scalars[key])}")
-    for key in sorted(ints):
-        if ints[key] is not None:
-            lines.append(f"{key} = {ints[key]}")
-    if config.criterion is not None:
-        lines.append(f"criterion = {config.criterion}")
-    if config.sweep:
-        lines.append("sweep = true")
-    if config.rs is not None:
-        lines.append(f"rs = {config.rs.num}/{config.rs.den}")
-    if config.horizons is not None:
-        lines.append("horizons = " + ",".join(format_float(v) for v in config.horizons))
-    if config.t_grid is not None:
-        lines.append("t_grid = " + ",".join(format_float(v) for v in config.t_grid))
-    if config.out is not None:
-        lines.append(f"out = {config.out}")
+        lines.append(f"segment = {format_float(duration)} {_render_kind(model)}")
+    lines += ["", "[run]"]
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    for key, (_, write) in RUN_KEYS.items():
+        value = getattr(config, key)
+        if value != defaults[key]:
+            lines.append(f"{key} = {write(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -572,27 +540,25 @@ def _run_lln(config: RunConfig, out: Path) -> str:
     return summary
 
 
+# command -> (runner, help text)
 _RUNNERS = {
-    "simulate": _run_simulate,
-    "classify": _run_classify,
-    "skeleton": _run_skeleton,
-    "lln": _run_lln,
+    "simulate": (_run_simulate, "sample paths to CSV"),
+    "classify": (_run_classify, "recurrence/transience verdict"),
+    "skeleton": (_run_skeleton, "discrete-skeleton ball-visit statistics"),
+    "lln": (_run_lln, "law-of-large-numbers checks"),
 }
 
 
-def run(config: RunConfig, out_dir=None) -> int:
+def run(config: RunConfig, out_dir) -> int:
     """Execute a parsed config, writing artifacts under the output directory.
 
     Prints a one-line summary on success and returns 0 (an Inconclusive
     verdict is still a success); errors raise and are mapped to exit codes by
     main().
     """
-    target = out_dir if out_dir is not None else config.out
-    if target is None:
-        raise ConfigError("no output directory: pass --out or set out in the [run] section")
-    out = Path(target)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = _RUNNERS[config.command](config, out)
+    summary = _RUNNERS[config.command][0](config, out)
     print(summary)
     return 0
 
@@ -611,12 +577,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="semilevy", description="Periodic Levy schedule laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("simulate", "sample paths to CSV"),
-        ("classify", "recurrence/transience verdict"),
-        ("skeleton", "discrete-skeleton ball-visit statistics"),
-        ("lln", "law-of-large-numbers checks"),
-    ):
+    for name, (_, text) in _RUNNERS.items():
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="configuration file")
         cmd.add_argument("--out", required=True, help="output directory")
@@ -630,19 +591,11 @@ def main(argv=None) -> int:
         text = Path(args.config).read_text()
         config = parse_config(text, default_command=args.command)
         return run(config, out_dir=args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except QuadratureError as exc:
+    # LinAlgError is a ValueError, so the numerical clause comes first
+    except (QuadratureError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, FloatingPointError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,13 +18,14 @@ import numpy as np
 
 from .schedule import (
     SemiLevySchedule,
+    _check_values,
     _ensemble,
     _grid_occupancy,
     period_covariance,
     period_mean,
     sample_interval_increment,
 )
-from .util import format_csv_float, split_seed
+from .util import check_finite, format_csv_float, split_seed
 
 __all__ = [
     "LLNReport",
@@ -93,6 +94,7 @@ def _horizon_values(
     schedule: SemiLevySchedule, horizons: np.ndarray, n_paths: int, seed: int
 ) -> np.ndarray:
     """X at each horizon for each path, (paths, horizons, d), one exact cell per gap."""
+    _check_values(n_paths, horizons.size, schedule.dim)
     occupancy = _grid_occupancy(schedule, np.concatenate([[0.0], horizons]))
     seeds = [split_seed(seed, i) for i in range(int(n_paths))]
     return _ensemble(schedule, occupancy, seeds)[:, 1:]
@@ -131,6 +133,7 @@ def slln_check(
     dev = np.linalg.norm(vals / h[None, :, None] - c, axis=2)
     mean_dev = dev.mean(axis=0)
     max_dev = dev.max(axis=0)
+    check_finite([mean_dev, max_dev], "an LLN deviation")
     flag = None
     cov = period_covariance(schedule)
     if cov is not None:
@@ -173,13 +176,15 @@ def divergence_check(
     vals = _horizon_values(schedule, h, n_paths, seed)
     ratios = np.linalg.norm(vals, axis=2) / h[None, :]
     running = np.maximum.accumulate(ratios, axis=1)
+    mean_dev, max_dev = ratios.mean(axis=0), ratios.max(axis=0)
+    check_finite([mean_dev, max_dev], "an LLN ratio")
     median_running = np.median(running, axis=0)
     flag = FLAG_DIVERGENCE if median_running[-1] >= 1.5 * median_running[0] else None
     return LLNReport(
         seed=int(seed),
         horizons=h,
-        mean_dev=ratios.mean(axis=0),
-        max_dev=ratios.max(axis=0),
+        mean_dev=mean_dev,
+        max_dev=max_dev,
         target=None,
         divergence_expected=True,
         running_max_median=median_running,
@@ -205,8 +210,10 @@ def wlln_conditions(
     n = int(n_samples)
     if n < 10**4:
         raise ValueError("need at least 1e4 samples")
+    _check_values(n, schedule.dim)
     rng = np.random.default_rng(seed)
     x = sample_interval_increment(schedule, 0.0, schedule.period, rng, size=n)
+    check_finite(x, "a one-period draw")
     r = np.linalg.norm(x, axis=1)
 
     tail = np.empty(t.size)

@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .util import arrays_equal, weighted_sum
+from .util import FieldEq, weighted_sum
 
 __all__ = [
     "DimensionMismatch",
@@ -39,11 +39,6 @@ __all__ = [
     "CompoundPoisson",
     "PureDrift",
     "SumModel",
-    "char_exponent",
-    "sample_increment",
-    "mean",
-    "covariance",
-    "scale_time",
 ]
 
 # tolerance of the positive-semidefinite acceptance check for covariances
@@ -121,7 +116,7 @@ def _as_points(z, dim: int) -> tuple[np.ndarray, bool]:
 
 
 @dataclass(frozen=True, eq=False)
-class PointMass:
+class PointMass(FieldEq):
     """Deterministic jump of a fixed size."""
 
     x: np.ndarray
@@ -145,12 +140,9 @@ class PointMass:
     def second_moment(self) -> np.ndarray:
         return np.outer(self.x, self.x)
 
-    def __eq__(self, other):
-        return isinstance(other, PointMass) and arrays_equal(self.x, other.x)
-
 
 @dataclass(frozen=True, eq=False)
-class UniformJump:
+class UniformJump(FieldEq):
     """Uniform jump on the box [lo, hi], coordinates independent."""
 
     lo: np.ndarray
@@ -188,16 +180,9 @@ class UniformJump:
         var = (self.hi - self.lo) ** 2 / 12.0
         return np.diag(var) + np.outer(mid, mid)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, UniformJump)
-            and arrays_equal(self.lo, other.lo)
-            and arrays_equal(self.hi, other.hi)
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class GaussianJump:
+class GaussianJump(FieldEq):
     """Gaussian jump with mean mu and covariance cov."""
 
     mu: np.ndarray
@@ -230,16 +215,9 @@ class GaussianJump:
     def second_moment(self) -> np.ndarray:
         return self.cov + np.outer(self.mu, self.mu)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GaussianJump)
-            and arrays_equal(self.mu, other.mu)
-            and arrays_equal(self.cov, other.cov)
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class LaplaceJump:
+class LaplaceJump(FieldEq):
     """Two-sided exponential jump, coordinates independent.
 
     Coordinate j has density exp(-|x - loc_j| / scale_j) / (2 scale_j).
@@ -276,13 +254,6 @@ class LaplaceJump:
 
     def second_moment(self) -> np.ndarray:
         return np.diag(2.0 * self.scale**2) + np.outer(self.loc, self.loc)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaplaceJump)
-            and arrays_equal(self.loc, other.loc)
-            and arrays_equal(self.scale, other.scale)
-        )
 
 
 JumpDistribution = Union[PointMass, UniformJump, GaussianJump, LaplaceJump]
@@ -324,7 +295,7 @@ def _positive_stable(a: float, rng: np.random.Generator, size: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-class LevyModel:
+class LevyModel(FieldEq):
     """Base class of the catalog; subclasses fill in the sampling/transform hooks."""
 
     dim: int
@@ -364,8 +335,10 @@ class LevyModel:
         return None if c is None else c * float(t)
 
     def scaled(self, s: float) -> "LevyModel":
-        """Model with exponent s * psi, i.e. the process run at speed s."""
-        raise NotImplementedError
+        """Model with exponent s * psi, i.e. the process run at speed s > 0."""
+        if not s > 0:
+            raise ValueError("time scale must be positive")
+        return self._scaled(float(s))
 
     # -- hooks -----------------------------------------------------------
 
@@ -380,6 +353,9 @@ class LevyModel:
         raise NotImplementedError
 
     def _unit_cov(self) -> Optional[np.ndarray]:
+        raise NotImplementedError
+
+    def _scaled(self, s: float) -> "LevyModel":
         raise NotImplementedError
 
 
@@ -418,15 +394,8 @@ class BrownianDrift(LevyModel):
     def _unit_cov(self):
         return self.cov.copy()
 
-    def scaled(self, s):
+    def _scaled(self, s):
         return BrownianDrift(self.drift * s, self.cov * s)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BrownianDrift)
-            and arrays_equal(self.drift, other.drift)
-            and arrays_equal(self.cov, other.cov)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,16 +446,8 @@ class SymmetricStable(LevyModel):
             return 2.0 * self.scale * np.eye(self.dim)
         return None
 
-    def scaled(self, s):
+    def _scaled(self, s):
         return SymmetricStable(self.alpha, self.scale * s, self.dim)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymmetricStable)
-            and self.alpha == other.alpha
-            and self.scale == other.scale
-            and self.dim == other.dim
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -530,15 +491,8 @@ class CompoundPoisson(LevyModel):
     def _unit_cov(self):
         return self.rate * self.jump.second_moment()
 
-    def scaled(self, s):
+    def _scaled(self, s):
         return CompoundPoisson(self.rate * s, self.jump)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CompoundPoisson)
-            and self.rate == other.rate
-            and self.jump == other.jump
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -566,11 +520,8 @@ class PureDrift(LevyModel):
     def _unit_cov(self):
         return np.zeros((self.dim, self.dim))
 
-    def scaled(self, s):
+    def _scaled(self, s):
         return PureDrift(self.gamma * s)
-
-    def __eq__(self, other):
-        return isinstance(other, PureDrift) and arrays_equal(self.gamma, other.gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -612,40 +563,5 @@ class SumModel(LevyModel):
         covs = (c._unit_cov() for c in self.components)
         return weighted_sum(repeat(1.0), covs, np.zeros((self.dim, self.dim)))
 
-    def scaled(self, s):
-        return SumModel(tuple(c.scaled(s) for c in self.components))
-
-    def __eq__(self, other):
-        return isinstance(other, SumModel) and self.components == other.components
-
-
-# ---------------------------------------------------------------------------
-# functional aliases
-# ---------------------------------------------------------------------------
-
-
-def char_exponent(model: LevyModel, z):
-    """Characteristic exponent psi(z) of the model."""
-    return model.char_exponent(z)
-
-
-def sample_increment(model: LevyModel, dt: float, rng: np.random.Generator, size: Optional[int] = None):
-    """Exact increment draw(s) of duration dt."""
-    return model.sample_increment(dt, rng, size)
-
-
-def mean(model: LevyModel, t: float) -> Optional[np.ndarray]:
-    """E[L_t], or None when the first absolute moment is infinite."""
-    return model.mean(t)
-
-
-def covariance(model: LevyModel, t: float) -> Optional[np.ndarray]:
-    """Cov(L_t), or None when second moments are infinite."""
-    return model.covariance(t)
-
-
-def scale_time(model: LevyModel, s: float) -> LevyModel:
-    """Model whose exponent is s * psi, i.e. the original run at speed s."""
-    if not s > 0:
-        raise ValueError("time scale must be positive")
-    return model.scaled(float(s))
+    def _scaled(self, s):
+        return SumModel(tuple(c._scaled(s) for c in self.components))

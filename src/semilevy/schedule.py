@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .models import DimensionMismatch, LevyModel, SumModel
-from .util import format_csv_float, map_indexed, split_seed, weighted_sum
+from .util import FieldEq, check_finite, format_csv_float, map_indexed, split_seed, weighted_sum
 
 __all__ = [
     "SemiLevySchedule",
@@ -45,9 +45,13 @@ __all__ = [
 # and when snapping times sitting on a period boundary
 PERIOD_TOL = 1e-12
 
+# most values one sampling call may hold, members x cells x d (1 GiB of
+# float64); checked from the sizes before any grid, seed list or array is built
+MAX_VALUES = 1 << 27
+
 
 @dataclass(frozen=True, eq=False)
-class SemiLevySchedule:
+class SemiLevySchedule(FieldEq):
     """A period p > 0 tiled by an ordered list of (duration, model) segments.
 
     Segment k runs on (start_k + n p, start_k + duration_k + n p] for every
@@ -128,13 +132,6 @@ class SemiLevySchedule:
             raise ValueError("need 0 <= s <= t")
         pair = self.occupancy_profile(np.array([s, t]))
         return np.clip(pair[1] - pair[0], 0.0, None)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SemiLevySchedule)
-            and self.period == other.period
-            and self.segments == other.segments
-        )
 
 
 @dataclass(frozen=True)
@@ -259,11 +256,22 @@ def sample_interval_increment(
     return out[0] if size is None else out
 
 
-def _grid_times(horizon: float, step: float) -> np.ndarray:
+def _check_values(*sizes: float) -> None:
+    """ValueError when a sampling call of these sizes would hold more than MAX_VALUES values."""
+    values = math.prod(sizes)
+    if values > MAX_VALUES:
+        raise ValueError(
+            f"one sampling call would hold {values:.3g} values, more than the bound of "
+            f"{MAX_VALUES}; lower the path, walk or sample count, or the horizon"
+        )
+
+
+def _grid_times(horizon: float, step: float, members: int, dim: int) -> np.ndarray:
     if not step > 0:
         raise ValueError("step must be positive")
     if not horizon >= step:
         raise ValueError("horizon must be at least one step")
+    _check_values(members, horizon / step, dim)
     n = int(math.floor(horizon / step + 1e-9))
     times = np.arange(n + 1) * step
     if horizon - times[-1] > 1e-9 * step:
@@ -314,6 +322,8 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list) ->
         np.cumsum(incr, axis=0, out=out[i, 1:])
 
     map_indexed(one, len(seeds), _workers(len(seeds), cells))
+    # a sum that meets inf or nan stays so, so the last row shows any overflow
+    check_finite(out[:, -1], "a sampled path or walk")
     return out
 
 
@@ -324,7 +334,7 @@ def sample_path(schedule: SemiLevySchedule, horizon: float, step: float, seed: i
     horizon.  Cell increments are exact in law: cells are split internally at
     segment boundaries, so no draw ever straddles two models.
     """
-    times = _grid_times(horizon, step)
+    times = _grid_times(horizon, step, 1, schedule.dim)
     values = _ensemble(schedule, _grid_occupancy(schedule, times), [seed])[0]
     return PathSample(grid=times, values=values, seed=int(seed))
 
@@ -333,7 +343,7 @@ def sample_paths(
     schedule: SemiLevySchedule, horizon: float, step: float, n_paths: int, seed: int
 ) -> list[PathSample]:
     """Independent paths; path i is reproduced by sample_path with split_seed(seed, i)."""
-    times = _grid_times(horizon, step)
+    times = _grid_times(horizon, step, n_paths, schedule.dim)
     seeds = [split_seed(seed, i) for i in range(int(n_paths))]
     values = _ensemble(schedule, _grid_occupancy(schedule, times), seeds)
     return [PathSample(grid=times, values=v, seed=s) for v, s in zip(values, seeds)]

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import PathSample, SemiLevySchedule, _ensemble
+from .schedule import PathSample, SemiLevySchedule, _check_values, _ensemble
 from .util import format_csv_float, split_seed
 
 __all__ = [
     "RationalStep",
     "WalkSample",
     "BallVisitCurve",
-    "skeleton_period",
     "sample_walk",
     "sample_walks",
     "ball_visit_curve",
@@ -32,7 +31,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RationalStep:
-    """Sampling step h = period * num / den, reduced to lowest terms."""
+    """Sampling step h = period * num / den, reduced to lowest terms; walks repeat with period den."""
 
     num: int
     den: int
@@ -48,11 +47,6 @@ class RationalStep:
 
     def step(self, period: float) -> float:
         return period * self.num / self.den
-
-
-def skeleton_period(rs: RationalStep) -> int:
-    """Integer period of the walk sampled at step period * num / den."""
-    return rs.den
 
 
 @dataclass(frozen=True)
@@ -76,7 +70,7 @@ class WalkSample:
         return self.steps.shape[1]
 
 
-def _walk_occupancy(schedule: SemiLevySchedule, rs: RationalStep, n_steps: int) -> np.ndarray:
+def _walk_occupancy(schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, n_walks: int) -> np.ndarray:
     """Per-segment occupancy of each walk step, via exact integer period counts.
 
     Step k covers [k h, (k+1) h] with h = p num / den; the position of k h
@@ -85,6 +79,7 @@ def _walk_occupancy(schedule: SemiLevySchedule, rs: RationalStep, n_steps: int) 
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
+    _check_values(n_walks, n_steps, schedule.dim)
     m = np.arange(n_steps + 1, dtype=np.int64) * rs.num
     full = (m // rs.den).astype(float)
     rem = (m % rs.den).astype(float) * schedule.period / rs.den
@@ -97,7 +92,7 @@ def sample_walk(
     schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, seed: int
 ) -> WalkSample:
     """Exact draw of (X_0, X_h, ..., X_{n h}) at the rational step h."""
-    steps = _ensemble(schedule, _walk_occupancy(schedule, rs, n_steps), [seed])[0]
+    steps = _ensemble(schedule, _walk_occupancy(schedule, rs, n_steps, 1), [seed])[0]
     return WalkSample(steps=steps, rational_step=rs, seed=int(seed))
 
 
@@ -105,8 +100,9 @@ def sample_walks(
     schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, n_walks: int, seed: int
 ) -> list[WalkSample]:
     """Independent walks; walk i is reproduced by sample_walk with split_seed(seed, i)."""
+    occupancy = _walk_occupancy(schedule, rs, n_steps, n_walks)
     seeds = [split_seed(seed, i) for i in range(int(n_walks))]
-    steps = _ensemble(schedule, _walk_occupancy(schedule, rs, n_steps), seeds)
+    steps = _ensemble(schedule, occupancy, seeds)
     return [WalkSample(steps=w, rational_step=rs, seed=s) for w, s in zip(steps, seeds)]
 
 

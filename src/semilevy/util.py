@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -46,6 +47,12 @@ def weighted_sum(weights, terms, total):
     return total
 
 
+def check_finite(values: np.ndarray, what: str) -> None:
+    """FloatingPointError when values hold an inf or a nan: never a silent value."""
+    if not np.isfinite(values).all():
+        raise FloatingPointError(f"{what} overflowed: it holds inf or nan")
+
+
 def format_float(x: float) -> str:
     """Shortest exact decimal form of a float, for diffable text outputs."""
     return repr(float(x))
@@ -61,3 +68,12 @@ def arrays_equal(a, b) -> bool:
     b = np.asarray(b)
     return a.shape == b.shape and bool(np.all(a == b))
 
+
+class FieldEq:
+    """Equality of frozen dataclasses: the same type and equal fields, arrays entry by entry."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return False
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(arrays_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)

@@ -16,6 +16,8 @@ from semilevy.models import (
     SymmetricStable,
     UniformJump,
 )
+from semilevy import lln
+from semilevy import schedule as schedule_module
 from semilevy.schedule import SemiLevySchedule, make_splice, single_segment
 from semilevy.skeleton import RationalStep
 
@@ -70,6 +72,28 @@ def test_parse_rejects_unknown_and_duplicate_keys():
         parse_config(BASIC + "frobnicate = 1\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config(BASIC + "seed = 43\n")
+
+
+def test_parse_rejects_duplicates_differing_in_case():
+    segment = "[schedule]\nperiod = 1.0\nsegment = 1.0 drift gamma=1.0 {}=-5.0\n[run]\nseed = 1\n"
+    with pytest.raises(ConfigError, match="line 3: duplicate parameter 'gamma'"):
+        parse_config(segment.format("GAMMA"))
+    with pytest.raises(ConfigError, match="line 3: duplicate parameter 'gamma'"):
+        parse_config(segment.format("gamma"))
+
+
+def test_parse_rejects_duplicate_dim():
+    text = "[schedule]\nperiod = 1.0\ndim = 1\nsegment = 1.0 drift gamma=1.0\ndim = 2\n[run]\nseed = 1\n"
+    with pytest.raises(ConfigError, match="line 5: duplicate dim"):
+        parse_config(text, default_command="simulate")
+
+
+def test_out_is_an_unknown_run_key(tmp_path, capsys):
+    # the output directory is the required --out argument, never a config key
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(BASIC + "out = x\n")
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "unknown run keys: out" in capsys.readouterr().err
 
 
 def test_threads_is_an_unknown_run_key(tmp_path, capsys):
@@ -131,12 +155,31 @@ def models_strategy():
     return st.one_of(brownian, stable, cpoisson, drift)
 
 
+def models_2d_strategy():
+    vec = st.lists(finite, min_size=2, max_size=2).map(np.array)
+    pos = st.lists(positive, min_size=2, max_size=2).map(np.array)
+    # A A^T is positive semi-definite, and a full matrix exercises the ';' rows
+    squares = st.lists(finite, min_size=4, max_size=4).map(lambda a: np.reshape(a, (2, 2)))
+    cov = squares.map(lambda a: a @ a.T)
+    brownian = st.builds(BrownianDrift, vec, cov)
+    stable = st.builds(lambda alpha, c: SymmetricStable(alpha, c, 2), alpha=st.floats(0.3, 2.0), c=positive)
+    jumps = st.one_of(
+        st.builds(PointMass, vec),
+        st.builds(lambda lo, w: UniformJump(lo, lo + w), vec, pos),
+        st.builds(GaussianJump, vec, cov),
+        st.builds(LaplaceJump, vec, pos),
+    )
+    cpoisson = st.builds(CompoundPoisson, positive, jumps)
+    return st.one_of(brownian, stable, cpoisson, st.builds(PureDrift, vec))
+
+
 @st.composite
 def configs(draw):
     n_seg = draw(st.integers(1, 3))
     durations = [draw(positive) for _ in range(n_seg)]
     period = float(np.sum(durations))
-    segments = tuple((d, draw(models_strategy())) for d in durations)
+    models = draw(st.sampled_from([models_strategy(), models_2d_strategy()]))
+    segments = tuple((d, draw(models)) for d in durations)
     schedule = SemiLevySchedule(period=period, segments=segments)
     command = draw(st.sampled_from(["simulate", "classify", "skeleton", "lln"]))
     kwargs = {}
@@ -151,9 +194,15 @@ def configs(draw):
     if draw(st.booleans()):
         kwargs["sweep"] = True
     if draw(st.booleans()):
-        kwargs["criterion"] = draw(st.sampled_from(["auto", "mean", "chung-fuchs"]))
+        kwargs["criterion"] = draw(st.sampled_from(["auto", "mean", "chung-fuchs", "drift", "empirical"]))
+    for key in ("q0", "horizon", "step"):
+        if draw(st.booleans()):
+            kwargs[key] = draw(positive)
+    for key, floor in (("levels", 6), ("n_steps", 1), ("n_walks", 1), ("n_samples", 1)):
+        if draw(st.booleans()):
+            kwargs[key] = draw(st.integers(floor, 10**6))
     if draw(st.booleans()):
-        kwargs["out"] = "results"
+        kwargs["t_grid"] = tuple(np.cumsum(draw(st.lists(positive, min_size=1, max_size=4))).tolist())
     return RunConfig(schedule=schedule, command=command, seed=draw(st.integers(0, 2**63 - 1)), **kwargs)
 
 
@@ -161,6 +210,20 @@ def configs(draw):
 @given(config=configs())
 def test_render_parse_round_trip(config):
     assert parse_config(render_config(config)) == config
+
+
+def test_diagonal_spellings_parse_to_their_matrix_forms():
+    head = "[schedule]\nperiod = 1.0\nsegment = 1.0 "
+    tail = "\n[run]\ncommand = simulate\nseed = 1\n"
+
+    def model(segment):
+        return parse_config(head + segment + tail).schedule.segments[0][1]
+
+    for var, cov in (("2.0", "2.0"), ("2.0", "2.0,0.0;0.0,2.0"), ("1.0,3.0", "1.0,0.0;0.0,3.0")):
+        drift = "0.5" if cov == "2.0" else "0.5,-1.0"
+        assert model(f"brownian drift={drift} var={var}") == model(f"brownian drift={drift} cov={cov}")
+        jump = f"cpoisson rate=1.5 jump=gauss jump_mean={drift}"
+        assert model(f"{jump} jump_var={var}") == model(f"{jump} jump_cov={cov}")
 
 
 def test_render_covers_all_catalog_kinds():
@@ -175,6 +238,60 @@ def test_render_covers_all_catalog_kinds():
     )
     config = RunConfig(schedule=schedule, command="simulate", seed=9, horizon=2.0, step=0.5)
     assert parse_config(render_config(config)) == config
+
+
+CANONICAL = """\
+[schedule]
+period = 6.0
+segment = 1.0 brownian drift=0.5,-1.0 cov=2.0,0.5;0.5,1.0
+segment = 1.0 stable alpha=1.5 scale=0.25 dim=2
+segment = 1.0 cpoisson rate=2.0 jump=point jump_x=1.0,0.0
+segment = 1.0 cpoisson rate=0.5 jump=uniform jump_lo=-1.0,0.0 jump_hi=1.0,0.5
+segment = 1.0 cpoisson rate=1.5 jump=gauss jump_mean=0.1,0.2 jump_cov=3.0,0.0;0.0,4.0
+segment = 0.5 cpoisson rate=3.0 jump=laplace jump_loc=0.0,1.0 jump_scale=0.5,2.0
+segment = 0.5 drift gamma=0.1,-0.3
+
+[run]
+command = classify
+seed = 7
+a = 1.5
+horizon = 10.0
+q0 = 0.02
+step = 0.1
+levels = 8
+n_paths = 40
+n_samples = 20000
+n_steps = 100
+n_walks = 30
+criterion = chung-fuchs
+sweep = true
+rs = 1/3
+horizons = 1.0,2.5
+t_grid = 0.5,4.0
+"""
+
+
+def test_render_canonical_text():
+    # every kind, every jump law and every run key, in the canonical order and spelling
+    schedule = SemiLevySchedule(
+        period=6.0,
+        segments=(
+            (1.0, BrownianDrift([0.5, -1.0], [[2.0, 0.5], [0.5, 1.0]])),
+            (1.0, SymmetricStable(1.5, 0.25, 2)),
+            (1.0, CompoundPoisson(2.0, PointMass([1.0, 0.0]))),
+            (1.0, CompoundPoisson(0.5, UniformJump([-1.0, 0.0], [1.0, 0.5]))),
+            (1.0, CompoundPoisson(1.5, GaussianJump([0.1, 0.2], [3.0, 4.0]))),
+            (0.5, CompoundPoisson(3.0, LaplaceJump([0.0, 1.0], [0.5, 2.0]))),
+            (0.5, PureDrift([0.1, -0.3])),
+        ),
+    )
+    config = RunConfig(
+        schedule=schedule, command="classify", seed=7, a=1.5, q0=0.02, levels=8, criterion="chung-fuchs",
+        sweep=True, horizon=10.0, step=0.1, n_paths=40, n_steps=100, n_walks=30, rs=RationalStep(2, 6),
+        horizons=(1.0, 2.5), t_grid=(0.5, 4.0), n_samples=20000,
+    )
+    assert render_config(config) == CANONICAL
+    assert parse_config(CANONICAL) == config
 
 
 # ---------------------------------------------------------------------------
@@ -356,3 +473,42 @@ def test_unbounded_compound_poisson_draw_exits_one(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "jumps" in capsys.readouterr().err
     assert not (tmp_path / "o" / "path_0000.csv").exists()
+
+
+OVERFLOWING = "[schedule]\nperiod = 1.0\nsegment = 1.0 stable alpha=0.1 scale=1e30\n[run]\nseed = 4\n"
+
+
+@pytest.mark.parametrize(
+    "command, keys, written",
+    [
+        ("simulate", "horizon = 20.0\nstep = 1.0\n", "path_0000.csv"),
+        ("lln", "horizons = 10,20\nn_paths = 50\n", "lln.csv"),
+    ],
+)
+def test_overflowing_draws_exit_two(tmp_path, capsys, command, keys, written):
+    # (1e30 t)^(1/0.1) overflows: an error, never inf or nan rows in a CSV
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(OVERFLOWING + keys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "o" / written).exists()
+
+
+@pytest.mark.parametrize(
+    "command, keys, module",
+    [
+        ("simulate", "horizon = 1e18\nstep = 1.0\n", schedule_module),
+        ("lln", "horizons = 10,20\nn_paths = 1000000000000\n", lln),
+    ],
+)
+def test_oversized_runs_exit_one_before_drawing(tmp_path, capsys, monkeypatch, command, keys, module):
+    # the bound is checked from the sizes, before any grid or seed list is built
+    def no_seeds(*args, **kwargs):
+        raise AssertionError("seed list built before the size check")
+
+    monkeypatch.setattr(module, "split_seed", no_seeds)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[schedule]\nperiod = 1.0\nsegment = 1.0 drift gamma=0.0\n[run]\nseed = 4\n" + keys)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "more than the bound" in capsys.readouterr().err

@@ -15,11 +15,6 @@ from semilevy.models import (
     SumModel,
     SymmetricStable,
     UniformJump,
-    char_exponent,
-    covariance,
-    mean,
-    sample_increment,
-    scale_time,
 )
 
 # one representative per catalog kind, plus multivariate and composite cases
@@ -52,17 +47,17 @@ def z_points(dim, rng):
 
 @pytest.mark.parametrize("model", CATALOG)
 def test_exponent_vanishes_at_origin(model):
-    assert char_exponent(model, np.zeros(model.dim)) == 0
+    assert model.char_exponent(np.zeros(model.dim)) == 0
 
 
 def test_exponent_closed_forms():
     # -1/2 z A z + i gamma z, here z=2, A=I, gamma=0
-    assert char_exponent(BrownianDrift(0.0, 1.0), 2.0) == pytest.approx(-2.0)
+    assert BrownianDrift(0.0, 1.0).char_exponent(2.0) == pytest.approx(-2.0)
     # Cauchy: -c|z|
-    assert char_exponent(SymmetricStable(1.0, 1.0, 1), 3.0) == pytest.approx(-3.0)
-    assert char_exponent(PureDrift(2.0), 1.5) == pytest.approx(3.0j)
+    assert SymmetricStable(1.0, 1.0, 1).char_exponent(3.0) == pytest.approx(-3.0)
+    assert PureDrift(2.0).char_exponent(1.5) == pytest.approx(3.0j)
     # compound Poisson with unit point mass: rate (e^{iz} - 1)
-    got = char_exponent(CompoundPoisson(2.0, PointMass(1.0)), 1.0)
+    got = CompoundPoisson(2.0, PointMass(1.0)).char_exponent(1.0)
     assert got == pytest.approx(2.0 * (np.exp(1.0j) - 1.0))
 
 
@@ -89,9 +84,9 @@ def test_sum_additivity():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        char_exponent(BrownianDrift([0.0, 0.0], np.eye(2)), np.zeros(3))
+        BrownianDrift([0.0, 0.0], np.eye(2)).char_exponent(np.zeros(3))
     with pytest.raises(DimensionMismatch):
-        char_exponent(BrownianDrift([0.0, 0.0], np.eye(2)), 1.0)
+        BrownianDrift([0.0, 0.0], np.eye(2)).char_exponent(1.0)
     with pytest.raises(DimensionMismatch):
         SumModel((PureDrift(1.0), PureDrift([1.0, 2.0])))
 
@@ -127,7 +122,7 @@ def test_sampler_matches_exponent(model):
     n = 10**5
     dt = 0.7
     rng = np.random.default_rng(123)
-    draws = sample_increment(model, dt, rng, size=n)
+    draws = model.sample_increment(dt, rng, size=n)
     assert draws.shape == (n, model.dim)
     for z in z_points(model.dim, np.random.default_rng(99)):
         zv = np.atleast_1d(np.asarray(z, dtype=float))
@@ -137,14 +132,14 @@ def test_sampler_matches_exponent(model):
 
 
 def test_pure_drift_increment_deterministic():
-    got = sample_increment(PureDrift(1.0), 0.5, np.random.default_rng(0))
+    got = PureDrift(1.0).sample_increment(0.5, np.random.default_rng(0))
     assert got == pytest.approx([0.5], abs=1e-15)
 
 
 def test_brownian_increment_moments():
     n = 10**5
     rng = np.random.default_rng(11)
-    draws = sample_increment(BrownianDrift(0.0, 1.0), 1.0, rng, size=n)[:, 0]
+    draws = BrownianDrift(0.0, 1.0).sample_increment(1.0, rng, size=n)[:, 0]
     assert abs(draws.mean()) < 3.0 / np.sqrt(n)
     assert abs(draws.var() - 1.0) < 0.05
 
@@ -152,7 +147,7 @@ def test_brownian_increment_moments():
 def test_compound_poisson_mean():
     n = 10**5
     rng = np.random.default_rng(12)
-    draws = sample_increment(CompoundPoisson(2.0, PointMass(1.0)), 1.0, rng, size=n)[:, 0]
+    draws = CompoundPoisson(2.0, PointMass(1.0)).sample_increment(1.0, rng, size=n)[:, 0]
     # Poisson(2) count of unit jumps: mean 2, variance 2
     assert abs(draws.mean() - 2.0) < 3.0 * np.sqrt(2.0) / np.sqrt(n)
 
@@ -164,7 +159,7 @@ def test_compound_poisson_refuses_unbounded_draw():
     state = rng.bit_generator.state
     model = CompoundPoisson(1e12, PointMass(1.0))
     with pytest.raises(ValueError, match="jumps"):
-        sample_increment(model, 1.0, rng)
+        model.sample_increment(1.0, rng)
     # the bound is on the whole batch: 1000 cells of 1e5 expected jumps each
     assert 1000 * 1e5 > MAX_EXPECTED_JUMPS
     with pytest.raises(ValueError, match="jumps"):
@@ -182,11 +177,11 @@ def test_compound_poisson_refuses_unbounded_draw():
 
 
 def test_mean_closed_forms():
-    assert mean(PureDrift(2.0), 3.0) == pytest.approx([6.0])
-    assert mean(SymmetricStable(1.0, 1.0, 1), 1.0) is None  # Cauchy: E|X| infinite
-    assert mean(SymmetricStable(1.5, 1.0, 1), 1.0) == pytest.approx([0.0])
-    assert mean(CompoundPoisson(2.0, UniformJump(0.0, 1.0)), 1.0) == pytest.approx([1.0])
-    assert mean(SumModel((PureDrift(1.0), SymmetricStable(1.0, 1.0, 1))), 1.0) is None
+    assert PureDrift(2.0).mean(3.0) == pytest.approx([6.0])
+    assert SymmetricStable(1.0, 1.0, 1).mean(1.0) is None  # Cauchy: E|X| infinite
+    assert SymmetricStable(1.5, 1.0, 1).mean(1.0) == pytest.approx([0.0])
+    assert CompoundPoisson(2.0, UniformJump(0.0, 1.0)).mean(1.0) == pytest.approx([1.0])
+    assert SumModel((PureDrift(1.0), SymmetricStable(1.0, 1.0, 1))).mean(1.0) is None
 
 
 @pytest.mark.parametrize(
@@ -198,17 +193,17 @@ def test_mean_matches_empirical(model):
     n = 10**5
     dt = 0.7
     rng = np.random.default_rng(321)
-    draws = sample_increment(model, dt, rng, size=n)
-    mu = mean(model, dt)
-    se = np.sqrt(np.diag(covariance(model, dt)) / n)
+    draws = model.sample_increment(dt, rng, size=n)
+    mu = model.mean(dt)
+    se = np.sqrt(np.diag(model.covariance(dt)) / n)
     assert np.all(np.abs(draws.mean(axis=0) - mu) <= 5.0 * np.maximum(se, 1e-12))
 
 
 def test_covariance_closed_forms():
-    assert np.allclose(covariance(BrownianDrift(0.0, 1.5), 2.0), [[3.0]])
-    assert np.allclose(covariance(SymmetricStable(2.0, 0.5, 2), 1.0), np.eye(2))
-    assert covariance(SymmetricStable(1.5, 1.0, 1), 1.0) is None
-    assert np.allclose(covariance(CompoundPoisson(2.0, PointMass(1.0)), 1.0), [[2.0]])
+    assert np.allclose(BrownianDrift(0.0, 1.5).covariance(2.0), [[3.0]])
+    assert np.allclose(SymmetricStable(2.0, 0.5, 2).covariance(1.0), np.eye(2))
+    assert SymmetricStable(1.5, 1.0, 1).covariance(1.0) is None
+    assert np.allclose(CompoundPoisson(2.0, PointMass(1.0)).covariance(1.0), [[2.0]])
 
 
 def test_scale_time_halves_exponent():
@@ -221,5 +216,12 @@ def test_scale_time_halves_exponent():
         PureDrift(2.0),
         SumModel((PureDrift(1.0), BrownianDrift(0.0, 1.0))),
     ):
-        half = scale_time(model, 0.5)
+        half = model.scaled(0.5)
         assert np.abs(half.char_exponent(z) - 0.5 * model.char_exponent(z)).max() < 1e-14
+
+
+@pytest.mark.parametrize("model", CATALOG)
+@pytest.mark.parametrize("s", [0.0, -1.0])
+def test_scaled_rejects_nonpositive_speed(model, s):
+    with pytest.raises(ValueError, match="time scale must be positive"):
+        model.scaled(s)

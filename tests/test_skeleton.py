@@ -18,7 +18,6 @@ from semilevy.skeleton import (
     occupation_time,
     sample_walk,
     sample_walks,
-    skeleton_period,
 )
 from semilevy.util import split_seed
 
@@ -31,9 +30,9 @@ BM = single_segment(BrownianDrift(0.0, 1.0), 1.0)
 
 
 def test_skeleton_period():
-    assert skeleton_period(RationalStep(1, 1)) == 1  # X_{np}: an ordinary random walk
-    assert skeleton_period(RationalStep(3, 2)) == 2
-    assert skeleton_period(RationalStep(2, 5)) == 5
+    assert RationalStep(1, 1).den == 1  # X_{np}: an ordinary random walk
+    assert RationalStep(3, 2).den == 2
+    assert RationalStep(2, 5).den == 5
 
 
 def test_rational_step_reduction():
@@ -86,7 +85,7 @@ def test_walk_periodic_increments_in_law():
     # semi-random walk with period 2: steps shifted by the period share a law
     sched = make_splice(BrownianDrift(0.5, 1.0), BrownianDrift(-0.2, 0.6), 0.4, 1.0)
     rs = RationalStep(1, 2)
-    assert skeleton_period(rs) == 2
+    assert rs.den == 2
     walks = sample_walks(sched, rs, 6, 10**4, seed=21)
     steps = np.stack([w.steps[:, 0] for w in walks])
     early = steps[:, 3] - steps[:, 1]
