@@ -21,6 +21,7 @@ from .models import (
     UniformJump,
 )
 from .schedule import (
+    Ensemble,
     PathSample,
     SemiLevySchedule,
     equivalent_levy_model,
@@ -75,6 +76,7 @@ __all__ = [
     "SumModel",
     "SymmetricStable",
     "UniformJump",
+    "Ensemble",
     "PathSample",
     "SemiLevySchedule",
     "equivalent_levy_model",

@@ -31,6 +31,7 @@ from scipy.stats import qmc
 from .models import DimensionMismatch, LevyModel
 from .schedule import (
     SemiLevySchedule,
+    _block_members,
     _check_values,
     _ensemble,
     _grid_occupancy,
@@ -79,6 +80,10 @@ MEAN_ZERO_TOL = 1e-12
 # convergence cleanly within double precision
 DEFAULT_Q0 = 1e-2
 DEFAULT_LEVELS = 8
+# ladder levels a verdict accepts: 6 for the fits, at most 32 (q down to
+# q0 * 4**-31) so that the (levels, points) integrand arrays stay bounded
+MIN_LEVELS = 6
+MAX_LEVELS = 32
 Q_RATIO = 4.0
 # divergence-fit acceptance thresholds
 POWER_BETA_MIN = 0.05
@@ -407,6 +412,11 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(slope), 1.0 - float(np.sum(resid**2)) / ss_tot
 
 
+def _check_levels(levels: int) -> None:
+    if not MIN_LEVELS <= levels <= MAX_LEVELS:
+        raise ValueError(f"levels must be between {MIN_LEVELS} and {MAX_LEVELS}, got {levels}")
+
+
 def chung_fuchs_verdict(
     schedule: SemiLevySchedule,
     a: float = 1.0,
@@ -423,8 +433,7 @@ def chung_fuchs_verdict(
     fit diagnostics attached.  For dimension >= 3 the ladder must move by
     more than 5x the integration standard error before any verdict is issued.
     """
-    if levels < 6:
-        raise ValueError("levels must be at least 6")
+    _check_levels(levels)
     if not a > 0 or not q0 > 0:
         raise ValueError("a and q0 must be positive")
 
@@ -503,6 +512,7 @@ def radius_sweep(
     numerical convenience; disagreement across the sweep flags a quadrature
     or fit problem rather than a property of the process.
     """
+    _check_levels(levels)
     return [
         (float(a), chung_fuchs_verdict(schedule, a=float(a), q0=q0, levels=levels, seed=seed))
         for a in a_values
@@ -558,7 +568,7 @@ def drift_test(model: LevyModel) -> Verdict:
 
 FLAG_RECURRENT = "growth-consistent-with-recurrence"
 FLAG_TRANSIENT = "saturation-consistent-with-transience"
-# paths drawn and reduced at a time by empirical_diagnostic
+# fewest paths drawn and reduced at a time by empirical_diagnostic
 DIAGNOSTIC_CHUNK = 16
 
 
@@ -599,12 +609,14 @@ def empirical_diagnostic(
 ) -> OccupationReport:
     """Occupation times of B_a per horizon over a path ensemble.
 
-    Path i is sample_path with split_seed(seed, i), drawn in chunks of
-    DIAGNOSTIC_CHUNK paths, so only one chunk is held at a time.  Growth of
-    the mean occupation by at least 20% over the last pair of horizons is
-    flagged as consistent with recurrence, growth under 2% as consistent
-    with transience; anything between stays unflagged.  Horizons are read at
-    the nearest grid point, so they should be large relative to the step.
+    Path i is sample_path with split_seed(seed, i), drawn in chunks of at
+    least DIAGNOSTIC_CHUNK paths (more for short paths: as many as one block
+    of the ensemble sampler holds), so only one chunk is held at a time.
+    Growth of the mean occupation by at least 20% over the last pair of
+    horizons is flagged as consistent with recurrence, growth under 2% as
+    consistent with transience; anything between stays unflagged.  Horizons
+    are read at the nearest grid point, so they should be large relative to
+    the step.
     """
     horizons = np.asarray(horizons, dtype=float)
     if horizons.ndim != 1 or horizons.size < 2:
@@ -619,10 +631,12 @@ def empirical_diagnostic(
     occupancy = _grid_occupancy(schedule, grid)
     dt = np.diff(grid)
     idx = np.clip(np.searchsorted(grid, horizons * (1.0 + 1e-12), side="right") - 1, 0, None)
+    # at least one block of the ensemble sampler, so short paths are finished together
+    chunk = max(DIAGNOSTIC_CHUNK, _block_members(dt.size * schedule.dim))
 
     occ = np.empty((n_paths, horizons.size))
-    for lo in range(0, n_paths, DIAGNOSTIC_CHUNK):
-        seeds = [split_seed(seed, i) for i in range(lo, min(lo + DIAGNOSTIC_CHUNK, n_paths))]
+    for lo in range(0, n_paths, chunk):
+        seeds = [split_seed(seed, i) for i in range(lo, min(lo + chunk, n_paths))]
         occ[lo : lo + len(seeds)] = _occupation(_ensemble(schedule, occupancy, seeds), dt, a)[:, idx]
 
     mean = occ.mean(axis=0)

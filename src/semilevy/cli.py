@@ -35,7 +35,7 @@ activities (occupation diagnostic, weak-law estimates) draw from the derived
 stream split_seed(seed, 1) so they never share a stream with the main
 command.  Parallelism is automatic: long paths and walks are drawn on a
 thread pool sized from the stream length and the CPU count, and every
-output is the same whatever the pool size.
+output is the same whatever the pool or block size.
 
 Exit codes: 0 success (an Inconclusive verdict is a success), 1 usage or
 parse failure, 2 numerical failure.
@@ -52,6 +52,8 @@ from typing import Optional
 import numpy as np
 
 from .classify import (
+    MAX_LEVELS,
+    MIN_LEVELS,
     QuadratureError,
     chung_fuchs_verdict,
     drift_test,
@@ -288,7 +290,10 @@ RUN_KEYS = {
     "horizon": (_POSITIVE, format_float),
     "q0": (_POSITIVE, format_float),
     "step": (_POSITIVE, format_float),
-    "levels": (_checked(_int, lambda v: v >= 6, "must be at least 6"), str),
+    "levels": (
+        _checked(_int, lambda v: MIN_LEVELS <= v <= MAX_LEVELS, f"must be between {MIN_LEVELS} and {MAX_LEVELS}"),
+        str,
+    ),
     "n_paths": (_COUNT, str),
     "n_samples": (_COUNT, str),
     "n_steps": (_COUNT, str),
@@ -529,12 +534,15 @@ def _run_lln(config: RunConfig, out: Path) -> str:
         report = slln_check(schedule, horizons, n_paths, config.seed)
     else:
         report = divergence_check(schedule, horizons, n_paths, config.seed)
-    (out / "lln.csv").write_text(report.deviations_csv())
-    summary = f"lln: flag={report.flag or 'none'}"
+    conditions = None
     if config.t_grid is not None:
         conditions = wlln_conditions(
             schedule, config.t_grid, config.n_samples or 10**5, split_seed(config.seed, 1)
         )
+    # both reports exist before either file is written, so a failed run leaves neither
+    (out / "lln.csv").write_text(report.deviations_csv())
+    summary = f"lln: flag={report.flag or 'none'}"
+    if conditions is not None:
         (out / "wlln.csv").write_text(conditions.conditions_csv())
         summary += f" wlln_flag={conditions.flag or 'none'}"
     return summary

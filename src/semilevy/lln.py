@@ -25,7 +25,7 @@ from .schedule import (
     period_mean,
     sample_interval_increment,
 )
-from .util import check_finite, format_csv_float, split_seed
+from .util import check_finite, format_csv, split_seed
 
 __all__ = [
     "LLNReport",
@@ -69,10 +69,7 @@ class LLNReport:
         """CSV block `T,mean_dev,max_dev`."""
         if self.horizons is None:
             raise ValueError("this report has no deviations block")
-        lines = ["T,mean_dev,max_dev"]
-        for t, m, x in zip(self.horizons, self.mean_dev, self.max_dev):
-            lines.append(",".join(format_csv_float(v) for v in (t, m, x)))
-        return "\n".join(lines) + "\n"
+        return format_csv("T,mean_dev,max_dev", [self.horizons, self.mean_dev, self.max_dev])
 
     def conditions_csv(self) -> str:
         """CSV block `t,tail,tail_se,trunc_mean,trunc_se`.
@@ -84,10 +81,7 @@ class LLNReport:
             raise ValueError("this report has no conditions block")
         tm = np.linalg.norm(np.atleast_2d(self.trunc_mean), axis=1)
         ts = np.linalg.norm(np.atleast_2d(self.trunc_se), axis=1)
-        lines = ["t,tail,tail_se,trunc_mean,trunc_se"]
-        for row in zip(self.tail_t, self.tail, self.tail_se, tm, ts):
-            lines.append(",".join(format_csv_float(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return format_csv("t,tail,tail_se,trunc_mean,trunc_se", [self.tail_t, self.tail, self.tail_se, tm, ts])
 
 
 def _horizon_values(

@@ -10,6 +10,16 @@ statistics built on top carry no discretization bias.  Models are immutable
 and safe to share across a thread pool; every sampling call takes the numpy
 Generator it should consume, there is no hidden global state.
 
+Each sampler is split in two hooks.  `_draw(dts, rng)` makes all the
+Generator calls of one batch of durations, in a fixed order, and little else
+(a compound Poisson draw includes its jump law's `sample`).  `_finish(dts,
+raws)` never touches a Generator: it is arithmetic over the draws of several
+members stacked together, and returns their increments, (members, k, d).  A
+single batch is `_finish(dts, [_draw(dts, rng)])[0]`, and an ensemble draws
+each member from its own Generator and finishes a block of members at once,
+so an ensemble's values depend neither on its block size nor on its pool
+size: member i is bit for bit the batch its own Generator gives.
+
 Jump distributions for the compound Poisson model come from a small closed
 catalog (point mass, uniform box, Gaussian, two-sided exponential) so that
 their Fourier transforms and moments stay in closed form.
@@ -170,7 +180,9 @@ class UniformJump(FieldEq):
         return np.exp(1j * (pts @ mid)) * np.prod(smooth, axis=1)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=(size, self.dim))
+        # the arithmetic of rng.uniform(lo, hi), bit for bit, without its
+        # checks of array bounds, which cost ten times a short draw
+        return self.lo + (self.hi - self.lo) * rng.random((size, self.dim))
 
     def mean(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
@@ -247,7 +259,8 @@ class LaplaceJump(FieldEq):
         return np.exp(1j * (pts @ self.loc)) * np.prod(factors, axis=1)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.laplace(self.loc, self.scale, size=(size, self.dim))
+        # rng.laplace(loc, scale), bit for bit, as for UniformJump.sample
+        return self.loc + self.scale * rng.laplace(0.0, 1.0, (size, self.dim))
 
     def mean(self) -> np.ndarray:
         return self.loc.copy()
@@ -264,16 +277,15 @@ JumpDistribution = Union[PointMass, UniformJump, GaussianJump, LaplaceJump]
 # ---------------------------------------------------------------------------
 
 
-def _standard_symmetric_stable(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Symmetric alpha-stable draw with characteristic function exp(-|z|**alpha).
+def _standard_symmetric_stable(alpha: float, phi: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
+    """Symmetric alpha-stable variates with characteristic function exp(-|z|**alpha).
 
-    Trigonometric transform of a uniform angle and an exponential variate;
-    exact in law for alpha in (0, 2).
+    Trigonometric transform of an angle phi uniform on (-pi/2, pi/2) and a
+    standard exponential w (unused at alpha = 1); exact in law for alpha in
+    (0, 2).
     """
-    phi = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size)
     if alpha == 1.0:
         return np.tan(phi)
-    w = rng.exponential(1.0, size)
     return (
         np.sin(alpha * phi)
         / np.cos(phi) ** (1.0 / alpha)
@@ -281,10 +293,12 @@ def _standard_symmetric_stable(alpha: float, rng: np.random.Generator, size: int
     )
 
 
-def _positive_stable(a: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Positive a-stable draw with Laplace transform exp(-u**a), a in (0, 1)."""
-    u = rng.uniform(0.0, np.pi, size)
-    w = rng.exponential(1.0, size)
+def _positive_stable(a: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Positive a-stable variates with Laplace transform exp(-u**a), a in (0, 1).
+
+    Kanter's representation by an angle u uniform on (0, pi) and a standard
+    exponential w.
+    """
     su = np.maximum(np.sin(u), 1e-300)
     ratio = np.sin(a * u) ** a * np.sin((1.0 - a) * u) ** (1.0 - a) / su
     return ratio ** (1.0 / a) / w ** ((1.0 - a) / a)
@@ -293,6 +307,11 @@ def _positive_stable(a: float, rng: np.random.Generator, size: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 # model catalog
 # ---------------------------------------------------------------------------
+
+
+def _stack(raws) -> np.ndarray:
+    """The members' draws as one (members, ...) array; a view when there is one member."""
+    return raws[0][None] if len(raws) == 1 else np.stack(raws)
 
 
 class LevyModel(FieldEq):
@@ -347,6 +366,22 @@ class LevyModel(FieldEq):
 
     def _sample_batch(self, dts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Independent increments with durations dts (k,); returns (k, d)."""
+        self._draw_values(dts)  # refuses an oversized batch before any draw
+        return self._finish(dts, [self._draw(dts, rng)])[0]
+
+    def _draw_values(self, dts: np.ndarray) -> float:
+        """About the values one member's batch holds, to size blocks of members.
+
+        A ValueError, raised before any draw, refuses a batch beyond a bound.
+        """
+        return float(dts.shape[0] * self.dim)
+
+    def _draw(self, dts: np.ndarray, rng: np.random.Generator):
+        """Every Generator call of one batch with durations dts (k,), in a fixed order."""
+        raise NotImplementedError
+
+    def _finish(self, dts: np.ndarray, raws: list) -> np.ndarray:
+        """Increments (len(raws), k, d) from the draws of several members; no Generator."""
         raise NotImplementedError
 
     def _unit_mean(self) -> Optional[np.ndarray]:
@@ -384,8 +419,11 @@ class BrownianDrift(LevyModel):
         quad = np.einsum("ij,jk,ik->i", pts, self.cov, pts)
         return 1j * (pts @ self.drift) - 0.5 * quad
 
-    def _sample_batch(self, dts, rng):
-        noise = rng.standard_normal((dts.shape[0], self.dim)) @ self._chol.T
+    def _draw(self, dts, rng):
+        return rng.standard_normal((dts.shape[0], self.dim))
+
+    def _finish(self, dts, raws):
+        noise = _stack(raws) @ self._chol.T
         return dts[:, None] * self.drift + np.sqrt(dts)[:, None] * noise
 
     def _unit_mean(self):
@@ -423,18 +461,29 @@ class SymmetricStable(LevyModel):
         norms = np.linalg.norm(pts, axis=1)
         return -self.scale * norms**self.alpha + 0j
 
-    def _sample_batch(self, dts, rng):
+    def _draw(self, dts, rng):
         k = dts.shape[0]
         if self.alpha == 2.0:
-            return np.sqrt(2.0 * self.scale * dts)[:, None] * rng.standard_normal((k, self.dim))
+            return (rng.standard_normal((k, self.dim)),)
+        if self.dim == 1:
+            phi = rng.uniform(-np.pi / 2.0, np.pi / 2.0, k)
+            return (phi,) if self.alpha == 1.0 else (phi, rng.exponential(1.0, k))
+        u = rng.uniform(0.0, np.pi, k)
+        w = rng.exponential(1.0, k)
+        return u, w, rng.standard_normal((k, self.dim))
+
+    def _finish(self, dts, raws):
+        parts = [_stack(part) for part in zip(*raws)]
+        if self.alpha == 2.0:
+            return np.sqrt(2.0 * self.scale * dts)[:, None] * parts[0]
         s = (self.scale * dts) ** (1.0 / self.alpha)
         if self.dim == 1:
-            return (s * _standard_symmetric_stable(self.alpha, rng, k))[:, None]
+            return (s * _standard_symmetric_stable(self.alpha, *parts))[..., None]
         # subordination: sqrt(2 A) N(0, I) is standard isotropic alpha-stable
         # when A is positive (alpha/2)-stable with transform exp(-u**(alpha/2))
-        sub = _positive_stable(self.alpha / 2.0, rng, k)
-        noise = rng.standard_normal((k, self.dim))
-        return (s * np.sqrt(2.0 * sub))[:, None] * noise
+        u, w, noise = parts
+        sub = _positive_stable(self.alpha / 2.0, u, w)
+        return (s * np.sqrt(2.0 * sub))[..., None] * noise
 
     def _unit_mean(self):
         if self.alpha > 1.0:
@@ -468,22 +517,32 @@ class CompoundPoisson(LevyModel):
     def _exponent(self, pts):
         return self.rate * (self.jump.char_function(pts) - 1.0)
 
-    def _sample_batch(self, dts, rng):
+    def _draw_values(self, dts):
         expected = self.rate * float(dts.sum())
         if expected > MAX_EXPECTED_JUMPS:
             raise ValueError(
                 f"compound Poisson batch expects {expected:.3g} jumps, "
                 f"more than the bound of {MAX_EXPECTED_JUMPS}; lower the rate or the horizon"
             )
+        return dts.shape[0] + expected * self.dim
+
+    def _draw(self, dts, rng):
+        # jump counts per cell, then the jump law's own draw of all the jumps
         counts = rng.poisson(self.rate * dts)
         total = int(counts.sum())
-        if total == 0:
-            return np.zeros((dts.shape[0], self.dim))
-        jumps = self.jump.sample(rng, total)
-        cum = np.vstack([np.zeros((1, self.dim)), np.cumsum(jumps, axis=0)])
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        return cum[ends] - cum[starts]
+        return counts, (self.jump.sample(rng, total) if total else None)
+
+    def _finish(self, dts, raws):
+        counts = _stack([c for c, _ in raws])
+        # row i: 0, then member i's running jump sums; a cell's increment is
+        # the difference of the sums at its last and its first jump
+        cum = np.zeros((len(raws), counts.sum(axis=1).max() + 1, self.dim))
+        for row, (_, jumps) in zip(cum, raws):
+            if jumps is not None:
+                np.cumsum(jumps, axis=0, out=row[1 : jumps.shape[0] + 1])
+        ends = np.cumsum(counts, axis=1)
+        members = np.arange(len(raws))[:, None]
+        return cum[members, ends] - cum[members, ends - counts]
 
     def _unit_mean(self):
         return self.rate * self.jump.mean()
@@ -511,8 +570,11 @@ class PureDrift(LevyModel):
     def _exponent(self, pts):
         return 1j * (pts @ self.gamma)
 
-    def _sample_batch(self, dts, rng):
-        return dts[:, None] * self.gamma
+    def _draw(self, dts, rng):
+        return None
+
+    def _finish(self, dts, raws):
+        return np.repeat((dts[:, None] * self.gamma)[None], len(raws), axis=0)
 
     def _unit_mean(self):
         return self.gamma.copy()
@@ -549,10 +611,16 @@ class SumModel(LevyModel):
             out += c._exponent(pts)
         return out
 
-    def _sample_batch(self, dts, rng):
-        out = np.zeros((dts.shape[0], self.dim))
-        for c in self.components:
-            out += c._sample_batch(dts, rng)
+    def _draw_values(self, dts):
+        return sum(c._draw_values(dts) for c in self.components)
+
+    def _draw(self, dts, rng):
+        return tuple(c._draw(dts, rng) for c in self.components)
+
+    def _finish(self, dts, raws):
+        out = np.zeros((len(raws), dts.shape[0], self.dim))
+        for i, c in enumerate(self.components):
+            out += c._finish(dts, [raw[i] for raw in raws])
         return out
 
     def _unit_mean(self):

@@ -24,11 +24,12 @@ from typing import Optional
 import numpy as np
 
 from .models import DimensionMismatch, LevyModel, SumModel
-from .util import FieldEq, check_finite, format_csv_float, map_indexed, split_seed, weighted_sum
+from .util import FieldEq, check_finite, format_csv, map_indexed, split_seed, weighted_sum
 
 __all__ = [
     "SemiLevySchedule",
     "PathSample",
+    "Ensemble",
     "make_splice",
     "single_segment",
     "increment_exponent",
@@ -161,10 +162,7 @@ class PathSample:
     def to_csv(self) -> str:
         """CSV text: header t,x1,...,xd then one row per grid point."""
         header = "t," + ",".join(f"x{j + 1}" for j in range(self.dim))
-        lines = [header]
-        for t, row in zip(self.grid, self.values):
-            lines.append(",".join(format_csv_float(v) for v in (t, *row)))
-        return "\n".join(lines) + "\n"
+        return format_csv(header, [self.grid, *self.values.T])
 
 
 # ---------------------------------------------------------------------------
@@ -284,47 +282,97 @@ def _grid_occupancy(schedule: SemiLevySchedule, times: np.ndarray) -> np.ndarray
     return np.clip(np.diff(profiles, axis=0), 0.0, None)
 
 
-def _sample_cells(schedule: SemiLevySchedule, occupancy: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One increment per grid cell from its occupancy row; segment-major draw order."""
-    m = occupancy.shape[0]
-    incr = np.zeros((m, schedule.dim))
-    for k, model in enumerate(schedule.models):
-        mask = occupancy[:, k] > 0.0
-        if np.any(mask):
-            incr[mask] += model._sample_batch(occupancy[mask, k], rng)
-    return incr
-
-
 # Members of at least this many cells are drawn on a thread pool.  Their
 # numpy kernels release the interpreter lock for long enough to overlap;
 # shorter members cost more in pool start-up and hand-off than they gain.
 _POOL_MIN_CELLS = 1 << 14
 
+# An ensemble finishes its members in blocks of about this many values
+# (members x (cells + draws) x d).  It only has to be large enough that short
+# members share each segment's numpy calls (10^4 paths of 32 cells take the
+# same time at 2^12 to 2^20, and up to twice as long at 1); the bound keeps a
+# block's draws small.  A member of this many values or more is a block of
+# its own, so long members keep their memory use and their thread pool.
+_BLOCK_VALUES = 1 << 16
 
-def _workers(n_members: int, cells: int) -> int:
-    """Pool size for an ensemble: one per CPU and member for long members, else 1."""
+
+def _workers(n_tasks: int, cells: int) -> int:
+    """Pool size for an ensemble: one per CPU and task for long members, else 1."""
     if cells < _POOL_MIN_CELLS:
         return 1
-    return min(os.cpu_count() or 1, n_members)
+    return min(os.cpu_count() or 1, n_tasks)
+
+
+def _block_members(member_values: float) -> int:
+    """Members per block when one member holds about member_values values."""
+    return max(1, int(_BLOCK_VALUES // max(member_values, 1.0)))
 
 
 def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list) -> np.ndarray:
     """Cumulative sums of independent cell draws, shape (n, cells + 1, d).
 
-    Member i starts at the origin and is drawn from default_rng(seeds[i]),
-    so it does not depend on the other members or on the pool size.
+    Member i starts at the origin and is drawn from default_rng(seeds[i]): its
+    segments in order, each one _draw over the cells that spend time in it.
+    The rows and durations of each segment are found once per call; each
+    block of members then only seeds and draws member by member, and each
+    segment is finished and added for the whole block at once.  Member i
+    therefore depends neither on the other members nor on the block or pool
+    size.
     """
-    cells = occupancy.shape[0]
-    out = np.zeros((len(seeds), cells + 1, schedule.dim))
+    cells, dim = occupancy.shape[0], schedule.dim
+    plan = []
+    member_values = float(cells * dim)
+    for k, model in enumerate(schedule.models):
+        rows = np.flatnonzero(occupancy[:, k] > 0.0)
+        if rows.size:
+            dts = occupancy[rows, k]
+            member_values += model._draw_values(dts)
+            plan.append((model, rows, dts))
+    out = np.zeros((len(seeds), cells + 1, dim))
+    size = _block_members(member_values)
 
-    def one(i: int) -> None:
-        incr = _sample_cells(schedule, occupancy, np.random.default_rng(seeds[i]))
-        np.cumsum(incr, axis=0, out=out[i, 1:])
+    def block(b: int) -> None:
+        members = seeds[b * size : (b + 1) * size]
+        raws = [[] for _ in plan]
+        for seed in members:
+            rng = np.random.default_rng(seed)
+            for drawn, (model, _, dts) in zip(raws, plan):
+                drawn.append(model._draw(dts, rng))
+        incr = np.zeros((len(members), cells, dim))
+        for drawn, (model, rows, dts) in zip(raws, plan):
+            incr[:, rows] += model._finish(dts, drawn)
+        np.cumsum(incr, axis=1, out=out[b * size : b * size + len(members), 1:])
 
-    map_indexed(one, len(seeds), _workers(len(seeds), cells))
+    n_blocks = -(-len(seeds) // size)
+    map_indexed(block, n_blocks, _workers(n_blocks, cells))
     # a sum that meets inf or nan stays so, so the last row shows any overflow
     check_finite(out[:, -1], "a sampled path or walk")
     return out
+
+
+class Ensemble(tuple):
+    """The samples of one sampling call in index order; sample i views row i of `values`."""
+
+    values: np.ndarray
+
+    def __new__(cls, samples, values: np.ndarray):
+        ensemble = super().__new__(cls, samples)
+        ensemble.values = values
+        return ensemble
+
+
+def _rows(cls, field: str, values: np.ndarray, seeds: list, **shared) -> Ensemble:
+    """One cls sample per row of an _ensemble array.
+
+    Only the first sample runs the checks of cls: the samples share every
+    other field, and every row starts at the origin, as _ensemble writes it.
+    """
+    samples = [cls(**shared, seed=s, **{field: v}) for v, s in zip(values[:1], seeds[:1])]
+    for row, seed in zip(values[1:], seeds[1:]):
+        sample = object.__new__(cls)
+        sample.__dict__.update(shared, seed=seed, **{field: row})
+        samples.append(sample)
+    return Ensemble(samples, values)
 
 
 def sample_path(schedule: SemiLevySchedule, horizon: float, step: float, seed: int) -> PathSample:
@@ -341,9 +389,13 @@ def sample_path(schedule: SemiLevySchedule, horizon: float, step: float, seed: i
 
 def sample_paths(
     schedule: SemiLevySchedule, horizon: float, step: float, n_paths: int, seed: int
-) -> list[PathSample]:
-    """Independent paths; path i is reproduced by sample_path with split_seed(seed, i)."""
+) -> Ensemble:
+    """Independent paths; path i is reproduced by sample_path with split_seed(seed, i).
+
+    The paths share one grid and view the rows of one (n_paths, cells + 1, d)
+    array, the ensemble's `values`.
+    """
     times = _grid_times(horizon, step, n_paths, schedule.dim)
     seeds = [split_seed(seed, i) for i in range(int(n_paths))]
     values = _ensemble(schedule, _grid_occupancy(schedule, times), seeds)
-    return [PathSample(grid=times, values=v, seed=s) for v, s in zip(values, seeds)]
+    return _rows(PathSample, "values", values, seeds, grid=times)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .schedule import PathSample, SemiLevySchedule, _check_values, _ensemble
-from .util import format_csv_float, split_seed
+from .schedule import Ensemble, PathSample, SemiLevySchedule, _check_values, _ensemble, _rows
+from .util import format_csv, split_seed
 
 __all__ = [
     "RationalStep",
@@ -80,6 +81,11 @@ def _walk_occupancy(schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, 
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     _check_values(n_walks, n_steps, schedule.dim)
+    if n_steps * rs.num >= 2**63:
+        raise ValueError(
+            f"n_steps * num = {n_steps * rs.num} reaches 2^63, past the int64 arithmetic "
+            "that keeps walk steps exact; lower n_steps or the step"
+        )
     m = np.arange(n_steps + 1, dtype=np.int64) * rs.num
     full = (m // rs.den).astype(float)
     rem = (m % rs.den).astype(float) * schedule.period / rs.den
@@ -98,12 +104,16 @@ def sample_walk(
 
 def sample_walks(
     schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, n_walks: int, seed: int
-) -> list[WalkSample]:
-    """Independent walks; walk i is reproduced by sample_walk with split_seed(seed, i)."""
+) -> Ensemble:
+    """Independent walks; walk i is reproduced by sample_walk with split_seed(seed, i).
+
+    The walks view the rows of one (n_walks, n_steps + 1, d) array, the
+    ensemble's `values`.
+    """
     occupancy = _walk_occupancy(schedule, rs, n_steps, n_walks)
     seeds = [split_seed(seed, i) for i in range(int(n_walks))]
     steps = _ensemble(schedule, occupancy, seeds)
-    return [WalkSample(steps=w, rational_step=rs, seed=s) for w, s in zip(steps, seeds)]
+    return _rows(WalkSample, "steps", steps, seeds, rational_step=rs)
 
 
 @dataclass(frozen=True)
@@ -122,28 +132,28 @@ class BallVisitCurve:
     n_walks: int
 
     def to_csv(self) -> str:
-        lines = ["n,p_hat,partial_sum"]
-        for k, p, s in zip(self.n, self.p_hat, self.partial_sum):
-            lines.append(f"{int(k)},{format_csv_float(p)},{format_csv_float(s)}")
-        return "\n".join(lines) + "\n"
+        return format_csv("n,p_hat,partial_sum", [self.n, self.p_hat, self.partial_sum], int_columns=1)
 
 
-def ball_visit_curve(walks: list[WalkSample], a: float) -> BallVisitCurve:
+def ball_visit_curve(walks: Sequence[WalkSample], a: float) -> BallVisitCurve:
     """Fraction of walks inside B_a at each step, with running partial sums.
 
-    Estimates stabilize from roughly 30 walks; the curve is a Monte Carlo
-    diagnostic for the sum criterion, not a proof of either alternative.
+    Reads the ensemble array of sample_walks directly; other walks are
+    stacked first.  Estimates stabilize from roughly 30 walks; the curve is a
+    Monte Carlo diagnostic for the sum criterion, not a proof of either
+    alternative.
     """
     if not walks:
         raise ValueError("need at least one walk")
     if not a > 0:
         raise ValueError("a must be positive")
-    lengths = {w.steps.shape[0] for w in walks}
-    if len(lengths) != 1:
-        raise ValueError("walks must share a common length")
-    stacked = np.stack([w.steps for w in walks])  # (W, N+1, d)
-    inside = np.linalg.norm(stacked, axis=2) < a
-    p_hat = inside.mean(axis=0)
+    if isinstance(walks, Ensemble):
+        stacked = walks.values
+    else:
+        if len({w.steps.shape[0] for w in walks}) != 1:
+            raise ValueError("walks must share a common length")
+        stacked = np.stack([w.steps for w in walks])  # (W, N+1, d)
+    p_hat = _inside(stacked, a).mean(axis=0)
     partial = np.concatenate([[0.0], np.cumsum(p_hat[1:])])
     return BallVisitCurve(
         n=np.arange(p_hat.shape[0]),
@@ -160,17 +170,20 @@ def _occupation(values: np.ndarray, dt: np.ndarray, a: float) -> np.ndarray:
     values (..., cells + 1, d) on a grid with cell lengths dt (cells,);
     returns (..., cells + 1), starting at 0.
     """
+    out = np.zeros(values.shape[:-1])
+    np.cumsum(dt * _inside(values[..., :-1, :], a), axis=-1, out=out[..., 1:])
+    return out
+
+
+def _inside(values: np.ndarray, a: float) -> np.ndarray:
+    """|x| < a for each point of values (..., d), as a boolean array (...)."""
     # squares summed one coordinate at a time: several times faster than a
     # reduction over the short last axis, and the same sums as
     # np.linalg.norm for d < 8 (from 8 on numpy sums in blocks)
-    left = values[..., :-1, :]
-    sq = left[..., 0] ** 2
+    sq = values[..., 0] ** 2
     for j in range(1, values.shape[-1]):
-        sq += left[..., j] ** 2
-    inside = np.sqrt(sq) < a
-    out = np.zeros(values.shape[:-1])
-    np.cumsum(dt * inside, axis=-1, out=out[..., 1:])
-    return out
+        sq += values[..., j] ** 2
+    return np.sqrt(sq) < a
 
 
 def occupation_time(path: PathSample, a: float) -> float:
@@ -187,7 +200,5 @@ def occupation_time(path: PathSample, a: float) -> float:
 
 def occupations_csv(occupations: np.ndarray) -> str:
     """CSV text `path_id,occupation` for a vector of per-path occupation times."""
-    lines = ["path_id,occupation"]
-    for i, occ in enumerate(np.asarray(occupations, dtype=float)):
-        lines.append(f"{i},{format_csv_float(occ)}")
-    return "\n".join(lines) + "\n"
+    occupations = np.asarray(occupations, dtype=float)
+    return format_csv("path_id,occupation", [np.arange(occupations.shape[0]), occupations], int_columns=1)

@@ -58,9 +58,26 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def format_csv_float(x: float) -> str:
-    """Full double precision (17 significant digits) for CSV cells."""
-    return format(float(x), ".17g")
+# rows formatted per %-operation by format_csv: bounds its format string
+CSV_CHUNK_ROWS = 4096
+
+
+def format_csv(header: str, columns, int_columns: int = 0) -> str:
+    """CSV text: the header line, then row i of the equal-length columns.
+
+    The first int_columns columns are written as integers, the others in
+    full double precision, 17 significant digits ("%.17g" % x, the same text
+    as format(x, ".17g")).
+    Rows are formatted a chunk at a time by one %-operation on a repeated
+    row template.
+    """
+    row = ",".join(["%d"] * int_columns + ["%.17g"] * (len(columns) - int_columns)) + "\n"
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    parts = [header + "\n"]
+    for lo in range(0, table.shape[0], CSV_CHUNK_ROWS):
+        chunk = table[lo : lo + CSV_CHUNK_ROWS]
+        parts.append(row * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+    return "".join(parts)
 
 
 def arrays_equal(a, b) -> bool:

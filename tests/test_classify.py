@@ -8,6 +8,7 @@ from scipy import integrate
 
 from semilevy import classify
 from semilevy.classify import (
+    MAX_LEVELS,
     Criterion,
     Decision,
     QuadratureError,
@@ -298,6 +299,10 @@ def test_verdict_drifting_bm_transient():
 def test_verdict_levels_validation():
     with pytest.raises(ValueError):
         chung_fuchs_verdict(BM1, levels=5)
+    with pytest.raises(ValueError, match="levels"):
+        chung_fuchs_verdict(BM1, levels=MAX_LEVELS + 1)
+    with pytest.raises(ValueError, match="levels"):
+        radius_sweep(BM1, a_values=(), levels=MAX_LEVELS + 1)
 
 
 def test_verdict_scale_invariance():

@@ -1,10 +1,13 @@
 """Config grammar, round-tripping, command execution, and exit codes."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semilevy.classify import MAX_LEVELS, MIN_LEVELS
 from semilevy.cli import ConfigError, RunConfig, main, parse_config, render_config, run
 from semilevy.models import (
     BrownianDrift,
@@ -121,6 +124,8 @@ def test_parse_command_via_cli_argument():
 def test_parse_validates_ranges():
     with pytest.raises(ConfigError, match="levels"):
         parse_config(BASIC + "levels = 3\n")
+    with pytest.raises(ConfigError, match="levels"):
+        parse_config(BASIC + f"levels = {MAX_LEVELS + 1}\n")
     with pytest.raises(ConfigError, match="positive"):
         parse_config(BASIC + "a = -1.0\n")
     with pytest.raises(ConfigError, match="increasing"):
@@ -198,9 +203,11 @@ def configs(draw):
     for key in ("q0", "horizon", "step"):
         if draw(st.booleans()):
             kwargs[key] = draw(positive)
-    for key, floor in (("levels", 6), ("n_steps", 1), ("n_walks", 1), ("n_samples", 1)):
+    if draw(st.booleans()):
+        kwargs["levels"] = draw(st.integers(MIN_LEVELS, MAX_LEVELS))
+    for key in ("n_steps", "n_walks", "n_samples"):
         if draw(st.booleans()):
-            kwargs[key] = draw(st.integers(floor, 10**6))
+            kwargs[key] = draw(st.integers(1, 10**6))
     if draw(st.booleans()):
         kwargs["t_grid"] = tuple(np.cumsum(draw(st.lists(positive, min_size=1, max_size=4))).tolist())
     return RunConfig(schedule=schedule, command=command, seed=draw(st.integers(0, 2**63 - 1)), **kwargs)
@@ -512,3 +519,25 @@ def test_oversized_runs_exit_one_before_drawing(tmp_path, capsys, monkeypatch, c
     cfg.write_text("[schedule]\nperiod = 1.0\nsegment = 1.0 drift gamma=0.0\n[run]\nseed = 4\n" + keys)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "more than the bound" in capsys.readouterr().err
+
+
+def test_huge_levels_exit_one_before_any_ladder(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(BASIC + "criterion = chung-fuchs\nlevels = 1000000000\n")
+    t0 = time.perf_counter()
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "levels" in capsys.readouterr().err
+
+
+def test_failed_weak_law_leaves_no_lln_csv(tmp_path, capsys):
+    # the strong-law part succeeds, the weak-law part exceeds the size bound
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "[schedule]\nperiod = 1.0\nsegment = 1.0 brownian drift=0.0 var=1.0\n"
+        "[run]\nseed = 4\nhorizons = 10,20\nn_paths = 100\nt_grid = 1,2\nn_samples = 1000000000\n"
+    )
+    assert main(["lln", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "more than the bound" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "lln.csv").exists()
+    assert not (tmp_path / "o" / "wlln.csv").exists()

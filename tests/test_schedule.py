@@ -8,8 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semilevy import schedule as schedule_module
-from semilevy.models import BrownianDrift, CompoundPoisson, LaplaceJump, PureDrift, SymmetricStable
+from semilevy.models import (
+    BrownianDrift,
+    CompoundPoisson,
+    GaussianJump,
+    LaplaceJump,
+    PointMass,
+    PureDrift,
+    SumModel,
+    SymmetricStable,
+    UniformJump,
+)
 from semilevy.schedule import (
+    Ensemble,
     SemiLevySchedule,
     _workers,
     equivalent_levy_model,
@@ -23,7 +34,7 @@ from semilevy.schedule import (
     sample_paths,
     single_segment,
 )
-from semilevy.skeleton import RationalStep, sample_walks
+from semilevy.skeleton import RationalStep, sample_walk, sample_walks
 from semilevy.util import map_indexed, split_seed
 
 BM = BrownianDrift(0.0, 1.0)
@@ -213,11 +224,82 @@ def test_serial_and_pooled_ensembles_are_bit_identical(monkeypatch):
     serial = draw()
     assert pool_sizes == [1, 1]
     monkeypatch.setattr(schedule_module, "_POOL_MIN_CELLS", 1)
+    # one member per block, so that there are blocks enough for a pool
+    monkeypatch.setattr(schedule_module, "_BLOCK_VALUES", 1)
     pooled = draw()
     assert pool_sizes[2:] == [3, 3]
     assert len(serial) == len(pooled) == 10
     for a, b in zip(serial, pooled):
         assert np.array_equal(a, b)
+
+
+def _catalog(dim: int) -> dict:
+    """One model of every kind, every jump kind and the stable indices that sample apart."""
+    e = np.eye(dim)[0]
+    jumps = {
+        "point": PointMass(0.7 * e),
+        "uniform": UniformJump(-1.0 * e - 0.5, 2.0 * e + 0.5),
+        "gauss": GaussianJump(0.2 * e, 0.5 * np.eye(dim) + 0.1),
+        "laplace": LaplaceJump(-0.1 * e, 0.7),
+    }
+    models = {
+        "brownian": BrownianDrift(0.3 * e, np.eye(dim) + 0.2),
+        **{f"stable{alpha}": SymmetricStable(alpha, 0.8, dim) for alpha in (0.7, 1.0, 1.5, 2.0)},
+        **{f"cpoisson_{kind}": CompoundPoisson(2.5, jump) for kind, jump in jumps.items()},
+        "drift": PureDrift(-0.4 * e),
+    }
+    models["sum"] = SumModel((models["brownian"], models["cpoisson_gauss"], models["stable1.5"]))
+    return models
+
+
+CATALOG_CASES = [(kind, dim) for dim in (1, 2) for kind in _catalog(dim)]
+
+
+@pytest.mark.parametrize("kind, dim", CATALOG_CASES)
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_ensemble_rows_do_not_depend_on_block_size(monkeypatch, kind, dim, block):
+    # block None: every member in one block
+    models = _catalog(dim)
+    other = models["stable1.5"] if kind == "brownian" else models["brownian"]
+    sched = make_splice(models[kind], other, 0.7, 1.7)
+    if block is not None:
+        monkeypatch.setattr(schedule_module, "_block_members", lambda values: block)
+    paths = sample_paths(sched, horizon=4.0, step=0.3, n_paths=7, seed=11)
+    walks = sample_walks(sched, RationalStep(2, 3), 9, 7, seed=12)
+    monkeypatch.undo()
+    for i in range(7):
+        alone = sample_path(sched, horizon=4.0, step=0.3, seed=split_seed(11, i))
+        assert paths[i].seed == alone.seed
+        assert np.array_equal(paths[i].values, alone.values)
+        assert np.array_equal(paths.values[i], alone.values)
+        assert np.array_equal(walks[i].steps, sample_walk(sched, RationalStep(2, 3), 9, seed=split_seed(12, i)).steps)
+
+
+def test_ensemble_finishes_each_segment_once_per_block(monkeypatch):
+    calls = {"draw": [], "finish": []}
+    for cls in (BrownianDrift, CompoundPoisson):
+        for hook in ("draw", "finish"):
+            original = getattr(cls, f"_{hook}")
+
+            def spy(self, dts, arg, original=original, hook=hook):
+                calls[hook].append(type(self).__name__)
+                return original(self, dts, arg)
+
+            monkeypatch.setattr(cls, f"_{hook}", spy)
+    monkeypatch.setattr(schedule_module, "_block_members", lambda values: 3)
+    sample_paths(SPLICE, horizon=2.3, step=0.23, n_paths=7, seed=5)
+    # 7 members in blocks of 3, 3 and 1: a draw per member, a finish per block
+    for name in ("BrownianDrift", "CompoundPoisson"):
+        assert calls["draw"].count(name) == 7
+        assert calls["finish"].count(name) == 3
+
+
+def test_ensemble_rows_view_one_array():
+    paths = sample_paths(SPLICE, horizon=2.3, step=0.23, n_paths=4, seed=5)
+    assert isinstance(paths, Ensemble) and paths.values.shape == (4, 11, 1)
+    assert all(p.values.base is paths.values for p in paths)
+    assert all(p.grid is paths[0].grid for p in paths)
+    assert sample_paths(SPLICE, horizon=2.3, step=0.23, n_paths=0, seed=5) == ()
 
 
 def test_worker_count_follows_stream_length(monkeypatch):

@@ -61,6 +61,15 @@ def test_drift_splice_walk_all_zero():
     assert np.max(np.abs(walk.steps)) <= 1e-12
 
 
+def test_walk_occupancy_refuses_int64_overflow():
+    # 10**6 steps of 10**13 / 3 periods pass 2**63 period fractions
+    sched = make_splice(PureDrift(1.0), PureDrift(-1.0), 0.5, 1.0)
+    with pytest.raises(ValueError, match="2\\^63"):
+        sample_walks(sched, RationalStep(10**13, 3), 10**6, 1, seed=0)
+    walk = sample_walk(sched, RationalStep(10**12, 3), 10**6, seed=0)
+    assert walk.n_steps == 10**6
+
+
 def test_walk_reproducibility_and_split():
     walks = sample_walks(BM, RationalStep(1, 2), 10, 5, seed=7)
     for i, w in enumerate(walks):
