@@ -21,7 +21,6 @@ from .models import (
     UniformJump,
 )
 from .schedule import (
-    Ensemble,
     PathSample,
     SemiLevySchedule,
     equivalent_levy_model,
@@ -76,7 +75,6 @@ __all__ = [
     "SumModel",
     "SymmetricStable",
     "UniformJump",
-    "Ensemble",
     "PathSample",
     "SemiLevySchedule",
     "equivalent_levy_model",

@@ -165,6 +165,9 @@ class UniformJump(FieldEq):
             raise DimensionMismatch("lo and hi must have the same length")
         if np.any(hi < lo):
             raise ValueError("hi must be >= lo componentwise")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(hi - lo)):
+                raise ValueError("hi - lo must be finite")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

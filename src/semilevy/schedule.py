@@ -29,7 +29,6 @@ from .util import FieldEq, check_finite, format_csv, map_indexed, split_seed, we
 __all__ = [
     "SemiLevySchedule",
     "PathSample",
-    "Ensemble",
     "make_splice",
     "single_segment",
     "increment_exponent",
@@ -146,9 +145,11 @@ class PathSample:
     def __post_init__(self):
         if self.grid.shape[0] != self.values.shape[0]:
             raise ValueError("grid and values must have the same length")
-        if self.grid[0] != 0.0 or np.any(np.diff(self.grid) <= 0):
+        # ndarray methods, not np.any wrappers: every path of an ensemble
+        # runs these checks
+        if self.grid[0] != 0.0 or (self.grid[1:] <= self.grid[:-1]).any():
             raise ValueError("grid must start at 0 and be strictly increasing")
-        if np.any(self.values[0] != 0.0):
+        if self.values[0].any():
             raise ValueError("values[0] must be 0 (the process starts at the origin)")
 
     @property
@@ -350,31 +351,6 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list) ->
     return out
 
 
-class Ensemble(tuple):
-    """The samples of one sampling call in index order; sample i views row i of `values`."""
-
-    values: np.ndarray
-
-    def __new__(cls, samples, values: np.ndarray):
-        ensemble = super().__new__(cls, samples)
-        ensemble.values = values
-        return ensemble
-
-
-def _rows(cls, field: str, values: np.ndarray, seeds: list, **shared) -> Ensemble:
-    """One cls sample per row of an _ensemble array.
-
-    Only the first sample runs the checks of cls: the samples share every
-    other field, and every row starts at the origin, as _ensemble writes it.
-    """
-    samples = [cls(**shared, seed=s, **{field: v}) for v, s in zip(values[:1], seeds[:1])]
-    for row, seed in zip(values[1:], seeds[1:]):
-        sample = object.__new__(cls)
-        sample.__dict__.update(shared, seed=seed, **{field: row})
-        samples.append(sample)
-    return Ensemble(samples, values)
-
-
 def sample_path(schedule: SemiLevySchedule, horizon: float, step: float, seed: int) -> PathSample:
     """Sample the process on the grid {0, step, 2 step, ...} up to the horizon.
 
@@ -389,13 +365,9 @@ def sample_path(schedule: SemiLevySchedule, horizon: float, step: float, seed: i
 
 def sample_paths(
     schedule: SemiLevySchedule, horizon: float, step: float, n_paths: int, seed: int
-) -> Ensemble:
-    """Independent paths; path i is reproduced by sample_path with split_seed(seed, i).
-
-    The paths share one grid and view the rows of one (n_paths, cells + 1, d)
-    array, the ensemble's `values`.
-    """
+) -> list[PathSample]:
+    """Independent paths; path i is reproduced by sample_path with split_seed(seed, i)."""
     times = _grid_times(horizon, step, n_paths, schedule.dim)
     seeds = [split_seed(seed, i) for i in range(int(n_paths))]
     values = _ensemble(schedule, _grid_occupancy(schedule, times), seeds)
-    return _rows(PathSample, "values", values, seeds, grid=times)
+    return [PathSample(grid=times, values=v, seed=s) for v, s in zip(values, seeds)]

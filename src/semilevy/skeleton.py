@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .schedule import Ensemble, PathSample, SemiLevySchedule, _check_values, _ensemble, _rows
+from .schedule import PathSample, SemiLevySchedule, _check_values, _ensemble
 from .util import format_csv, split_seed
 
 __all__ = [
@@ -59,7 +58,7 @@ class WalkSample:
     seed: int
 
     def __post_init__(self):
-        if np.any(self.steps[0] != 0.0):
+        if self.steps[0].any():  # as in PathSample
             raise ValueError("steps[0] must be 0")
 
     @property
@@ -104,16 +103,12 @@ def sample_walk(
 
 def sample_walks(
     schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, n_walks: int, seed: int
-) -> Ensemble:
-    """Independent walks; walk i is reproduced by sample_walk with split_seed(seed, i).
-
-    The walks view the rows of one (n_walks, n_steps + 1, d) array, the
-    ensemble's `values`.
-    """
+) -> list[WalkSample]:
+    """Independent walks; walk i is reproduced by sample_walk with split_seed(seed, i)."""
     occupancy = _walk_occupancy(schedule, rs, n_steps, n_walks)
     seeds = [split_seed(seed, i) for i in range(int(n_walks))]
     steps = _ensemble(schedule, occupancy, seeds)
-    return _rows(WalkSample, "steps", steps, seeds, rational_step=rs)
+    return [WalkSample(steps=w, rational_step=rs, seed=s) for w, s in zip(steps, seeds)]
 
 
 @dataclass(frozen=True)
@@ -135,24 +130,20 @@ class BallVisitCurve:
         return format_csv("n,p_hat,partial_sum", [self.n, self.p_hat, self.partial_sum], int_columns=1)
 
 
-def ball_visit_curve(walks: Sequence[WalkSample], a: float) -> BallVisitCurve:
+def ball_visit_curve(walks: list[WalkSample], a: float) -> BallVisitCurve:
     """Fraction of walks inside B_a at each step, with running partial sums.
 
-    Reads the ensemble array of sample_walks directly; other walks are
-    stacked first.  Estimates stabilize from roughly 30 walks; the curve is a
-    Monte Carlo diagnostic for the sum criterion, not a proof of either
-    alternative.
+    Estimates stabilize from roughly 30 walks; the curve is a Monte Carlo
+    diagnostic for the sum criterion, not a proof of either alternative.
     """
     if not walks:
         raise ValueError("need at least one walk")
     if not a > 0:
         raise ValueError("a must be positive")
-    if isinstance(walks, Ensemble):
-        stacked = walks.values
-    else:
-        if len({w.steps.shape[0] for w in walks}) != 1:
-            raise ValueError("walks must share a common length")
-        stacked = np.stack([w.steps for w in walks])  # (W, N+1, d)
+    lengths = {w.steps.shape[0] for w in walks}
+    if len(lengths) != 1:
+        raise ValueError("walks must share a common length")
+    stacked = np.stack([w.steps for w in walks])  # (W, N+1, d)
     p_hat = _inside(stacked, a).mean(axis=0)
     partial = np.concatenate([[0.0], np.cumsum(p_hat[1:])])
     return BallVisitCurve(

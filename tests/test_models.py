@@ -111,6 +111,15 @@ def test_stable_parameter_validation():
         SymmetricStable(1.0, -1.0)
 
 
+def test_uniform_box_width_must_be_finite():
+    # each bound is finite, but hi - lo overflows: the draws would be inf or nan
+    with pytest.raises(ValueError, match="finite"):
+        UniformJump(-1e308, 1e308)
+    with pytest.raises(ValueError, match="finite"):
+        UniformJump([0.0, -1e308], [1.0, 1e308])
+    assert UniformJump(-1e307, 1e307).sample(np.random.default_rng(0), 4).shape == (4, 1)
+
+
 # ---------------------------------------------------------------------------
 # samplers against the exponent (empirical characteristic function)
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from semilevy.models import (
     UniformJump,
 )
 from semilevy.schedule import (
-    Ensemble,
+    PathSample,
     SemiLevySchedule,
     _workers,
     equivalent_levy_model,
@@ -34,7 +34,7 @@ from semilevy.schedule import (
     sample_paths,
     single_segment,
 )
-from semilevy.skeleton import RationalStep, sample_walk, sample_walks
+from semilevy.skeleton import RationalStep, WalkSample, sample_walk, sample_walks
 from semilevy.util import map_indexed, split_seed
 
 BM = BrownianDrift(0.0, 1.0)
@@ -271,7 +271,6 @@ def test_ensemble_rows_do_not_depend_on_block_size(monkeypatch, kind, dim, block
         alone = sample_path(sched, horizon=4.0, step=0.3, seed=split_seed(11, i))
         assert paths[i].seed == alone.seed
         assert np.array_equal(paths[i].values, alone.values)
-        assert np.array_equal(paths.values[i], alone.values)
         assert np.array_equal(walks[i].steps, sample_walk(sched, RationalStep(2, 3), 9, seed=split_seed(12, i)).steps)
 
 
@@ -294,12 +293,25 @@ def test_ensemble_finishes_each_segment_once_per_block(monkeypatch):
         assert calls["finish"].count(name) == 3
 
 
-def test_ensemble_rows_view_one_array():
-    paths = sample_paths(SPLICE, horizon=2.3, step=0.23, n_paths=4, seed=5)
-    assert isinstance(paths, Ensemble) and paths.values.shape == (4, 11, 1)
-    assert all(p.values.base is paths.values for p in paths)
-    assert all(p.grid is paths[0].grid for p in paths)
-    assert sample_paths(SPLICE, horizon=2.3, step=0.23, n_paths=0, seed=5) == ()
+def test_sample_checks():
+    grid, values = np.array([0.0, 0.5, 1.0]), np.zeros((3, 1))
+    PathSample(grid=grid, values=values, seed=0)
+    bad = [
+        (np.array([0.1, 0.5, 1.0]), values),  # does not start at 0
+        (np.array([0.0, 0.5, 0.5]), values),  # a repeated point
+        (np.array([0.0, 1.0, 0.5]), values),  # decreasing
+        (grid[:2], values),  # lengths differ
+        (grid, np.array([[np.nan], [0.0], [0.0]])),  # not at the origin
+        (grid, np.array([[-1e-300], [0.0], [0.0]])),
+    ]
+    for g, v in bad:
+        with pytest.raises(ValueError):
+            PathSample(grid=g, values=v, seed=0)
+    PathSample(grid=grid, values=np.array([[-0.0], [1.0], [2.0]]), seed=0)
+    WalkSample(steps=np.array([[-0.0, 0.0], [1.0, 1.0]]), rational_step=RationalStep(1, 1), seed=0)
+    for start in (np.nan, 1e-300):
+        with pytest.raises(ValueError):
+            WalkSample(steps=np.array([[0.0, start], [1.0, 1.0]]), rational_step=RationalStep(1, 1), seed=0)
 
 
 def test_worker_count_follows_stream_length(monkeypatch):
