@@ -25,8 +25,6 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, ndtri
-from scipy.stats import qmc
 
 from .models import DimensionMismatch, LevyModel
 from .schedule import (
@@ -40,7 +38,7 @@ from .schedule import (
     period_mean,
 )
 from .skeleton import _occupation
-from .util import format_float, split_seed
+from .util import format_float, split_seeds
 
 __all__ = [
     "Decision",
@@ -291,6 +289,10 @@ def _gk_ladder(nodes, psi: _Psi, breaks: np.ndarray, node_cost: int):
 
 
 def _ball_volume(dim: int, a: float) -> float:
+    # scipy.special and scipy.stats are imported where d >= 3 needs them:
+    # they take most of a cold start, which every command would pay
+    from scipy.special import gammaln
+
     return math.exp(0.5 * dim * math.log(math.pi) - gammaln(0.5 * dim + 1.0)) * a**dim
 
 
@@ -301,6 +303,9 @@ def _ball_points(dim: int, a: float, n_log2: int, seed: int) -> np.ndarray:
     map; the last coordinate becomes the radius through the power map, which
     is the exact radial CDF inverse for the uniform ball law.
     """
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     sob = qmc.Sobol(d=dim + 1, scramble=True, seed=seed)
     u = sob.random_base2(m=n_log2)
     g = ndtri(np.clip(u[:, :dim], 1e-15, 1.0 - 1e-15))
@@ -314,8 +319,8 @@ def _qmc_ladder(schedule: SemiLevySchedule, a: float, qs, seed: int, n_log2=16, 
     # stream estimates I(q) as the ball volume times its mean integrand
     vol = _ball_volume(schedule.dim, a)
     batches = [
-        period_exponent(schedule, _ball_points(schedule.dim, a, n_log2, split_seed(seed, r)))
-        for r in range(replicates)
+        period_exponent(schedule, _ball_points(schedule.dim, a, n_log2, stream))
+        for stream in split_seeds(seed, range(replicates))
     ]
     values, stderrs = np.empty(len(qs)), np.empty(len(qs))
     for level, q in enumerate(qs):
@@ -636,7 +641,7 @@ def empirical_diagnostic(
 
     occ = np.empty((n_paths, horizons.size))
     for lo in range(0, n_paths, chunk):
-        seeds = [split_seed(seed, i) for i in range(lo, min(lo + chunk, n_paths))]
+        seeds = split_seeds(seed, range(lo, min(lo + chunk, n_paths)))
         occ[lo : lo + len(seeds)] = _occupation(_ensemble(schedule, occupancy, seeds), dt, a)[:, idx]
 
     mean = occ.mean(axis=0)

@@ -25,7 +25,7 @@ from .schedule import (
     period_mean,
     sample_interval_increment,
 )
-from .util import check_finite, format_csv, split_seed
+from .util import check_finite, format_csv, split_seeds
 
 __all__ = [
     "LLNReport",
@@ -90,7 +90,7 @@ def _horizon_values(
     """X at each horizon for each path, (paths, horizons, d), one exact cell per gap."""
     _check_values(n_paths, horizons.size, schedule.dim)
     occupancy = _grid_occupancy(schedule, np.concatenate([[0.0], horizons]))
-    seeds = [split_seed(seed, i) for i in range(int(n_paths))]
+    seeds = split_seeds(seed, range(int(n_paths)))
     return _ensemble(schedule, occupancy, seeds)[:, 1:]
 
 

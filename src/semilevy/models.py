@@ -530,8 +530,13 @@ class CompoundPoisson(LevyModel):
         return dts.shape[0] + expected * self.dim
 
     def _draw(self, dts, rng):
-        # jump counts per cell, then the jump law's own draw of all the jumps
-        counts = rng.poisson(self.rate * dts)
+        # jump counts per cell, then the jump law's own draw of all the jumps.
+        # Equal durations come as a stride-0 view (schedule._ensemble): one
+        # scalar rate draws the same counts without checking k rates
+        if dts.strides[0] == 0:
+            counts = rng.poisson(self.rate * dts[0], dts.shape[0])
+        else:
+            counts = rng.poisson(self.rate * dts)
         total = int(counts.sum())
         return counts, (self.jump.sample(rng, total) if total else None)
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .models import DimensionMismatch, LevyModel, SumModel
-from .util import FieldEq, check_finite, format_csv, map_indexed, split_seed, weighted_sum
+from .util import FieldEq, check_finite, format_csv, map_indexed, split_seeds, stream_states, weighted_sum
 
 __all__ = [
     "SemiLevySchedule",
@@ -312,14 +312,18 @@ def _block_members(member_values: float) -> int:
 def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list) -> np.ndarray:
     """Cumulative sums of independent cell draws, shape (n, cells + 1, d).
 
-    Member i starts at the origin and is drawn from default_rng(seeds[i]): its
-    segments in order, each one _draw over the cells that spend time in it.
-    The rows and durations of each segment are found once per call; each
-    block of members then only seeds and draws member by member, and each
-    segment is finished and added for the whole block at once.  Member i
-    therefore depends neither on the other members nor on the block or pool
-    size.
+    Member i starts at the origin and is drawn from default_rng(seeds[i])'s
+    stream: its segments in order, each one _draw over the cells that spend
+    time in it.  Every member's PCG64 state is derived up front in one array
+    pass (util.stream_states); each block of members then resets one
+    Generator to each state in turn and draws, and each segment is finished
+    and added for the whole block at once.  The rows and durations of each
+    segment are found once per call; durations that are all equal are passed
+    as a stride-0 view of the one value, which a sampler may draw with a
+    scalar argument.  Member i therefore depends neither on the other
+    members nor on the block or pool size.  Each seed must lie in [0, 2**64).
     """
+    states = stream_states(seeds)
     cells, dim = occupancy.shape[0], schedule.dim
     plan = []
     member_values = float(cells * dim)
@@ -328,15 +332,20 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list) ->
         if rows.size:
             dts = occupancy[rows, k]
             member_values += model._draw_values(dts)
+            if (dts == dts[0]).all():
+                # dts[0] repeated, as a stride-0 view (np.broadcast_to takes 5x longer)
+                dts = np.ndarray(dts.shape, dts.dtype, dts, strides=(0,))
             plan.append((model, rows, dts))
-    out = np.zeros((len(seeds), cells + 1, dim))
+    out = np.zeros((len(states), cells + 1, dim))
     size = _block_members(member_values)
 
     def block(b: int) -> None:
-        members = seeds[b * size : (b + 1) * size]
+        members = states[b * size : (b + 1) * size]
         raws = [[] for _ in plan]
-        for seed in members:
-            rng = np.random.default_rng(seed)
+        # one Generator per block; its state is set to each member's stream
+        rng = np.random.Generator(np.random.PCG64(0))
+        for state in members:
+            rng.bit_generator.state = state
             for drawn, (model, _, dts) in zip(raws, plan):
                 drawn.append(model._draw(dts, rng))
         incr = np.zeros((len(members), cells, dim))
@@ -344,7 +353,7 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list) ->
             incr[:, rows] += model._finish(dts, drawn)
         np.cumsum(incr, axis=1, out=out[b * size : b * size + len(members), 1:])
 
-    n_blocks = -(-len(seeds) // size)
+    n_blocks = -(-len(states) // size)
     map_indexed(block, n_blocks, _workers(n_blocks, cells))
     # a sum that meets inf or nan stays so, so the last row shows any overflow
     check_finite(out[:, -1], "a sampled path or walk")
@@ -356,7 +365,9 @@ def sample_path(schedule: SemiLevySchedule, horizon: float, step: float, seed: i
 
     The grid gains a final shorter cell when the step does not divide the
     horizon.  Cell increments are exact in law: cells are split internally at
-    segment boundaries, so no draw ever straddles two models.
+    segment boundaries, so no draw ever straddles two models.  The path draws
+    from np.random.default_rng(seed)'s stream; the seed must lie in
+    [0, 2**64) (ValueError otherwise).
     """
     times = _grid_times(horizon, step, 1, schedule.dim)
     values = _ensemble(schedule, _grid_occupancy(schedule, times), [seed])[0]
@@ -368,6 +379,6 @@ def sample_paths(
 ) -> list[PathSample]:
     """Independent paths; path i is reproduced by sample_path with split_seed(seed, i)."""
     times = _grid_times(horizon, step, n_paths, schedule.dim)
-    seeds = [split_seed(seed, i) for i in range(int(n_paths))]
+    seeds = split_seeds(seed, range(int(n_paths)))
     values = _ensemble(schedule, _grid_occupancy(schedule, times), seeds)
     return [PathSample(grid=times, values=v, seed=s) for v, s in zip(values, seeds)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import PathSample, SemiLevySchedule, _check_values, _ensemble
-from .util import format_csv, split_seed
+from .util import format_csv, split_seeds
 
 __all__ = [
     "RationalStep",
@@ -96,7 +96,7 @@ def _walk_occupancy(schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, 
 def sample_walk(
     schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, seed: int
 ) -> WalkSample:
-    """Exact draw of (X_0, X_h, ..., X_{n h}) at the rational step h."""
+    """Exact draw of (X_0, X_h, ..., X_{n h}) at the rational step h; seed in [0, 2**64)."""
     steps = _ensemble(schedule, _walk_occupancy(schedule, rs, n_steps, 1), [seed])[0]
     return WalkSample(steps=steps, rational_step=rs, seed=int(seed))
 
@@ -106,7 +106,7 @@ def sample_walks(
 ) -> list[WalkSample]:
     """Independent walks; walk i is reproduced by sample_walk with split_seed(seed, i)."""
     occupancy = _walk_occupancy(schedule, rs, n_steps, n_walks)
-    seeds = [split_seed(seed, i) for i in range(int(n_walks))]
+    seeds = split_seeds(seed, range(int(n_walks)))
     steps = _ensemble(schedule, occupancy, seeds)
     return [WalkSample(steps=w, rational_step=rs, seed=s) for w, s in zip(steps, seeds)]
 

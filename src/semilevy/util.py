@@ -1,14 +1,124 @@
-"""Seed splitting and small Monte Carlo plumbing shared across modules."""
+"""Seed splitting and small Monte Carlo plumbing shared across modules.
+
+Reproducibility: every random stream is numpy's PCG64 seeded through
+SeedSequence, the generator np.random.default_rng(seed) returns.  Stream i
+of a master seed has the seed split_seed(master, i), the first 64-bit word
+of SeedSequence((master, i)).  An ensemble derives the split seeds and the
+PCG64 states of all its members at once: stream_states ports SeedSequence's
+hash (O'Neill's seed_seq_fe) to uint32 array arithmetic over the members and
+runs PCG64's seeding step (pcg_setseq_128_srandom_r) on Python integers, bit
+for bit what numpy computes one member at a time.  That relies on numpy's
+stream-compatibility policy (NEP 19), which fixes SeedSequence and PCG64
+across numpy versions.  Seeds and stream indices lie in [0, 2**64).
+"""
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
+
+# seeds and stream indices lie in [0, SEED_BOUND): at most two 32-bit words
+SEED_BOUND = 1 << 64
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+# 0-d arrays: numpy applies them to small arrays faster than scalars
+_MIX_L, _MIX_R = np.array(0xCA01F9DD, np.uint32), np.array(0x4973F715, np.uint32)
+_SHIFT = np.array(16, np.uint32)
+_POOL = 4  # SeedSequence's default pool size, in 32-bit words
+
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """(2, n, 1) uint32: the xor and the multiplier of n successive hashmix calls."""
+    out, h = [], init
+    for _ in range(n):
+        nxt = h * mult & 0xFFFFFFFF
+        out.append((h, nxt))
+        h = nxt
+    return np.array(out, dtype=np.uint32).T[..., None]
+
+
+# mix_entropy runs one hashmix per pool word, then one for each (source,
+# destination) pair of distinct words, source-major.  Round s holds a
+# constant for every row; the source row's is a 0 that is never used, since
+# that word is kept.
+_MIX = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+_FILL_XOR, _FILL_MULT = _MIX[:, :_POOL]
+_ROUNDS = [
+    tuple(np.insert(_MIX[:, _POOL + (_POOL - 1) * s : _POOL + (_POOL - 1) * (s + 1)], s, 0, axis=1))
+    for s in range(_POOL)
+]
+# generate_state runs one hash per output word, cycling through the pool
+_OUT_XOR, _OUT_MULT = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _seed_words(values: Iterable, what: str) -> np.ndarray:
+    """(2, n) uint32: the low and high words of integers in [0, SEED_BOUND).
+
+    ValueError for a value outside that range, TypeError for a non-integer,
+    before any array is built.
+    """
+    values = list(map(operator.index, values))
+    if values and not (min(values) >= 0 and max(values) < SEED_BOUND):
+        raise ValueError(f"{what} must be in [0, 2**64)")
+    # '<' pins the word order: SeedSequence splits integers little-endian
+    return np.array(values, dtype="<u8").view("<u4").reshape(-1, 2).T
+
+
+def _seed_sequence(entropy: np.ndarray, n_words64: int) -> np.ndarray:
+    """SeedSequence(entropy_j).generate_state(n_words64, uint64) for every column j.
+
+    entropy is (4, n) uint32, one entropy word list per column, zero-padded
+    to the pool size: SeedSequence hashes missing pool words as zeros, so the
+    padding is exact.  Each mixing round is one array operation over all
+    columns.  Returns (n, n_words64) uint64.
+    """
+    pool = entropy ^ _FILL_XOR
+    pool *= _FILL_MULT
+    pool ^= pool >> _SHIFT
+    for s, (xor, mult) in enumerate(_ROUNDS):
+        hashed = pool[s] ^ xor
+        hashed *= mult
+        hashed ^= hashed >> _SHIFT
+        hashed *= _MIX_R
+        mixed = pool * _MIX_L
+        mixed -= hashed
+        mixed ^= mixed >> _SHIFT
+        mixed[s] = pool[s]
+        pool = mixed
+    n32 = 2 * n_words64
+    words = np.concatenate((pool, pool))[:n32] ^ _OUT_XOR[:n32]
+    words *= _OUT_MULT[:n32]
+    words ^= words >> _SHIFT
+    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8")
+
+
+def split_seeds(master_seed: int, indices: Iterable) -> list[int]:
+    """split_seed(master_seed, i) for every i in indices, from one array hash.
+
+    The master is an integer reduced mod 2**64; each index must be an
+    integer in [0, 2**64).
+    """
+    master = operator.index(master_seed) & (SEED_BOUND - 1)
+    index = _seed_words(indices, "stream index")
+    # SeedSequence((master, i)) hashes master's words (one below 2**32),
+    # then i's; a high word of 0 equals the zero padding
+    at = 1 if master < 1 << 32 else 2
+    entropy = np.zeros((_POOL, index.shape[1]), dtype=np.uint32)
+    entropy[:at] = _seed_words([master], "master seed")[:at]
+    entropy[at : at + 2] = index
+    return _seed_sequence(entropy, 1)[:, 0].tolist()
 
 
 def split_seed(master_seed: int, index: int) -> int:
@@ -16,17 +126,37 @@ def split_seed(master_seed: int, index: int) -> int:
 
     The rule is fixed so any sampled object can be regenerated from the pair
     (master seed, index) alone: the pair is fed to numpy's SeedSequence and
-    the first 64-bit word of its state is kept.
+    the first 64-bit word of its state is kept.  The one-element split_seeds.
     """
-    ss = np.random.SeedSequence((int(master_seed) & 0xFFFFFFFFFFFFFFFF, int(index)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return split_seeds(master_seed, [index])[0]
+
+
+def stream_states(seeds: Iterable) -> list[dict]:
+    """bit_generator.state of np.random.default_rng(seed) for every seed.
+
+    One array hash gives each seed's four PCG64 seeding words; PCG64's
+    seeding step then runs per seed on Python integers.  Each seed must lie
+    in [0, 2**64).
+    """
+    words = _seed_words(seeds, "seed")
+    entropy = np.zeros((_POOL, words.shape[1]), dtype=np.uint32)
+    entropy[:2] = words
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in _seed_sequence(entropy, 4).tolist():
+        # pcg64_set_seed: state 0, inc = 2 initseq + 1, step, add initstate, step
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append(
+            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        )
+    return states
 
 
 def map_indexed(fn: Callable[[int], T], n: int, workers: int = 1) -> list[T]:
     """Evaluate fn(0), ..., fn(n-1), on a thread pool when workers > 1.
 
     Results come back in index order, so output is independent of scheduling;
-    callers keep determinism by seeding each index through split_seed.
+    callers keep determinism by seeding each index through split_seeds.
     """
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

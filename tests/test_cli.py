@@ -1,12 +1,17 @@
 """Config grammar, round-tripping, command execution, and exit codes."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semilevy
 from semilevy.classify import MAX_LEVELS, MIN_LEVELS
 from semilevy.cli import ConfigError, RunConfig, main, parse_config, render_config, run
 from semilevy.models import (
@@ -514,7 +519,7 @@ def test_oversized_runs_exit_one_before_drawing(tmp_path, capsys, monkeypatch, c
     def no_seeds(*args, **kwargs):
         raise AssertionError("seed list built before the size check")
 
-    monkeypatch.setattr(module, "split_seed", no_seeds)
+    monkeypatch.setattr(module, "split_seeds", no_seeds)
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[schedule]\nperiod = 1.0\nsegment = 1.0 drift gamma=0.0\n[run]\nseed = 4\n" + keys)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -541,3 +546,16 @@ def test_failed_weak_law_leaves_no_lln_csv(tmp_path, capsys):
     assert "more than the bound" in capsys.readouterr().err
     assert not (tmp_path / "o" / "lln.csv").exists()
     assert not (tmp_path / "o" / "wlln.csv").exists()
+
+
+def test_cli_import_leaves_scipy_stats_and_special_unloaded():
+    # scipy.stats and scipy.special are imported only by the d >= 3 QMC path
+    code = (
+        "import sys, semilevy.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))"
+    )
+    src = str(Path(semilevy.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -180,6 +180,23 @@ def test_compound_poisson_refuses_unbounded_draw():
     assert draws.shape == (3, 1) and np.all(draws > 9e4)
 
 
+@pytest.mark.parametrize("model", [m for m in CATALOG if isinstance(m, CompoundPoisson)])
+@pytest.mark.parametrize("dt, k", [(0.37, 1), (0.37, 11), (1e-3, 40), (2.5, 200)])
+def test_compound_poisson_scalar_rate_draw_matches_array_draw(model, dt, k):
+    # equal durations as a stride-0 view take rng.poisson(rate * dt, k); an
+    # array of equal durations takes rng.poisson(rate * dts): the same bits
+    one_value = np.broadcast_to(np.float64(dt), (k,))
+    array = np.full(k, dt)
+    assert one_value.strides == (0,) and array.strides == (8,)
+    for seed in range(5):
+        counts_a, jumps_a = model._draw(one_value, np.random.default_rng(seed))
+        counts_b, jumps_b = model._draw(array, np.random.default_rng(seed))
+        assert np.array_equal(counts_a, counts_b)
+        assert (jumps_a is None and jumps_b is None) or np.array_equal(jumps_a, jumps_b)
+        finished = model._finish(one_value, [(counts_a, jumps_a)])
+        assert np.array_equal(finished, model._finish(array, [(counts_b, jumps_b)]))
+
+
 # ---------------------------------------------------------------------------
 # means and covariances
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semilevy import schedule as schedule_module
+from semilevy.lln import _horizon_values
 from semilevy.models import (
     BrownianDrift,
     CompoundPoisson,
@@ -216,21 +217,90 @@ def test_serial_and_pooled_ensembles_are_bit_identical(monkeypatch):
     def draw():
         paths = sample_paths(SPLICE, horizon=2.3, step=0.23, n_paths=5, seed=5)
         walks = sample_walks(SPLICE, RationalStep(2, 3), 12, 5, seed=5)
-        return [p.values for p in paths] + [w.steps for w in walks]
+        horizon_values = _horizon_values(SPLICE, np.array([1.0, 4.0, 9.0]), 5, seed=5)
+        return [p.values for p in paths] + [w.steps for w in walks] + list(horizon_values)
 
     monkeypatch.setattr(schedule_module, "map_indexed", spy)
     monkeypatch.setattr(schedule_module.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(schedule_module, "_POOL_MIN_CELLS", 10**9)
     serial = draw()
-    assert pool_sizes == [1, 1]
+    assert pool_sizes == [1, 1, 1]
     monkeypatch.setattr(schedule_module, "_POOL_MIN_CELLS", 1)
     # one member per block, so that there are blocks enough for a pool
     monkeypatch.setattr(schedule_module, "_BLOCK_VALUES", 1)
     pooled = draw()
-    assert pool_sizes[2:] == [3, 3]
-    assert len(serial) == len(pooled) == 10
+    assert pool_sizes[3:] == [3, 3, 3]
+    assert len(serial) == len(pooled) == 15
     for a, b in zip(serial, pooled):
         assert np.array_equal(a, b)
+    # each pooled block resets its own Generator to its member's stream
+    for i, path in enumerate(pooled[:5]):
+        assert np.array_equal(path, sample_path(SPLICE, horizon=2.3, step=0.23, seed=split_seed(5, i)).values)
+
+
+def test_ensemble_seeds_each_member_without_a_seed_sequence(monkeypatch):
+    # streams are derived in one array pass: no default_rng or SeedSequence
+    # per member, and one PCG64 per block, whose state each member sets
+    calls = {"default_rng": 0, "SeedSequence": 0, "PCG64": 0}
+
+    def counting(name):
+        original = getattr(np.random, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, spy)
+
+    for name in calls:
+        counting(name)
+    monkeypatch.setattr(schedule_module, "_block_members", lambda values: 4)
+    paths = sample_paths(SPLICE, horizon=2.3, step=0.23, n_paths=10, seed=5)
+    walks = sample_walks(SPLICE, RationalStep(2, 3), 12, 10, seed=6)
+    # 10 members in blocks of 4, 4 and 2, twice
+    assert calls == {"default_rng": 0, "SeedSequence": 0, "PCG64": 6}
+    monkeypatch.undo()
+    for i in range(10):
+        assert np.array_equal(paths[i].values, sample_path(SPLICE, horizon=2.3, step=0.23, seed=split_seed(5, i)).values)
+        assert np.array_equal(walks[i].steps, sample_walk(SPLICE, RationalStep(2, 3), 12, seed=split_seed(6, i)).steps)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+def test_sample_seeds_outside_2_64_are_refused(bad):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        sample_path(SPLICE, horizon=2.3, step=0.23, seed=bad)
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        sample_walk(SPLICE, RationalStep(2, 3), 12, seed=bad)
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        schedule_module._ensemble(SPLICE, np.full((3, 2), 0.5), [0, bad])
+
+
+def test_largest_seed_draws_the_default_rng_stream():
+    top = 2**64 - 1
+    path = sample_path(single_segment(BM), horizon=1.0, step=0.25, seed=top)
+    assert path.seed == top
+    expected = np.cumsum(0.5 * np.random.default_rng(top).standard_normal((4, 1)), axis=0)
+    assert np.array_equal(path.values[1:], expected)
+    assert sample_walk(SPLICE, RationalStep(2, 3), 12, seed=top).seed == top
+
+
+def test_equal_durations_reach_the_sampler_as_one_value(monkeypatch):
+    # a segment whose cells all have the same duration is passed as a
+    # stride-0 view, decided once per plan; unequal durations stay an array
+    seen = []
+    original = CompoundPoisson._draw
+
+    def spy(self, dts, rng):
+        seen.append(dts.strides[0])
+        return original(self, dts, rng)
+
+    monkeypatch.setattr(CompoundPoisson, "_draw", spy)
+    sched = single_segment(CompoundPoisson(3.0, GaussianJump(0.1, 0.5)))
+    sample_paths(sched, horizon=3.0, step=0.5, n_paths=4, seed=2)
+    assert seen == [0] * 4
+    seen.clear()
+    sample_paths(sched, horizon=2.8, step=0.5, n_paths=4, seed=2)  # a shorter last cell
+    assert seen == [8] * 4
 
 
 def _catalog(dim: int) -> dict:
