@@ -7,9 +7,10 @@ Two analytic routes and one empirical diagnostic:
   is equivalent to I(q) diverging as q decreases to 0; any finite procedure
   can only fit the divergence, so the verdict states its evidence and admits
   an honest Inconclusive.  psi does not depend on q: a verdict evaluates it
-  once, on composite Gauss-Kronrod panels in dimensions 1-2 (times a
-  periodic trapezoid in the angle in dimension 2) or on scrambled-Sobol
-  nodes in dimension 3 and up, and reads every q off the same values.
+  once, on composite Gauss-Kronrod boxes in dimensions 1-2 (intervals in
+  dimension 1, tensor-product boxes over radius and angle in dimension 2) or
+  on scrambled-Sobol nodes in dimension 3 and up, and reads every q off the
+  same values.
 * The one-dimensional mean criterion: with a finite one-period mean, the
   process is recurrent exactly when that mean vanishes.  The drift test is
   the same zero test applied to a plain Levy model.
@@ -58,20 +59,16 @@ __all__ = [
 
 # relative tolerance demanded of deterministic quadrature (d <= 2)
 QUAD_REL_TOL = 1e-6
-# composite Gauss-Kronrod panels are refined until the summed error estimate
+# composite Gauss-Kronrod boxes are refined until the summed error estimate
 # is below this fraction of every ladder level
 PANEL_REL_TOL = 1e-9
-# refinement budget per ladder, in place of an unbounded bisection: panels,
-# and psi points (the angular doubling in d = 2 counts against it)
+# refinement budget per ladder, in place of an unbounded bisection: boxes
+# (G10/K21 panels in d = 1, their tensor squares over (r, theta) in d = 2),
+# and psi points
 MAX_PANELS = 2000
 PSI_POINT_BUDGET = 2**24
 # psi is evaluated on at most this many points per period_exponent call
 PSI_CHUNK = 2**16
-# d = 2 angular trapezoid: starting and largest node counts, and the relative
-# change between successive doublings under which a circle's mean has settled
-RING_START = 32
-RING_MAX = 16384
-RING_REL_TOL = 1e-10
 # analytic zero test for means computed in closed form
 MEAN_ZERO_TOL = 1e-12
 # q-ladder defaults: ratio 4 separates sqrt-divergence, log-divergence and
@@ -151,10 +148,11 @@ def _render_value(v) -> str:
 
 def _cf_integrand(psi: np.ndarray, q: float) -> np.ndarray:
     # Re(1/(q - psi)) = (q - Re psi) / ((q - Re psi)^2 + (Im psi)^2) >= 0; an
-    # overflow would turn a huge exponent into a silent zero, so it raises
+    # overflow would turn a huge exponent into a silent zero, and a tiny q
+    # whose square underflows divides by zero, so both raise
     re = q - psi.real
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             return re / (re * re + psi.imag * psi.imag)
     except FloatingPointError as exc:
         raise QuadratureError(f"Chung-Fuchs integrand out of range at q={q:g}") from exc
@@ -209,48 +207,14 @@ class _Psi:
                 out[level, i : i + PSI_CHUNK] = _cf_integrand(psi, float(q))
         return out
 
-    def line(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Integrand at the points x of the line, and its (zero) error."""
-        return self.integrand(x[:, None]), np.zeros((self.qs.size, x.size))
-
-    def rings(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Integral of the integrand around each circle of radius r, and its error.
-
-        Periodic trapezoid in the angle from RING_START nodes, doubled (new
-        midpoints only) for the circles whose mean still moved by more than
-        RING_REL_TOL at some level; the last move is the error estimate,
-        infinite until there is one.
-        """
-        k = RING_START
-        sums = self._ring_sums(r, np.arange(k) * (2.0 * np.pi / k))
-        mean, err = sums / k, np.full_like(sums, np.inf)
-        todo = np.arange(r.size)
-        while todo.size and k < RING_MAX and self.affords(todo.size * k):
-            sums[:, todo] += self._ring_sums(r[todo], np.arange(1, 2 * k, 2) * (np.pi / k))
-            k *= 2
-            fine = sums[:, todo] / k
-            err[:, todo] = np.abs(fine - mean[:, todo])
-            mean[:, todo] = fine
-            todo = todo[np.any(err[:, todo] > RING_REL_TOL * np.abs(fine), axis=0)]
-        return 2.0 * np.pi * r * mean, 2.0 * np.pi * r * err
-
-    def _ring_sums(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        unit = np.column_stack([np.cos(theta), np.sin(theta)])
-        rows = max(1, PSI_CHUNK // theta.size)
-        out = np.empty((self.qs.size, r.size))
-        for i in range(0, r.size, rows):
-            block = r[i : i + rows]
-            f = self.integrand((block[:, None, None] * unit).reshape(-1, 2))
-            out[:, i : i + rows] = f.reshape(self.qs.size, block.size, -1).sum(axis=2)
-        return out
+    def polar(self, x: np.ndarray) -> np.ndarray:
+        """r times the integrand at z = r (cos theta, sin theta), for the (r, theta) rows of x."""
+        r, theta = x[:, 0], x[:, 1]
+        return r * self.integrand(r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)]))
 
 
-def _gk_panels(nodes, lo: np.ndarray, hi: np.ndarray):
-    # G10/K21 value of every level on each panel [lo, hi], QUADPACK's error
-    # estimate of it, and the integrated error of the node values
-    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fx, fx_err = nodes((center[:, None] + half[:, None] * _GK_NODES).ravel())
-    fx = fx.reshape(-1, lo.size, _GK_NODES.size)
+def _qk21(fx: np.ndarray, half: np.ndarray):
+    # QUADPACK qk21 along the last axis of fx: the K21 value and its error estimate
     resk = fx @ _GK_KRONROD
     err = np.abs(resk - fx @ _GK_GAUSS) * half
     resasc = np.abs(fx - 0.5 * resk[..., None]) @ _GK_KRONROD * half
@@ -258,34 +222,59 @@ def _gk_panels(nodes, lo: np.ndarray, hi: np.ndarray):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc > 0.0) & (err > 0.0), scaled, err)
     err = np.maximum(50.0 * np.finfo(float).eps * (np.abs(fx) @ _GK_KRONROD) * half, err)
-    return resk * half, err, (fx_err.reshape(fx.shape) @ _GK_KRONROD) * half
+    return resk * half, err
 
 
-def _gk_ladder(nodes, psi: _Psi, breaks: np.ndarray, node_cost: int):
-    """Composite G10/K21 integral of every level over [breaks[0], breaks[-1]].
+def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
+    # K21 x K21 value of every level on each box [lo, hi], shape (n, D) with
+    # D = 1 or 2, and per axis the qk21 error of the K21 sum over the other
+    # axis; f sees the boxes in groups of at most PSI_CHUNK nodes
+    n, dim = lo.shape
+    grid = _GK_NODES[np.indices((_GK_NODES.size,) * dim).reshape(dim, -1).T]
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    step = max(1, PSI_CHUNK // len(grid))
+    values, errs = [], []
+    for i in range(0, n, step):
+        c, h = center[i : i + step], half[i : i + step]
+        nodes = (c[:, None] + h[:, None] * grid).reshape(-1, dim)
+        fx = f(nodes).reshape(-1, len(c), *(_GK_NODES.size,) * dim)
+        if dim == 2:
+            along = [fx @ _GK_KRONROD * h[:, 1, None], np.swapaxes(fx, 2, 3) @ _GK_KRONROD * h[:, 0, None]]
+        else:
+            along = [fx]
+        parts = [_qk21(g, h[:, axis]) for axis, g in enumerate(along)]
+        values.append(parts[0][0])
+        errs.append(np.stack([err for _, err in parts], axis=-1))
+    return np.concatenate(values, axis=1), np.concatenate(errs, axis=1)
 
-    Panels are bisected, all levels at once, where their error estimate
-    exceeds an equal share of PANEL_REL_TOL, until the summed estimate meets
-    it at every level or a budget runs out; node_cost is the fewest psi
-    points one node takes.  The returned error adds the node errors.
+
+def _gk_ladder(f, psi: _Psi, lo: np.ndarray, hi: np.ndarray):
+    """Tensor G10/K21 integral of every level of f over the boxes [lo, hi], shape (n, D).
+
+    Boxes are halved, all levels at once, along their axis of largest error
+    where their error estimate exceeds an equal share of PANEL_REL_TOL, until
+    the summed estimate meets it at every level or a budget runs out.
     """
-    lo, hi = breaks[:-1], breaks[1:]
-    value, err, node_err = _gk_panels(nodes, lo, hi)
+    value, err = _gk_panels(f, lo, hi)
     while True:
         total = np.maximum(np.abs(value.sum(axis=1)), 1e-300)
-        if np.all(err.sum(axis=1) <= PANEL_REL_TOL * total):
+        box_err = err.sum(axis=2)
+        if np.all(box_err.sum(axis=1) <= PANEL_REL_TOL * total):
             break
-        bad = np.max(err / total[:, None], axis=0) > PANEL_REL_TOL / lo.size
+        bad = np.max(box_err / total[:, None], axis=0) > PANEL_REL_TOL / len(lo)
         n_bad = int(bad.sum())  # zero only when an estimate is NaN
-        cost = 2 * n_bad * _GK_NODES.size * node_cost
-        if not 0 < n_bad <= MAX_PANELS - lo.size or not psi.affords(cost):
+        cost = 2 * n_bad * _GK_NODES.size ** lo.shape[1]
+        if not 0 < n_bad <= MAX_PANELS - len(lo) or not psi.affords(cost):
             break
+        axis = np.argmax(np.max(err[:, bad] / total[:, None, None], axis=0), axis=1)
+        split = np.arange(lo.shape[1]) == axis[:, None]
         mid = 0.5 * (lo[bad] + hi[bad])
-        new_lo, new_hi = np.concatenate([lo[bad], mid]), np.concatenate([mid, hi[bad]])
-        parts = zip((value, err, node_err), _gk_panels(nodes, new_lo, new_hi))
-        value, err, node_err = (np.concatenate([old[:, ~bad], new], axis=1) for old, new in parts)
+        new_lo = np.concatenate([lo[bad], np.where(split, mid, lo[bad])])
+        new_hi = np.concatenate([np.where(split, mid, hi[bad]), hi[bad]])
+        parts = zip((value, err), _gk_panels(f, new_lo, new_hi))
+        value, err = (np.concatenate([old[:, ~bad], new], axis=1) for old, new in parts)
         lo, hi = np.concatenate([lo[~bad], new_lo]), np.concatenate([hi[~bad], new_hi])
-    return value.sum(axis=1), (err + node_err).sum(axis=1)
+    return value.sum(axis=1), box_err.sum(axis=1)
 
 
 def _ball_volume(dim: int, a: float) -> float:
@@ -335,12 +324,13 @@ def _ladder(schedule: SemiLevySchedule, a: float, qs, seed: int):
 
     psi does not depend on q, so it is evaluated once on a fixed node set and
     every level is a weighted sum of _cf_integrand(psi, q) over it: composite
-    G10/K21 panels on the _origin_ladder breakpoints in d = 1, the same
-    panels in the radius times a periodic trapezoid in the angle in d = 2
-    (absolute error estimates), scrambled-Sobol batches in d >= 3 (standard
-    errors).  I(q) is finite and positive for every Levy exponent, so any
-    other value raises QuadratureError, as does, in d <= 2, an error above
-    QUAD_REL_TOL of the value.
+    G10/K21 panels on the _origin_ladder breakpoints in d = 1, tensor
+    G10/K21 boxes over (r, theta) in d = 2, each radial panel on the same
+    breakpoints starting as one box over the whole turn (absolute error
+    estimates in both), scrambled-Sobol batches in d >= 3 (standard errors).
+    I(q) is finite and positive for every Levy exponent, so any other value
+    raises QuadratureError, as does, in d <= 2, an error above QUAD_REL_TOL
+    of the value.
     """
     qs = np.asarray(qs, dtype=float)
     dim = schedule.dim
@@ -350,10 +340,12 @@ def _ladder(schedule: SemiLevySchedule, a: float, qs, seed: int):
         psi, ladder = _Psi(schedule, qs), _origin_ladder(a)
         if dim == 1:
             breaks = np.concatenate([[-a], -ladder, [0.0], ladder[::-1], [a]])
-            values, errors = _gk_ladder(psi.line, psi, breaks, 1)
+            values, errors = _gk_ladder(psi.integrand, psi, breaks[:-1, None], breaks[1:, None])
         else:
-            breaks = np.concatenate([[0.0], ladder[::-1], [a]])
-            values, errors = _gk_ladder(psi.rings, psi, breaks, 2 * RING_START)
+            radii = np.concatenate([[0.0], ladder[::-1], [a]])
+            lo = np.column_stack([radii[:-1], np.zeros(radii.size - 1)])
+            hi = np.column_stack([radii[1:], np.full(radii.size - 1, 2.0 * np.pi)])
+            values, errors = _gk_ladder(psi.polar, psi, lo, hi)
         points = psi.points
     for q, value, error in zip(qs, values, errors):
         if not (np.isfinite(value) and value > 0.0):
@@ -364,6 +356,12 @@ def _ladder(schedule: SemiLevySchedule, a: float, qs, seed: int):
                 f"at q={q:g}, a={a:g}"
             )
     return values, errors, {"psi_points": int(points)}
+
+
+def _check_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def ball_integral_qmc(
@@ -380,6 +378,10 @@ def ball_integral_qmc(
     each (the defaults give 2**20 > 1e6 nodes); the standard error is the
     spread of the per-stream estimates.
     """
+    _check_positive(a=a, q=q)
+    if replicates < 2:
+        raise ValueError(f"replicates must be at least 2 for a standard error, got {replicates}")
+    _check_values(replicates, 2**n_log2, schedule.dim + 1)
     values, stderrs, _ = _qmc_ladder(schedule, a, [q], seed, n_log2, replicates)
     return float(values[0]), float(stderrs[0])
 
@@ -394,10 +396,7 @@ def chung_fuchs_integral(
     silently wrong value); quasi-Monte Carlo over the ball for dimension >= 3,
     with the standard error available through ball_integral_qmc.
     """
-    if not a > 0:
-        raise ValueError("a must be positive")
-    if not q > 0:
-        raise ValueError("q must be positive")
+    _check_positive(a=a, q=q)
     values, _, _ = _ladder(schedule, a, [q], seed)
     return float(values[0])
 
@@ -439,8 +438,7 @@ def chung_fuchs_verdict(
     more than 5x the integration standard error before any verdict is issued.
     """
     _check_levels(levels)
-    if not a > 0 or not q0 > 0:
-        raise ValueError("a and q0 must be positive")
+    _check_positive(a=a, q0=q0)
 
     qs = q0 * Q_RATIO ** (-np.arange(levels, dtype=float))
     values, errors, work = _ladder(schedule, a, qs, seed)

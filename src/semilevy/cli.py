@@ -275,7 +275,7 @@ JUMP_KINDS = {
 }
 _KIND_OF = {cls: (kind, spec) for kind, (cls, spec, _) in {**MODEL_KINDS, **JUMP_KINDS}.items()}
 
-_POSITIVE = _checked(_float, lambda v: v > 0, "must be positive")
+_POSITIVE = _checked(_float, lambda v: 0 < v < np.inf, "must be positive and finite")
 _COUNT = _checked(_int, lambda v: v >= 1, "must be at least 1")
 _INCREASING = _checked(
     _floats, lambda v: min(v) > 0 and all(np.diff(v) > 0), "must be positive and strictly increasing"

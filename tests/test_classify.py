@@ -53,6 +53,12 @@ def bm3_oracle(a, q):
     return 8.0 * np.pi * (a - np.sqrt(2.0 * q) * np.arctan(a / np.sqrt(2.0 * q)))
 
 
+def bm2_drift_oracle(m, a, q):
+    # BrownianDrift(m, I) in d = 2; m = 0 gives 2 pi ln(1 + a^2 / (2q))
+    m2, h = m * m, 0.5 * a * a
+    return 2.0 * np.pi * np.log((np.sqrt((q + h) ** 2 + m2 * a * a) + h + q + m2) / (2.0 * q + m2))
+
+
 # ---------------------------------------------------------------------------
 # integrals against closed-form antiderivatives
 # ---------------------------------------------------------------------------
@@ -109,6 +115,30 @@ def test_integral_validates_inputs():
         chung_fuchs_integral(BM1, -1.0, 1e-3)
     with pytest.raises(ValueError):
         chung_fuchs_integral(BM1, 1.0, 0.0)
+    # one positive-and-finite check for the radius and the q levels of every ladder entry point
+    for bad in (-1.0, 0.0, np.inf, np.nan):
+        for call, name in (
+            (lambda x: chung_fuchs_integral(BM1, x, 1e-3), "a"),
+            (lambda x: chung_fuchs_integral(BM2, 1.0, x), "q"),
+            (lambda x: ball_integral_qmc(BM3, x, 1e-3), "a"),
+            (lambda x: ball_integral_qmc(BM3, 1.0, x), "q"),
+            (lambda x: chung_fuchs_verdict(BM1, a=x), "a"),
+            (lambda x: chung_fuchs_verdict(BM1, q0=x), "q0"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                call(bad)
+
+
+def test_ball_integral_qmc_bounds_its_draws(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("Sobol points drawn before the checks")
+
+    monkeypatch.setattr(classify, "_ball_points", no_draw)
+    with pytest.raises(ValueError, match="replicates"):
+        ball_integral_qmc(BM3, 1.0, 1e-3, replicates=1)
+    # 2**40 nodes of 4 coordinates: refused from the sizes alone
+    with pytest.raises(ValueError, match="more than the bound"):
+        ball_integral_qmc(BM3, 1.0, 1e-3, n_log2=40)
 
 
 def test_quadrature_failure_is_explicit():
@@ -154,6 +184,17 @@ def test_gauss_kronrod_constants():
         (CAUCHY, lambda q: cauchy_oracle(1.0, q), 1e-8),
         (single_segment(PureDrift(1.0), 1.0), lambda q: 2.0 * np.arctan(1.0 / q), 1e-8),
         (BM2, lambda q: 2.0 * np.pi * np.log(1.0 + 1.0 / (2.0 * q)), 1e-6),
+        # 2-d drift 0.5 along (1, 0) and 5 along (0.6, 0.8): a sharp angular peak
+        (
+            single_segment(BrownianDrift(np.array([0.5, 0.0]), np.eye(2)), 1.0),
+            lambda q: bm2_drift_oracle(0.5, 1.0, q),
+            1e-8,
+        ),
+        (
+            single_segment(BrownianDrift(np.array([3.0, 4.0]), np.eye(2)), 1.0),
+            lambda q: bm2_drift_oracle(5.0, 1.0, q),
+            1e-8,
+        ),
     ],
 )
 def test_ladder_every_level_closed_form(sched, oracle, rel):

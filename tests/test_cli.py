@@ -446,6 +446,40 @@ def test_main_overflowing_exponent_exits_two(tmp_path, capsys):
     assert not (tmp_path / "o" / "verdict.txt").exists()
 
 
+def test_underflowing_ladder_exits_two_with_one_stderr_line(tmp_path):
+    # q0 = 1e-300 squares to zero next to the origin; the division by zero is
+    # the numerical failure itself, not a RuntimeWarning printed before it
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "[schedule]\nperiod = 1.0\nsegment = 1.0 brownian drift=0.0 var=1.0\n"
+        "[run]\nseed = 4\ncriterion = chung-fuchs\nq0 = 1e-300\n"
+    )
+    src = str(Path(semilevy.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-m", "semilevy.cli", "classify", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    done = subprocess.run(args, capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("numerical failure")
+    assert not (tmp_path / "o" / "verdict.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "command, keys, key",
+    [
+        ("classify", "criterion = chung-fuchs\na = inf\n", "a"),
+        ("classify", "criterion = chung-fuchs\nq0 = inf\n", "q0"),
+        ("simulate", "horizon = inf\nstep = 0.5\n", "horizon"),
+        ("simulate", "horizon = 2.0\nstep = inf\n", "step"),
+    ],
+)
+def test_infinite_positive_keys_exit_one(tmp_path, capsys, command, keys, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[schedule]\nperiod = 1.0\nsegment = 1.0 brownian drift=0.0 var=1.0\n[run]\nseed = 4\n" + keys)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"{key} must be positive and finite" in capsys.readouterr().err
+
+
 def test_main_inconclusive_exits_zero(tmp_path, capsys):
     # Cauchy segment: infinite mean, mean criterion is honestly inconclusive
     cfg = tmp_path / "c.cfg"
