@@ -30,7 +30,6 @@ import numpy as np
 from .models import DimensionMismatch, LevyModel
 from .schedule import (
     SemiLevySchedule,
-    _block_members,
     _check_values,
     _ensemble,
     _grid_occupancy,
@@ -303,51 +302,47 @@ def _ball_points(dim: int, a: float, n_log2: int, seed: int) -> np.ndarray:
     return (radius / norms)[:, None] * g
 
 
-def _qmc_ladder(schedule: SemiLevySchedule, a: float, qs, seed: int, n_log2=16, replicates=16):
-    # one psi batch per scrambled Sobol stream, shared by every level; each
-    # stream estimates I(q) as the ball volume times its mean integrand
-    vol = _ball_volume(schedule.dim, a)
-    batches = [
-        period_exponent(schedule, _ball_points(schedule.dim, a, n_log2, stream))
-        for stream in split_seeds(seed, range(replicates))
-    ]
-    values, stderrs = np.empty(len(qs)), np.empty(len(qs))
-    for level, q in enumerate(qs):
-        estimates = np.array([vol * float(np.mean(_cf_integrand(psi, float(q)))) for psi in batches])
-        values[level] = estimates.mean()
-        stderrs[level] = estimates.std(ddof=1) / math.sqrt(replicates)
-    return values, stderrs, replicates << n_log2
+def _qmc_ladder(psi: _Psi, a: float, seed: int, n_log2=16, replicates=16):
+    """I(q) at every level of psi and its standard error over `replicates` scrambled Sobol streams.
+
+    Each stream's 2**n_log2 ball points go through psi once; a level's
+    estimates (ball volume times mean integrand) are reduced as one row.
+    """
+    dim = psi.schedule.dim
+    vol = _ball_volume(dim, a)
+    streams = split_seeds(seed, range(replicates))
+    means = [psi.integrand(_ball_points(dim, a, n_log2, s)).mean(axis=1) for s in streams]
+    estimates = vol * np.column_stack(means)
+    return estimates.mean(axis=1), estimates.std(axis=1, ddof=1) / math.sqrt(replicates)
 
 
 def _ladder(schedule: SemiLevySchedule, a: float, qs, seed: int):
     """I(q) over B_a at every q, the error of each value, and the work done.
 
-    psi does not depend on q, so it is evaluated once on a fixed node set and
-    every level is a weighted sum of _cf_integrand(psi, q) over it: composite
-    G10/K21 panels on the _origin_ladder breakpoints in d = 1, tensor
-    G10/K21 boxes over (r, theta) in d = 2, each radial panel on the same
-    breakpoints starting as one box over the whole turn (absolute error
-    estimates in both), scrambled-Sobol batches in d >= 3 (standard errors).
-    I(q) is finite and positive for every Levy exponent, so any other value
-    raises QuadratureError, as does, in d <= 2, an error above QUAD_REL_TOL
-    of the value.
+    psi does not depend on q, so one _Psi evaluates it once on a fixed node
+    set, in every dimension, and every level is a weighted sum of
+    _cf_integrand(psi, q) over it: composite G10/K21 panels on the
+    _origin_ladder breakpoints in d = 1, tensor G10/K21 boxes over
+    (r, theta) in d = 2, each radial panel on the same breakpoints starting
+    as one box over the whole turn (absolute error estimates in both), and
+    scrambled-Sobol batches in d >= 3 (standard errors).  I(q) is finite and
+    positive for every Levy exponent, so any other value raises
+    QuadratureError, as does, in d <= 2, an error above QUAD_REL_TOL of the
+    value.
     """
-    qs = np.asarray(qs, dtype=float)
-    dim = schedule.dim
+    psi, dim = _Psi(schedule, np.asarray(qs, dtype=float)), schedule.dim
     if dim >= 3:
-        values, errors, points = _qmc_ladder(schedule, a, qs, seed)
+        values, errors = _qmc_ladder(psi, a, seed)
+    elif dim == 1:
+        ladder = _origin_ladder(a)
+        breaks = np.concatenate([[-a], -ladder, [0.0], ladder[::-1], [a]])
+        values, errors = _gk_ladder(psi.integrand, psi, breaks[:-1, None], breaks[1:, None])
     else:
-        psi, ladder = _Psi(schedule, qs), _origin_ladder(a)
-        if dim == 1:
-            breaks = np.concatenate([[-a], -ladder, [0.0], ladder[::-1], [a]])
-            values, errors = _gk_ladder(psi.integrand, psi, breaks[:-1, None], breaks[1:, None])
-        else:
-            radii = np.concatenate([[0.0], ladder[::-1], [a]])
-            lo = np.column_stack([radii[:-1], np.zeros(radii.size - 1)])
-            hi = np.column_stack([radii[1:], np.full(radii.size - 1, 2.0 * np.pi)])
-            values, errors = _gk_ladder(psi.polar, psi, lo, hi)
-        points = psi.points
-    for q, value, error in zip(qs, values, errors):
+        radii = np.concatenate([[0.0], _origin_ladder(a)[::-1], [a]])
+        lo = np.column_stack([radii[:-1], np.zeros(radii.size - 1)])
+        hi = np.column_stack([radii[1:], np.full(radii.size - 1, 2.0 * np.pi)])
+        values, errors = _gk_ladder(psi.polar, psi, lo, hi)
+    for q, value, error in zip(psi.qs, values, errors):
         if not (np.isfinite(value) and value > 0.0):
             raise QuadratureError(f"{dim}-d Chung-Fuchs integral is {value!r} at q={q:g}, a={a:g}")
         if dim <= 2 and not error <= QUAD_REL_TOL * value:
@@ -355,7 +350,7 @@ def _ladder(schedule: SemiLevySchedule, a: float, qs, seed: int):
                 f"{dim}-d quadrature error {error:g} exceeds relative tolerance {QUAD_REL_TOL:g} "
                 f"at q={q:g}, a={a:g}"
             )
-    return values, errors, {"psi_points": int(points)}
+    return values, errors, {"psi_points": psi.points}
 
 
 def _check_positive(**values: float) -> None:
@@ -381,8 +376,10 @@ def ball_integral_qmc(
     _check_positive(a=a, q=q)
     if replicates < 2:
         raise ValueError(f"replicates must be at least 2 for a standard error, got {replicates}")
+    if not isinstance(n_log2, (int, np.integer)) or n_log2 < 0:
+        raise ValueError(f"n_log2 must be an integer of at least 0, got {n_log2!r}")
     _check_values(replicates, 2**n_log2, schedule.dim + 1)
-    values, stderrs, _ = _qmc_ladder(schedule, a, [q], seed, n_log2, replicates)
+    values, stderrs = _qmc_ladder(_Psi(schedule, np.array([q], dtype=float)), a, seed, n_log2, replicates)
     return float(values[0]), float(stderrs[0])
 
 
@@ -527,6 +524,15 @@ def radius_sweep(
 # ---------------------------------------------------------------------------
 
 
+def _zero_mean(criterion: Criterion, mu: Optional[np.ndarray], key: str, moment: str) -> Verdict:
+    # recurrent iff the closed-form mean vanishes; None (infinite) decides nothing
+    if mu is None:
+        return Verdict(Decision.INCONCLUSIVE, criterion, {"reason": f"{moment} possibly infinite"})
+    value = float(mu[0])
+    decision = Decision.RECURRENT if abs(value) <= MEAN_ZERO_TOL else Decision.TRANSIENT
+    return Verdict(decision, criterion, {key: value})
+
+
 def mean_criterion(schedule: SemiLevySchedule) -> Verdict:
     """Zero test of the one-period mean; stated for dimension 1 only.
 
@@ -537,32 +543,14 @@ def mean_criterion(schedule: SemiLevySchedule) -> Verdict:
     """
     if schedule.dim != 1:
         raise DimensionMismatch("the mean criterion is stated for dimension 1")
-    mu = period_mean(schedule)
-    if mu is None:
-        return Verdict(
-            Decision.INCONCLUSIVE,
-            Criterion.MEAN_CRITERION,
-            {"reason": "E[|X_p|] possibly infinite"},
-        )
-    value = float(mu[0])
-    decision = Decision.RECURRENT if abs(value) <= MEAN_ZERO_TOL else Decision.TRANSIENT
-    return Verdict(decision, Criterion.MEAN_CRITERION, {"period_mean": value})
+    return _zero_mean(Criterion.MEAN_CRITERION, period_mean(schedule), "period_mean", "E[|X_p|]")
 
 
 def drift_test(model: LevyModel) -> Verdict:
     """Recurrent iff E[L_1] = 0, for one-dimensional models with a finite mean."""
     if model.dim != 1:
         raise DimensionMismatch("the drift test is stated for dimension 1")
-    mu = model.mean(1.0)
-    if mu is None:
-        return Verdict(
-            Decision.INCONCLUSIVE,
-            Criterion.DRIFT_TEST,
-            {"reason": "E[|L_1|] possibly infinite"},
-        )
-    value = float(mu[0])
-    decision = Decision.RECURRENT if abs(value) <= MEAN_ZERO_TOL else Decision.TRANSIENT
-    return Verdict(decision, Criterion.DRIFT_TEST, {"unit_mean": value})
+    return _zero_mean(Criterion.DRIFT_TEST, model.mean(1.0), "unit_mean", "E[|L_1|]")
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +559,8 @@ def drift_test(model: LevyModel) -> Verdict:
 
 FLAG_RECURRENT = "growth-consistent-with-recurrence"
 FLAG_TRANSIENT = "saturation-consistent-with-transience"
-# fewest paths drawn and reduced at a time by empirical_diagnostic
+# paths the diagnostic's size check counts on its grid; whole paths are held
+# only a block per pool worker at a time, each reduced to occupations at once
 DIAGNOSTIC_CHUNK = 16
 
 
@@ -612,9 +601,9 @@ def empirical_diagnostic(
 ) -> OccupationReport:
     """Occupation times of B_a per horizon over a path ensemble.
 
-    Path i is sample_path with split_seed(seed, i), drawn in chunks of at
-    least DIAGNOSTIC_CHUNK paths (more for short paths: as many as one block
-    of the ensemble sampler holds), so only one chunk is held at a time.
+    Path i is sample_path with split_seed(seed, i).  One ensemble draws all
+    the paths, and each of its blocks reduces its own paths to their
+    occupations at the horizons, so whole paths are held a block at a time.
     Growth of the mean occupation by at least 20% over the last pair of
     horizons is flagged as consistent with recurrence, growth under 2% as
     consistent with transience; anything between stays unflagged.  Horizons
@@ -628,19 +617,14 @@ def empirical_diagnostic(
         raise ValueError("horizons must be positive and increasing")
     if n_paths < 50:
         raise ValueError("need at least 50 paths for the diagnostic")
+    _check_positive(a=a)
 
     _check_values(n_paths, horizons.size)
     grid = _grid_times(float(horizons[-1]), step, min(n_paths, DIAGNOSTIC_CHUNK), schedule.dim)
-    occupancy = _grid_occupancy(schedule, grid)
     dt = np.diff(grid)
     idx = np.clip(np.searchsorted(grid, horizons * (1.0 + 1e-12), side="right") - 1, 0, None)
-    # at least one block of the ensemble sampler, so short paths are finished together
-    chunk = max(DIAGNOSTIC_CHUNK, _block_members(dt.size * schedule.dim))
-
-    occ = np.empty((n_paths, horizons.size))
-    for lo in range(0, n_paths, chunk):
-        seeds = split_seeds(seed, range(lo, min(lo + chunk, n_paths)))
-        occ[lo : lo + len(seeds)] = _occupation(_ensemble(schedule, occupancy, seeds), dt, a)[:, idx]
+    seeds = split_seeds(seed, range(n_paths))
+    occ = _ensemble(schedule, _grid_occupancy(schedule, grid), seeds, lambda v: _occupation(v, dt, a)[:, idx])
 
     mean = occ.mean(axis=0)
     growth = mean[-1] / max(mean[-2], 1e-300)

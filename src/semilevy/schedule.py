@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -107,31 +108,11 @@ class SemiLevySchedule(FieldEq):
 
     # -- time decomposition ------------------------------------------------
 
-    def occupancy_profile(self, t) -> np.ndarray:
-        """Time spent in each segment over [0, t]; vectorized over a time array.
-
-        Returns shape (..., n_segments).  fmod-based reduction keeps the period
-        arithmetic exact; instants within PERIOD_TOL of a period boundary are
-        snapped onto it.
-        """
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("times must be nonnegative")
-        p = self.period
-        r = np.fmod(t, p)
-        n = np.rint((t - r) / p)
-        on_boundary = p - r <= PERIOD_TOL * p
-        n = np.where(on_boundary, n + 1.0, n)
-        r = np.where(on_boundary, 0.0, r)
-        partial = np.clip(r[..., None] - self.starts, 0.0, self.durations)
-        return n[..., None] * self.durations + partial
-
     def segment_occupancy(self, s: float, t: float) -> np.ndarray:
         """Time spent in each segment over [s, t]; entries sum to t - s."""
         if not 0 <= s <= t:
             raise ValueError("need 0 <= s <= t")
-        pair = self.occupancy_profile(np.array([s, t]))
-        return np.clip(pair[1] - pair[0], 0.0, None)
+        return _grid_occupancy(self, np.array([s, t], dtype=float))[0]
 
 
 @dataclass(frozen=True)
@@ -251,13 +232,15 @@ def sample_interval_increment(
     out = np.zeros((n, schedule.dim))
     for dur, model in zip(occ, schedule.models):
         if dur > 0.0:
-            out += model._sample_batch(np.full(n, dur), rng)
+            # equal durations as a stride-0 view, as _ensemble passes them
+            out += model._sample_batch(np.broadcast_to(dur, n), rng)
     return out[0] if size is None else out
 
 
 def _check_values(*sizes: float) -> None:
     """ValueError when a sampling call of these sizes would hold more than MAX_VALUES values."""
-    values = math.prod(sizes)
+    # as floats, a count past the float range as inf: no count is too large to compare
+    values = math.prod(float(size) if size <= sys.float_info.max else math.inf for size in sizes)
     if values > MAX_VALUES:
         raise ValueError(
             f"one sampling call would hold {values:.3g} values, more than the bound of "
@@ -279,7 +262,22 @@ def _grid_times(horizon: float, step: float, members: int, dim: int) -> np.ndarr
 
 
 def _grid_occupancy(schedule: SemiLevySchedule, times: np.ndarray) -> np.ndarray:
-    profiles = schedule.occupancy_profile(times)
+    # fmod keeps the period arithmetic exact; instants within PERIOD_TOL of a
+    # period boundary are snapped onto it
+    p = schedule.period
+    r = np.fmod(times, p)
+    n = np.rint((times - r) / p)
+    on_boundary = p - r <= PERIOD_TOL * p
+    return _occupancy(schedule, np.where(on_boundary, n + 1.0, n), np.where(on_boundary, 0.0, r))
+
+
+def _occupancy(schedule: SemiLevySchedule, n: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Time each segment runs between successive instants n_i p + r_i (r_i in [0, p)).
+
+    Shape (len(n) - 1, n_segments): the differences of the time spent in
+    each segment up to each instant, with rounding below 0 clipped.
+    """
+    profiles = n[:, None] * schedule.durations + np.clip(r[:, None] - schedule.starts, 0.0, schedule.durations)
     return np.clip(np.diff(profiles, axis=0), 0.0, None)
 
 
@@ -309,8 +307,8 @@ def _block_members(member_values: float) -> int:
     return max(1, int(_BLOCK_VALUES // max(member_values, 1.0)))
 
 
-def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list) -> np.ndarray:
-    """Cumulative sums of independent cell draws, shape (n, cells + 1, d).
+def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list, reduce=None) -> np.ndarray:
+    """Cumulative sums of independent cell draws, shape (n, cells + 1, d), or their reductions.
 
     Member i starts at the origin and is drawn from default_rng(seeds[i])'s
     stream: its segments in order, each one _draw over the cells that spend
@@ -322,6 +320,8 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list) ->
     as a stride-0 view of the one value, which a sampler may draw with a
     scalar argument.  Member i therefore depends neither on the other
     members nor on the block or pool size.  Each seed must lie in [0, 2**64).
+    With reduce, each block's (members, cells + 1, d) sums are checked and
+    passed to it on the pool, and its rows are returned in member order.
     """
     states = stream_states(seeds)
     cells, dim = occupancy.shape[0], schedule.dim
@@ -336,11 +336,12 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list) ->
                 # dts[0] repeated, as a stride-0 view (np.broadcast_to takes 5x longer)
                 dts = np.ndarray(dts.shape, dts.dtype, dts, strides=(0,))
             plan.append((model, rows, dts))
-    out = np.zeros((len(states), cells + 1, dim))
+    out = np.zeros((len(states), cells + 1, dim)) if reduce is None else None
     size = _block_members(member_values)
 
-    def block(b: int) -> None:
-        members = states[b * size : (b + 1) * size]
+    def block(b: int):
+        lo = b * size
+        members = states[lo : lo + size]
         raws = [[] for _ in plan]
         # one Generator per block; its state is set to each member's stream
         rng = np.random.Generator(np.random.PCG64(0))
@@ -351,13 +352,16 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list) ->
         incr = np.zeros((len(members), cells, dim))
         for drawn, (model, rows, dts) in zip(raws, plan):
             incr[:, rows] += model._finish(dts, drawn)
-        np.cumsum(incr, axis=1, out=out[b * size : b * size + len(members), 1:])
+        sums = out[lo : lo + len(members)] if reduce is None else np.zeros((len(members), cells + 1, dim))
+        np.cumsum(incr, axis=1, out=sums[:, 1:])
+        # a sum that meets inf or nan stays so: the last row shows any overflow
+        check_finite(sums[:, -1], "a sampled path or walk")
+        return None if reduce is None else reduce(sums)
 
     n_blocks = -(-len(states) // size)
-    map_indexed(block, n_blocks, _workers(n_blocks, cells))
-    # a sum that meets inf or nan stays so, so the last row shows any overflow
-    check_finite(out[:, -1], "a sampled path or walk")
-    return out
+    reduced = map_indexed(block, n_blocks, _workers(n_blocks, cells))
+    # C order whatever reduce returns, so sums over the members keep one order
+    return out if reduce is None else np.ascontiguousarray(np.concatenate(reduced))
 
 
 def sample_path(schedule: SemiLevySchedule, horizon: float, step: float, seed: int) -> PathSample:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import PathSample, SemiLevySchedule, _check_values, _ensemble
+from .schedule import PathSample, SemiLevySchedule, _check_values, _ensemble, _occupancy
 from .util import format_csv, split_seeds
 
 __all__ = [
@@ -86,11 +86,8 @@ def _walk_occupancy(schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, 
             "that keeps walk steps exact; lower n_steps or the step"
         )
     m = np.arange(n_steps + 1, dtype=np.int64) * rs.num
-    full = (m // rs.den).astype(float)
     rem = (m % rs.den).astype(float) * schedule.period / rs.den
-    partial = np.clip(rem[:, None] - schedule.starts, 0.0, schedule.durations)
-    profiles = full[:, None] * schedule.durations + partial
-    return np.clip(np.diff(profiles, axis=0), 0.0, None)
+    return _occupancy(schedule, (m // rs.den).astype(float), rem)
 
 
 def sample_walk(

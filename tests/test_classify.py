@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 from semilevy import classify
+from semilevy import schedule as schedule_module
 from semilevy.classify import (
     MAX_LEVELS,
     Criterion,
@@ -136,9 +137,13 @@ def test_ball_integral_qmc_bounds_its_draws(monkeypatch):
     monkeypatch.setattr(classify, "_ball_points", no_draw)
     with pytest.raises(ValueError, match="replicates"):
         ball_integral_qmc(BM3, 1.0, 1e-3, replicates=1)
-    # 2**40 nodes of 4 coordinates: refused from the sizes alone
-    with pytest.raises(ValueError, match="more than the bound"):
-        ball_integral_qmc(BM3, 1.0, 1e-3, n_log2=40)
+    # 2**40 and 2**2000 nodes of 4 coordinates: refused from the sizes alone
+    for n_log2 in (40, 2000):
+        with pytest.raises(ValueError, match="more than the bound"):
+            ball_integral_qmc(BM3, 1.0, 1e-3, n_log2=n_log2)
+    for n_log2 in (-3, 2.5):
+        with pytest.raises(ValueError, match="^n_log2 must be an integer"):
+            ball_integral_qmc(BM3, 1.0, 1e-3, n_log2=n_log2)
 
 
 def test_quadrature_failure_is_explicit():
@@ -267,6 +272,10 @@ def test_ladder_evaluates_psi_in_few_bounded_calls(monkeypatch):
     assert v.evidence["psi_points"] == sum(sizes)
     sizes.clear()
     v = chung_fuchs_verdict(single_segment(BrownianDrift(np.array([0.5, 0.0]), np.eye(2)), 1.0))
+    assert max(sizes) <= classify.PSI_CHUNK
+    assert v.evidence["psi_points"] == sum(sizes)
+    sizes.clear()
+    v = chung_fuchs_verdict(BM3)
     assert max(sizes) <= classify.PSI_CHUNK
     assert v.evidence["psi_points"] == sum(sizes)
 
@@ -478,13 +487,17 @@ def test_diagnostic_bm_sqrt_growth():
 @pytest.mark.parametrize(
     "sched", [BM1, single_segment(BrownianDrift([0.1, 0.0], np.eye(2)), 1.0)], ids=["d1", "d2"]
 )
-def test_diagnostic_rows_are_single_path_occupations(sched):
-    # 50 paths span several chunks; each row is still path i of the seed contract
+def test_diagnostic_rows_are_single_path_occupations(sched, monkeypatch):
+    # 50 paths in ensemble blocks of 7, each reducing its own paths; each row
+    # is still path i of the seed contract
+    monkeypatch.setattr(schedule_module, "_block_members", lambda values: 7)
     seed, step, horizons = 8, 0.1, [4.0, 9.3]
     report = empirical_diagnostic(sched, 1.0, horizons, 50, seed=seed, step=step)
     for i in range(report.n_paths):
         path = sample_path(sched, horizons[-1], step, split_seed(seed, i))
         assert report.occupations[i, -1] == occupation_time(path, 1.0)
+    # the mean sums the rows in C order, however the blocks laid them out
+    assert np.array_equal(report.mean, np.array(report.occupations.tolist()).mean(axis=0))
 
 
 def test_diagnostic_validation_and_verdict():
@@ -492,6 +505,9 @@ def test_diagnostic_validation_and_verdict():
         empirical_diagnostic(BM1, 1.0, [10.0], 50, seed=0)
     with pytest.raises(ValueError):
         empirical_diagnostic(BM1, 1.0, [10.0, 20.0], 10, seed=0)
+    for bad in (-1.0, 0.0, np.nan):
+        with pytest.raises(ValueError, match="^a must be positive and finite"):
+            empirical_diagnostic(BM1, bad, [5.0, 10.0], 50, seed=0)
     report = empirical_diagnostic(BM1, 1.0, [5.0, 10.0], 50, seed=0, step=0.1)
     v = empirical_verdict(report)
     assert v.decision is Decision.INCONCLUSIVE

@@ -529,6 +529,7 @@ OVERFLOWING = "[schedule]\nperiod = 1.0\nsegment = 1.0 stable alpha=0.1 scale=1e
     [
         ("simulate", "horizon = 20.0\nstep = 1.0\n", "path_0000.csv"),
         ("lln", "horizons = 10,20\nn_paths = 50\n", "lln.csv"),
+        ("classify", "criterion = empirical\nhorizons = 10,20\nn_paths = 50\n", "occupation.csv"),
     ],
 )
 def test_overflowing_draws_exit_two(tmp_path, capsys, command, keys, written):
@@ -546,6 +547,10 @@ def test_overflowing_draws_exit_two(tmp_path, capsys, command, keys, written):
     [
         ("simulate", "horizon = 1e18\nstep = 1.0\n", schedule_module),
         ("lln", "horizons = 10,20\nn_paths = 1000000000000\n", lln),
+        # counts past the float range: refused by the bound, not a float overflow
+        pytest.param("simulate", "horizon = 10.0\nstep = 1.0\nn_paths = 1" + "0" * 400 + "\n", schedule_module,
+                     id="simulate-n_paths-1e400"),
+        pytest.param("lln", "horizons = 10,20\nn_paths = 1" + "0" * 400 + "\n", lln, id="lln-n_paths-1e400"),
     ],
 )
 def test_oversized_runs_exit_one_before_drawing(tmp_path, capsys, monkeypatch, command, keys, module):
