@@ -38,7 +38,7 @@ from .schedule import (
     period_mean,
 )
 from .skeleton import _occupation
-from .util import format_float, split_seeds
+from .util import check_counts, check_increasing, check_positive, format_float, split_seeds
 
 __all__ = [
     "Decision",
@@ -66,8 +66,10 @@ PANEL_REL_TOL = 1e-9
 # and psi points
 MAX_PANELS = 2000
 PSI_POINT_BUDGET = 2**24
-# psi is evaluated on at most this many points per period_exponent call
+# psi is evaluated on at most this many points per period_exponent call; a
+# QMC ladder draws QMC_REPLICATES scrambled Sobol streams of this many nodes
 PSI_CHUNK = 2**16
+QMC_REPLICATES = 16
 # analytic zero test for means computed in closed form
 MEAN_ZERO_TOL = 1e-12
 # q-ladder defaults: ratio 4 separates sqrt-divergence, log-divergence and
@@ -188,7 +190,7 @@ _GK_GAUSS = np.concatenate([_WG, _WG[-2::-1]])
 
 
 class _Psi:
-    """psi of one schedule on demand, in bounded chunks, counted against the budget."""
+    """psi of one schedule on demand, counted against the budget; callers pass at most PSI_CHUNK points."""
 
     def __init__(self, schedule: SemiLevySchedule, qs: np.ndarray):
         self.schedule, self.qs, self.points = schedule, qs, 0
@@ -199,12 +201,8 @@ class _Psi:
     def integrand(self, z: np.ndarray) -> np.ndarray:
         """_cf_integrand(psi(z), q) at every level q, shape (levels, len(z))."""
         self.points += len(z)
-        out = np.empty((self.qs.size, len(z)))
-        for i in range(0, len(z), PSI_CHUNK):
-            psi = period_exponent(self.schedule, z[i : i + PSI_CHUNK])
-            for level, q in enumerate(self.qs):
-                out[level, i : i + PSI_CHUNK] = _cf_integrand(psi, float(q))
-        return out
+        psi = period_exponent(self.schedule, z)
+        return np.stack([_cf_integrand(psi, float(q)) for q in self.qs])
 
     def polar(self, x: np.ndarray) -> np.ndarray:
         """r times the integrand at z = r (cos theta, sin theta), for the (r, theta) rows of x."""
@@ -284,8 +282,8 @@ def _ball_volume(dim: int, a: float) -> float:
     return math.exp(0.5 * dim * math.log(math.pi) - gammaln(0.5 * dim + 1.0)) * a**dim
 
 
-def _ball_points(dim: int, a: float, n_log2: int, seed: int) -> np.ndarray:
-    """Scrambled-Sobol points mapped uniformly onto the ball of radius a.
+def _ball_points(dim: int, a: float, seed: int) -> np.ndarray:
+    """PSI_CHUNK scrambled-Sobol points mapped uniformly onto the ball of radius a.
 
     The first dim coordinates become a direction through the inverse normal
     map; the last coordinate becomes the radius through the power map, which
@@ -295,25 +293,28 @@ def _ball_points(dim: int, a: float, n_log2: int, seed: int) -> np.ndarray:
     from scipy.stats import qmc
 
     sob = qmc.Sobol(d=dim + 1, scramble=True, seed=seed)
-    u = sob.random_base2(m=n_log2)
+    u = sob.random(PSI_CHUNK)  # a power of 2, as the Sobol balance properties need
     g = ndtri(np.clip(u[:, :dim], 1e-15, 1.0 - 1e-15))
     norms = np.maximum(np.linalg.norm(g, axis=1), 1e-300)
     radius = a * u[:, dim] ** (1.0 / dim)
     return (radius / norms)[:, None] * g
 
 
-def _qmc_ladder(psi: _Psi, a: float, seed: int, n_log2=16, replicates=16):
-    """I(q) at every level of psi and its standard error over `replicates` scrambled Sobol streams.
+def _qmc_ladder(psi: _Psi, a: float, seed: int):
+    """I(q) at every level of psi and its standard error over QMC_REPLICATES scrambled Sobol streams.
 
-    Each stream's 2**n_log2 ball points go through psi once; a level's
-    estimates (ball volume times mean integrand) are reduced as one row.
+    Each stream's PSI_CHUNK ball points go through psi in one call; a level's
+    estimates (ball volume times mean integrand) are reduced as one row.  The
+    nodes of all streams, dim + 1 coordinates each, are checked against
+    MAX_VALUES before any is drawn: from dim 128 on they are refused.
     """
     dim = psi.schedule.dim
+    _check_values(QMC_REPLICATES, PSI_CHUNK, dim + 1)
     vol = _ball_volume(dim, a)
-    streams = split_seeds(seed, range(replicates))
-    means = [psi.integrand(_ball_points(dim, a, n_log2, s)).mean(axis=1) for s in streams]
+    streams = split_seeds(seed, range(QMC_REPLICATES))
+    means = [psi.integrand(_ball_points(dim, a, s)).mean(axis=1) for s in streams]
     estimates = vol * np.column_stack(means)
-    return estimates.mean(axis=1), estimates.std(axis=1, ddof=1) / math.sqrt(replicates)
+    return estimates.mean(axis=1), estimates.std(axis=1, ddof=1) / math.sqrt(QMC_REPLICATES)
 
 
 def _ladder(schedule: SemiLevySchedule, a: float, qs, seed: int):
@@ -353,33 +354,15 @@ def _ladder(schedule: SemiLevySchedule, a: float, qs, seed: int):
     return values, errors, {"psi_points": psi.points}
 
 
-def _check_positive(**values: float) -> None:
-    for name, value in values.items():
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
-def ball_integral_qmc(
-    schedule: SemiLevySchedule,
-    a: float,
-    q: float,
-    seed: int = 0,
-    n_log2: int = 16,
-    replicates: int = 16,
-) -> tuple[float, float]:
+def ball_integral_qmc(schedule: SemiLevySchedule, a: float, q: float, seed: int = 0) -> tuple[float, float]:
     """Quasi-Monte Carlo value of the Chung-Fuchs integral with its standard error.
 
-    Uses `replicates` independently scrambled Sobol streams of 2**n_log2 nodes
-    each (the defaults give 2**20 > 1e6 nodes); the standard error is the
-    spread of the per-stream estimates.
+    Uses QMC_REPLICATES = 16 independently scrambled Sobol streams of
+    PSI_CHUNK = 2**16 nodes each (2**20 > 1e6 nodes), the same as a d >= 3
+    ladder; the standard error is the spread of the per-stream estimates.
     """
-    _check_positive(a=a, q=q)
-    if replicates < 2:
-        raise ValueError(f"replicates must be at least 2 for a standard error, got {replicates}")
-    if not isinstance(n_log2, (int, np.integer)) or n_log2 < 0:
-        raise ValueError(f"n_log2 must be an integer of at least 0, got {n_log2!r}")
-    _check_values(replicates, 2**n_log2, schedule.dim + 1)
-    values, stderrs = _qmc_ladder(_Psi(schedule, np.array([q], dtype=float)), a, seed, n_log2, replicates)
+    check_positive(a=a, q=q)
+    values, stderrs = _qmc_ladder(_Psi(schedule, np.array([q], dtype=float)), a, seed)
     return float(values[0]), float(stderrs[0])
 
 
@@ -393,7 +376,7 @@ def chung_fuchs_integral(
     silently wrong value); quasi-Monte Carlo over the ball for dimension >= 3,
     with the standard error available through ball_integral_qmc.
     """
-    _check_positive(a=a, q=q)
+    check_positive(a=a, q=q)
     values, _, _ = _ladder(schedule, a, [q], seed)
     return float(values[0])
 
@@ -435,7 +418,7 @@ def chung_fuchs_verdict(
     more than 5x the integration standard error before any verdict is issued.
     """
     _check_levels(levels)
-    _check_positive(a=a, q0=q0)
+    check_positive(a=a, q0=q0)
 
     qs = q0 * Q_RATIO ** (-np.arange(levels, dtype=float))
     values, errors, work = _ladder(schedule, a, qs, seed)
@@ -610,14 +593,11 @@ def empirical_diagnostic(
     are read at the nearest grid point, so they should be large relative to
     the step.
     """
-    horizons = np.asarray(horizons, dtype=float)
-    if horizons.ndim != 1 or horizons.size < 2:
-        raise ValueError("need at least two horizons")
-    if np.any(np.diff(horizons) <= 0) or horizons[0] <= 0:
-        raise ValueError("horizons must be positive and increasing")
+    horizons = check_increasing(horizons, "horizons", least=2)
+    check_counts(n_paths=n_paths)
     if n_paths < 50:
         raise ValueError("need at least 50 paths for the diagnostic")
-    _check_positive(a=a)
+    check_positive(a=a)
 
     _check_values(n_paths, horizons.size)
     grid = _grid_times(float(horizons[-1]), step, min(n_paths, DIAGNOSTIC_CHUNK), schedule.dim)

@@ -33,9 +33,10 @@ optional ``horizons n_paths step`` for the occupation diagnostic (classify),
 (lln).  Identical config text and seed give byte-identical outputs; side
 activities (occupation diagnostic, weak-law estimates) draw from the derived
 stream split_seed(seed, 1) so they never share a stream with the main
-command.  Parallelism is automatic: long paths and walks are drawn on a
-thread pool sized from the stream length and the CPU count, and every
-output is the same whatever the pool or block size.
+command.  Parallelism is automatic: paths and walks long enough to fill an
+ensemble block on their own (more than 2^14 cells of 1-d Brownian motion,
+jumps counted too) are drawn on a thread pool with one worker per CPU, and
+every output is the same whatever the pool or block size.
 
 Exit codes: 0 success (an Inconclusive verdict is a success), 1 usage or
 parse failure, 2 numerical failure.
@@ -278,7 +279,9 @@ _KIND_OF = {cls: (kind, spec) for kind, (cls, spec, _) in {**MODEL_KINDS, **JUMP
 _POSITIVE = _checked(_float, lambda v: 0 < v < np.inf, "must be positive and finite")
 _COUNT = _checked(_int, lambda v: v >= 1, "must be at least 1")
 _INCREASING = _checked(
-    _floats, lambda v: min(v) > 0 and all(np.diff(v) > 0), "must be positive and strictly increasing"
+    _floats,
+    lambda v: min(v) > 0 and max(v) < np.inf and all(np.diff(v) > 0),
+    "must be positive and finite, and strictly increasing",
 )
 
 # run key -> (reader, writer); render writes the keys that differ from their
@@ -328,9 +331,7 @@ def _parse_segment(lineno: int, text: str) -> tuple[float, LevyModel]:
     tokens = text.split()
     if len(tokens) < 2:
         _fail(lineno, "segment needs '<duration> <kind> [key=value ...]'")
-    duration = _float(tokens[0], lineno, "duration")
-    if duration <= 0:
-        _fail(lineno, "segment duration must be positive")
+    duration = _POSITIVE(tokens[0], lineno, "duration")
     params = _kv_pairs(tokens[2:], lineno)
     model = _read_kind(MODEL_KINDS, "model", tokens[1], params, lineno)
     if params:
@@ -373,7 +374,7 @@ def parse_config(text: str, default_command: Optional[str] = None) -> RunConfig:
             if key == "period":
                 if period is not None:
                     _fail(lineno, "duplicate period")
-                period = _float(value, lineno, "period")
+                period = _POSITIVE(value, lineno, "period")
                 period_line = lineno
             elif key == "segment":
                 segments.append(_parse_segment(lineno, value))

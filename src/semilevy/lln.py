@@ -25,7 +25,7 @@ from .schedule import (
     period_mean,
     sample_interval_increment,
 )
-from .util import check_finite, format_csv, split_seeds
+from .util import check_counts, check_finite, check_increasing, format_csv, split_seeds
 
 __all__ = [
     "LLNReport",
@@ -88,19 +88,11 @@ def _horizon_values(
     schedule: SemiLevySchedule, horizons: np.ndarray, n_paths: int, seed: int
 ) -> np.ndarray:
     """X at each horizon for each path, (paths, horizons, d), one exact cell per gap."""
+    check_counts(n_paths=n_paths)
     _check_values(n_paths, horizons.size, schedule.dim)
     occupancy = _grid_occupancy(schedule, np.concatenate([[0.0], horizons]))
-    seeds = split_seeds(seed, range(int(n_paths)))
+    seeds = split_seeds(seed, range(n_paths))
     return _ensemble(schedule, occupancy, seeds)[:, 1:]
-
-
-def _check_horizons(horizons: Sequence[float]) -> np.ndarray:
-    h = np.asarray(horizons, dtype=float)
-    if h.ndim != 1 or h.size < 1:
-        raise ValueError("horizons must be a nonempty 1-d sequence")
-    if h[0] <= 0 or np.any(np.diff(h) <= 0):
-        raise ValueError("horizons must be positive and increasing")
-    return h
 
 
 def slln_check(
@@ -116,7 +108,7 @@ def slln_check(
     below 3x the CLT scale sqrt(tr Cov(X_p) / (p T)), whenever the one-period
     covariance is finite.
     """
-    h = _check_horizons(horizons)
+    h = check_increasing(horizons, "horizons")
     if n_paths < 50:
         raise ValueError("need at least 50 paths")
     mu = period_mean(schedule)
@@ -160,9 +152,7 @@ def divergence_check(
     ratio accumulate roughly linearly in the number of horizon doublings, so
     the cumulative comparison is the stable reading).
     """
-    h = _check_horizons(horizons)
-    if h.size < 2:
-        raise ValueError("need at least two horizons")
+    h = check_increasing(horizons, "horizons", least=2)
     if n_paths < 50:
         raise ValueError("need at least 50 paths")
     if period_mean(schedule) is not None:
@@ -200,13 +190,13 @@ def wlln_conditions(
     the implied limit constant c = (truncated mean) / p is reported; a tail
     that persists means no constant exists and the weak law fails.
     """
-    t = _check_horizons(t_grid)
-    n = int(n_samples)
-    if n < 10**4:
+    t = check_increasing(t_grid, "t_grid")
+    check_counts(n_samples=n_samples)
+    if n_samples < 10**4:
         raise ValueError("need at least 1e4 samples")
-    _check_values(n, schedule.dim)
+    _check_values(n_samples, schedule.dim)
     rng = np.random.default_rng(seed)
-    x = sample_interval_increment(schedule, 0.0, schedule.period, rng, size=n)
+    x = sample_interval_increment(schedule, 0.0, schedule.period, rng, size=n_samples)
     check_finite(x, "a one-period draw")
     r = np.linalg.norm(x, axis=1)
 
@@ -217,10 +207,10 @@ def wlln_conditions(
     for j, tj in enumerate(t):
         p_hat = float(np.mean(r > tj))
         tail[j] = tj * p_hat
-        tail_se[j] = tj * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
+        tail_se[j] = tj * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_samples)
         w = x * (r <= tj)[:, None]
         trunc_mean[j] = w.mean(axis=0)
-        trunc_se[j] = w.std(axis=0, ddof=1) / math.sqrt(n)
+        trunc_se[j] = w.std(axis=0, ddof=1) / math.sqrt(n_samples)
 
     tail_gone = tail[-1] <= 3.0 * max(tail_se[-1], 1e-300) or tail[-1] == 0.0
     implied_c = trunc_mean[-1] / schedule.period if tail_gone else None

@@ -34,7 +34,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .util import FieldEq, weighted_sum
+from .util import FieldEq, check_counts, check_positive, weighted_sum
 
 __all__ = [
     "DimensionMismatch",
@@ -336,9 +336,9 @@ class LevyModel(FieldEq):
 
     def sample_increment(self, dt: float, rng: np.random.Generator, size: Optional[int] = None):
         """Exact draw(s) of L_{t+dt} - L_t; a (d,) vector, or (size, d) when size is given."""
-        if not dt > 0:
-            raise ValueError("dt must be positive")
-        n = 1 if size is None else int(size)
+        check_positive(dt=dt)
+        n = 1 if size is None else size
+        check_counts(size=n)
         draws = self._sample_batch(np.full(n, float(dt)), rng)
         return draws[0] if size is None else draws
 
@@ -455,8 +455,7 @@ class SymmetricStable(LevyModel):
     def __post_init__(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError("alpha must be in (0, 2]")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        check_positive(scale=self.scale)
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
 
@@ -510,8 +509,7 @@ class CompoundPoisson(LevyModel):
     jump: JumpDistribution
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError("rate must be positive")
+        check_positive(rate=self.rate)
 
     @property
     def dim(self) -> int:

@@ -25,7 +25,10 @@ from typing import Optional
 import numpy as np
 
 from .models import DimensionMismatch, LevyModel, SumModel
-from .util import FieldEq, check_finite, format_csv, map_indexed, split_seeds, stream_states, weighted_sum
+from .util import (
+    FieldEq, check_counts, check_finite, check_positive, format_csv, map_indexed, split_seeds, stream_states,
+    weighted_sum,
+)
 
 __all__ = [
     "SemiLevySchedule",
@@ -65,14 +68,12 @@ class SemiLevySchedule(FieldEq):
 
     def __post_init__(self):
         p = float(self.period)
-        if not p > 0:
-            raise ValueError("period must be positive")
+        check_positive(period=p)
         segs = tuple((float(d), m) for d, m in self.segments)
         if not segs:
             raise ValueError("schedule needs at least one segment")
         for d, m in segs:
-            if not d > 0:
-                raise ValueError("segment durations must be positive")
+            check_positive(duration=d)
             if not isinstance(m, LevyModel):
                 raise TypeError("segment models must be LevyModel instances")
         dims = {m.dim for _, m in segs}
@@ -110,8 +111,8 @@ class SemiLevySchedule(FieldEq):
 
     def segment_occupancy(self, s: float, t: float) -> np.ndarray:
         """Time spent in each segment over [s, t]; entries sum to t - s."""
-        if not 0 <= s <= t:
-            raise ValueError("need 0 <= s <= t")
+        if not 0 <= s <= t < math.inf:
+            raise ValueError(f"need 0 <= s <= t < inf, got s={s!r}, t={t!r}")
         return _grid_occupancy(self, np.array([s, t], dtype=float))[0]
 
 
@@ -228,7 +229,8 @@ def sample_interval_increment(
 ):
     """Exact draw(s) of X_t - X_s; a (d,) vector, or (size, d) when size is given."""
     occ = schedule.segment_occupancy(s, t)
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else size
+    check_counts(size=n)
     out = np.zeros((n, schedule.dim))
     for dur, model in zip(occ, schedule.models):
         if dur > 0.0:
@@ -281,25 +283,16 @@ def _occupancy(schedule: SemiLevySchedule, n: np.ndarray, r: np.ndarray) -> np.n
     return np.clip(np.diff(profiles, axis=0), 0.0, None)
 
 
-# Members of at least this many cells are drawn on a thread pool.  Their
-# numpy kernels release the interpreter lock for long enough to overlap;
-# shorter members cost more in pool start-up and hand-off than they gain.
-_POOL_MIN_CELLS = 1 << 14
-
 # An ensemble finishes its members in blocks of about this many values
 # (members x (cells + draws) x d).  It only has to be large enough that short
 # members share each segment's numpy calls (10^4 paths of 32 cells take the
 # same time at 2^12 to 2^20, and up to twice as long at 1); the bound keeps a
-# block's draws small.  A member of this many values or more is a block of
-# its own, so long members keep their memory use and their thread pool.
+# block's draws small.  A member of more than half this many values is a
+# block of its own, and only such blocks go to the thread pool: their numpy
+# kernels release the interpreter lock for long enough to overlap, where
+# shorter members cost more in pool start-up and hand-off than they gain.
+# For 1-d Brownian members that is more than 2^14 cells.
 _BLOCK_VALUES = 1 << 16
-
-
-def _workers(n_tasks: int, cells: int) -> int:
-    """Pool size for an ensemble: one per CPU and task for long members, else 1."""
-    if cells < _POOL_MIN_CELLS:
-        return 1
-    return min(os.cpu_count() or 1, n_tasks)
 
 
 def _block_members(member_values: float) -> int:
@@ -319,7 +312,9 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list, re
     segment are found once per call; durations that are all equal are passed
     as a stride-0 view of the one value, which a sampler may draw with a
     scalar argument.  Member i therefore depends neither on the other
-    members nor on the block or pool size.  Each seed must lie in [0, 2**64).
+    members nor on the block or pool size.  Blocks of one member each run on
+    a thread pool, one worker per CPU; larger blocks run in the calling
+    thread.  Each seed must lie in [0, 2**64).
     With reduce, each block's (members, cells + 1, d) sums are checked and
     passed to it on the pool, and its rows are returned in member order.
     """
@@ -359,7 +354,8 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list, re
         return None if reduce is None else reduce(sums)
 
     n_blocks = -(-len(states) // size)
-    reduced = map_indexed(block, n_blocks, _workers(n_blocks, cells))
+    workers = min(os.cpu_count() or 1, n_blocks) if size == 1 else 1
+    reduced = map_indexed(block, n_blocks, workers)
     # C order whatever reduce returns, so sums over the members keep one order
     return out if reduce is None else np.ascontiguousarray(np.concatenate(reduced))
 
@@ -382,7 +378,8 @@ def sample_paths(
     schedule: SemiLevySchedule, horizon: float, step: float, n_paths: int, seed: int
 ) -> list[PathSample]:
     """Independent paths; path i is reproduced by sample_path with split_seed(seed, i)."""
+    check_counts(n_paths=n_paths)
     times = _grid_times(horizon, step, n_paths, schedule.dim)
-    seeds = split_seeds(seed, range(int(n_paths)))
+    seeds = split_seeds(seed, range(n_paths))
     values = _ensemble(schedule, _grid_occupancy(schedule, times), seeds)
     return [PathSample(grid=times, values=v, seed=s) for v, s in zip(values, seeds)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import PathSample, SemiLevySchedule, _check_values, _ensemble, _occupancy
-from .util import format_csv, split_seeds
+from .util import check_counts, format_csv, split_seeds
 
 __all__ = [
     "RationalStep",
@@ -77,6 +77,7 @@ def _walk_occupancy(schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, 
     inside its period is p * ((k num) mod den) / den, an exact rational, so
     segment boundaries never drift no matter how long the walk is.
     """
+    check_counts(n_steps=n_steps, n_walks=n_walks)
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     _check_values(n_walks, n_steps, schedule.dim)
@@ -103,7 +104,7 @@ def sample_walks(
 ) -> list[WalkSample]:
     """Independent walks; walk i is reproduced by sample_walk with split_seed(seed, i)."""
     occupancy = _walk_occupancy(schedule, rs, n_steps, n_walks)
-    seeds = split_seeds(seed, range(int(n_walks)))
+    seeds = split_seeds(seed, range(n_walks))
     steps = _ensemble(schedule, occupancy, seeds)
     return [WalkSample(steps=w, rational_step=rs, seed=s) for w, s in zip(steps, seeds)]
 

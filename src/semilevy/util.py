@@ -14,6 +14,8 @@ across numpy versions.  Seeds and stream indices lie in [0, 2**64).
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -175,6 +177,30 @@ def weighted_sum(weights, terms, total):
             return None
         total = total + w * t
     return total
+
+
+def check_positive(**values: float) -> None:
+    """ValueError unless every value is positive and finite, naming the first that is not."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_counts(**counts) -> None:
+    """ValueError unless every count is an integer of at least 0, naming the first that is not."""
+    for name, value in counts.items():
+        if not (isinstance(value, numbers.Integral) and value >= 0):
+            raise ValueError(f"{name} must be an integer of at least 0, got {value!r}")
+
+
+def check_increasing(times, name: str, least: int = 1) -> np.ndarray:
+    """times as a 1-d float array of at least `least` positive, finite, strictly increasing values."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size < least:
+        raise ValueError(f"{name} must be a 1-d sequence of at least {least} values")
+    if not (t[0] > 0.0 and t[-1] < math.inf and (np.diff(t) > 0.0).all()):
+        raise ValueError(f"{name} must be positive and finite, and strictly increasing")
+    return t
 
 
 def check_finite(values: np.ndarray, what: str) -> None:

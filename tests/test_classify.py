@@ -135,15 +135,12 @@ def test_ball_integral_qmc_bounds_its_draws(monkeypatch):
         raise AssertionError("Sobol points drawn before the checks")
 
     monkeypatch.setattr(classify, "_ball_points", no_draw)
-    with pytest.raises(ValueError, match="replicates"):
-        ball_integral_qmc(BM3, 1.0, 1e-3, replicates=1)
-    # 2**40 and 2**2000 nodes of 4 coordinates: refused from the sizes alone
-    for n_log2 in (40, 2000):
+    # 16 replicates of 2**16 nodes of 129 coordinates: refused from the sizes
+    # alone, by the verdict's ladder as by the single integral
+    bm128 = single_segment(BrownianDrift(np.zeros(128), 1.0), 1.0)
+    for call in (lambda: ball_integral_qmc(bm128, 1.0, 1e-3), lambda: chung_fuchs_verdict(bm128)):
         with pytest.raises(ValueError, match="more than the bound"):
-            ball_integral_qmc(BM3, 1.0, 1e-3, n_log2=n_log2)
-    for n_log2 in (-3, 2.5):
-        with pytest.raises(ValueError, match="^n_log2 must be an integer"):
-            ball_integral_qmc(BM3, 1.0, 1e-3, n_log2=n_log2)
+            call()
 
 
 def test_quadrature_failure_is_explicit():
@@ -508,6 +505,10 @@ def test_diagnostic_validation_and_verdict():
     for bad in (-1.0, 0.0, np.nan):
         with pytest.raises(ValueError, match="^a must be positive and finite"):
             empirical_diagnostic(BM1, bad, [5.0, 10.0], 50, seed=0)
+    with pytest.raises(ValueError, match="^horizons must be positive and finite"):
+        empirical_diagnostic(BM1, 1.0, [5.0, np.inf], 50, seed=0)
+    with pytest.raises(ValueError, match="^n_paths must be an integer"):
+        empirical_diagnostic(BM1, 1.0, [5.0, 10.0], 50.5, seed=0)
     report = empirical_diagnostic(BM1, 1.0, [5.0, 10.0], 50, seed=0, step=0.1)
     v = empirical_verdict(report)
     assert v.decision is Decision.INCONCLUSIVE

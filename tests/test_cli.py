@@ -464,6 +464,15 @@ def test_underflowing_ladder_exits_two_with_one_stderr_line(tmp_path):
     assert not (tmp_path / "o" / "verdict.txt").exists()
 
 
+# the schedule of each key that is a schedule or model value; run keys go with 1-d BM
+_INFINITE_SCHEDULES = {
+    "period": "period = inf\nsegment = inf brownian drift=1 var=1\n",
+    "duration": "period = 1.0\nsegment = inf brownian drift=1 var=1\n",
+    "rate": "period = 1.0\nsegment = 1.0 cpoisson rate=inf jump=point jump_x=1\n",
+    "scale": "period = 1.0\nsegment = 1.0 stable alpha=1.5 scale=inf\n",
+}
+
+
 @pytest.mark.parametrize(
     "command, keys, key",
     [
@@ -471,11 +480,15 @@ def test_underflowing_ladder_exits_two_with_one_stderr_line(tmp_path):
         ("classify", "criterion = chung-fuchs\nq0 = inf\n", "q0"),
         ("simulate", "horizon = inf\nstep = 0.5\n", "horizon"),
         ("simulate", "horizon = 2.0\nstep = inf\n", "step"),
+        ("lln", "horizons = 10, inf\n", "horizons"),
+        ("lln", "horizons = 10, 100\nt_grid = 1, inf\n", "t_grid"),
+        *(("classify", "", key) for key in _INFINITE_SCHEDULES),
     ],
 )
 def test_infinite_positive_keys_exit_one(tmp_path, capsys, command, keys, key):
+    schedule = _INFINITE_SCHEDULES.get(key, "period = 1.0\nsegment = 1.0 brownian drift=0.0 var=1.0\n")
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("[schedule]\nperiod = 1.0\nsegment = 1.0 brownian drift=0.0 var=1.0\n[run]\nseed = 4\n" + keys)
+    cfg.write_text(f"[schedule]\n{schedule}[run]\nseed = 4\n{keys}")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert f"{key} must be positive and finite" in capsys.readouterr().err
 

@@ -116,6 +116,21 @@ def test_wlln_bounded_jumps_tail_exactly_zero():
 def test_wlln_validation():
     with pytest.raises(ValueError):
         wlln_conditions(BM, [1.0, 2.0], 100, seed=0)
+    # an infinite t would read as t * P(|X_p| > t) = inf * 0; a count is never truncated
+    with pytest.raises(ValueError, match="^t_grid must be positive and finite"):
+        wlln_conditions(BM, [1.0, np.inf], 10**4, seed=0)
+    with pytest.raises(ValueError, match="^n_samples must be an integer"):
+        wlln_conditions(BM, [1.0, 2.0], 10**4 + 0.5, seed=0)
+
+
+def test_slln_validation():
+    # horizons are finite: an infinite one would read as a deviation of 0
+    for check in (slln_check, divergence_check):
+        sched = BM if check is slln_check else CAUCHY
+        with pytest.raises(ValueError, match="^horizons must be positive and finite"):
+            check(sched, [10.0, np.inf], 50, seed=0)
+        with pytest.raises(ValueError, match="^n_paths must be an integer"):
+            check(sched, [10.0, 20.0], 50.5, seed=0)
 
 
 def test_wlln_consistent_with_mean_criterion():

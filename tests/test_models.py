@@ -109,6 +109,15 @@ def test_stable_parameter_validation():
         SymmetricStable(2.5, 1.0)
     with pytest.raises(ValueError):
         SymmetricStable(1.0, -1.0)
+    # an infinite scale, rate or time step would only show as inf or nan draws
+    with pytest.raises(ValueError, match="^scale must be positive and finite"):
+        SymmetricStable(1.5, np.inf)
+    with pytest.raises(ValueError, match="^rate must be positive and finite"):
+        CompoundPoisson(np.inf, PointMass(1.0))
+    with pytest.raises(ValueError, match="^dt must be positive and finite"):
+        BrownianDrift(0.0, 1.0).sample_increment(np.inf, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^size must be an integer"):
+        BrownianDrift(0.0, 1.0).sample_increment(1.0, np.random.default_rng(0), size=2.5)
 
 
 def test_uniform_box_width_must_be_finite():

@@ -1,7 +1,5 @@
 """Schedules: increment laws, splice construction, and exact path sampling."""
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +21,6 @@ from semilevy.models import (
 from semilevy.schedule import (
     PathSample,
     SemiLevySchedule,
-    _workers,
     equivalent_levy_model,
     increment_exponent,
     make_splice,
@@ -58,6 +55,32 @@ def test_splice_validation():
         SemiLevySchedule(period=2.0, segments=((0.7, PureDrift(1.0)), (1.2, PureDrift(1.0))))
     with pytest.raises(ValueError):
         SemiLevySchedule(period=1.0, segments=())
+    # infinite periods and durations: abs(inf - inf) is nan, which passes the tiling check
+    with pytest.raises(ValueError, match="^period must be positive and finite"):
+        SemiLevySchedule(period=np.inf, segments=((np.inf, BM),))
+    with pytest.raises(ValueError, match="^duration must be positive and finite"):
+        SemiLevySchedule(period=1.0, segments=((np.inf, BM), (1.0, BM)))
+    # times are finite: an infinite one would give an empty or nan increment
+    for call in (
+        lambda: SPLICE.segment_occupancy(0.0, np.inf),
+        lambda: increment_exponent(SPLICE, 0.0, np.inf, 1.0),
+        lambda: sample_interval_increment(SPLICE, 0.0, np.inf, np.random.default_rng(0)),
+    ):
+        with pytest.raises(ValueError, match="< inf"):
+            call()
+
+
+def test_counts_are_integers_of_at_least_zero():
+    # a count is never truncated, and a negative one does not read as none
+    with pytest.raises(ValueError, match="^n_paths must be an integer of at least 0, got 2.5"):
+        sample_paths(SPLICE, horizon=2.3, step=0.23, n_paths=2.5, seed=5)
+    with pytest.raises(ValueError, match="^n_walks must be an integer of at least 0, got -1"):
+        sample_walks(SPLICE, RationalStep(2, 3), 12, -1, seed=5)
+    with pytest.raises(ValueError, match="^n_steps must be an integer"):
+        sample_walk(SPLICE, RationalStep(2, 3), 12.5, seed=5)
+    with pytest.raises(ValueError, match="^size must be an integer"):
+        sample_interval_increment(SPLICE, 0.0, 1.0, np.random.default_rng(0), size=2.5)
+    assert sample_paths(SPLICE, horizon=2.3, step=0.23, n_paths=np.int64(0), seed=5) == []
 
 
 def test_single_segment_is_levy():
@@ -207,7 +230,7 @@ def test_sample_paths_split_seeds():
 
 
 def test_serial_and_pooled_ensembles_are_bit_identical(monkeypatch):
-    # force each branch of the pool choice through its private threshold
+    # drive each branch of the pool choice through the block size
     pool_sizes = []
 
     def spy(fn, n, workers=1):
@@ -222,11 +245,9 @@ def test_serial_and_pooled_ensembles_are_bit_identical(monkeypatch):
 
     monkeypatch.setattr(schedule_module, "map_indexed", spy)
     monkeypatch.setattr(schedule_module.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(schedule_module, "_POOL_MIN_CELLS", 10**9)
     serial = draw()
     assert pool_sizes == [1, 1, 1]
-    monkeypatch.setattr(schedule_module, "_POOL_MIN_CELLS", 1)
-    # one member per block, so that there are blocks enough for a pool
+    # one member per block, the blocks that go to the pool
     monkeypatch.setattr(schedule_module, "_BLOCK_VALUES", 1)
     pooled = draw()
     assert pool_sizes[3:] == [3, 3, 3]
@@ -385,19 +406,28 @@ def test_sample_checks():
 
 
 def test_worker_count_follows_stream_length(monkeypatch):
-    # pure arithmetic: no pool is started here
-    threshold = schedule_module._POOL_MIN_CELLS
-    cpus = os.cpu_count() or 1
-    for n in (1, 2, 3, 50, 10**4):
-        assert _workers(n, 1) == 1
-        assert _workers(n, threshold - 1) == 1
-        assert 1 <= _workers(n, threshold) <= min(cpus, n)
-        assert 1 <= _workers(n, 10**9) <= min(cpus, n)
-    monkeypatch.setattr(schedule_module.os, "cpu_count", lambda: 64)
-    assert [_workers(n, threshold) for n in (1, 3, 10**4)] == [1, 3, 64]
-    assert _workers(10**4, threshold - 1) == 1
-    monkeypatch.setattr(schedule_module.os, "cpu_count", lambda: None)
-    assert _workers(10**4, threshold) == 1
+    # (blocks, workers) that _ensemble hands to map_indexed; the spy starts no pool
+    seen = []
+
+    def spy(fn, n, workers=1):
+        seen.append((n, workers))
+        return [fn(i) for i in range(n)]
+
+    monkeypatch.setattr(schedule_module, "map_indexed", spy)
+    rows = [
+        (BM, 10, 5, 64, (1, 1)),  # a short ensemble: all five paths in one block
+        (BM, 16384, 3, 64, (2, 1)),  # 2^15 values, two paths per block: serial
+        (BM, 16385, 3, 64, (3, 3)),  # one path per block: pooled, one worker per block
+        (BM, 16385, 100, 64, (100, 64)),  # ... and at most one per CPU
+        (BM, 16385, 3, None, (3, 1)),
+        # four cells whose ~40,000 jumps fill a block
+        (CompoundPoisson(1e4, PointMass(1.0)), 4, 3, 64, (3, 3)),
+    ]
+    for model, cells, n_paths, cpus, pool in rows:
+        monkeypatch.setattr(schedule_module.os, "cpu_count", lambda: cpus)
+        seen.clear()
+        sample_paths(single_segment(model), horizon=float(cells), step=1.0, n_paths=n_paths, seed=3)
+        assert seen == [pool], (model, cells, n_paths, cpus)
 
 
 def test_splice_variance_of_period_value():
