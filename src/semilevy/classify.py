@@ -202,7 +202,10 @@ class _Psi:
         """_cf_integrand(psi(z), q) at every level q, shape (levels, len(z))."""
         self.points += len(z)
         psi = period_exponent(self.schedule, z)
-        return np.stack([_cf_integrand(psi, float(q)) for q in self.qs])
+        out = np.empty((self.qs.size, len(z)))
+        for level, q in enumerate(self.qs):
+            out[level] = _cf_integrand(psi, float(q))
+        return out
 
     def polar(self, x: np.ndarray) -> np.ndarray:
         """r times the integrand at z = r (cos theta, sin theta), for the (r, theta) rows of x."""

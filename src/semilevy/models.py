@@ -456,6 +456,7 @@ class SymmetricStable(LevyModel):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError("alpha must be in (0, 2]")
         check_positive(scale=self.scale)
+        check_counts(dim=self.dim)
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
 

@@ -37,6 +37,7 @@ class RationalStep:
     den: int
 
     def __post_init__(self):
+        check_counts(num=self.num, den=self.den)
         num = int(self.num)
         den = int(self.den)
         if num < 1 or den < 1:

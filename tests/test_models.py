@@ -112,6 +112,8 @@ def test_stable_parameter_validation():
     # an infinite scale, rate or time step would only show as inf or nan draws
     with pytest.raises(ValueError, match="^scale must be positive and finite"):
         SymmetricStable(1.5, np.inf)
+    with pytest.raises(ValueError, match="^dim must be an integer"):
+        SymmetricStable(1.5, 1.0, 2.5)
     with pytest.raises(ValueError, match="^rate must be positive and finite"):
         CompoundPoisson(np.inf, PointMass(1.0))
     with pytest.raises(ValueError, match="^dt must be positive and finite"):

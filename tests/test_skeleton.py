@@ -41,6 +41,8 @@ def test_rational_step_reduction():
     assert rs.step(3.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         RationalStep(0, 1)
+    with pytest.raises(ValueError, match="^num must be an integer"):
+        RationalStep(2.5, 3)  # not truncated to 2/3
 
 
 # ---------------------------------------------------------------------------
