@@ -30,7 +30,6 @@ import numpy as np
 from .models import DimensionMismatch, LevyModel
 from .schedule import (
     SemiLevySchedule,
-    _check_values,
     _ensemble,
     _grid_occupancy,
     _grid_times,
@@ -38,7 +37,7 @@ from .schedule import (
     period_mean,
 )
 from .skeleton import _occupation
-from .util import check_counts, check_increasing, check_positive, format_float, split_seeds
+from .util import check_counts, check_increasing, check_positive, check_size, format_float, split_seeds
 
 __all__ = [
     "Decision",
@@ -308,11 +307,11 @@ def _qmc_ladder(psi: _Psi, a: float, seed: int):
 
     Each stream's PSI_CHUNK ball points go through psi in one call; a level's
     estimates (ball volume times mean integrand) are reduced as one row.  The
-    nodes of all streams, dim + 1 coordinates each, are checked against
-    MAX_VALUES before any is drawn: from dim 128 on they are refused.
+    nodes of all streams, dim + 1 coordinates each, go through check_size
+    before any is drawn: from dim 128 on they are refused.
     """
     dim = psi.schedule.dim
-    _check_values(QMC_REPLICATES, PSI_CHUNK, dim + 1)
+    check_size(replicates=QMC_REPLICATES, nodes=PSI_CHUNK, coordinates=dim + 1)
     vol = _ball_volume(dim, a)
     streams = split_seeds(seed, range(QMC_REPLICATES))
     means = [psi.integrand(_ball_points(dim, a, s)).mean(axis=1) for s in streams]
@@ -399,7 +398,8 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(slope), 1.0 - float(np.sum(resid**2)) / ss_tot
 
 
-def _check_levels(levels: int) -> None:
+def check_levels(levels: int) -> None:
+    """ValueError unless a ladder of this many levels is one a verdict accepts."""
     if not MIN_LEVELS <= levels <= MAX_LEVELS:
         raise ValueError(f"levels must be between {MIN_LEVELS} and {MAX_LEVELS}, got {levels}")
 
@@ -420,7 +420,7 @@ def chung_fuchs_verdict(
     fit diagnostics attached.  For dimension >= 3 the ladder must move by
     more than 5x the integration standard error before any verdict is issued.
     """
-    _check_levels(levels)
+    check_levels(levels)
     check_positive(a=a, q0=q0)
 
     qs = q0 * Q_RATIO ** (-np.arange(levels, dtype=float))
@@ -498,7 +498,7 @@ def radius_sweep(
     numerical convenience; disagreement across the sweep flags a quadrature
     or fit problem rather than a property of the process.
     """
-    _check_levels(levels)
+    check_levels(levels)
     return [
         (float(a), chung_fuchs_verdict(schedule, a=float(a), q0=q0, levels=levels, seed=seed))
         for a in a_values
@@ -597,12 +597,10 @@ def empirical_diagnostic(
     the step.
     """
     horizons = check_increasing(horizons, "horizons", least=2)
-    check_counts(n_paths=n_paths)
-    if n_paths < 50:
-        raise ValueError("need at least 50 paths for the diagnostic")
+    check_counts(least=50, n_paths=n_paths)
     check_positive(a=a)
 
-    _check_values(n_paths, horizons.size)
+    check_size(paths=n_paths, horizons=horizons.size)
     grid = _grid_times(float(horizons[-1]), step, min(n_paths, DIAGNOSTIC_CHUNK), schedule.dim)
     dt = np.diff(grid)
     idx = np.clip(np.searchsorted(grid, horizons * (1.0 + 1e-12), side="right") - 1, 0, None)

@@ -53,9 +53,8 @@ from typing import Optional
 import numpy as np
 
 from .classify import (
-    MAX_LEVELS,
-    MIN_LEVELS,
     QuadratureError,
+    check_levels,
     chung_fuchs_verdict,
     drift_test,
     empirical_diagnostic,
@@ -77,7 +76,7 @@ from .models import (
 )
 from .schedule import SemiLevySchedule, equivalent_levy_model, period_mean, sample_paths
 from .skeleton import RationalStep, ball_visit_curve, occupations_csv, sample_walks
-from .util import format_float, split_seed
+from .util import check_counts, check_increasing, check_positive, format_float, split_seed
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "render_config", "run", "main"]
 
@@ -153,21 +152,33 @@ def _diagonal(s: str, lineno: int, name: str):
     return v[0] if v.size == 1 else np.diag(v)
 
 
-def _checked(read, ok, rule: str):
-    """Reader that applies `read`, then fails with '<name> <rule>' unless ok(value)."""
+def _in_line(lineno: int, call, *args):
+    """call(*args), the library's ValueError re-raised as the config error of the line."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        _fail(lineno, str(exc))
+
+
+def _checked(read, check):
+    """Reader that applies `read`, then the library's check(value, name)."""
 
     def checked(s: str, lineno: int, name: str):
         value = read(s, lineno, name)
-        if not ok(value):
-            _fail(lineno, f"{name} {rule}")
+        _in_line(lineno, check, value, name)
         return value
 
     return checked
 
 
 def _choice(options: tuple):
-    rule = f"must be one of {', '.join(options)}"
-    return _checked(lambda s, lineno, name: s.lower(), options.__contains__, rule)
+    def choice(s: str, lineno: int, name: str) -> str:
+        value = s.lower()
+        if value not in options:
+            _fail(lineno, f"{name} must be one of {', '.join(options)}")
+        return value
+
+    return choice
 
 
 def _bool(s: str, lineno: int, name: str) -> bool:
@@ -181,7 +192,7 @@ def _rational_step(s: str, lineno: int, name: str) -> RationalStep:
     num, sep, den = s.partition("/")
     if not sep:
         _fail(lineno, f"{name} must look like n1/n2")
-    return RationalStep(_int(num, lineno, name), _int(den, lineno, name))
+    return _in_line(lineno, RationalStep, _int(num, lineno, name), _int(den, lineno, name))
 
 
 def _floats(s: str, lineno: int, name: str) -> tuple:
@@ -276,13 +287,9 @@ JUMP_KINDS = {
 }
 _KIND_OF = {cls: (kind, spec) for kind, (cls, spec, _) in {**MODEL_KINDS, **JUMP_KINDS}.items()}
 
-_POSITIVE = _checked(_float, lambda v: 0 < v < np.inf, "must be positive and finite")
-_COUNT = _checked(_int, lambda v: v >= 1, "must be at least 1")
-_INCREASING = _checked(
-    _floats,
-    lambda v: min(v) > 0 and max(v) < np.inf and all(np.diff(v) > 0),
-    "must be positive and finite, and strictly increasing",
-)
+_POSITIVE = _checked(_float, lambda value, name: check_positive(**{name: value}))
+_COUNT = _checked(_int, lambda value, name: check_counts(least=1, **{name: value}))
+_INCREASING = _checked(_floats, check_increasing)
 
 # run key -> (reader, writer); render writes the keys that differ from their
 # RunConfig default, in this order
@@ -293,10 +300,7 @@ RUN_KEYS = {
     "horizon": (_POSITIVE, format_float),
     "q0": (_POSITIVE, format_float),
     "step": (_POSITIVE, format_float),
-    "levels": (
-        _checked(_int, lambda v: MIN_LEVELS <= v <= MAX_LEVELS, f"must be between {MIN_LEVELS} and {MAX_LEVELS}"),
-        str,
-    ),
+    "levels": (_checked(_int, lambda value, name: check_levels(value)), str),
     "n_paths": (_COUNT, str),
     "n_samples": (_COUNT, str),
     "n_steps": (_COUNT, str),
@@ -350,6 +354,7 @@ def parse_config(text: str, default_command: Optional[str] = None) -> RunConfig:
     period: Optional[float] = None
     period_line: Optional[int] = None
     declared_dim: Optional[int] = None
+    dim_line: Optional[int] = None
     segments: list = []
     run_raw: dict = {}
     section = None
@@ -381,7 +386,7 @@ def parse_config(text: str, default_command: Optional[str] = None) -> RunConfig:
             elif key == "dim":
                 if declared_dim is not None:
                     _fail(lineno, "duplicate dim")
-                declared_dim = _int(value, lineno, "dim")
+                declared_dim, dim_line = _int(value, lineno, "dim"), lineno
             else:
                 _fail(lineno, f"unknown schedule key {key!r}")
         else:
@@ -398,7 +403,7 @@ def parse_config(text: str, default_command: Optional[str] = None) -> RunConfig:
     except ValueError as exc:
         _fail(period_line, f"invalid schedule: {exc}")
     if declared_dim is not None and declared_dim != schedule.dim:
-        _fail(None, f"declared dim {declared_dim} but segments have dimension {schedule.dim}")
+        _fail(dim_line, f"declared dim {declared_dim} but segments have dimension {schedule.dim}")
 
     unknown = sorted(set(run_raw) - set(RUN_KEYS))
     if unknown:

@@ -18,14 +18,13 @@ import numpy as np
 
 from .schedule import (
     SemiLevySchedule,
-    _check_values,
     _ensemble,
     _grid_occupancy,
     period_covariance,
     period_mean,
     sample_interval_increment,
 )
-from .util import check_counts, check_finite, check_increasing, format_csv, split_seeds
+from .util import check_counts, check_finite, check_increasing, check_size, format_csv, split_seeds
 
 __all__ = [
     "LLNReport",
@@ -88,8 +87,7 @@ def _horizon_values(
     schedule: SemiLevySchedule, horizons: np.ndarray, n_paths: int, seed: int
 ) -> np.ndarray:
     """X at each horizon for each path, (paths, horizons, d), one exact cell per gap."""
-    check_counts(n_paths=n_paths)
-    _check_values(n_paths, horizons.size, schedule.dim)
+    check_size(paths=n_paths, horizons=horizons.size, dim=schedule.dim)
     occupancy = _grid_occupancy(schedule, np.concatenate([[0.0], horizons]))
     seeds = split_seeds(seed, range(n_paths))
     return _ensemble(schedule, occupancy, seeds)[:, 1:]
@@ -109,8 +107,7 @@ def slln_check(
     covariance is finite.
     """
     h = check_increasing(horizons, "horizons")
-    if n_paths < 50:
-        raise ValueError("need at least 50 paths")
+    check_counts(least=50, n_paths=n_paths)
     mu = period_mean(schedule)
     if mu is None:
         raise ValueError("one-period mean is absent (E[|X_p|] = infinity); use divergence_check")
@@ -153,8 +150,7 @@ def divergence_check(
     the cumulative comparison is the stable reading).
     """
     h = check_increasing(horizons, "horizons", least=2)
-    if n_paths < 50:
-        raise ValueError("need at least 50 paths")
+    check_counts(least=50, n_paths=n_paths)
     if period_mean(schedule) is not None:
         raise ValueError("one-period mean exists; slln_check applies, not divergence_check")
     vals = _horizon_values(schedule, h, n_paths, seed)
@@ -191,10 +187,8 @@ def wlln_conditions(
     that persists means no constant exists and the weak law fails.
     """
     t = check_increasing(t_grid, "t_grid")
-    check_counts(n_samples=n_samples)
-    if n_samples < 10**4:
-        raise ValueError("need at least 1e4 samples")
-    _check_values(n_samples, schedule.dim)
+    check_counts(least=10**4, n_samples=n_samples)
+    check_size(samples=n_samples, dim=schedule.dim)
     rng = np.random.default_rng(seed)
     x = sample_interval_increment(schedule, 0.0, schedule.period, rng, size=n_samples)
     check_finite(x, "a one-period draw")

@@ -357,9 +357,8 @@ class LevyModel(FieldEq):
         return None if c is None else c * float(t)
 
     def scaled(self, s: float) -> "LevyModel":
-        """Model with exponent s * psi, i.e. the process run at speed s > 0."""
-        if not s > 0:
-            raise ValueError("time scale must be positive")
+        """Model with exponent s * psi, i.e. the process run at a positive, finite speed s."""
+        check_positive(**{"time scale": s})
         return self._scaled(float(s))
 
     # -- hooks -----------------------------------------------------------
@@ -456,9 +455,7 @@ class SymmetricStable(LevyModel):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError("alpha must be in (0, 2]")
         check_positive(scale=self.scale)
-        check_counts(dim=self.dim)
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+        check_counts(least=1, dim=self.dim)
 
     def _exponent(self, pts):
         norms = np.linalg.norm(pts, axis=1)

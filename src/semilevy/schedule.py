@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -26,8 +25,8 @@ import numpy as np
 
 from .models import DimensionMismatch, LevyModel, SumModel
 from .util import (
-    FieldEq, check_counts, check_finite, check_positive, format_csv, map_indexed, split_seeds, stream_states,
-    weighted_sum,
+    FieldEq, check_counts, check_finite, check_positive, check_size, format_csv, map_indexed, split_seeds,
+    stream_states, weighted_sum,
 )
 
 __all__ = [
@@ -48,10 +47,6 @@ __all__ = [
 # relative tolerance when validating that segment durations tile the period,
 # and when snapping times sitting on a period boundary
 PERIOD_TOL = 1e-12
-
-# most values one sampling call may hold, members x cells x d (1 GiB of
-# float64); checked from the sizes before any grid, seed list or array is built
-MAX_VALUES = 1 << 27
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,23 +234,11 @@ def sample_interval_increment(
     return out[0] if size is None else out
 
 
-def _check_values(*sizes: float) -> None:
-    """ValueError when a sampling call of these sizes would hold more than MAX_VALUES values."""
-    # as floats, a count past the float range as inf: no count is too large to compare
-    values = math.prod(float(size) if size <= sys.float_info.max else math.inf for size in sizes)
-    if values > MAX_VALUES:
-        raise ValueError(
-            f"one sampling call would hold {values:.3g} values, more than the bound of "
-            f"{MAX_VALUES}; lower the path, walk or sample count, or the horizon"
-        )
-
-
 def _grid_times(horizon: float, step: float, members: int, dim: int) -> np.ndarray:
-    if not step > 0:
-        raise ValueError("step must be positive")
-    if not horizon >= step:
+    check_positive(horizon=horizon, step=step)
+    if horizon < step:
         raise ValueError("horizon must be at least one step")
-    _check_values(members, horizon / step, dim)
+    check_size(paths=members, cells=horizon / step, dim=dim)
     n = int(math.floor(horizon / step + 1e-9))
     times = np.arange(n + 1) * step
     if horizon - times[-1] > 1e-9 * step:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import PathSample, SemiLevySchedule, _check_values, _ensemble, _occupancy
-from .util import check_counts, format_csv, split_seeds
+from .schedule import PathSample, SemiLevySchedule, _ensemble, _occupancy
+from .util import check_counts, check_positive, check_size, format_csv, split_seeds
 
 __all__ = [
     "RationalStep",
@@ -37,14 +37,10 @@ class RationalStep:
     den: int
 
     def __post_init__(self):
-        check_counts(num=self.num, den=self.den)
-        num = int(self.num)
-        den = int(self.den)
-        if num < 1 or den < 1:
-            raise ValueError("num and den must be positive integers")
-        g = math.gcd(num, den)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
+        check_counts(least=1, num=self.num, den=self.den)
+        g = math.gcd(self.num, self.den)
+        object.__setattr__(self, "num", int(self.num) // g)
+        object.__setattr__(self, "den", int(self.den) // g)
 
     def step(self, period: float) -> float:
         return period * self.num / self.den
@@ -78,10 +74,9 @@ def _walk_occupancy(schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, 
     inside its period is p * ((k num) mod den) / den, an exact rational, so
     segment boundaries never drift no matter how long the walk is.
     """
-    check_counts(n_steps=n_steps, n_walks=n_walks)
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    _check_values(n_walks, n_steps, schedule.dim)
+    check_counts(least=1, n_steps=n_steps)
+    check_counts(n_walks=n_walks)
+    check_size(walks=n_walks, steps=n_steps, dim=schedule.dim)
     if n_steps * rs.num >= 2**63:
         raise ValueError(
             f"n_steps * num = {n_steps * rs.num} reaches 2^63, past the int64 arithmetic "
@@ -137,8 +132,7 @@ def ball_visit_curve(walks: list[WalkSample], a: float) -> BallVisitCurve:
     """
     if not walks:
         raise ValueError("need at least one walk")
-    if not a > 0:
-        raise ValueError("a must be positive")
+    check_positive(a=a)
     lengths = {w.steps.shape[0] for w in walks}
     if len(lengths) != 1:
         raise ValueError("walks must share a common length")
@@ -183,8 +177,7 @@ def occupation_time(path: PathSample, a: float) -> float:
     budget for it.  Monotone in both a and the horizon, bounded by the
     horizon.
     """
-    if not a > 0:
-        raise ValueError("a must be positive")
+    check_positive(a=a)
     return float(_occupation(path.values, np.diff(path.grid), a)[-1])
 
 

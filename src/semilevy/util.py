@@ -1,4 +1,7 @@
-"""Seed splitting and small Monte Carlo plumbing shared across modules.
+"""Seed splitting, input checks and small Monte Carlo plumbing shared across modules.
+
+Each input rule is written once here, as a check_* function that the
+modules and the config reader call.
 
 Reproducibility: every random stream is numpy's PCG64 seeded through
 SeedSequence, the generator np.random.default_rng(seed) returns.  Stream i
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from typing import Callable, Iterable, TypeVar
@@ -27,6 +31,10 @@ T = TypeVar("T")
 
 # seeds and stream indices lie in [0, SEED_BOUND): at most two 32-bit words
 SEED_BOUND = 1 << 64
+
+# most values one sampling call may hold (1 GiB of float64); check_size
+# compares the sizes with it before any grid, seed list or array is built
+MAX_VALUES = 1 << 27
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -186,11 +194,26 @@ def check_positive(**values: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def check_counts(**counts) -> None:
-    """ValueError unless every count is an integer of at least 0, naming the first that is not."""
+def check_counts(least: int = 0, **counts) -> None:
+    """ValueError unless every count is an integer of at least `least`, naming the first that is not."""
     for name, value in counts.items():
-        if not (isinstance(value, numbers.Integral) and value >= 0):
-            raise ValueError(f"{name} must be an integer of at least 0, got {value!r}")
+        if not (isinstance(value, numbers.Integral) and value >= least):
+            raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def check_size(**sizes: float) -> None:
+    """ValueError when one sampling call of these named sizes would hold more than MAX_VALUES values.
+
+    The sizes are compared as floats, a count past the float range as inf,
+    so no count is too large to check; the message names every factor.
+    """
+    floats = {name: float(size) if size <= sys.float_info.max else math.inf for name, size in sizes.items()}
+    values = math.prod(floats.values())
+    if values > MAX_VALUES:
+        factors = " x ".join(f"{name} {size:.6g}" for name, size in floats.items())
+        raise ValueError(
+            f"one sampling call would hold {values:.3g} values ({factors}), more than the bound of {MAX_VALUES}"
+        )
 
 
 def check_increasing(times, name: str, least: int = 1) -> np.ndarray:

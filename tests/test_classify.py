@@ -139,8 +139,10 @@ def test_ball_integral_qmc_bounds_its_draws(monkeypatch):
     # alone, by the verdict's ladder as by the single integral
     bm128 = single_segment(BrownianDrift(np.zeros(128), 1.0), 1.0)
     for call in (lambda: ball_integral_qmc(bm128, 1.0, 1e-3), lambda: chung_fuchs_verdict(bm128)):
-        with pytest.raises(ValueError, match="more than the bound"):
+        with pytest.raises(ValueError, match="more than the bound") as refused:
             call()
+        # the refusal names its factors: the dimension is the only one a user sets
+        assert "(replicates 16 x nodes 65536 x coordinates 129)" in str(refused.value)
 
 
 def test_quadrature_failure_is_explicit():
@@ -341,6 +343,26 @@ def test_verdict_evidence_reports_work_and_error():
 def test_verdict_drifting_bm_transient():
     v = chung_fuchs_verdict(single_segment(BrownianDrift(1.0, 1.0), 1.0))
     assert v.decision is Decision.TRANSIENT
+
+
+def test_verdict_slow_transient_ladder_is_never_recurrent():
+    # 1-d alpha = 0.8 is transient, yet its ladder converges too slowly to
+    # settle and grows too little to fit: the verdict may decline, never err
+    v = chung_fuchs_verdict(single_segment(SymmetricStable(0.8, 1.0, 1), 1.0))
+    assert v.decision is not Decision.RECURRENT
+    if v.decision is Decision.INCONCLUSIVE:
+        assert v.evidence["reason"] == "ladder neither settles nor fits an unbounded growth model"
+        assert {"beta", "power_r2", "log_r2"} <= v.evidence.keys()
+
+
+def test_verdict_d3_ladder_below_noise_floor_is_inconclusive():
+    # a drift of 50 in 3-d: I(q) barely moves along the ladder, less than
+    # the QMC noise, so no decision is read off it
+    v = chung_fuchs_verdict(single_segment(BrownianDrift([50.0, 0.0, 0.0], 1.0), 1.0))
+    assert v.decision is Decision.INCONCLUSIVE
+    assert v.evidence["reason"] == "ladder variation below the integration noise floor"
+    spread = v.evidence["integrals"].max() - v.evidence["integrals"].min()
+    assert 0.0 < spread < v.evidence["noise_floor"]
 
 
 def test_verdict_levels_validation():

@@ -137,6 +137,79 @@ def test_parse_validates_ranges():
         parse_config(BASIC + "horizons = 10.0,5.0\n")
 
 
+# lines 1-5; a run key appended to it sits on line 6
+DRIFT = "[schedule]\nperiod = 1.0\nsegment = 1.0 drift gamma=0.0\n[run]\nseed = 4\n"
+
+
+def _segment(text: str) -> str:
+    return f"[schedule]\nperiod = 1.0\nsegment = 1.0 {text}\n[run]\nseed = 4\n"
+
+
+# case -> (config text, the one line of its error); every case runs the
+# simulate subcommand except the two named in the test
+_CONFIG_ERRORS = {
+    # syntax
+    "key-value": (_segment("drift gamma"), "line 3: expected key=value, got 'gamma'"),
+    "segment-one-token": (_segment(""), "line 3: segment needs '<duration> <kind> [key=value ...]'"),
+    "segment-parameter": (_segment("drift gamma=0.0 speed=2"), "line 3: unknown drift parameters: speed"),
+    "section": (DRIFT + "[output]\n", "line 6: unknown section [output] (expected [schedule] or [run])"),
+    "no-equals": (DRIFT + "n_paths 3\n", "line 6: expected 'key = value'"),
+    "outside-section": ("period = 1.0\n" + DRIFT, "line 1: key outside a section; start with [schedule] or [run]"),
+    "duplicate-period": (DRIFT.replace("period = 1.0\n", "period = 1.0\n" * 2), "line 3: duplicate period"),
+    "schedule-key": (DRIFT.replace("period = 1.0\n", "period = 1.0\nlength = 2\n"),
+                     "line 3: unknown schedule key 'length'"),
+    "no-period": (DRIFT.replace("period = 1.0\n", ""), "schedule section must set period"),
+    "no-segment": (DRIFT.replace("segment = 1.0 drift gamma=0.0\n", ""),
+                   "schedule section must define at least one segment"),
+    "dim-mismatch": (DRIFT.replace("period = 1.0\n", "period = 1.0\ndim = 2\n"),
+                     "line 3: declared dim 2 but segments have dimension 1"),
+    "no-command": (DRIFT, "run section must set command (or pass it as the CLI subcommand)"),
+    "no-seed": (DRIFT.replace("seed = 4\n", ""),
+                "run section must set seed (seeds are never defaulted from system entropy)"),
+    "command-mismatch": (DRIFT + "command = lln\n",
+                         "line 6: config says command=lln but the CLI subcommand is simulate"),
+    # values
+    "integer": (DRIFT.replace("seed = 4", "seed = four"), "line 5: seed: expected an integer, got 'four'"),
+    "matrix-rows": (_segment("brownian drift=0,0 cov=1,0;0"), "line 3: cov: matrix rows have unequal lengths"),
+    "boolean": (DRIFT + "sweep = yes\n", "line 6: sweep: expected true or false, got 'yes'"),
+    "choice": (DRIFT + "criterion = best\n",
+               "line 6: criterion must be one of auto, chung-fuchs, mean, drift, empirical"),
+    "rs-no-slash": (DRIFT + "rs = 2\n", "line 6: rs must look like n1/n2"),
+    "kind-parameter": (_segment("brownian drift=0"), "line 3: brownian model needs cov or var"),
+    "jump-kind": (_segment("cpoisson rate=1 jump=cauchy"),
+                  "line 3: unknown jump kind 'cauchy' (point, uniform, gauss, laplace)"),
+    "model-value": (_segment("stable alpha=3 scale=1"), "line 3: invalid stable model: alpha must be in (0, 2]"),
+    # the library's own rules, reported at the line
+    "rs-zero": (DRIFT + "rs = 0/1\n", "line 6: num must be an integer of at least 1, got 0"),
+    "rs-negative": (DRIFT + "rs = -1/2\n", "line 6: num must be an integer of at least 1, got -1"),
+    "count": (DRIFT + "n_paths = 0\n", "line 6: n_paths must be an integer of at least 1, got 0"),
+    "levels": (DRIFT + "levels = 3\n", "line 6: levels must be between 6 and 32, got 3"),
+    "positive": (DRIFT + "a = 0\n", "line 6: a must be positive and finite, got 0.0"),
+    "increasing": (DRIFT + "horizons = 2, 1\n",
+                   "line 6: horizons must be positive and finite, and strictly increasing"),
+    # a usage error exits 1, not argparse's 2; the rest of its text is argparse's
+    "usage": (DRIFT, "argument command: invalid choice: 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONFIG_ERRORS))
+def test_config_errors_exit_one_with_their_line(tmp_path, capsys, case):
+    text, message = _CONFIG_ERRORS[case]
+    if case == "no-command":
+        # the CLI always passes its subcommand; a library caller may not
+        with pytest.raises(ConfigError) as refused:
+            parse_config(text)
+        assert str(refused.value) == message
+        return
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    command = "bogus" if case == "usage" else "simulate"
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # rendering round-trip
 # ---------------------------------------------------------------------------
@@ -392,6 +465,17 @@ def test_run_classify_sweep_uses_config_ladder(tmp_path, capsys):
         assert " levels=6 " in line and " q0=0.02 " in line
     # the middle radius is the main verdict itself
     assert sweep[1] == "sweep a=1.0 " + main_line
+
+
+def test_main_classify_drift_criterion(tmp_path, capsys):
+    # the splice's equivalent Levy model has unit mean 1/3 * 1 + 2/3 * (-0.5) = 0
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(BASIC + "criterion = drift\n")
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    decision, criterion, mean = (tmp_path / "o" / "verdict.txt").read_text().split()
+    assert (decision, criterion) == ("decision=Recurrent", "criterion=DriftTest")
+    assert mean.startswith("unit_mean=") and abs(float(mean.partition("=")[2])) <= 1e-12
+    assert capsys.readouterr().out == f"classify: {decision} {criterion} {mean}\n"
 
 
 def test_run_missing_required_key(tmp_path):

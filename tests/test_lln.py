@@ -121,6 +121,8 @@ def test_wlln_validation():
         wlln_conditions(BM, [1.0, np.inf], 10**4, seed=0)
     with pytest.raises(ValueError, match="^n_samples must be an integer"):
         wlln_conditions(BM, [1.0, 2.0], 10**4 + 0.5, seed=0)
+    with pytest.raises(ValueError, match="^n_samples must be an integer of at least 10000, got 100$"):
+        wlln_conditions(BM, [1.0, 2.0], 100, seed=0)
 
 
 def test_slln_validation():
@@ -131,6 +133,10 @@ def test_slln_validation():
             check(sched, [10.0, np.inf], 50, seed=0)
         with pytest.raises(ValueError, match="^n_paths must be an integer"):
             check(sched, [10.0, 20.0], 50.5, seed=0)
+        # too few paths, or no count at all: one ValueError, never a TypeError from a comparison
+        for bad in (10, None, "x"):
+            with pytest.raises(ValueError, match="^n_paths must be an integer of at least 50, got"):
+                check(sched, [10.0, 20.0], bad, seed=0)
 
 
 def test_wlln_consistent_with_mean_criterion():

@@ -114,6 +114,8 @@ def test_stable_parameter_validation():
         SymmetricStable(1.5, np.inf)
     with pytest.raises(ValueError, match="^dim must be an integer"):
         SymmetricStable(1.5, 1.0, 2.5)
+    with pytest.raises(ValueError, match="^dim must be an integer of at least 1, got 0"):
+        SymmetricStable(1.5, 1.0, 0)
     with pytest.raises(ValueError, match="^rate must be positive and finite"):
         CompoundPoisson(np.inf, PointMass(1.0))
     with pytest.raises(ValueError, match="^dt must be positive and finite"):
@@ -258,7 +260,8 @@ def test_scale_time_halves_exponent():
 
 
 @pytest.mark.parametrize("model", CATALOG)
-@pytest.mark.parametrize("s", [0.0, -1.0])
+# an infinite speed is refused before any parameter is multiplied by it
+@pytest.mark.parametrize("s", [0.0, -1.0, np.inf])
 def test_scaled_rejects_nonpositive_speed(model, s):
     with pytest.raises(ValueError, match="time scale must be positive"):
         model.scaled(s)

@@ -80,6 +80,9 @@ def test_counts_are_integers_of_at_least_zero():
         sample_walk(SPLICE, RationalStep(2, 3), 12.5, seed=5)
     with pytest.raises(ValueError, match="^size must be an integer"):
         sample_interval_increment(SPLICE, 0.0, 1.0, np.random.default_rng(0), size=2.5)
+    # a walk has at least one step: the same check, with its own least count
+    with pytest.raises(ValueError, match="^n_steps must be an integer of at least 1, got 0"):
+        sample_walks(SPLICE, RationalStep(2, 3), 0, 1, seed=5)
     assert sample_paths(SPLICE, horizon=2.3, step=0.23, n_paths=np.int64(0), seed=5) == []
 
 
@@ -219,6 +222,11 @@ def test_path_grid_and_reproducibility():
     assert np.array_equal(path.values, again.values)
     other = sample_path(SPLICE, horizon=5.0, step=0.3, seed=78)
     assert not np.array_equal(path.values, other.values)
+    # the grid's horizon and step are positive and finite, refused as such
+    # before the one-step and size rules see them
+    for horizon, step, name in ((np.nan, 1.0, "horizon"), (np.inf, 1.0, "horizon"), (5.0, 0.0, "step")):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            sample_path(SPLICE, horizon=horizon, step=step, seed=77)
 
 
 def test_sample_paths_split_seeds():

@@ -43,6 +43,10 @@ def test_rational_step_reduction():
         RationalStep(0, 1)
     with pytest.raises(ValueError, match="^num must be an integer"):
         RationalStep(2.5, 3)  # not truncated to 2/3
+    with pytest.raises(ValueError, match="^num must be an integer of at least 1, got -1"):
+        RationalStep(-1, 2)
+    with pytest.raises(ValueError, match="^den must be an integer of at least 1, got 0"):
+        RationalStep(1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +160,8 @@ def test_ball_visits_validation():
     with pytest.raises(ValueError):
         ball_visit_curve([], 1.0)
     walks = _walks_from_array(np.zeros((2, 5)))
+    with pytest.raises(ValueError, match="^a must be positive and finite, got inf"):
+        ball_visit_curve(walks, np.inf)  # not a p_hat of 1 at every step
     walks.append(WalkSample(np.zeros((3, 1)), RationalStep(1, 1), 0))
     with pytest.raises(ValueError):
         ball_visit_curve(walks, 1.0)
@@ -192,6 +198,8 @@ def test_occupation_zero_path():
     grid = np.linspace(0.0, 10.0, 101)
     path = PathSample(grid=grid, values=np.zeros((101, 1)), seed=0)
     assert occupation_time(path, 0.5) == pytest.approx(10.0)
+    with pytest.raises(ValueError, match="^a must be positive and finite, got inf"):
+        occupation_time(path, np.inf)  # not the whole horizon
 
 
 def test_occupation_drift_exit():

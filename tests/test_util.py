@@ -1,9 +1,11 @@
-"""Shared plumbing: seed splitting and CSV formatting."""
+"""Shared plumbing: seed splitting, input checks and CSV formatting."""
 
 import numpy as np
 import pytest
 
-from semilevy.util import CSV_CHUNK_ROWS, format_csv, split_seed, split_seeds, stream_states
+from semilevy.util import (
+    CSV_CHUNK_ROWS, MAX_VALUES, check_counts, check_size, format_csv, split_seed, split_seeds, stream_states,
+)
 
 MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 123456789, 0x9E3779B97F4A7C15]
 INDICES = list(range(300)) + [2**32 - 1, 2**32, 2**32 + 5, 2**40, 2**64 - 1]
@@ -89,3 +91,18 @@ def test_non_integer_seeds_and_indices_are_refused():
     with pytest.raises(TypeError):
         split_seed(5.0, 2)
     assert split_seed(np.int64(5), np.uint64(2)) == split_seed(5, 2)
+
+
+def test_checks_name_what_they_refuse():
+    check_counts(least=1, n=1, m=np.int64(3))
+    for bad in (0, 1.0, None):
+        with pytest.raises(ValueError, match=f"^m must be an integer of at least 1, got {bad!r}$"):
+            check_counts(least=1, n=1, m=bad)
+    check_size(paths=2**7, cells=2**20)
+    assert 2**7 * 2**20 == MAX_VALUES
+    message = r"one sampling call would hold 2.68e\+08 values \(paths 128 x cells 1.04858e\+06 x dim 2\), more than"
+    with pytest.raises(ValueError, match=f"^{message} the bound of 134217728$"):
+        check_size(paths=2**7, cells=2**20, dim=2)
+    # a count past the float range is compared as inf, never converted with an error
+    with pytest.raises(ValueError, match=r"\(paths inf x dim 1\)"):
+        check_size(paths=10**400, dim=1)
