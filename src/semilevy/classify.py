@@ -7,10 +7,11 @@ Two analytic routes and one empirical diagnostic:
   is equivalent to I(q) diverging as q decreases to 0; any finite procedure
   can only fit the divergence, so the verdict states its evidence and admits
   an honest Inconclusive.  psi does not depend on q: a verdict evaluates it
-  once, on composite Gauss-Kronrod boxes in dimensions 1-2 (intervals in
-  dimension 1, tensor-product boxes over radius and angle in dimension 2) or
-  on scrambled-Sobol nodes in dimension 3 and up, and reads every q off the
-  same values.
+  once, on composite G10/K21 Gauss-Kronrod boxes in dimensions 1-3
+  (intervals in dimension 1, tensor-product boxes over radius and angle in
+  dimension 2, and over (r, cos theta, phi) in dimension 3 with the pole
+  along the one-period mean) or on scrambled-Sobol nodes in dimension 4 and
+  up, and reads every q off the same values.
 * The one-dimensional mean criterion: with a finite one-period mean, the
   process is recurrent exactly when that mean vanishes.  The drift test is
   the same zero test applied to a plain Levy model.
@@ -21,8 +22,10 @@ Two analytic routes and one empirical diagnostic:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,14 +58,14 @@ __all__ = [
     "empirical_verdict",
 ]
 
-# relative tolerance demanded of deterministic quadrature (d <= 2)
+# relative tolerance demanded of deterministic quadrature (d <= 3)
 QUAD_REL_TOL = 1e-6
 # composite Gauss-Kronrod boxes are refined until the summed error estimate
 # is below this fraction of every ladder level
 PANEL_REL_TOL = 1e-9
 # refinement budget per ladder, in place of an unbounded bisection: boxes
-# (G10/K21 panels in d = 1, their tensor squares over (r, theta) in d = 2),
-# and psi points
+# (G10/K21 panels in d = 1, their tensor products over (r, theta) in d = 2
+# and over (r, cos theta, phi) in d = 3), and psi points
 MAX_PANELS = 2000
 PSI_POINT_BUDGET = 2**24
 # psi is evaluated on at most this many points per period_exponent call; a
@@ -211,6 +214,30 @@ class _Psi:
         r, theta = x[:, 0], x[:, 1]
         return r * self.integrand(r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)]))
 
+    @cached_property
+    def pole(self) -> np.ndarray:
+        """Reflection taking e_3 to the direction of the one-period mean, or the identity.
+
+        A drift m puts a sharp peak on the plane <m, z> = 0; with the pole
+        along m that plane is u = 0, where the first halving along u puts a
+        box edge.  A reflection maps the ball onto itself, keeping volume, so
+        it changes the cost of I(q), never its value.
+        """
+        m, frame = period_mean(self.schedule), np.eye(3)
+        norm = 0.0 if m is None else float(np.linalg.norm(m))
+        if 0.0 < norm < np.inf:
+            v = frame[2] - m / norm
+            if np.any(v):
+                frame -= 2.0 * np.outer(v, v) / (v @ v)
+        return frame
+
+    def spherical(self, x: np.ndarray) -> np.ndarray:
+        """r^2 times the integrand at z = r pole (s cos phi, s sin phi, u), s = sqrt(1 - u^2), per (r, u, phi) row."""
+        r, u, phi = x.T
+        s = np.sqrt(1.0 - u * u)
+        directions = np.column_stack([s * np.cos(phi), s * np.sin(phi), u]) @ self.pole
+        return r * r * self.integrand(r[:, None] * directions)
+
 
 def _qk21(fx: np.ndarray, half: np.ndarray):
     # QUADPACK qk21 along the last axis of fx: the K21 value and its error estimate
@@ -225,9 +252,10 @@ def _qk21(fx: np.ndarray, half: np.ndarray):
 
 
 def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
-    # K21 x K21 value of every level on each box [lo, hi], shape (n, D) with
-    # D = 1 or 2, and per axis the qk21 error of the K21 sum over the other
-    # axis; f sees the boxes in groups of at most PSI_CHUNK nodes
+    # K21 tensor value of every level on each box [lo, hi], shape (n, D), and
+    # per axis the qk21 error along it of the K21 sum over the other axes
+    # (times their half-widths); f sees the boxes in groups of at most
+    # PSI_CHUNK nodes
     n, dim = lo.shape
     grid = _GK_NODES[np.indices((_GK_NODES.size,) * dim).reshape(dim, -1).T]
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -237,11 +265,14 @@ def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
         c, h = center[i : i + step], half[i : i + step]
         nodes = (c[:, None] + h[:, None] * grid).reshape(-1, dim)
         fx = f(nodes).reshape(-1, len(c), *(_GK_NODES.size,) * dim)
-        if dim == 2:
-            along = [fx @ _GK_KRONROD * h[:, 1, None], np.swapaxes(fx, 2, 3) @ _GK_KRONROD * h[:, 0, None]]
-        else:
-            along = [fx]
-        parts = [_qk21(g, h[:, axis]) for axis, g in enumerate(along)]
+        parts = []
+        for axis in range(dim):
+            # contracting the last other axis first keeps this one in place
+            g = fx
+            for other in reversed(range(dim)):
+                if other != axis:
+                    g = np.moveaxis(g, 2 + other, -1) @ _GK_KRONROD
+            parts.append(_qk21(g * np.prod(np.delete(h, axis, axis=1), axis=1)[:, None], h[:, axis]))
         values.append(parts[0][0])
         errs.append(np.stack([err for _, err in parts], axis=-1))
     return np.concatenate(values, axis=1), np.concatenate(errs, axis=1)
@@ -277,7 +308,7 @@ def _gk_ladder(f, psi: _Psi, lo: np.ndarray, hi: np.ndarray):
 
 
 def _ball_volume(dim: int, a: float) -> float:
-    # scipy.special and scipy.stats are imported where d >= 3 needs them:
+    # scipy.special and scipy.stats are imported where d >= 4 needs them:
     # they take most of a cold start, which every command would pay
     from scipy.special import gammaln
 
@@ -326,29 +357,31 @@ def _ladder(schedule: SemiLevySchedule, a: float, qs, seed: int):
     set, in every dimension, and every level is a weighted sum of
     _cf_integrand(psi, q) over it: composite G10/K21 panels on the
     _origin_ladder breakpoints in d = 1, tensor G10/K21 boxes over
-    (r, theta) in d = 2, each radial panel on the same breakpoints starting
-    as one box over the whole turn (absolute error estimates in both), and
-    scrambled-Sobol batches in d >= 3 (standard errors).  I(q) is finite and
-    positive for every Levy exponent, so any other value raises
-    QuadratureError, as does, in d <= 2, an error above QUAD_REL_TOL of the
-    value.
+    (r, theta) in d = 2 and over (r, cos theta, phi) in d = 3 (pole along
+    the one-period mean), each radial panel on the same breakpoints starting
+    as one box over the whole sphere (absolute error estimates in all
+    three), and scrambled-Sobol batches in d >= 4 (standard errors).  I(q)
+    is finite and positive for every Levy exponent, so any other value
+    raises QuadratureError, as does, in d <= 3, an error above QUAD_REL_TOL
+    of the value.
     """
     psi, dim = _Psi(schedule, np.asarray(qs, dtype=float)), schedule.dim
-    if dim >= 3:
+    radii = np.concatenate([[0.0], _origin_ladder(a)[::-1], [a]])
+    if dim >= 4:
         values, errors = _qmc_ladder(psi, a, seed)
     elif dim == 1:
-        ladder = _origin_ladder(a)
-        breaks = np.concatenate([[-a], -ladder, [0.0], ladder[::-1], [a]])
+        breaks = np.concatenate([-radii[:0:-1], radii])
         values, errors = _gk_ladder(psi.integrand, psi, breaks[:-1, None], breaks[1:, None])
     else:
-        radii = np.concatenate([[0.0], _origin_ladder(a)[::-1], [a]])
-        lo = np.column_stack([radii[:-1], np.zeros(radii.size - 1)])
-        hi = np.column_stack([radii[1:], np.full(radii.size - 1, 2.0 * np.pi)])
-        values, errors = _gk_ladder(psi.polar, psi, lo, hi)
+        # one box per radial panel over the whole turn, and in d = 3 over cos(theta) in [-1, 1]
+        spans = [(0.0, 2.0 * np.pi)] if dim == 2 else [(-1.0, 1.0), (0.0, 2.0 * np.pi)]
+        lo = np.column_stack([radii[:-1], *(np.full(radii.size - 1, low) for low, _ in spans)])
+        hi = np.column_stack([radii[1:], *(np.full(radii.size - 1, high) for _, high in spans)])
+        values, errors = _gk_ladder(psi.polar if dim == 2 else psi.spherical, psi, lo, hi)
     for q, value, error in zip(psi.qs, values, errors):
         if not (np.isfinite(value) and value > 0.0):
             raise QuadratureError(f"{dim}-d Chung-Fuchs integral is {value!r} at q={q:g}, a={a:g}")
-        if dim <= 2 and not error <= QUAD_REL_TOL * value:
+        if dim <= 3 and not error <= QUAD_REL_TOL * value:
             raise QuadratureError(
                 f"{dim}-d quadrature error {error:g} exceeds relative tolerance {QUAD_REL_TOL:g} "
                 f"at q={q:g}, a={a:g}"
@@ -360,8 +393,9 @@ def ball_integral_qmc(schedule: SemiLevySchedule, a: float, q: float, seed: int 
     """Quasi-Monte Carlo value of the Chung-Fuchs integral with its standard error.
 
     Uses QMC_REPLICATES = 16 independently scrambled Sobol streams of
-    PSI_CHUNK = 2**16 nodes each (2**20 > 1e6 nodes), the same as a d >= 3
+    PSI_CHUNK = 2**16 nodes each (2**20 > 1e6 nodes), the same as a d >= 4
     ladder; the standard error is the spread of the per-stream estimates.
+    In d = 3 it stays QMC, an independent check on the Gauss-Kronrod ladder.
     """
     check_positive(a=a, q=q)
     values, stderrs = _qmc_ladder(_Psi(schedule, np.array([q], dtype=float)), a, seed)
@@ -373,10 +407,12 @@ def chung_fuchs_integral(
 ) -> float:
     """I(q) = integral over B_a of Re(1/(q - psi(z))) dz for the one-period law.
 
-    Deterministic composite Gauss-Kronrod quadrature for dimensions 1 and 2
-    (relative tolerance 1e-6, raising QuadratureError rather than returning a
-    silently wrong value); quasi-Monte Carlo over the ball for dimension >= 3,
-    with the standard error available through ball_integral_qmc.
+    Deterministic G10/K21 Gauss-Kronrod boxes for dimensions 1-3, spherical
+    (r, cos theta, phi) boxes with the pole along the one-period mean in
+    dimension 3 (relative tolerance 1e-6, raising QuadratureError rather
+    than returning a silently wrong value); quasi-Monte Carlo over the ball
+    for dimension >= 4, with the standard error available through
+    ball_integral_qmc.
     """
     check_positive(a=a, q=q)
     values, _, _ = _ladder(schedule, a, [q], seed)
@@ -399,7 +435,9 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def check_levels(levels: int) -> None:
-    """ValueError unless a ladder of this many levels is one a verdict accepts."""
+    """ValueError unless a ladder of this many levels is one a verdict accepts: a whole number (6.0 counts) in range."""
+    if not (isinstance(levels, numbers.Real) and float(levels).is_integer()):
+        raise ValueError(f"levels must be a whole number, got {levels!r}")
     if not MIN_LEVELS <= levels <= MAX_LEVELS:
         raise ValueError(f"levels must be between {MIN_LEVELS} and {MAX_LEVELS}, got {levels}")
 
@@ -417,8 +455,10 @@ def chung_fuchs_verdict(
     decay geometrically and the remaining variation is under 1% of the last
     value); recurrent when a power law c * q**(-beta) with beta >= 0.05 or a
     logarithmic growth fits with R^2 >= 0.99; otherwise Inconclusive with the
-    fit diagnostics attached.  For dimension >= 3 the ladder must move by
-    more than 5x the integration standard error before any verdict is issued.
+    fit diagnostics attached.  Dimensions 1-3 integrate on G10/K21 boxes and
+    report quad_rel_err; dimension >= 4 integrates by QMC, reports stderrs,
+    and its ladder must move by more than 5x the integration standard error
+    before any verdict is issued.
     """
     check_levels(levels)
     check_positive(a=a, q0=q0)
@@ -433,7 +473,7 @@ def chung_fuchs_verdict(
         "integrals": values,
         "psi_points": work["psi_points"],
     }
-    if schedule.dim <= 2:
+    if schedule.dim <= 3:
         evidence["quad_rel_err"] = float(np.max(errors / values))
     else:
         evidence["stderrs"] = errors
@@ -443,7 +483,7 @@ def chung_fuchs_verdict(
 
     # noise guard for stochastic integration: a ladder that moved less than
     # the noise floor supports no classification at all
-    if schedule.dim >= 3:
+    if schedule.dim >= 4:
         noise_floor = QMC_SIGNAL_FACTOR * float(errors.max())
         if float(values.max() - values.min()) < noise_floor:
             evidence["reason"] = "ladder variation below the integration noise floor"
@@ -548,6 +588,8 @@ FLAG_TRANSIENT = "saturation-consistent-with-transience"
 # paths the diagnostic's size check counts on its grid; whole paths are held
 # only a block per pool worker at a time, each reduced to occupations at once
 DIAGNOSTIC_CHUNK = 16
+# fewest paths the diagnostic accepts
+DIAGNOSTIC_MIN_PATHS = 50
 
 
 @dataclass(frozen=True)
@@ -597,7 +639,7 @@ def empirical_diagnostic(
     the step.
     """
     horizons = check_increasing(horizons, "horizons", least=2)
-    check_counts(least=50, n_paths=n_paths)
+    check_counts(least=DIAGNOSTIC_MIN_PATHS, n_paths=n_paths)
     check_positive(a=a)
 
     check_size(paths=n_paths, horizons=horizons.size)

@@ -53,6 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .classify import (
+    DIAGNOSTIC_MIN_PATHS,
     QuadratureError,
     check_levels,
     chung_fuchs_verdict,
@@ -62,7 +63,7 @@ from .classify import (
     mean_criterion,
     radius_sweep,
 )
-from .lln import divergence_check, slln_check, wlln_conditions
+from .lln import MIN_PATHS, MIN_SAMPLES, divergence_check, slln_check, wlln_conditions
 from .models import (
     BrownianDrift,
     CompoundPoisson,
@@ -311,6 +312,12 @@ RUN_KEYS = {
     "horizons": (_INCREASING, _render_vector),
     "t_grid": (_INCREASING, _render_vector),
 }
+# command -> the counts its runner bounds from below by more than _COUNT's 1:
+# the occupation diagnostic's paths, the law-of-large-numbers paths and draws
+_COMMAND_COUNTS = {
+    "classify": {"n_paths": DIAGNOSTIC_MIN_PATHS},
+    "lln": {"n_paths": MIN_PATHS, "n_samples": MIN_SAMPLES},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +422,9 @@ def parse_config(text: str, default_command: Optional[str] = None) -> RunConfig:
     if default_command not in (None, command):
         lineno = run_raw["command"][0]
         _fail(lineno, f"config says command={command} but the CLI subcommand is {default_command}")
+    for key, least in _COMMAND_COUNTS.get(command, {}).items():
+        if key in values:
+            _in_line(run_raw[key][0], lambda value: check_counts(least=least, **{key: value}), values[key])
     if "seed" not in values:
         _fail(None, "run section must set seed (seeds are never defaulted from system entropy)")
     return RunConfig(schedule=schedule, **values)

@@ -33,6 +33,10 @@ __all__ = [
     "wlln_conditions",
 ]
 
+# fewest paths a law-of-large-numbers check, and fewest draws a weak-law estimate, accepts
+MIN_PATHS = 50
+MIN_SAMPLES = 10**4
+
 FLAG_SLLN = "slln-consistent"
 FLAG_DIVERGENCE = "divergence-consistent"
 FLAG_TAIL_VANISHES = "tail-vanishes"
@@ -107,7 +111,7 @@ def slln_check(
     covariance is finite.
     """
     h = check_increasing(horizons, "horizons")
-    check_counts(least=50, n_paths=n_paths)
+    check_counts(least=MIN_PATHS, n_paths=n_paths)
     mu = period_mean(schedule)
     if mu is None:
         raise ValueError("one-period mean is absent (E[|X_p|] = infinity); use divergence_check")
@@ -150,7 +154,7 @@ def divergence_check(
     the cumulative comparison is the stable reading).
     """
     h = check_increasing(horizons, "horizons", least=2)
-    check_counts(least=50, n_paths=n_paths)
+    check_counts(least=MIN_PATHS, n_paths=n_paths)
     if period_mean(schedule) is not None:
         raise ValueError("one-period mean exists; slln_check applies, not divergence_check")
     vals = _horizon_values(schedule, h, n_paths, seed)
@@ -187,7 +191,7 @@ def wlln_conditions(
     that persists means no constant exists and the weak law fails.
     """
     t = check_increasing(t_grid, "t_grid")
-    check_counts(least=10**4, n_samples=n_samples)
+    check_counts(least=MIN_SAMPLES, n_samples=n_samples)
     check_size(samples=n_samples, dim=schedule.dim)
     rng = np.random.default_rng(seed)
     x = sample_interval_increment(schedule, 0.0, schedule.period, rng, size=n_samples)

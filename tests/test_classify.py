@@ -39,6 +39,8 @@ from semilevy.util import split_seed
 
 BM1 = single_segment(BrownianDrift(0.0, 1.0), 1.0)
 BM3 = single_segment(BrownianDrift(np.zeros(3), np.eye(3)), 1.0)
+# d >= 4 ladders keep the QMC engine
+BM4 = single_segment(BrownianDrift(np.zeros(4), np.eye(4)), 1.0)
 CAUCHY = single_segment(SymmetricStable(1.0, 1.0, 1), 1.0)
 
 
@@ -52,6 +54,26 @@ def cauchy_oracle(a, q):
 
 def bm3_oracle(a, q):
     return 8.0 * np.pi * (a - np.sqrt(2.0 * q) * np.arctan(a / np.sqrt(2.0 * q)))
+
+
+def radial_reference(integrand, a, q):
+    # 4 pi times the integral over [0, a] of r^2 integrand(r, q), on the origin breakpoints
+    def f(r):
+        return 4.0 * np.pi * r * r * integrand(r, q)
+
+    points = classify._origin_ladder(a)
+    return integrate.quad(f, 0.0, a, points=points, limit=800, epsabs=0.0, epsrel=1e-11)[0]
+
+
+def stable3_reference(alpha, a, q):
+    # SymmetricStable(alpha, 1, 3): psi = -|z|^alpha is isotropic, so I(q) is radial
+    return radial_reference(lambda r, q: 1.0 / (q + r**alpha), a, q)
+
+
+def bm3_drift_reference(m, a, q):
+    # BrownianDrift(m, I) in d = 3: the cos(theta) integral of Re 1/(q + r^2/2 - i |m| r u) over
+    # [-1, 1] is 2 arctan(|m| r / (q + r^2/2)) / (|m| r)
+    return radial_reference(lambda r, q: np.arctan(m * r / (q + 0.5 * r * r)) / (m * r), a, q)
 
 
 def bm2_drift_oracle(m, a, q):
@@ -199,6 +221,13 @@ def test_gauss_kronrod_constants():
             lambda q: bm2_drift_oracle(5.0, 1.0, q),
             1e-8,
         ),
+        # d = 3 on (r, cos theta, phi) boxes
+        (BM3, lambda q: bm3_oracle(1.0, q), classify.QUAD_REL_TOL),
+        (
+            single_segment(SymmetricStable(1.5, 1.0, 3), 1.0),
+            lambda q: stable3_reference(1.5, 1.0, q),
+            classify.QUAD_REL_TOL,
+        ),
     ],
 )
 def test_ladder_every_level_closed_form(sched, oracle, rel):
@@ -251,11 +280,21 @@ def test_ladder_matches_scipy_quad_reference(sched, q):
     assert values[0] == pytest.approx(_quad_reference(sched, 1.0, q), rel=1e-6)
 
 
-def test_ladder_d3_equals_ball_integral_qmc():
-    values, errors, work = classify._ladder(BM3, 1.0, LADDER_QS, seed=5)
+def test_ladder_d4_equals_ball_integral_qmc():
+    values, errors, work = classify._ladder(BM4, 1.0, LADDER_QS, seed=5)
     for q, value, error in zip(LADDER_QS, values, errors):
-        assert (value, error) == ball_integral_qmc(BM3, 1.0, float(q), seed=5)
+        assert (value, error) == ball_integral_qmc(BM4, 1.0, float(q), seed=5)
     assert work["psi_points"] == 2**20
+
+
+@pytest.mark.parametrize("direction", [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], np.ones(3) / np.sqrt(3.0)])
+def test_ladder_d3_drift_direction_leaves_the_integral(direction):
+    # the pole follows the one-period mean, so any direction of the same drift gives the same I(q)
+    sched = single_segment(BrownianDrift(0.5 * np.asarray(direction), np.eye(3)), 1.0)
+    values, errors, _ = classify._ladder(sched, 1.0, LADDER_QS, seed=0)
+    for q, value in zip(LADDER_QS, values):
+        assert value == pytest.approx(bm3_drift_reference(0.5, 1.0, q), rel=classify.QUAD_REL_TOL)
+    assert np.all(errors <= classify.QUAD_REL_TOL * values)
 
 
 def test_ladder_evaluates_psi_in_few_bounded_calls(monkeypatch):
@@ -328,6 +367,16 @@ def test_verdict_bm3_transient():
     v = chung_fuchs_verdict(BM3, seed=0)
     assert v.decision is Decision.TRANSIENT
     assert v.evidence["remaining_frac"] < 0.01
+    # Gauss-Kronrod boxes: at least 4x fewer points than the 2**20 QMC nodes
+    assert v.evidence["psi_points"] <= 2**18
+    assert 0.0 < v.evidence["quad_rel_err"] <= classify.QUAD_REL_TOL
+    assert "stderrs" not in v.evidence
+
+
+def test_verdict_bm4_transient():
+    v = chung_fuchs_verdict(BM4, seed=0)
+    assert v.decision is Decision.TRANSIENT
+    assert v.evidence["remaining_frac"] < 0.01
     assert v.evidence["psi_points"] == 2**20
     assert "quad_rel_err" not in v.evidence
 
@@ -355,10 +404,17 @@ def test_verdict_slow_transient_ladder_is_never_recurrent():
         assert {"beta", "power_r2", "log_r2"} <= v.evidence.keys()
 
 
-def test_verdict_d3_ladder_below_noise_floor_is_inconclusive():
-    # a drift of 50 in 3-d: I(q) barely moves along the ladder, less than
-    # the QMC noise, so no decision is read off it
+def test_verdict_d3_strong_drift_transient():
+    # a drift of 50 puts a sharp peak on the plane normal to it, which boxes with their pole along the drift resolve
     v = chung_fuchs_verdict(single_segment(BrownianDrift([50.0, 0.0, 0.0], 1.0), 1.0))
+    assert v.decision is Decision.TRANSIENT
+    assert 0.0 < v.evidence["quad_rel_err"] <= classify.QUAD_REL_TOL
+
+
+def test_verdict_d4_ladder_below_noise_floor_is_inconclusive():
+    # a drift of 50 in 4-d: I(q) barely moves along the ladder, less than
+    # the QMC noise, so no decision is read off it
+    v = chung_fuchs_verdict(single_segment(BrownianDrift([50.0, 0.0, 0.0, 0.0], 1.0), 1.0))
     assert v.decision is Decision.INCONCLUSIVE
     assert v.evidence["reason"] == "ladder variation below the integration noise floor"
     spread = v.evidence["integrals"].max() - v.evidence["integrals"].min()
@@ -368,6 +424,11 @@ def test_verdict_d3_ladder_below_noise_floor_is_inconclusive():
 def test_verdict_levels_validation():
     with pytest.raises(ValueError):
         chung_fuchs_verdict(BM1, levels=5)
+    # a fractional ladder length is refused, not rounded up to the next whole level
+    for bad in (6.5, 8.25, np.nan, "8"):
+        with pytest.raises(ValueError, match="^levels must be a whole number"):
+            chung_fuchs_verdict(BM1, levels=bad)
+    assert len(chung_fuchs_verdict(BM1, levels=6.0).evidence["integrals"]) == 6
     with pytest.raises(ValueError, match="levels"):
         chung_fuchs_verdict(BM1, levels=MAX_LEVELS + 1)
     with pytest.raises(ValueError, match="levels"):

@@ -146,7 +146,7 @@ def _segment(text: str) -> str:
 
 
 # case -> (config text, the one line of its error); every case runs the
-# simulate subcommand except the two named in the test
+# simulate subcommand except those named in _CONFIG_ERROR_COMMANDS and no-command
 _CONFIG_ERRORS = {
     # syntax
     "key-value": (_segment("drift gamma"), "line 3: expected key=value, got 'gamma'"),
@@ -187,9 +187,16 @@ _CONFIG_ERRORS = {
     "positive": (DRIFT + "a = 0\n", "line 6: a must be positive and finite, got 0.0"),
     "increasing": (DRIFT + "horizons = 2, 1\n",
                    "line 6: horizons must be positive and finite, and strictly increasing"),
+    # a command's own count bounds, reported at the line rather than when the command runs
+    "lln-paths": (DRIFT + "n_paths = 10\n", "line 6: n_paths must be an integer of at least 50, got 10"),
+    "lln-samples": (DRIFT + "n_samples = 100\n", "line 6: n_samples must be an integer of at least 10000, got 100"),
+    "diagnostic-paths": (DRIFT + "n_paths = 49\n", "line 6: n_paths must be an integer of at least 50, got 49"),
     # a usage error exits 1, not argparse's 2; the rest of its text is argparse's
     "usage": (DRIFT, "argument command: invalid choice: 'bogus'"),
 }
+
+
+_CONFIG_ERROR_COMMANDS = {"usage": "bogus", "lln-paths": "lln", "lln-samples": "lln", "diagnostic-paths": "classify"}
 
 
 @pytest.mark.parametrize("case", list(_CONFIG_ERRORS))
@@ -203,7 +210,7 @@ def test_config_errors_exit_one_with_their_line(tmp_path, capsys, case):
         return
     cfg = tmp_path / "c.cfg"
     cfg.write_text(text)
-    command = "bogus" if case == "usage" else "simulate"
+    command = _CONFIG_ERROR_COMMANDS.get(case, "simulate")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
@@ -272,8 +279,10 @@ def configs(draw):
         kwargs["horizons"] = (1.0, 2.5, 7.0)
     if draw(st.booleans()):
         kwargs["rs"] = RationalStep(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    # the reader bounds lln's and the occupation diagnostic's paths, and lln's draws, from below
+    least_paths = {"classify": 50, "lln": 50}.get(command, 1)
     if draw(st.booleans()):
-        kwargs["n_paths"] = draw(st.integers(1, 500))
+        kwargs["n_paths"] = draw(st.integers(least_paths, 500))
     if draw(st.booleans()):
         kwargs["sweep"] = True
     if draw(st.booleans()):
@@ -283,9 +292,9 @@ def configs(draw):
             kwargs[key] = draw(positive)
     if draw(st.booleans()):
         kwargs["levels"] = draw(st.integers(MIN_LEVELS, MAX_LEVELS))
-    for key in ("n_steps", "n_walks", "n_samples"):
+    for key, least in (("n_steps", 1), ("n_walks", 1), ("n_samples", 10**4 if command == "lln" else 1)):
         if draw(st.booleans()):
-            kwargs[key] = draw(st.integers(1, 10**6))
+            kwargs[key] = draw(st.integers(least, 10**6))
     if draw(st.booleans()):
         kwargs["t_grid"] = tuple(np.cumsum(draw(st.lists(positive, min_size=1, max_size=4))).tolist())
     return RunConfig(schedule=schedule, command=command, seed=draw(st.integers(0, 2**63 - 1)), **kwargs)
@@ -344,7 +353,7 @@ horizon = 10.0
 q0 = 0.02
 step = 0.1
 levels = 8
-n_paths = 40
+n_paths = 50
 n_samples = 20000
 n_steps = 100
 n_walks = 30
@@ -372,7 +381,7 @@ def test_render_canonical_text():
     )
     config = RunConfig(
         schedule=schedule, command="classify", seed=7, a=1.5, q0=0.02, levels=8, criterion="chung-fuchs",
-        sweep=True, horizon=10.0, step=0.1, n_paths=40, n_steps=100, n_walks=30, rs=RationalStep(2, 6),
+        sweep=True, horizon=10.0, step=0.1, n_paths=50, n_steps=100, n_walks=30, rs=RationalStep(2, 6),
         horizons=(1.0, 2.5), t_grid=(0.5, 4.0), n_samples=20000,
     )
     assert render_config(config) == CANONICAL
@@ -684,14 +693,26 @@ def test_failed_weak_law_leaves_no_lln_csv(tmp_path, capsys):
     assert not (tmp_path / "o" / "wlln.csv").exists()
 
 
-def test_cli_import_leaves_scipy_stats_and_special_unloaded():
-    # scipy.stats and scipy.special are imported only by the d >= 3 QMC path
-    code = (
-        "import sys, semilevy.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))"
-    )
+def _scipy_stats_and_special_loaded_after(code: str) -> str:
+    # run code in a fresh process and list which of the two it left in sys.modules
+    code += "; print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))"
     src = str(Path(semilevy.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_and_special_unloaded():
+    # scipy.stats and scipy.special are imported only by the d >= 4 QMC path
+    assert _scipy_stats_and_special_loaded_after("import sys, semilevy.cli") == "[]"
+
+
+def test_d3_verdict_leaves_scipy_stats_and_special_unloaded():
+    # a 3-d ladder runs on Gauss-Kronrod boxes, so it needs neither module
+    code = (
+        "import sys, numpy as np; from semilevy.classify import chung_fuchs_verdict; "
+        "from semilevy.models import BrownianDrift; from semilevy.schedule import single_segment; "
+        "chung_fuchs_verdict(single_segment(BrownianDrift(np.zeros(3), np.eye(3)), 1.0))"
+    )
+    assert _scipy_stats_and_special_loaded_after(code) == "[]"
