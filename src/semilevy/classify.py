@@ -7,11 +7,8 @@ Two analytic routes and one empirical diagnostic:
   is equivalent to I(q) diverging as q decreases to 0; any finite procedure
   can only fit the divergence, so the verdict states its evidence and admits
   an honest Inconclusive.  psi does not depend on q: a verdict evaluates it
-  once, on composite G10/K21 Gauss-Kronrod boxes in dimensions 1-3
-  (intervals in dimension 1, tensor-product boxes over radius and angle in
-  dimension 2, and over (r, cos theta, phi) in dimension 3 with the pole
-  along the one-period mean) or on scrambled-Sobol nodes in dimension 4 and
-  up, and reads every q off the same values.
+  once, on Gauss-Kronrod boxes in dimensions 1-3 or scrambled-Sobol nodes
+  from dimension 4 (see _ladder), and reads every q off the same values.
 * The one-dimensional mean criterion: with a finite one-period mean, the
   process is recurrent exactly when that mean vanishes.  The drift test is
   the same zero test applied to a plain Levy model.
@@ -89,8 +86,8 @@ FIT_R2_MIN = 0.99
 # Cauchy-convergence acceptance: remaining variation below 1% of the last value
 REMAINING_FRAC_MAX = 0.01
 GEOMETRIC_RHO_MAX = 0.95
-# QMC verdicts require the ladder signal to exceed 5x the integration noise
-QMC_SIGNAL_FACTOR = 5.0
+# verdicts require the ladder signal to exceed 5x the integration error estimate
+SIGNAL_FACTOR = 5.0
 
 
 class QuadratureError(RuntimeError):
@@ -209,11 +206,6 @@ class _Psi:
             out[level] = _cf_integrand(psi, float(q))
         return out
 
-    def polar(self, x: np.ndarray) -> np.ndarray:
-        """r times the integrand at z = r (cos theta, sin theta), for the (r, theta) rows of x."""
-        r, theta = x[:, 0], x[:, 1]
-        return r * self.integrand(r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)]))
-
     @cached_property
     def pole(self) -> np.ndarray:
         """Reflection taking e_3 to the direction of the one-period mean, or the identity.
@@ -231,12 +223,19 @@ class _Psi:
                 frame -= 2.0 * np.outer(v, v) / (v @ v)
         return frame
 
-    def spherical(self, x: np.ndarray) -> np.ndarray:
-        """r^2 times the integrand at z = r pole (s cos phi, s sin phi, u), s = sqrt(1 - u^2), per (r, u, phi) row."""
-        r, u, phi = x.T
-        s = np.sqrt(1.0 - u * u)
-        directions = np.column_stack([s * np.cos(phi), s * np.sin(phi), u]) @ self.pole
-        return r * r * self.integrand(r[:, None] * directions)
+    def sphere(self, x: np.ndarray) -> np.ndarray:
+        """r^(d-1) times the integrand at z = r (s cos phi, s sin phi[, u]), per (r, phi) or (r, u, phi) row.
+
+        In d = 2 s = 1; in d = 3 s = sqrt(1 - u^2) and z is reflected by pole.
+        """
+        r, phi = x[:, 0], x[:, -1]
+        if x.shape[1] == 2:
+            directions = np.column_stack([np.cos(phi), np.sin(phi)])
+        else:
+            u = x[:, 1]
+            s = np.sqrt(1.0 - u * u)
+            directions = np.column_stack([s * np.cos(phi), s * np.sin(phi), u]) @ self.pole
+        return r ** (x.shape[1] - 1) * self.integrand(r[:, None] * directions)
 
 
 def _qk21(fx: np.ndarray, half: np.ndarray):
@@ -351,42 +350,46 @@ def _qmc_ladder(psi: _Psi, a: float, seed: int):
 
 
 def _ladder(schedule: SemiLevySchedule, a: float, qs, seed: int):
-    """I(q) over B_a at every q, the error of each value, and the work done.
+    """I(q) over B_a at every q, the error estimate of each value, and a report of the work.
 
-    psi does not depend on q, so one _Psi evaluates it once on a fixed node
-    set, in every dimension, and every level is a weighted sum of
-    _cf_integrand(psi, q) over it: composite G10/K21 panels on the
-    _origin_ladder breakpoints in d = 1, tensor G10/K21 boxes over
-    (r, theta) in d = 2 and over (r, cos theta, phi) in d = 3 (pole along
-    the one-period mean), each radial panel on the same breakpoints starting
-    as one box over the whole sphere (absolute error estimates in all
-    three), and scrambled-Sobol batches in d >= 4 (standard errors).  I(q)
-    is finite and positive for every Levy exponent, so any other value
-    raises QuadratureError, as does, in d <= 3, an error above QUAD_REL_TOL
-    of the value.
+    The only code that maps a dimension to an engine.  psi does not depend
+    on q, so one _Psi evaluates it once on a fixed node set and every level
+    is a weighted sum of _cf_integrand(psi, q) over it.  d <= 3: tensor
+    G10/K21 boxes, radial panels on the _origin_ladder breakpoints (mirrored
+    onto the negative axis in d = 1) times the whole sphere in _Psi.sphere's
+    angles, with absolute error estimates that must stay within QUAD_REL_TOL
+    of their values; the report's quad_rel_err is their largest ratio.
+    d >= 4: scrambled-Sobol batches, whose standard errors the report holds
+    as stderrs.  The report also holds psi_points.
     """
     psi, dim = _Psi(schedule, np.asarray(qs, dtype=float)), schedule.dim
-    radii = np.concatenate([[0.0], _origin_ladder(a)[::-1], [a]])
     if dim >= 4:
         values, errors = _qmc_ladder(psi, a, seed)
-    elif dim == 1:
-        breaks = np.concatenate([-radii[:0:-1], radii])
-        values, errors = _gk_ladder(psi.integrand, psi, breaks[:-1, None], breaks[1:, None])
-    else:
-        # one box per radial panel over the whole turn, and in d = 3 over cos(theta) in [-1, 1]
-        spans = [(0.0, 2.0 * np.pi)] if dim == 2 else [(-1.0, 1.0), (0.0, 2.0 * np.pi)]
-        lo = np.column_stack([radii[:-1], *(np.full(radii.size - 1, low) for low, _ in spans)])
-        hi = np.column_stack([radii[1:], *(np.full(radii.size - 1, high) for _, high in spans)])
-        values, errors = _gk_ladder(psi.polar if dim == 2 else psi.spherical, psi, lo, hi)
+        _check_integrals(psi.qs, values, dim, a)
+        return values, errors, {"psi_points": psi.points, "stderrs": errors}
+    radii, f = np.concatenate([[0.0], _origin_ladder(a)[::-1], [a]]), psi.sphere
+    if dim == 1:  # no angle axis: the radial panels mirrored onto the negative axis
+        radii, f = np.concatenate([-radii[:0:-1], radii]), psi.integrand
+    # angle spans of the sphere: none in d = 1, theta in d = 2, (cos theta, phi) in d = 3
+    spans = [(-1.0, 1.0), (0.0, 2.0 * np.pi)][3 - dim :]
+    lo = np.column_stack([radii[:-1], *(np.full(radii.size - 1, low) for low, _ in spans)])
+    hi = np.column_stack([radii[1:], *(np.full(radii.size - 1, high) for _, high in spans)])
+    values, errors = _gk_ladder(f, psi, lo, hi)
+    _check_integrals(psi.qs, values, dim, a)
     for q, value, error in zip(psi.qs, values, errors):
-        if not (np.isfinite(value) and value > 0.0):
-            raise QuadratureError(f"{dim}-d Chung-Fuchs integral is {value!r} at q={q:g}, a={a:g}")
-        if dim <= 3 and not error <= QUAD_REL_TOL * value:
+        if not error <= QUAD_REL_TOL * value:
             raise QuadratureError(
                 f"{dim}-d quadrature error {error:g} exceeds relative tolerance {QUAD_REL_TOL:g} "
                 f"at q={q:g}, a={a:g}"
             )
-    return values, errors, {"psi_points": psi.points}
+    return values, errors, {"psi_points": psi.points, "quad_rel_err": float(np.max(errors / values))}
+
+
+def _check_integrals(qs: np.ndarray, values: np.ndarray, dim: int, a: float) -> None:
+    """QuadratureError unless every I(q) is finite and positive, as it is for every Levy exponent."""
+    for q, value in zip(qs, values):
+        if not (np.isfinite(value) and value > 0.0):
+            raise QuadratureError(f"{dim}-d Chung-Fuchs integral is {value!r} at q={q:g}, a={a:g}")
 
 
 def ball_integral_qmc(schedule: SemiLevySchedule, a: float, q: float, seed: int = 0) -> tuple[float, float]:
@@ -407,12 +410,11 @@ def chung_fuchs_integral(
 ) -> float:
     """I(q) = integral over B_a of Re(1/(q - psi(z))) dz for the one-period law.
 
-    Deterministic G10/K21 Gauss-Kronrod boxes for dimensions 1-3, spherical
-    (r, cos theta, phi) boxes with the pole along the one-period mean in
-    dimension 3 (relative tolerance 1e-6, raising QuadratureError rather
-    than returning a silently wrong value); quasi-Monte Carlo over the ball
-    for dimension >= 4, with the standard error available through
-    ball_integral_qmc.
+    Computed by the verdict's ladder integrator (see _ladder for the engine
+    each dimension uses), so a failure to reach its accuracy raises
+    QuadratureError rather than returning a silently wrong value; the
+    standard error of the d >= 4 quasi-Monte Carlo value is available
+    through ball_integral_qmc.
     """
     check_positive(a=a, q=q)
     values, _, _ = _ladder(schedule, a, [q], seed)
@@ -455,40 +457,28 @@ def chung_fuchs_verdict(
     decay geometrically and the remaining variation is under 1% of the last
     value); recurrent when a power law c * q**(-beta) with beta >= 0.05 or a
     logarithmic growth fits with R^2 >= 0.99; otherwise Inconclusive with the
-    fit diagnostics attached.  Dimensions 1-3 integrate on G10/K21 boxes and
-    report quad_rel_err; dimension >= 4 integrates by QMC, reports stderrs,
-    and its ladder must move by more than 5x the integration standard error
-    before any verdict is issued.
+    fit diagnostics attached.  The evidence holds the ladder's report (see
+    _ladder: psi_points, and the engine's own error key), and no decision is
+    issued unless the ladder moves by more than SIGNAL_FACTOR times its
+    largest error estimate.
     """
     check_levels(levels)
     check_positive(a=a, q0=q0)
 
     qs = q0 * Q_RATIO ** (-np.arange(levels, dtype=float))
-    values, errors, work = _ladder(schedule, a, qs, seed)
-    evidence: dict = {
-        "a": a,
-        "q0": q0,
-        "levels": levels,
-        "qs": qs,
-        "integrals": values,
-        "psi_points": work["psi_points"],
-    }
-    if schedule.dim <= 3:
-        evidence["quad_rel_err"] = float(np.max(errors / values))
-    else:
-        evidence["stderrs"] = errors
+    values, errors, report = _ladder(schedule, a, qs, seed)
+    evidence: dict = {"a": a, "q0": q0, "levels": levels, "qs": qs, "integrals": values, **report}
 
     last = float(values[-1])
     scale = max(abs(last), 1e-300)
 
-    # noise guard for stochastic integration: a ladder that moved less than
-    # the noise floor supports no classification at all
-    if schedule.dim >= 4:
-        noise_floor = QMC_SIGNAL_FACTOR * float(errors.max())
-        if float(values.max() - values.min()) < noise_floor:
-            evidence["reason"] = "ladder variation below the integration noise floor"
-            evidence["noise_floor"] = noise_floor
-            return Verdict(Decision.INCONCLUSIVE, Criterion.CHUNG_FUCHS, evidence)
+    # noise guard: a ladder that moved less than its integration error
+    # supports no classification at all
+    noise_floor = SIGNAL_FACTOR * float(errors.max())
+    if float(values.max() - values.min()) < noise_floor:
+        evidence["reason"] = "ladder variation below the integration noise floor"
+        evidence["noise_floor"] = noise_floor
+        return Verdict(Decision.INCONCLUSIVE, Criterion.CHUNG_FUCHS, evidence)
 
     # transience: the ladder has settled (Cauchy-convergent)
     diffs = np.abs(np.diff(values))
@@ -588,8 +578,9 @@ FLAG_TRANSIENT = "saturation-consistent-with-transience"
 # paths the diagnostic's size check counts on its grid; whole paths are held
 # only a block per pool worker at a time, each reduced to occupations at once
 DIAGNOSTIC_CHUNK = 16
-# fewest paths the diagnostic accepts
+# fewest paths and horizons the diagnostic accepts: growth is read off the last pair
 DIAGNOSTIC_MIN_PATHS = 50
+DIAGNOSTIC_MIN_HORIZONS = 2
 
 
 @dataclass(frozen=True)
@@ -634,11 +625,11 @@ def empirical_diagnostic(
     occupations at the horizons, so whole paths are held a block at a time.
     Growth of the mean occupation by at least 20% over the last pair of
     horizons is flagged as consistent with recurrence, growth under 2% as
-    consistent with transience; anything between stays unflagged.  Horizons
-    are read at the nearest grid point, so they should be large relative to
-    the step.
+    consistent with transience; anything between stays unflagged.  Each
+    horizon is read at the last grid point at or before it, so horizons
+    should be large relative to the step.
     """
-    horizons = check_increasing(horizons, "horizons", least=2)
+    horizons = check_increasing(horizons, "horizons", least=DIAGNOSTIC_MIN_HORIZONS)
     check_counts(least=DIAGNOSTIC_MIN_PATHS, n_paths=n_paths)
     check_positive(a=a)
 

@@ -33,10 +33,7 @@ optional ``horizons n_paths step`` for the occupation diagnostic (classify),
 (lln).  Identical config text and seed give byte-identical outputs; side
 activities (occupation diagnostic, weak-law estimates) draw from the derived
 stream split_seed(seed, 1) so they never share a stream with the main
-command.  Parallelism is automatic: paths and walks long enough to fill an
-ensemble block on their own (more than 2^14 cells of 1-d Brownian motion,
-jumps counted too) are drawn on a thread pool with one worker per CPU, and
-every output is the same whatever the pool or block size.
+command.  Parallelism is automatic, and no output depends on it.
 
 Exit codes: 0 success (an Inconclusive verdict is a success), 1 usage or
 parse failure, 2 numerical failure.
@@ -53,6 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .classify import (
+    DIAGNOSTIC_MIN_HORIZONS,
     DIAGNOSTIC_MIN_PATHS,
     QuadratureError,
     check_levels,
@@ -288,8 +286,14 @@ JUMP_KINDS = {
 }
 _KIND_OF = {cls: (kind, spec) for kind, (cls, spec, _) in {**MODEL_KINDS, **JUMP_KINDS}.items()}
 
+
+def _at_least(least: int):
+    """check(value, name) of a count of at least `least`."""
+    return lambda value, name: check_counts(least=least, **{name: value})
+
+
 _POSITIVE = _checked(_float, lambda value, name: check_positive(**{name: value}))
-_COUNT = _checked(_int, lambda value, name: check_counts(least=1, **{name: value}))
+_COUNT = _checked(_int, _at_least(1))
 _INCREASING = _checked(_floats, check_increasing)
 
 # run key -> (reader, writer); render writes the keys that differ from their
@@ -312,11 +316,15 @@ RUN_KEYS = {
     "horizons": (_INCREASING, _render_vector),
     "t_grid": (_INCREASING, _render_vector),
 }
-# command -> the counts its runner bounds from below by more than _COUNT's 1:
-# the occupation diagnostic's paths, the law-of-large-numbers paths and draws
-_COMMAND_COUNTS = {
-    "classify": {"n_paths": DIAGNOSTIC_MIN_PATHS},
-    "lln": {"n_paths": MIN_PATHS, "n_samples": MIN_SAMPLES},
+# command -> run key -> the check(value, name) its runner applies beyond the
+# key's reader: the occupation diagnostic's paths and horizon count, the
+# law-of-large-numbers paths and draws
+_COMMAND_CHECKS = {
+    "classify": {
+        "n_paths": _at_least(DIAGNOSTIC_MIN_PATHS),
+        "horizons": lambda value, name: check_increasing(value, name, least=DIAGNOSTIC_MIN_HORIZONS),
+    },
+    "lln": {"n_paths": _at_least(MIN_PATHS), "n_samples": _at_least(MIN_SAMPLES)},
 }
 
 
@@ -422,9 +430,9 @@ def parse_config(text: str, default_command: Optional[str] = None) -> RunConfig:
     if default_command not in (None, command):
         lineno = run_raw["command"][0]
         _fail(lineno, f"config says command={command} but the CLI subcommand is {default_command}")
-    for key, least in _COMMAND_COUNTS.get(command, {}).items():
+    for key, check in _COMMAND_CHECKS.get(command, {}).items():
         if key in values:
-            _in_line(run_raw[key][0], lambda value: check_counts(least=least, **{key: value}), values[key])
+            _in_line(run_raw[key][0], check, values[key], key)
     if "seed" not in values:
         _fail(None, "run section must set seed (seeds are never defaulted from system entropy)")
     return RunConfig(schedule=schedule, **values)

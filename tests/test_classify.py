@@ -333,6 +333,14 @@ def test_nan_exponent_raises_instead_of_refining(monkeypatch):
             chung_fuchs_integral(sched, 1.0, 1e-2)
 
 
+def test_underflowing_integral_raises():
+    # on the smallest positive radius every I(q) rounds to 0: an error, not a
+    # relative error estimate of 0/0
+    for sched in (BM1, BM2, BM3):
+        with pytest.raises(QuadratureError, match="Chung-Fuchs integral is"):
+            chung_fuchs_integral(sched, 5e-324, 1e-2)
+
+
 def test_overflowing_exponent_raises():
     # a Gaussian at scale 1e200 is recurrent; its exponent overflows the
     # integrand, which used to read as an all-zero, converged ladder
@@ -419,6 +427,20 @@ def test_verdict_d4_ladder_below_noise_floor_is_inconclusive():
     assert v.evidence["reason"] == "ladder variation below the integration noise floor"
     spread = v.evidence["integrals"].max() - v.evidence["integrals"].min()
     assert 0.0 < spread < v.evidence["noise_floor"]
+
+
+def test_verdict_d1_d2_ladder_below_noise_floor_is_inconclusive(monkeypatch):
+    # the noise guard reads each engine's own error estimate: the box errors
+    # of d <= 3 ladders are guarded like the QMC standard errors of d >= 4.
+    # Their ladders move by about 1e12 (BM1) and 5e12 (BM2) times their
+    # largest box error, so a factor of 1e15 puts both below the floor
+    monkeypatch.setattr(classify, "SIGNAL_FACTOR", 1e15)
+    for sched in (BM1, BM2):
+        v = chung_fuchs_verdict(sched)
+        assert v.decision is Decision.INCONCLUSIVE
+        assert v.evidence["reason"] == "ladder variation below the integration noise floor"
+        spread = v.evidence["integrals"].max() - v.evidence["integrals"].min()
+        assert 0.0 < spread < v.evidence["noise_floor"]
 
 
 def test_verdict_levels_validation():
@@ -555,6 +577,13 @@ def test_diagnostic_drift_saturates():
     report = empirical_diagnostic(sched, 1.0, [10.0, 20.0, 40.0], 50, seed=2, step=0.01)
     assert report.mean == pytest.approx([1.0, 1.0, 1.0])
     assert report.flag == "saturation-consistent-with-transience"
+
+
+def test_diagnostic_reads_each_horizon_at_the_last_grid_point_before_it():
+    # 0.19 lies nearer the grid point 0.2, but the occupation is read at 0.1
+    sched = single_segment(PureDrift(0.0), 1.0)
+    report = empirical_diagnostic(sched, 1.0, [0.19, 1.0], 50, seed=1, step=0.1)
+    assert report.mean == pytest.approx([0.1, 1.0])
 
 
 def test_diagnostic_bm_sqrt_growth():

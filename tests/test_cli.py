@@ -191,12 +191,14 @@ _CONFIG_ERRORS = {
     "lln-paths": (DRIFT + "n_paths = 10\n", "line 6: n_paths must be an integer of at least 50, got 10"),
     "lln-samples": (DRIFT + "n_samples = 100\n", "line 6: n_samples must be an integer of at least 10000, got 100"),
     "diagnostic-paths": (DRIFT + "n_paths = 49\n", "line 6: n_paths must be an integer of at least 50, got 49"),
+    "diagnostic-horizons": (DRIFT + "horizons = 5\n", "line 6: horizons must be a 1-d sequence of at least 2 values"),
     # a usage error exits 1, not argparse's 2; the rest of its text is argparse's
     "usage": (DRIFT, "argument command: invalid choice: 'bogus'"),
 }
 
 
-_CONFIG_ERROR_COMMANDS = {"usage": "bogus", "lln-paths": "lln", "lln-samples": "lln", "diagnostic-paths": "classify"}
+_CONFIG_ERROR_COMMANDS = {"usage": "bogus", "lln-paths": "lln", "lln-samples": "lln", "diagnostic-paths": "classify",
+                          "diagnostic-horizons": "classify"}
 
 
 @pytest.mark.parametrize("case", list(_CONFIG_ERRORS))
