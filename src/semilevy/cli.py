@@ -61,7 +61,7 @@ from .classify import (
     mean_criterion,
     radius_sweep,
 )
-from .lln import MIN_PATHS, MIN_SAMPLES, divergence_check, slln_check, wlln_conditions
+from .lln import MIN_PATHS, MIN_SAMPLES, strong_law_check, wlln_conditions
 from .models import (
     BrownianDrift,
     CompoundPoisson,
@@ -288,8 +288,8 @@ _KIND_OF = {cls: (kind, spec) for kind, (cls, spec, _) in {**MODEL_KINDS, **JUMP
 
 
 def _at_least(least: int):
-    """check(value, name) of a count of at least `least`."""
-    return lambda value, name: check_counts(least=least, **{name: value})
+    """check(value, name[, schedule]) of a count of at least `least`."""
+    return lambda value, name, schedule=None: check_counts(least=least, **{name: value})
 
 
 _POSITIVE = _checked(_float, lambda value, name: check_positive(**{name: value}))
@@ -316,15 +316,19 @@ RUN_KEYS = {
     "horizons": (_INCREASING, _render_vector),
     "t_grid": (_INCREASING, _render_vector),
 }
-# command -> run key -> the check(value, name) its runner applies beyond the
-# key's reader: the occupation diagnostic's paths and horizon count, the
-# law-of-large-numbers paths and draws
+# command -> run key -> the check(value, name, schedule) its runner applies
+# beyond the key's reader: the occupation diagnostic's paths and horizon
+# count, the law-of-large-numbers paths, draws and horizon count
 _COMMAND_CHECKS = {
     "classify": {
         "n_paths": _at_least(DIAGNOSTIC_MIN_PATHS),
-        "horizons": lambda value, name: check_increasing(value, name, least=DIAGNOSTIC_MIN_HORIZONS),
+        "horizons": lambda value, name, schedule: check_increasing(value, name, least=DIAGNOSTIC_MIN_HORIZONS),
     },
-    "lln": {"n_paths": _at_least(MIN_PATHS), "n_samples": _at_least(MIN_SAMPLES)},
+    "lln": {
+        "n_paths": _at_least(MIN_PATHS),
+        "n_samples": _at_least(MIN_SAMPLES),
+        "horizons": lambda value, name, schedule: check_increasing(value, name, least=strong_law_check(schedule)[1]),
+    },
 }
 
 
@@ -432,7 +436,7 @@ def parse_config(text: str, default_command: Optional[str] = None) -> RunConfig:
         _fail(lineno, f"config says command={command} but the CLI subcommand is {default_command}")
     for key, check in _COMMAND_CHECKS.get(command, {}).items():
         if key in values:
-            _in_line(run_raw[key][0], check, values[key], key)
+            _in_line(run_raw[key][0], check, values[key], key, schedule)
     if "seed" not in values:
         _fail(None, "run section must set seed (seeds are never defaulted from system entropy)")
     return RunConfig(schedule=schedule, **values)
@@ -554,10 +558,7 @@ def _run_lln(config: RunConfig, out: Path) -> str:
     schedule = config.schedule
     horizons = _require(config.horizons, "horizons", "lln")
     n_paths = config.n_paths or 100
-    if period_mean(schedule) is not None:
-        report = slln_check(schedule, horizons, n_paths, config.seed)
-    else:
-        report = divergence_check(schedule, horizons, n_paths, config.seed)
+    report = strong_law_check(schedule)[0](schedule, horizons, n_paths, config.seed)
     conditions = None
     if config.t_grid is not None:
         conditions = wlln_conditions(

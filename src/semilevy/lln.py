@@ -30,12 +30,15 @@ __all__ = [
     "LLNReport",
     "slln_check",
     "divergence_check",
+    "strong_law_check",
     "wlln_conditions",
 ]
 
 # fewest paths a law-of-large-numbers check, and fewest draws a weak-law estimate, accepts
 MIN_PATHS = 50
 MIN_SAMPLES = 10**4
+# fewest horizons divergence_check accepts: it compares the first with the last
+DIVERGENCE_MIN_HORIZONS = 2
 
 FLAG_SLLN = "slln-consistent"
 FLAG_DIVERGENCE = "divergence-consistent"
@@ -153,7 +156,7 @@ def divergence_check(
     ratio accumulate roughly linearly in the number of horizon doublings, so
     the cumulative comparison is the stable reading).
     """
-    h = check_increasing(horizons, "horizons", least=2)
+    h = check_increasing(horizons, "horizons", least=DIVERGENCE_MIN_HORIZONS)
     check_counts(least=MIN_PATHS, n_paths=n_paths)
     if period_mean(schedule) is not None:
         raise ValueError("one-period mean exists; slln_check applies, not divergence_check")
@@ -174,6 +177,11 @@ def divergence_check(
         running_max_median=median_running,
         flag=flag,
     )
+
+
+def strong_law_check(schedule: SemiLevySchedule):
+    """(check, fewest horizons): slln_check and 1 for a finite one-period mean, else divergence_check and 2."""
+    return (slln_check, 1) if period_mean(schedule) is not None else (divergence_check, DIVERGENCE_MIN_HORIZONS)
 
 
 def wlln_conditions(

@@ -13,10 +13,18 @@ runs PCG64's seeding step (pcg_setseq_128_srandom_r) on Python integers, bit
 for bit what numpy computes one member at a time.  That relies on numpy's
 stream-compatibility policy (NEP 19), which fixes SeedSequence and PCG64
 across numpy versions.  Seeds and stream indices lie in [0, 2**64).
+
+CSV text: format_csv writes the bytes of "%.17g" % x.  Tables of 500 values
+or more are formatted by array arithmetic: 17 correctly rounded digits from
+a double-double product with a table of powers of ten, laid out as ASCII by
+table lookups.  The % row template stays the exact fallback for the rows it
+cannot round with certainty (near ties, values next to a power of ten) and
+for nan and inf.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -237,26 +245,156 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-# rows formatted per %-operation by format_csv: bounds its format string
-CSV_CHUNK_ROWS = 4096
+# values formatted per chunk by format_csv (whole rows, at least one): bounds
+# its working set at about 250 bytes a value
+CSV_CHUNK_VALUES = 8192
+# smaller tables take the row template alone: the array formatter's fixed
+# cost (~0.15 ms a chunk) outweighs its gain below ~400 values
+CSV_ARRAY_MIN_VALUES = 500
+# p = 16 - floor(log10|x|) over the finite nonzero doubles, with a margin
+_P_MIN, _P_MAX = -294, 342
+_TENS = 10 ** np.arange(18, dtype=np.int64)
+
+
+@functools.cache
+def _csv_tables():
+    """The array formatter's tables, from integer arithmetic on its first call (~8 ms).
+
+    10**p = (h + l) * 2**t to 2**-106 with h = hh + hl in 26-bit halves; the
+    rest are used and described in _csv_chunk.
+    """
+    rows = []
+    for p in range(_P_MIN, _P_MAX + 1):
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        t = num.bit_length() - den.bit_length()
+        num, den = num << max(120 - t, 0), den << max(t - 120, 0)
+        s = (2 * num + den) // (2 * den)  # round(10**p * 2**(120 - t))
+        h = float(s)
+        hh = 134217729.0 * h - (134217729.0 * h - h)
+        rows.append([math.ldexp(v, -120) for v in (h, hh, h - hh, float(s - int(h)))] + [t])
+    g, place, q = np.arange(10**4, dtype=np.int16)[:, None], np.arange(4), np.arange(21)[:, None]
+    full = (g // _TENS[3::-1].astype(np.int16) % 10 + 48).astype(np.uint8)
+    lead = place < 4 - np.maximum(np.searchsorted(_TENS, g, side="right"), 1)
+    trail = place >= 4 - (g % _TENS[1:5].astype(np.int16) == 0).sum(axis=1, keepdims=True)
+    dotted = np.where(place == 0, 46, full)[:1000]
+    words = [a.view(np.uint32).ravel() for a in (
+        0 * full, np.where(lead, 0, full), full, np.where(trail, 0, full), np.where(trail[:1000], 0, dotted), dotted)]
+    exps = b"".join(f"\0e{k:+03d}".encode().ljust(8, b"\0") for k in range(-330, 331))
+    scales = _TENS[np.concatenate([np.minimum(q, 17), np.maximum(q - 3, 0), np.minimum(20 - q, 17),
+                                   np.maximum(3 - q, 0)], 1)]
+    pow10 = np.array(rows)
+    return (pow10[:, :4], pow10[:, 4].astype(np.int32), np.concatenate(words[:3]), np.concatenate(words[2:4][::-1]),
+            np.concatenate(words[4:]), np.frombuffer(exps, np.uint32).reshape(-1, 2), scales)
+
+
+def _digits(x, pow10, shift):
+    """d, k, bad: x > 0 rounded to 17 digits, d * 10**(k - 16) with 10**16 <= d < 10**17.
+
+    v = x * 10**(16 - k) is found to about 1e-13; bad flags v within 2**-30
+    of a half, log10 rounded across a power of 10, and d rounded up to 10**17.
+    """
+    k = np.floor(np.log10(x)).astype(np.int32)
+    i = 16 - k - _P_MIN
+    h, hh, hl, l = np.take(pow10, i, axis=0).T
+    y = np.ldexp(x, shift[i])  # exact; y * (h + l) = v to 2**-106
+    c = y * 134217729.0
+    yh = c - (c - y)
+    yl = y - yh
+    p = y * h
+    q = ((yh * hh - p) + yh * hl + yl * hh) + yl * hl + y * l  # y * h - p exactly, + y * l
+    whole = np.floor(p)  # p > 2**53 is whole unless k is off by one
+    q += p - whole
+    qf = np.floor(q)
+    floor = whole.astype(np.int64) + qf.astype(np.int64)
+    d = floor + (q - qf > 0.5)
+    return d, k, (np.abs(q - qf - 0.5) < 2.0**-30) | (floor < 10**16) | (d >= 10**17)
+
+
+def _csv_chunk(chunk: np.ndarray, int_columns: int, row: str) -> str:
+    """The text of `row % values` for every row of chunk, from array arithmetic.
+
+    Each value fills 12 uint32 words at fixed places (sign and 17 integer
+    digits, '.' and 20 fraction digits, exponent, separator), NUL where
+    nothing is printed.  Rows _digits flags, or with a nan, an inf or an
+    integer of 10**17 or more, take `row %`.
+    """
+    pow10, shift, ints, fracs, dots, exps, scales = _csv_tables()
+    r, c = chunk.shape
+    values = chunk.copy()
+    values[:, :int_columns] = np.trunc(values[:, :int_columns]) + 0.0  # "%d": truncated, never -0
+    neg = np.signbit(values).ravel()
+    x = np.abs(values).ravel()
+    zero = x == 0.0
+    live = (x < np.inf) & ~zero
+    d, k, bad = _digits(np.where(live, x, 1.0), pow10, shift)
+    bad = (bad & live) | ~(live | zero)
+    bad.reshape(r, c)[:, :int_columns] |= np.abs(values[:, :int_columns]) >= 1e17
+    d[zero], k[zero] = 0, 0
+    # the last q digits of d follow the point (16 - k in fixed form, 16 in
+    # exponent form); the 20 fraction digits, left-aligned, are a (3) and b (17)
+    expo = (k < -4) | (k > 16)
+    unit, div, up_b, up_a = np.take(scales, np.where(expo, 16, 16 - k), axis=0).T
+    whole = d // unit
+    frac = d - whole * unit
+    a = frac // div
+    b = (frac - a * div) * up_b
+    a *= up_a
+    # ints[g + 10**4 * j]: 4-digit group g with all digits (j = 0), the leading
+    # zeros but the units (1) or none (2) blanked; from the units up, and the
+    # sign one word before the highest group any value of the chunk needs
+    n_groups = next(j for j in range(1, 6) if whole.max() < 10 ** (4 * j))
+    skip = max(4 - n_groups, 0)
+    words = np.zeros((x.size, 12 - skip), np.uint32)
+    rest = whole
+    for j in range(n_groups):
+        group = rest % 10**4
+        rest = rest // 10**4
+        shown = 1 + (whole >= 10 ** (4 * j + 4)) - ((whole < 10 ** (4 * j)) & (j > 0))
+        words[:, 4 - j - skip] = ints[group + 10**4 * shown]
+    words[:, 0] |= neg * np.uint32(ord("-"))
+    # fracs[g + 10**4 * j] (dots: '.' and 3 digits) blanks the trailing zeros
+    # (j = 0) or none (1): from the last digit up, until a digit is printed
+    b16 = b // 10
+    last = b - 10 * b16
+    words[:, 10 - skip] = fracs[1000 * last]
+    more = last != 0
+    hi = b16 // 10**8
+    for col, v in ((8, b16 - hi * 10**8), (6, hi)):
+        upper = v // 10**4
+        for col, group in ((col + 1, v - upper * 10**4), (col, upper)):
+            words[:, col - skip] = fracs[group + 10**4 * more]
+            more |= group != 0
+    words[:, 5 - skip] = dots[a + 1000 * more]
+    e = np.flatnonzero(expo)
+    words[e, 10 - skip :] |= exps[k[e] + 330]  # from the byte after the last digit
+    words.reshape(r, c, -1)[:, :, -1] |= np.array([ord(",")] * (c - 1) + [ord("\n")], np.uint32) << 16
+    text = words.view(np.uint8).reshape(r, -1)
+    if not bad.any():
+        return text[text != 0].tobytes().decode("ascii")
+    fallback = bad.reshape(r, c).any(axis=1)
+    text[fallback] = 0
+    text[fallback, 0] = 1  # a marker where each fallback row goes
+    pieces = text[text != 0].tobytes().decode("ascii").split("\x01")
+    return "".join(p + row % tuple(v) for p, v in zip(pieces, chunk[fallback].tolist())) + pieces[-1]
 
 
 def format_csv(header: str, columns, int_columns: int = 0) -> str:
     """CSV text: the header line, then row i of the equal-length columns.
 
-    The first int_columns columns are written as integers, the others in
-    full double precision, 17 significant digits ("%.17g" % x, the same text
-    as format(x, ".17g")).
-    Rows are formatted a chunk at a time by one %-operation on a repeated
-    row template.
+    The first int_columns columns are written as integers ("%d" % x), the
+    others in full double precision, 17 significant digits ("%.17g" % x,
+    the same text as format(x, ".17g")): the bytes of the row template
+    `row % values`.  Tables of CSV_ARRAY_MIN_VALUES values or more are
+    formatted CSV_CHUNK_VALUES values at a time by _csv_chunk; smaller ones,
+    and the rows _csv_chunk cannot round exactly, by the template.
     """
     row = ",".join(["%d"] * int_columns + ["%.17g"] * (len(columns) - int_columns)) + "\n"
     table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    parts = [header + "\n"]
-    for lo in range(0, table.shape[0], CSV_CHUNK_ROWS):
-        chunk = table[lo : lo + CSV_CHUNK_ROWS]
-        parts.append(row * chunk.shape[0] % tuple(chunk.ravel().tolist()))
-    return "".join(parts)
+    if table.size < CSV_ARRAY_MIN_VALUES:  # fewer rows than a chunk
+        return header + "\n" + row * table.shape[0] % tuple(table.ravel().tolist())
+    rows = max(CSV_CHUNK_VALUES // table.shape[1], 1)
+    chunks = (table[lo : lo + rows] for lo in range(0, table.shape[0], rows))
+    return header + "\n" + "".join(_csv_chunk(chunk, int_columns, row) for chunk in chunks)
 
 
 def arrays_equal(a, b) -> bool:

@@ -192,13 +192,16 @@ _CONFIG_ERRORS = {
     "lln-samples": (DRIFT + "n_samples = 100\n", "line 6: n_samples must be an integer of at least 10000, got 100"),
     "diagnostic-paths": (DRIFT + "n_paths = 49\n", "line 6: n_paths must be an integer of at least 50, got 49"),
     "diagnostic-horizons": (DRIFT + "horizons = 5\n", "line 6: horizons must be a 1-d sequence of at least 2 values"),
+    # an infinite one-period mean runs divergence_check, which compares two horizons
+    "lln-divergence-horizons": (_segment("stable alpha=0.8 scale=1.0") + "n_paths = 50\nhorizons = 10\n",
+                                "line 7: horizons must be a 1-d sequence of at least 2 values"),
     # a usage error exits 1, not argparse's 2; the rest of its text is argparse's
     "usage": (DRIFT, "argument command: invalid choice: 'bogus'"),
 }
 
 
 _CONFIG_ERROR_COMMANDS = {"usage": "bogus", "lln-paths": "lln", "lln-samples": "lln", "diagnostic-paths": "classify",
-                          "diagnostic-horizons": "classify"}
+                          "diagnostic-horizons": "classify", "lln-divergence-horizons": "lln"}
 
 
 @pytest.mark.parametrize("case", list(_CONFIG_ERRORS))
@@ -427,6 +430,13 @@ def test_run_simulate_writes_paths(tmp_path, capsys):
     assert files == ["path_0000.csv", "path_0001.csv", "path_0002.csv"]
     header = (tmp_path / "path_0000.csv").read_text().splitlines()[0]
     assert header == "t,x1"
+
+
+def test_lln_single_horizon_runs_on_a_finite_mean(tmp_path):
+    # slln_check needs one horizon; only divergence_check (infinite mean) needs two
+    text = "[schedule]\nperiod = 1.0\nsegment = 1.0 brownian drift=0.0 var=1.0\n[run]\ncommand = lln\nseed = 5\n"
+    run(parse_config(text + "horizons = 10\nn_paths = 50\n"), out_dir=tmp_path)
+    assert (tmp_path / "lln.csv").read_text().startswith("T,mean_dev,max_dev\n10,")
 
 
 def test_run_skeleton_and_lln(tmp_path, capsys):
