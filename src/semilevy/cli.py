@@ -25,15 +25,23 @@ Model kinds for ``segment = <duration> <kind> key=value...``:
   ``jump_var``) / ``jump_loc jump_scale``.
 * ``drift``:    ``gamma=<vector>``.
 
-Run keys: ``command`` (or given as the CLI subcommand), ``seed`` (required,
-never defaulted from system entropy), and per command:
-``horizon step n_paths`` (simulate), ``criterion a q0 levels sweep`` plus
-optional ``horizons n_paths step`` for the occupation diagnostic (classify),
-``rs n_steps n_walks a`` (skeleton), ``horizons n_paths t_grid n_samples``
-(lln).  Identical config text and seed give byte-identical outputs; side
-activities (occupation diagnostic, weak-law estimates) draw from the derived
-stream split_seed(seed, 1) so they never share a stream with the main
-command.  Parallelism is automatic, and no output depends on it.
+Run keys: ``command`` (or given as the CLI subcommand), ``seed`` (needed,
+never defaulted from system entropy), then those its command reads, each with
+its default or ``needed``; ``none`` leaves out the occupation diagnostic or
+the weak-law estimates.  A classify run reads those of its criterion (auto is
+mean on a 1-d schedule with a finite one-period mean, else chung-fuchs)::
+
+    simulate: horizon=needed step=needed n_paths=1
+    classify mean: criterion=auto a=1.0 horizons=none n_paths=100 step=0.1
+    classify drift: criterion=auto a=1.0 horizons=none n_paths=100 step=0.1
+    classify chung-fuchs: criterion=auto a=1.0 horizons=none n_paths=100 step=0.1 levels=8 q0=0.01 sweep=false
+    classify empirical: criterion=auto a=1.0 horizons=needed n_paths=100 step=0.1
+    skeleton: rs=needed n_steps=needed n_walks=needed a=needed
+    lln: horizons=needed n_paths=100 t_grid=none n_samples=100000
+
+Any other key is an error at its line.  Identical config text and seed give
+byte-identical outputs; side activities draw from the derived stream
+split_seed(seed, 1).  Parallelism is automatic, and no output depends on it.
 
 Exit codes: 0 success (an Inconclusive verdict is a success), 1 usage or
 parse failure, 2 numerical failure.
@@ -43,13 +51,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .classify import (
+    DEFAULT_LEVELS,
+    DEFAULT_Q0,
     DIAGNOSTIC_MIN_HORIZONS,
     DIAGNOSTIC_MIN_PATHS,
     QuadratureError,
@@ -79,9 +89,6 @@ from .util import check_counts, check_increasing, check_positive, format_float, 
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "render_config", "run", "main"]
 
-COMMANDS = ("simulate", "classify", "skeleton", "lln")
-CRITERIA = ("auto", "chung-fuchs", "mean", "drift", "empirical")
-
 
 class ConfigError(ValueError):
     """Configuration text failed to parse or validate."""
@@ -110,6 +117,10 @@ class RunConfig:
     n_samples: Optional[int] = None
 
 
+# RunConfig field -> its value when the config text does not set the key
+_UNSET = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
+
+
 # ---------------------------------------------------------------------------
 # value readers and writers
 # ---------------------------------------------------------------------------
@@ -120,18 +131,21 @@ def _fail(lineno: Optional[int], message: str):
     raise ConfigError(prefix + message)
 
 
-def _float(s: str, lineno: Optional[int], name: str) -> float:
-    try:
-        return float(s)
-    except ValueError:
-        _fail(lineno, f"{name}: expected a number, got {s!r}")
+def _cast(cast, what: str):
+    """Reader of the value cast(text), which refuses a text by a ValueError or KeyError."""
+
+    def read(s: str, lineno: Optional[int], name: str):
+        try:
+            return cast(s)
+        except (ValueError, KeyError):
+            _fail(lineno, f"{name}: expected {what}, got {s!r}")
+
+    return read
 
 
-def _int(s: str, lineno: Optional[int], name: str) -> int:
-    try:
-        return int(s)
-    except ValueError:
-        _fail(lineno, f"{name}: expected an integer, got {s!r}")
+_float = _cast(float, "a number")
+_int = _cast(int, "an integer")
+_bool = _cast(lambda s: {"true": True, "false": False}[s.lower()], "true or false")
 
 
 def _vector(s: str, lineno: Optional[int], name: str) -> np.ndarray:
@@ -178,13 +192,6 @@ def _choice(options: tuple):
         return value
 
     return choice
-
-
-def _bool(s: str, lineno: int, name: str) -> bool:
-    low = s.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    _fail(lineno, f"{name}: expected true or false, got {s!r}")
 
 
 def _rational_step(s: str, lineno: int, name: str) -> RationalStep:
@@ -296,10 +303,40 @@ _POSITIVE = _checked(_float, lambda value, name: check_positive(**{name: value})
 _COUNT = _checked(_int, _at_least(1))
 _INCREASING = _checked(_floats, check_increasing)
 
+NEEDED = object()  # the default of a run key its command cannot run without
+
+_CLASSIFY = {
+    "criterion": ("auto", None),
+    "a": (1.0, None),
+    "horizons": (None, lambda value, name, schedule: check_increasing(value, name, least=DIAGNOSTIC_MIN_HORIZONS)),
+    "n_paths": (100, _at_least(DIAGNOSTIC_MIN_PATHS)),
+    "step": (0.1, None),
+}
+_LADDER = {"levels": (DEFAULT_LEVELS, None), "q0": (DEFAULT_Q0, None), "sweep": (False, None)}
+# (command, the resolved criterion of a classify run) -> run key it reads
+# beyond command and seed -> (its default or NEEDED, the check(value, name,
+# schedule) its runner applies beyond the key's reader, or None).  A default
+# of None leaves a side activity out: the occupation diagnostic, the weak law.
+COMMAND_KEYS = {
+    ("simulate", None): {"horizon": (NEEDED, None), "step": (NEEDED, None), "n_paths": (1, None)},
+    ("classify", "chung-fuchs"): {**_CLASSIFY, **_LADDER},
+    ("classify", "mean"): _CLASSIFY,
+    ("classify", "drift"): _CLASSIFY,
+    ("classify", "empirical"): {**_CLASSIFY, "horizons": (NEEDED, _CLASSIFY["horizons"][1])},
+    ("skeleton", None): dict.fromkeys(("rs", "n_steps", "n_walks", "a"), (NEEDED, None)),
+    ("lln", None): {
+        # an infinite one-period mean runs divergence_check, which compares two horizons
+        "horizons": (NEEDED, lambda value, name, s: check_increasing(value, name, least=strong_law_check(s)[1])),
+        "n_paths": (100, _at_least(MIN_PATHS)),
+        "t_grid": (None, None),
+        "n_samples": (10**5, _at_least(MIN_SAMPLES)),
+    },
+}
+
 # run key -> (reader, writer); render writes the keys that differ from their
 # RunConfig default, in this order
 RUN_KEYS = {
-    "command": (_choice(COMMANDS), str),
+    "command": (_choice(tuple(dict.fromkeys(command for command, _ in COMMAND_KEYS))), str),
     "seed": (_int, str),
     "a": (_POSITIVE, format_float),
     "horizon": (_POSITIVE, format_float),
@@ -310,26 +347,42 @@ RUN_KEYS = {
     "n_samples": (_COUNT, str),
     "n_steps": (_COUNT, str),
     "n_walks": (_COUNT, str),
-    "criterion": (_choice(CRITERIA), str),
+    "criterion": (_choice(("auto", *(criterion for _, criterion in COMMAND_KEYS if criterion))), str),
     "sweep": (_bool, lambda v: str(v).lower()),
     "rs": (_rational_step, lambda rs: f"{rs.num}/{rs.den}"),
     "horizons": (_INCREASING, _render_vector),
     "t_grid": (_INCREASING, _render_vector),
 }
-# command -> run key -> the check(value, name, schedule) its runner applies
-# beyond the key's reader: the occupation diagnostic's paths and horizon
-# count, the law-of-large-numbers paths, draws and horizon count
-_COMMAND_CHECKS = {
-    "classify": {
-        "n_paths": _at_least(DIAGNOSTIC_MIN_PATHS),
-        "horizons": lambda value, name, schedule: check_increasing(value, name, least=DIAGNOSTIC_MIN_HORIZONS),
-    },
-    "lln": {
-        "n_paths": _at_least(MIN_PATHS),
-        "n_samples": _at_least(MIN_SAMPLES),
-        "horizons": lambda value, name, schedule: check_increasing(value, name, least=strong_law_check(schedule)[1]),
-    },
-}
+
+
+def _settings(config: RunConfig, lines: Optional[dict] = None) -> dict:
+    """Run key -> value of each key the config's command reads, its default where unset.
+
+    Refuses a key the command does not read, a value its check refuses and a
+    missing needed key; `lines` maps the run keys of a config text to their lines.
+    """
+    lines, schedule, criterion = lines or {}, config.schedule, None
+    if config.command == "classify":
+        # the criterion in use: auto's pick, or the one named if the dimension allows it
+        criterion, one_d = config.criterion or "auto", schedule.dim == 1
+        if criterion == "auto":
+            criterion = "mean" if one_d and period_mean(schedule) is not None else "chung-fuchs"
+        elif criterion in ("mean", "drift") and not one_d:
+            _fail(lines.get("criterion"), f"criterion {criterion} is stated for dimension 1, not {schedule.dim}")
+    row = COMMAND_KEYS[config.command, criterion]
+    reader = config.command + (f" with criterion {criterion}" if criterion else "")
+    given = {key for key, unset in _UNSET.items() if key in lines or getattr(config, key) != unset}
+    unread = sorted(given - row.keys())
+    if unread:
+        _fail(min(map(lines.get, unread)) if lines else None, f"{reader} does not read run keys: {', '.join(unread)}")
+    settings = {key: getattr(config, key) if key in given else default for key, (default, _) in row.items()}
+    for key, (_, check) in row.items():
+        if check is not None and key in given:
+            _in_line(lines.get(key), check, settings[key], key, schedule)
+    missing = [key for key, value in settings.items() if value is NEEDED]
+    if missing:
+        _fail(None, f"{reader} needs run keys: {', '.join(missing)}")
+    return {**settings, "criterion": criterion} if criterion else settings
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +485,12 @@ def parse_config(text: str, default_command: Optional[str] = None) -> RunConfig:
     if command is None:
         _fail(None, "run section must set command (or pass it as the CLI subcommand)")
     if default_command not in (None, command):
-        lineno = run_raw["command"][0]
-        _fail(lineno, f"config says command={command} but the CLI subcommand is {default_command}")
-    for key, check in _COMMAND_CHECKS.get(command, {}).items():
-        if key in values:
-            _in_line(run_raw[key][0], check, values[key], key, schedule)
+        _fail(run_raw["command"][0], f"config says command={command} but the CLI subcommand is {default_command}")
     if "seed" not in values:
         _fail(None, "run section must set seed (seeds are never defaulted from system entropy)")
-    return RunConfig(schedule=schedule, **values)
+    config = RunConfig(schedule=schedule, **values)
+    _settings(config, {key: lineno for key, (lineno, _) in run_raw.items()})
+    return config
 
 
 def render_config(config: RunConfig) -> str:
@@ -448,10 +499,9 @@ def render_config(config: RunConfig) -> str:
     for duration, model in config.schedule.segments:
         lines.append(f"segment = {format_float(duration)} {_render_kind(model)}")
     lines += ["", "[run]"]
-    defaults = {f.name: f.default for f in fields(RunConfig)}
     for key, (_, write) in RUN_KEYS.items():
         value = getattr(config, key)
-        if value != defaults[key]:
+        if value != _UNSET.get(key):
             lines.append(f"{key} = {write(value)}")
     return "\n".join(lines) + "\n"
 
@@ -461,48 +511,16 @@ def render_config(config: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _require(value, key: str, command: str):
-    if value is None:
-        raise ConfigError(f"command {command!r} needs run key {key!r}")
-    return value
-
-
-def _run_simulate(config: RunConfig, out: Path) -> str:
-    horizon = _require(config.horizon, "horizon", "simulate")
-    step = _require(config.step, "step", "simulate")
-    n_paths = config.n_paths or 1
-    paths = sample_paths(config.schedule, horizon, step, n_paths, config.seed)
+def _run_simulate(schedule, seed, out: Path, horizon, step, n_paths) -> str:
+    paths = sample_paths(schedule, horizon, step, n_paths, seed)
     for i, path in enumerate(paths):
         (out / f"path_{i:04d}.csv").write_text(path.to_csv())
-    return (
-        f"simulate: n_paths={n_paths} horizon={format_float(horizon)} "
-        f"step={format_float(step)} seed={config.seed}"
-    )
+    return f"simulate: n_paths={n_paths} horizon={format_float(horizon)} step={format_float(step)} seed={seed}"
 
 
-def _run_classify(config: RunConfig, out: Path) -> str:
-    schedule = config.schedule
-    a = config.a if config.a is not None else 1.0
-    criterion = config.criterion or "auto"
-    if criterion == "auto":
-        criterion = "mean" if schedule.dim == 1 and period_mean(schedule) is not None else "chung-fuchs"
-    given = {"levels": config.levels is not None, "q0": config.q0 is not None, "sweep": config.sweep}
-    ignored = [key for key, is_set in given.items() if is_set]
-    if ignored and criterion != "chung-fuchs":
-        raise ConfigError(
-            f"run keys {', '.join(ignored)} apply only to criterion chung-fuchs, "
-            f"but this run uses criterion {criterion}"
-        )
-
+def _run_classify(schedule, seed, out: Path, criterion, a, horizons, n_paths, step, sweep=False, **ladder) -> str:
     def diagnostic(horizons):
-        report = empirical_diagnostic(
-            schedule,
-            a,
-            horizons,
-            config.n_paths or 100,
-            split_seed(config.seed, 1),
-            step=config.step or 0.1,
-        )
+        report = empirical_diagnostic(schedule, a, horizons, n_paths, split_seed(seed, 1), step=step)
         (out / "occupation.csv").write_text(occupations_csv(report.final_occupations()))
         return report
 
@@ -512,40 +530,25 @@ def _run_classify(config: RunConfig, out: Path) -> str:
     elif criterion == "drift":
         verdict = drift_test(equivalent_levy_model(schedule))
     elif criterion == "chung-fuchs":
-        kwargs = {"seed": config.seed}
-        if config.q0 is not None:
-            kwargs["q0"] = config.q0
-        if config.levels is not None:
-            kwargs["levels"] = config.levels
-        verdict = chung_fuchs_verdict(schedule, a=a, **kwargs)
-        if config.sweep:
+        verdict = chung_fuchs_verdict(schedule, a=a, seed=seed, **ladder)
+        if sweep:
             # the middle radius is the main verdict's own
-            low, high = radius_sweep(schedule, (0.5 * a, 2.0 * a), **kwargs)
+            low, high = radius_sweep(schedule, (0.5 * a, 2.0 * a), seed=seed, **ladder)
             for a_value, sweep_verdict in (low, (a, verdict), high):
                 lines.append(f"sweep a={format_float(a_value)} {sweep_verdict.to_line()}")
-    elif criterion == "empirical":
-        horizons = _require(config.horizons, "horizons", "classify (criterion=empirical)")
+    else:  # empirical, whose horizons are needed
         verdict = empirical_verdict(diagnostic(horizons))
-    else:  # pragma: no cover - parse_config already rejects unknown criteria
-        raise ConfigError(f"unknown criterion {criterion!r}")
 
     lines.insert(0, verdict.to_line())
-    if criterion != "empirical" and config.horizons is not None:
-        report = diagnostic(config.horizons)
-        lines.append(
-            "diagnostic flag=" + (report.flag or "none")
-            + " mean_occupation=" + ",".join(format_float(v) for v in report.mean)
-        )
+    if criterion != "empirical" and horizons is not None:
+        report = diagnostic(horizons)
+        lines.append(f"diagnostic flag={report.flag or 'none'} mean_occupation={_render_vector(report.mean)}")
     (out / "verdict.txt").write_text("\n".join(lines) + "\n")
     return "classify: " + verdict.to_line()
 
 
-def _run_skeleton(config: RunConfig, out: Path) -> str:
-    rs = _require(config.rs, "rs", "skeleton")
-    n_steps = _require(config.n_steps, "n_steps", "skeleton")
-    n_walks = _require(config.n_walks, "n_walks", "skeleton")
-    a = _require(config.a, "a", "skeleton")
-    walks = sample_walks(config.schedule, rs, n_steps, n_walks, config.seed)
+def _run_skeleton(schedule, seed, out: Path, rs, n_steps, n_walks, a) -> str:
+    walks = sample_walks(schedule, rs, n_steps, n_walks, seed)
     curve = ball_visit_curve(walks, a)
     (out / "ball_visits.csv").write_text(curve.to_csv())
     return (
@@ -554,16 +557,9 @@ def _run_skeleton(config: RunConfig, out: Path) -> str:
     )
 
 
-def _run_lln(config: RunConfig, out: Path) -> str:
-    schedule = config.schedule
-    horizons = _require(config.horizons, "horizons", "lln")
-    n_paths = config.n_paths or 100
-    report = strong_law_check(schedule)[0](schedule, horizons, n_paths, config.seed)
-    conditions = None
-    if config.t_grid is not None:
-        conditions = wlln_conditions(
-            schedule, config.t_grid, config.n_samples or 10**5, split_seed(config.seed, 1)
-        )
+def _run_lln(schedule, seed, out: Path, horizons, n_paths, t_grid, n_samples) -> str:
+    report = strong_law_check(schedule)[0](schedule, horizons, n_paths, seed)
+    conditions = None if t_grid is None else wlln_conditions(schedule, t_grid, n_samples, split_seed(seed, 1))
     # both reports exist before either file is written, so a failed run leaves neither
     (out / "lln.csv").write_text(report.deviations_csv())
     summary = f"lln: flag={report.flag or 'none'}"
@@ -585,14 +581,15 @@ _RUNNERS = {
 def run(config: RunConfig, out_dir) -> int:
     """Execute a parsed config, writing artifacts under the output directory.
 
-    Prints a one-line summary on success and returns 0 (an Inconclusive
+    A config built in code is held to COMMAND_KEYS as parse_config holds a
+    text.  Prints a one-line summary on success and returns 0 (an Inconclusive
     verdict is still a success); errors raise and are mapped to exit codes by
     main().
     """
+    settings = _settings(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = _RUNNERS[config.command][0](config, out)
-    print(summary)
+    print(_RUNNERS[config.command][0](config.schedule, config.seed, out, **settings))
     return 0
 
 
@@ -618,9 +615,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         text = Path(args.config).read_text()
         config = parse_config(text, default_command=args.command)
         return run(config, out_dir=args.out)

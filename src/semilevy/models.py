@@ -528,8 +528,9 @@ class CompoundPoisson(LevyModel):
     def _draw(self, dts, rng):
         # jump counts per cell, then the jump law's own draw of all the jumps.
         # Equal durations come as a stride-0 view (schedule._ensemble): one
-        # scalar rate draws the same counts without checking k rates
-        if dts.strides[0] == 0:
+        # scalar rate draws the same counts without checking k rates; an empty
+        # batch, which numpy gives stride 0 too, takes the array path
+        if dts.strides[0] == 0 and dts.size:
             counts = rng.poisson(self.rate * dts[0], dts.shape[0])
         else:
             counts = rng.poisson(self.rate * dts)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import semilevy
 from semilevy.classify import MAX_LEVELS, MIN_LEVELS
-from semilevy.cli import ConfigError, RunConfig, main, parse_config, render_config, run
+from semilevy.cli import RUN_KEYS, ConfigError, RunConfig, main, parse_config, render_config, run
 from semilevy.models import (
     BrownianDrift,
     CompoundPoisson,
@@ -41,6 +42,17 @@ seed = 42
 """
 
 
+# command -> (the run keys it needs, the run keys it may take) beyond command
+# and seed; a classify run under criterion chung-fuchs also takes LADDER
+READS = {
+    "simulate": ("horizon step", "n_paths"),
+    "classify": ("", "criterion a horizons n_paths step"),
+    "skeleton": ("rs n_steps n_walks a", ""),
+    "lln": ("horizons", "n_paths t_grid n_samples"),
+}
+LADDER = "levels q0 sweep"
+
+
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
@@ -60,7 +72,10 @@ def test_parse_basic_splice():
 
 
 def test_parse_single_segment_accepted():
-    text = "[schedule]\nperiod = 1.0\nsegment = 1.0 stable alpha=1.0 scale=1.0\n[run]\ncommand = lln\nseed = 1\n"
+    text = (
+        "[schedule]\nperiod = 1.0\nsegment = 1.0 stable alpha=1.0 scale=1.0\n"
+        "[run]\ncommand = lln\nseed = 1\nhorizons = 10,20\n"
+    )
     config = parse_config(text)
     assert config.schedule.n_segments == 1
 
@@ -119,7 +134,7 @@ def test_parse_requires_seed():
 
 
 def test_parse_command_via_cli_argument():
-    text = "[schedule]\nperiod = 1.0\nsegment = 1.0 drift gamma=0.0\n[run]\nseed = 5\n"
+    text = "[schedule]\nperiod = 1.0\nsegment = 1.0 drift gamma=0.0\n[run]\nseed = 5\nhorizon = 2.0\nstep = 0.5\n"
     config = parse_config(text, default_command="simulate")
     assert config.command == "simulate"
     with pytest.raises(ConfigError, match="subcommand"):
@@ -276,32 +291,35 @@ def configs(draw):
     models = draw(st.sampled_from([models_strategy(), models_2d_strategy()]))
     segments = tuple((d, draw(models)) for d in durations)
     schedule = SemiLevySchedule(period=period, segments=segments)
-    command = draw(st.sampled_from(["simulate", "classify", "skeleton", "lln"]))
-    kwargs = {}
-    if draw(st.booleans()):
-        kwargs["a"] = draw(positive)
-    if draw(st.booleans()):
-        kwargs["horizons"] = (1.0, 2.5, 7.0)
-    if draw(st.booleans()):
-        kwargs["rs"] = RationalStep(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
-    # the reader bounds lln's and the occupation diagnostic's paths, and lln's draws, from below
-    least_paths = {"classify": 50, "lln": 50}.get(command, 1)
-    if draw(st.booleans()):
-        kwargs["n_paths"] = draw(st.integers(least_paths, 500))
-    if draw(st.booleans()):
-        kwargs["sweep"] = True
-    if draw(st.booleans()):
-        kwargs["criterion"] = draw(st.sampled_from(["auto", "mean", "chung-fuchs", "drift", "empirical"]))
-    for key in ("q0", "horizon", "step"):
-        if draw(st.booleans()):
-            kwargs[key] = draw(positive)
-    if draw(st.booleans()):
-        kwargs["levels"] = draw(st.integers(MIN_LEVELS, MAX_LEVELS))
-    for key, least in (("n_steps", 1), ("n_walks", 1), ("n_samples", 10**4 if command == "lln" else 1)):
-        if draw(st.booleans()):
-            kwargs[key] = draw(st.integers(least, 10**6))
-    if draw(st.booleans()):
-        kwargs["t_grid"] = tuple(np.cumsum(draw(st.lists(positive, min_size=1, max_size=4))).tolist())
+    command = draw(st.sampled_from(list(READS)))
+
+    def times(least):
+        return st.lists(positive, min_size=least, max_size=4).map(lambda xs: tuple(np.cumsum(xs).tolist()))
+
+    # the reader bounds lln's and the occupation diagnostic's paths and horizons, and lln's draws, from below
+    values = {
+        "criterion": st.sampled_from(["auto", "chung-fuchs", "empirical"] + ["mean", "drift"] * (schedule.dim == 1)),
+        "a": positive,
+        "horizon": positive,
+        "step": positive,
+        "q0": positive,
+        "levels": st.integers(MIN_LEVELS, MAX_LEVELS),
+        "sweep": st.just(True),
+        "n_paths": st.integers(1 if command == "simulate" else 50, 500),
+        "n_steps": st.integers(1, 10**6),
+        "n_walks": st.integers(1, 10**6),
+        "n_samples": st.integers(10**4, 10**6),
+        "rs": st.builds(RationalStep, st.integers(1, 5), st.integers(1, 5)),
+        "horizons": times(2),
+        "t_grid": times(1),
+    }
+    needed, optional = READS[command]
+    kwargs = {key: draw(values[key]) for key in needed.split()}
+    kwargs.update({key: draw(values[key]) for key in optional.split() if draw(st.booleans())})
+    if kwargs.get("criterion") == "empirical" and "horizons" not in kwargs:
+        kwargs["horizons"] = draw(values["horizons"])
+    if kwargs.get("criterion") == "chung-fuchs":
+        kwargs.update({key: draw(values[key]) for key in LADDER.split() if draw(st.booleans())})
     return RunConfig(schedule=schedule, command=command, seed=draw(st.integers(0, 2**63 - 1)), **kwargs)
 
 
@@ -313,7 +331,7 @@ def test_render_parse_round_trip(config):
 
 def test_diagonal_spellings_parse_to_their_matrix_forms():
     head = "[schedule]\nperiod = 1.0\nsegment = 1.0 "
-    tail = "\n[run]\ncommand = simulate\nseed = 1\n"
+    tail = "\n[run]\ncommand = simulate\nseed = 1\nhorizon = 2.0\nstep = 0.5\n"
 
     def model(segment):
         return parse_config(head + segment + tail).schedule.segments[0][1]
@@ -390,7 +408,16 @@ def test_render_canonical_text():
         horizons=(1.0, 2.5), t_grid=(0.5, 4.0), n_samples=20000,
     )
     assert render_config(config) == CANONICAL
-    assert parse_config(CANONICAL) == config
+    # the parse half: one canonical config per command, with the keys it reads
+    for command, (needed, optional) in READS.items():
+        keys = {*needed.split(), *optional.split(), *(LADDER.split() if command == "classify" else ())}
+        own = RunConfig(schedule=schedule, command=command, seed=7, **{key: getattr(config, key) for key in keys})
+        text = "".join(
+            line for line in CANONICAL.replace("classify", command).splitlines(keepends=True)
+            if line.partition(" = ")[0] not in RUN_KEYS.keys() - keys - {"command", "seed"}
+        )
+        assert render_config(own) == text
+        assert parse_config(text) == own
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +528,8 @@ def test_main_classify_drift_criterion(tmp_path, capsys):
 
 def test_run_missing_required_key(tmp_path):
     text = "[schedule]\nperiod = 1.0\nsegment = 1.0 drift gamma=0.0\n[run]\ncommand = simulate\nseed = 1\n"
-    with pytest.raises(ConfigError, match="horizon"):
-        run(parse_config(text), out_dir=tmp_path)
+    with pytest.raises(ConfigError, match="^simulate needs run keys: horizon, step$"):
+        parse_config(text)
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +653,66 @@ def test_ladder_keys_outside_chung_fuchs_exit_one(tmp_path, capsys):
     )
     assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "q0" in capsys.readouterr().err
+
+
+# a value of each run key beyond command and seed that every command reading it accepts
+VALUES = {
+    "criterion": "mean", "a": 1.0, "horizon": 2.0, "step": 0.5, "q0": 0.02, "levels": 8, "sweep": True,
+    "n_paths": 100, "n_steps": 10, "n_walks": 60, "n_samples": 20000, "rs": RationalStep(1, 2),
+    "horizons": (5.0, 10.0), "t_grid": (1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize(
+    "command, criterion",
+    [("simulate", None), ("skeleton", None), ("lln", None),
+     *(("classify", criterion) for criterion in ("mean", "drift", "chung-fuchs", "empirical"))],
+)
+def test_each_run_reads_only_its_own_keys(tmp_path, capsys, command, criterion):
+    needed, optional = READS[command]
+    reads = {*needed.split(), *optional.split(), *(LADDER.split() if criterion == "chung-fuchs" else ())}
+    needed = needed.split() + ["horizons"] * (criterion == "empirical")
+    reader = command + (f" with criterion {criterion}" if criterion else "")
+    base = {key: VALUES[key] for key in needed}
+    if criterion:
+        base["criterion"] = criterion
+    config = RunConfig(schedule=single_segment(BrownianDrift(0.0, 1.0)), command=command, seed=4, **base)
+    # lines 1-6 are the schedule, a blank line, [run] and seed; the keys of base follow
+    text = render_config(config).replace(f"command = {command}\n", "")
+    assert parse_config(text, default_command=command) == config
+    cfg = tmp_path / "c.cfg"
+    for key, value in VALUES.items():
+        if key in base:
+            continue
+        extra = f"{key} = {RUN_KEYS[key][1](value)}\n"
+        if key in reads:
+            assert parse_config(text + extra, default_command=command) == replace(config, **{key: value})
+            continue
+        # the reader refuses the key at its line, and run() refuses it in a config built in code
+        cfg.write_text(text + extra)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        line = 7 + len(base)
+        assert capsys.readouterr().err == f"error: line {line}: {reader} does not read run keys: {key}\n"
+        with pytest.raises(ConfigError, match=f"^{reader} does not read run keys: {key}$"):
+            run(replace(config, **{key: value}), out_dir=tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+    # a missing needed key is refused at parse, before the command runs
+    for key in needed:
+        with pytest.raises(ConfigError, match=f"^{reader} needs run keys: {key}$"):
+            parse_config(text.replace(f"{key} = {RUN_KEYS[key][1](VALUES[key])}\n", ""), default_command=command)
+
+
+@pytest.mark.parametrize("criterion", ["mean", "drift"])
+def test_one_dimensional_criteria_refused_at_their_line_above_dimension_one(tmp_path, capsys, criterion):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"[schedule]\nperiod = 1.0\nsegment = 1.0 drift gamma=1,0\n[run]\nseed = 4\ncriterion = {criterion}\n")
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    message = f"criterion {criterion} is stated for dimension 1, not 2"
+    assert capsys.readouterr().err == f"error: line 6: {message}\n"
+    schedule = single_segment(PureDrift([1.0, 0.0]))
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        run(RunConfig(schedule=schedule, command="classify", seed=4, criterion=criterion), out_dir=tmp_path / "o")
+    assert not (tmp_path / "o").exists()
 
 
 def test_unbounded_compound_poisson_draw_exits_one(tmp_path, capsys):

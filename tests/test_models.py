@@ -210,6 +210,23 @@ def test_compound_poisson_scalar_rate_draw_matches_array_draw(model, dt, k):
         assert np.array_equal(finished, model._finish(array, [(counts_b, jumps_b)]))
 
 
+@pytest.mark.parametrize("model", CATALOG)
+def test_zero_size_batch_is_empty_and_draws_nothing(model):
+    # numpy gives an empty array stride 0, the mark of equal durations: an
+    # empty batch must still come back (0, d) without touching the Generator
+    from semilevy.schedule import make_splice, sample_interval_increment
+
+    splice = make_splice(model, model.scaled(2.0), 0.5, 1.5)
+    for draw in (
+        lambda rng: model.sample_increment(1.0, rng, size=0),
+        lambda rng: sample_interval_increment(splice, 0.0, 1.0, rng, size=0),
+    ):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert draw(rng).shape == (0, model.dim)
+        assert rng.bit_generator.state == state
+
+
 # ---------------------------------------------------------------------------
 # means and covariances
 # ---------------------------------------------------------------------------
