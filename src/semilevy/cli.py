@@ -28,8 +28,11 @@ Model kinds for ``segment = <duration> <kind> key=value...``:
 Run keys: ``command`` (or given as the CLI subcommand), ``seed`` (needed,
 never defaulted from system entropy), then those its command reads, each with
 its default or ``needed``; ``none`` leaves out the occupation diagnostic or
-the weak-law estimates.  A classify run reads those of its criterion (auto is
-mean on a 1-d schedule with a finite one-period mean, else chung-fuchs)::
+the weak-law estimates, and then the keys only it reads are refused: without
+``horizons`` a classify run takes no ``n_paths`` or ``step`` (nor ``a`` under
+mean or drift), and without ``t_grid`` lln takes no ``n_samples``.  A classify
+run reads the keys of its criterion (auto is mean on a 1-d schedule with a
+finite one-period mean, else chung-fuchs)::
 
     simulate: horizon=needed step=needed n_paths=1
     classify mean: criterion=auto a=1.0 horizons=none n_paths=100 step=0.1
@@ -71,7 +74,7 @@ from .classify import (
     mean_criterion,
     radius_sweep,
 )
-from .lln import MIN_PATHS, MIN_SAMPLES, strong_law_check, wlln_conditions
+from .lln import MIN_PATHS, MIN_SAMPLES, strong_law_check, strong_law_horizons, wlln_conditions
 from .models import (
     BrownianDrift,
     CompoundPoisson,
@@ -325,12 +328,21 @@ COMMAND_KEYS = {
     ("classify", "empirical"): {**_CLASSIFY, "horizons": (NEEDED, _CLASSIFY["horizons"][1])},
     ("skeleton", None): dict.fromkeys(("rs", "n_steps", "n_walks", "a"), (NEEDED, None)),
     ("lln", None): {
-        # an infinite one-period mean runs divergence_check, which compares two horizons
-        "horizons": (NEEDED, lambda value, name, s: check_increasing(value, name, least=strong_law_check(s)[1])),
+        # the strong-law check's own horizon rule: 2 of them with an infinite one-period mean
+        "horizons": (NEEDED, lambda value, name, s: strong_law_horizons(s, value)),
         "n_paths": (100, _at_least(MIN_PATHS)),
         "t_grid": (None, None),
         "n_samples": (10**5, _at_least(MIN_SAMPLES)),
     },
+}
+# (command, criterion) -> (the run key whose default of None leaves a side
+# activity out, the keys of the row only that activity reads); while the
+# activity is out, setting one of its keys is refused like an unread key
+SIDE_KEYS = {
+    ("classify", "chung-fuchs"): ("horizons", ("n_paths", "step")),
+    ("classify", "mean"): ("horizons", ("a", "n_paths", "step")),
+    ("classify", "drift"): ("horizons", ("a", "n_paths", "step")),
+    ("lln", None): ("t_grid", ("n_samples",)),
 }
 
 # run key -> (reader, writer); render writes the keys that differ from their
@@ -358,8 +370,9 @@ RUN_KEYS = {
 def _settings(config: RunConfig, lines: Optional[dict] = None) -> dict:
     """Run key -> value of each key the config's command reads, its default where unset.
 
-    Refuses a key the command does not read, a value its check refuses and a
-    missing needed key; `lines` maps the run keys of a config text to their lines.
+    Refuses a key the command does not read, a value its check refuses, a key
+    of a side activity left out and a missing needed key; `lines` maps the run
+    keys of a config text to their lines.
     """
     lines, schedule, criterion = lines or {}, config.schedule, None
     if config.command == "classify":
@@ -372,13 +385,20 @@ def _settings(config: RunConfig, lines: Optional[dict] = None) -> dict:
     row = COMMAND_KEYS[config.command, criterion]
     reader = config.command + (f" with criterion {criterion}" if criterion else "")
     given = {key for key, unset in _UNSET.items() if key in lines or getattr(config, key) != unset}
-    unread = sorted(given - row.keys())
-    if unread:
-        _fail(min(map(lines.get, unread)) if lines else None, f"{reader} does not read run keys: {', '.join(unread)}")
+
+    def refuse(keys: list, why: str = ""):
+        if keys:
+            line = min(map(lines.get, keys)) if lines else None
+            _fail(line, f"{reader} does not read run keys{why}: {', '.join(keys)}")
+
+    refuse(sorted(given - row.keys()))
     settings = {key: getattr(config, key) if key in given else default for key, (default, _) in row.items()}
     for key, (_, check) in row.items():
         if check is not None and key in given:
             _in_line(lines.get(key), check, settings[key], key, schedule)
+    switch, side = SIDE_KEYS.get((config.command, criterion), (None, ()))
+    if switch not in given:
+        refuse(sorted(given.intersection(side)), f" without {switch}")
     missing = [key for key, value in settings.items() if value is NEEDED]
     if missing:
         _fail(None, f"{reader} needs run keys: {', '.join(missing)}")
@@ -558,7 +578,7 @@ def _run_skeleton(schedule, seed, out: Path, rs, n_steps, n_walks, a) -> str:
 
 
 def _run_lln(schedule, seed, out: Path, horizons, n_paths, t_grid, n_samples) -> str:
-    report = strong_law_check(schedule)[0](schedule, horizons, n_paths, seed)
+    report = strong_law_check(schedule, horizons, n_paths, seed)
     conditions = None if t_grid is None else wlln_conditions(schedule, t_grid, n_samples, split_seed(seed, 1))
     # both reports exist before either file is written, so a failed run leaves neither
     (out / "lln.csv").write_text(report.deviations_csv())

@@ -2,7 +2,8 @@
 
 With a finite one-period mean, X_t / t converges almost surely to the
 per-period mean rate; with an infinite one-period absolute moment the ratio
-|X_t| / t has unbounded upper limits instead.  The weak law holds exactly
+|X_t| / t has unbounded upper limits instead.  One strong-law check reads
+whichever of the two the one-period mean picks.  The weak law holds exactly
 when the one-period law satisfies two tail conditions, which are estimated
 here directly from draws of the one-period increment (no path grid involved,
 the conditions concern that law alone).
@@ -26,19 +27,11 @@ from .schedule import (
 )
 from .util import check_counts, check_finite, check_increasing, check_size, format_csv, split_seeds
 
-__all__ = [
-    "LLNReport",
-    "slln_check",
-    "divergence_check",
-    "strong_law_check",
-    "wlln_conditions",
-]
+__all__ = ["LLNReport", "strong_law_check", "wlln_conditions"]
 
 # fewest paths a law-of-large-numbers check, and fewest draws a weak-law estimate, accepts
 MIN_PATHS = 50
 MIN_SAMPLES = 10**4
-# fewest horizons divergence_check accepts: it compares the first with the last
-DIVERGENCE_MIN_HORIZONS = 2
 
 FLAG_SLLN = "slln-consistent"
 FLAG_DIVERGENCE = "divergence-consistent"
@@ -100,88 +93,59 @@ def _horizon_values(
     return _ensemble(schedule, occupancy, seeds)[:, 1:]
 
 
-def slln_check(
+def strong_law_horizons(schedule: SemiLevySchedule, horizons: Sequence[float]) -> np.ndarray:
+    """The horizons of strong_law_check, strictly increasing: at least 1, or 2
+    with an infinite one-period mean, whose reading compares the first with the last."""
+    return check_increasing(horizons, "horizons", least=1 if period_mean(schedule) is not None else 2)
+
+
+def strong_law_check(
     schedule: SemiLevySchedule,
     horizons: Sequence[float],
     n_paths: int,
     seed: int,
 ) -> LLNReport:
-    """Deviation of X_T / T from the per-period mean rate, across horizons.
+    """The strong law the one-period mean picks, read across horizons.
 
-    Requires a finite one-period mean (use divergence_check otherwise).
-    Flags consistency when the mean deviation at the largest horizon falls
-    below 3x the CLT scale sqrt(tr Cov(X_p) / (p T)), whenever the one-period
-    covariance is finite.
+    With a finite mean, the deviation |X_T / T - c| from the per-period mean
+    rate c = mean / p, flagged consistent when its path mean at the largest
+    horizon falls below 3x the CLT scale sqrt(tr Cov(X_p) / (p T)), whenever
+    the one-period covariance is finite.  With an infinite mean, the ratio
+    |X_T| / T, flagged divergence-consistent when the median running maximum
+    grows by at least 50% from the first to the last horizon (the per-path
+    maxima of a heavy-tailed ratio accumulate roughly linearly in the number
+    of horizon doublings, so the cumulative comparison is the stable reading).
     """
-    h = check_increasing(horizons, "horizons")
+    h = strong_law_horizons(schedule, horizons)
     check_counts(least=MIN_PATHS, n_paths=n_paths)
     mu = period_mean(schedule)
-    if mu is None:
-        raise ValueError("one-period mean is absent (E[|X_p|] = infinity); use divergence_check")
-    c = mu / schedule.period
     vals = _horizon_values(schedule, h, n_paths, seed)  # (paths, T, d)
-    dev = np.linalg.norm(vals / h[None, :, None] - c, axis=2)
-    mean_dev = dev.mean(axis=0)
-    max_dev = dev.max(axis=0)
-    check_finite([mean_dev, max_dev], "an LLN deviation")
-    flag = None
-    cov = period_covariance(schedule)
-    if cov is not None:
-        clt_scale = math.sqrt(np.trace(cov) / (schedule.period * float(h[-1])))
-        if mean_dev[-1] <= 3.0 * clt_scale:
+    if mu is not None:
+        c = mu / schedule.period
+        dev = np.linalg.norm(vals / h[None, :, None] - c, axis=2)
+    else:
+        c = None
+        dev = np.linalg.norm(vals, axis=2) / h[None, :]
+    mean_dev, max_dev = dev.mean(axis=0), dev.max(axis=0)
+    check_finite([mean_dev, max_dev], "an LLN deviation" if mu is not None else "an LLN ratio")
+    flag = running = None
+    if mu is not None:
+        cov = period_covariance(schedule)
+        if cov is not None and mean_dev[-1] <= 3.0 * math.sqrt(np.trace(cov) / (schedule.period * float(h[-1]))):
             flag = FLAG_SLLN
+    else:
+        running = np.median(np.maximum.accumulate(dev, axis=1), axis=0)
+        flag = FLAG_DIVERGENCE if running[-1] >= 1.5 * running[0] else None
     return LLNReport(
         seed=int(seed),
         horizons=h,
         mean_dev=mean_dev,
         max_dev=max_dev,
         target=c,
-        divergence_expected=False,
+        divergence_expected=mu is None,
+        running_max_median=running,
         flag=flag,
     )
-
-
-def divergence_check(
-    schedule: SemiLevySchedule,
-    horizons: Sequence[float],
-    n_paths: int,
-    seed: int,
-) -> LLNReport:
-    """Running maxima of |X_T| / T for schedules with an infinite one-period mean.
-
-    Precondition: the one-period mean must be absent; a finite mean is a
-    caller error because the ratio then converges instead.  Flags divergence
-    consistency when the median running maximum grows by at least 50% from
-    the first to the last horizon (the per-path maxima of a heavy-tailed
-    ratio accumulate roughly linearly in the number of horizon doublings, so
-    the cumulative comparison is the stable reading).
-    """
-    h = check_increasing(horizons, "horizons", least=DIVERGENCE_MIN_HORIZONS)
-    check_counts(least=MIN_PATHS, n_paths=n_paths)
-    if period_mean(schedule) is not None:
-        raise ValueError("one-period mean exists; slln_check applies, not divergence_check")
-    vals = _horizon_values(schedule, h, n_paths, seed)
-    ratios = np.linalg.norm(vals, axis=2) / h[None, :]
-    running = np.maximum.accumulate(ratios, axis=1)
-    mean_dev, max_dev = ratios.mean(axis=0), ratios.max(axis=0)
-    check_finite([mean_dev, max_dev], "an LLN ratio")
-    median_running = np.median(running, axis=0)
-    flag = FLAG_DIVERGENCE if median_running[-1] >= 1.5 * median_running[0] else None
-    return LLNReport(
-        seed=int(seed),
-        horizons=h,
-        mean_dev=mean_dev,
-        max_dev=max_dev,
-        target=None,
-        divergence_expected=True,
-        running_max_median=median_running,
-        flag=flag,
-    )
-
-
-def strong_law_check(schedule: SemiLevySchedule):
-    """(check, fewest horizons): slln_check and 1 for a finite one-period mean, else divergence_check and 2."""
-    return (slln_check, 1) if period_mean(schedule) is not None else (divergence_check, DIVERGENCE_MIN_HORIZONS)
 
 
 def wlln_conditions(

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from semilevy.classify import Decision, ball_integral_qmc, chung_fuchs_integral, chung_fuchs_verdict, mean_criterion
-from semilevy.lln import slln_check, wlln_conditions
+from semilevy.lln import strong_law_check, wlln_conditions
 from semilevy.models import (
     BrownianDrift,
     CompoundPoisson,
@@ -206,10 +206,10 @@ def test_criterion_07_exponent_identity():
 def test_criterion_08_slln():
     t0 = time.time()
     zero_mean = make_splice(BrownianDrift(0.0, 1.0), BrownianDrift(0.0, 1.0), 1.0, 2.0)
-    rep0 = slln_check(zero_mean, [1000.0], 100, seed=21)
+    rep0 = strong_law_check(zero_mean, [1000.0], 100, seed=21)
     # E[X_p] = 1*1 + 2*(-0.5) + drift shift: target 2/3 here
     shifted = make_splice(BrownianDrift(1.0, 1.0), BrownianDrift(0.5, 1.0), 1.0, 3.0)
-    rep1 = slln_check(shifted, [1000.0], 100, seed=22)
+    rep1 = strong_law_check(shifted, [1000.0], 100, seed=22)
     checks = {
         "zero-mean: mean |X_T/T| <= 0.095": rep0.mean_dev[-1] <= 0.095,
         "shifted: target is 2/3": abs(rep1.target[0] - 2.0 / 3.0) <= 1e-12,

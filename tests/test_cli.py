@@ -27,7 +27,7 @@ from semilevy.models import (
 )
 from semilevy import lln
 from semilevy import schedule as schedule_module
-from semilevy.schedule import SemiLevySchedule, make_splice, single_segment
+from semilevy.schedule import SemiLevySchedule, make_splice, period_mean, single_segment
 from semilevy.skeleton import RationalStep
 
 BASIC = """
@@ -51,6 +51,14 @@ READS = {
     "lln": ("horizons", "n_paths t_grid n_samples"),
 }
 LADDER = "levels q0 sweep"
+# (command, resolved criterion) -> (the key that switches a side activity on,
+# the keys only that activity reads, refused without it)
+SIDE = {
+    ("classify", "mean"): ("horizons", "a n_paths step"),
+    ("classify", "drift"): ("horizons", "a n_paths step"),
+    ("classify", "chung-fuchs"): ("horizons", "n_paths step"),
+    ("lln", None): ("t_grid", "n_samples"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +215,7 @@ _CONFIG_ERRORS = {
     "lln-samples": (DRIFT + "n_samples = 100\n", "line 6: n_samples must be an integer of at least 10000, got 100"),
     "diagnostic-paths": (DRIFT + "n_paths = 49\n", "line 6: n_paths must be an integer of at least 50, got 49"),
     "diagnostic-horizons": (DRIFT + "horizons = 5\n", "line 6: horizons must be a 1-d sequence of at least 2 values"),
-    # an infinite one-period mean runs divergence_check, which compares two horizons
+    # on an infinite one-period mean the strong-law check compares two horizons
     "lln-divergence-horizons": (_segment("stable alpha=0.8 scale=1.0") + "n_paths = 50\nhorizons = 10\n",
                                 "line 7: horizons must be a 1-d sequence of at least 2 values"),
     # a usage error exits 1, not argparse's 2; the rest of its text is argparse's
@@ -318,6 +326,13 @@ def configs(draw):
     kwargs.update({key: draw(values[key]) for key in optional.split() if draw(st.booleans())})
     if kwargs.get("criterion") == "empirical" and "horizons" not in kwargs:
         kwargs["horizons"] = draw(values["horizons"])
+    # a side activity's keys come with the key that switches the activity on
+    criterion = kwargs.get("criterion", "auto") if command == "classify" else None
+    if criterion == "auto":
+        criterion = "mean" if schedule.dim == 1 and period_mean(schedule) is not None else "chung-fuchs"
+    switch, side = SIDE.get((command, criterion), (None, ""))
+    if switch not in kwargs and kwargs.keys() & set(side.split()):
+        kwargs[switch] = draw(values[switch])
     if kwargs.get("criterion") == "chung-fuchs":
         kwargs.update({key: draw(values[key]) for key in LADDER.split() if draw(st.booleans())})
     return RunConfig(schedule=schedule, command=command, seed=draw(st.integers(0, 2**63 - 1)), **kwargs)
@@ -460,7 +475,7 @@ def test_run_simulate_writes_paths(tmp_path, capsys):
 
 
 def test_lln_single_horizon_runs_on_a_finite_mean(tmp_path):
-    # slln_check needs one horizon; only divergence_check (infinite mean) needs two
+    # the strong-law check needs one horizon on a finite mean, two only on an infinite one
     text = "[schedule]\nperiod = 1.0\nsegment = 1.0 brownian drift=0.0 var=1.0\n[run]\ncommand = lln\nseed = 5\n"
     run(parse_config(text + "horizons = 10\nn_paths = 50\n"), out_dir=tmp_path)
     assert (tmp_path / "lln.csv").read_text().startswith("T,mean_dev,max_dev\n10,")
@@ -686,7 +701,11 @@ def test_each_run_reads_only_its_own_keys(tmp_path, capsys, command, criterion):
             continue
         extra = f"{key} = {RUN_KEYS[key][1](value)}\n"
         if key in reads:
-            assert parse_config(text + extra, default_command=command) == replace(config, **{key: value})
+            # a side activity's key is read with the key that switches the activity on
+            switch, side = SIDE.get((command, criterion), (None, ""))
+            on = {switch: VALUES[switch]} if key in side.split() else {}
+            extra = "".join(f"{k} = {RUN_KEYS[k][1](v)}\n" for k, v in on.items()) + extra
+            assert parse_config(text + extra, default_command=command) == replace(config, **on, **{key: value})
             continue
         # the reader refuses the key at its line, and run() refuses it in a config built in code
         cfg.write_text(text + extra)
@@ -700,6 +719,45 @@ def test_each_run_reads_only_its_own_keys(tmp_path, capsys, command, criterion):
     for key in needed:
         with pytest.raises(ConfigError, match=f"^{reader} needs run keys: {key}$"):
             parse_config(text.replace(f"{key} = {RUN_KEYS[key][1](VALUES[key])}\n", ""), default_command=command)
+
+
+# case -> (command, schedule and run lines 1-5 plus its own, the keys of a side
+# activity, the key that switches it on, the one line of the refusal without it)
+_SIDE_ACTIVITY_KEYS = {
+    "lln": ("lln", DRIFT + "horizons = 10\n", "n_samples = 50000\n", "t_grid = 1,4,16\n",
+            "line 7: lln does not read run keys without t_grid: n_samples"),
+    "mean": ("classify", DRIFT + "criterion = mean\n", "n_paths = 70\nstep = 0.5\na = 3.0\n", "horizons = 5,10\n",
+             "line 7: classify with criterion mean does not read run keys without horizons: a, n_paths, step"),
+    "drift": ("classify", DRIFT + "criterion = drift\n", "a = 3.0\n", "horizons = 5,10\n",
+              "line 7: classify with criterion drift does not read run keys without horizons: a"),
+    # the ladder reads a, so only the diagnostic's own keys are refused
+    "chung-fuchs": ("classify", DRIFT + "criterion = chung-fuchs\nlevels = 6\n", "a = 3.0\nstep = 0.5\n",
+                    "horizons = 5,10\n",
+                    "line 9: classify with criterion chung-fuchs does not read run keys without horizons: step"),
+    # auto picks chung-fuchs on an infinite one-period mean
+    "auto": ("classify", _segment("stable alpha=1.0 scale=1.0") + "levels = 6\n", "n_paths = 70\n",
+             "horizons = 5,10\n",
+             "line 7: classify with criterion chung-fuchs does not read run keys without horizons: n_paths"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SIDE_ACTIVITY_KEYS))
+def test_side_activity_keys_refused_at_their_line_while_it_is_out(tmp_path, capsys, case):
+    command, text, keys, switch, message = _SIDE_ACTIVITY_KEYS[case]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text + keys)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+    # run() refuses the same keys in a config built in code
+    config = parse_config(text + keys + switch, default_command=command)
+    with pytest.raises(ConfigError, match=f"^{message.partition(': ')[2]}$"):
+        run(replace(config, **{switch.partition(" = ")[0]: None}), out_dir=tmp_path / "o")
+    assert not (tmp_path / "o").exists()
+    # with the activity on, the same keys run
+    cfg.write_text(text + keys + switch)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("criterion", ["mean", "drift"])

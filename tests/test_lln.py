@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semilevy.classify import Decision, mean_criterion
-from semilevy.lln import divergence_check, slln_check, wlln_conditions
+from semilevy.lln import strong_law_check, wlln_conditions
 from semilevy.models import BrownianDrift, CompoundPoisson, PureDrift, SymmetricStable, UniformJump
 from semilevy.schedule import make_splice, single_segment
 
@@ -20,14 +20,14 @@ CAUCHY = single_segment(SymmetricStable(1.0, 1.0, 1), 1.0)
 def test_slln_pure_drift_exact():
     p, q = 2.0, 0.5
     sched = make_splice(PureDrift(p - q), PureDrift(-q), q, p)
-    report = slln_check(sched, [float(2 * p), float(8 * p)], 50, seed=1)
+    report = strong_law_check(sched, [float(2 * p), float(8 * p)], 50, seed=1)
     assert np.max(report.mean_dev) <= 1e-12
     assert np.max(report.max_dev) <= 1e-12
 
 
 def test_slln_zero_mean_bm_splice():
     sched = make_splice(BrownianDrift(0.0, 1.0), BrownianDrift(0.0, 1.0), 1.0, 2.0)
-    report = slln_check(sched, [10.0, 250.0, 1000.0], 100, seed=21)
+    report = strong_law_check(sched, [10.0, 250.0, 1000.0], 100, seed=21)
     assert report.target == pytest.approx([0.0])
     assert report.mean_dev[-1] <= 3.0 / np.sqrt(1000.0)
     assert report.flag == "slln-consistent"
@@ -37,19 +37,30 @@ def test_slln_zero_mean_bm_splice():
 
 def test_slln_nonzero_target():
     sched = make_splice(BrownianDrift(1.0, 1.0), BrownianDrift(0.5, 1.0), 1.0, 3.0)
-    report = slln_check(sched, [1000.0], 100, seed=22)
+    report = strong_law_check(sched, [1000.0], 100, seed=22)
     assert report.target == pytest.approx([2.0 / 3.0])
     assert report.mean_dev[-1] <= 3.0 / np.sqrt(1000.0)
 
 
-def test_slln_requires_finite_mean():
-    with pytest.raises(ValueError, match="divergence_check"):
-        slln_check(CAUCHY, [10.0], 50, seed=0)
+def test_strong_law_takes_the_law_from_the_mean():
+    # a finite one-period mean reads the deviation from mean / p
+    report = strong_law_check(BM, [10.0, 100.0, 1000.0], 100, seed=3)
+    assert report.target == pytest.approx([0.0])
+    assert not report.divergence_expected
+    assert report.flag == "slln-consistent"
+    # an infinite one reads |X_T| / T and its running maxima, against no target
+    report = strong_law_check(CAUCHY, [100.0 * 2.0**k for k in range(8)], 100, seed=24)
+    assert report.divergence_expected
+    assert report.target is None
+    assert report.running_max_median.shape == (8,)
+    # which compares the first horizon with the last, so one horizon is refused
+    with pytest.raises(ValueError, match="^horizons must be a 1-d sequence of at least 2 values"):
+        strong_law_check(CAUCHY, [10.0], 50, seed=0)
 
 
 def test_slln_csv():
     sched = make_splice(BrownianDrift(0.0, 1.0), BrownianDrift(0.0, 1.0), 1.0, 2.0)
-    report = slln_check(sched, [10.0, 40.0], 50, seed=4)
+    report = strong_law_check(sched, [10.0, 40.0], 50, seed=4)
     lines = report.deviations_csv().strip().split("\n")
     assert lines[0] == "T,mean_dev,max_dev"
     assert len(lines) == 3
@@ -62,7 +73,7 @@ def test_slln_csv():
 
 def test_divergence_cauchy():
     horizons = [100.0 * 2.0**k for k in range(8)]
-    report = divergence_check(CAUCHY, horizons, 100, seed=24)
+    report = strong_law_check(CAUCHY, horizons, 100, seed=24)
     assert report.divergence_expected
     assert report.flag == "divergence-consistent"
     assert report.running_max_median[-1] >= 1.5 * report.running_max_median[0]
@@ -70,13 +81,8 @@ def test_divergence_cauchy():
 
 def test_divergence_cauchy_splice_with_finite_mean_partner():
     sched = make_splice(SymmetricStable(1.0, 1.0, 1), BrownianDrift(0.3, 1.0), 0.5, 1.5)
-    report = divergence_check(sched, [100.0, 400.0, 1600.0, 6400.0], 100, seed=25)
+    report = strong_law_check(sched, [100.0, 400.0, 1600.0, 6400.0], 100, seed=25)
     assert report.flag == "divergence-consistent"
-
-
-def test_divergence_rejects_finite_mean():
-    with pytest.raises(ValueError, match="slln_check"):
-        divergence_check(BM, [10.0, 20.0], 50, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -127,16 +133,15 @@ def test_wlln_validation():
 
 def test_slln_validation():
     # horizons are finite: an infinite one would read as a deviation of 0
-    for check in (slln_check, divergence_check):
-        sched = BM if check is slln_check else CAUCHY
+    for sched in (BM, CAUCHY):
         with pytest.raises(ValueError, match="^horizons must be positive and finite"):
-            check(sched, [10.0, np.inf], 50, seed=0)
+            strong_law_check(sched, [10.0, np.inf], 50, seed=0)
         with pytest.raises(ValueError, match="^n_paths must be an integer"):
-            check(sched, [10.0, 20.0], 50.5, seed=0)
+            strong_law_check(sched, [10.0, 20.0], 50.5, seed=0)
         # too few paths, or no count at all: one ValueError, never a TypeError from a comparison
         for bad in (10, None, "x"):
             with pytest.raises(ValueError, match="^n_paths must be an integer of at least 50, got"):
-                check(sched, [10.0, 20.0], bad, seed=0)
+                strong_law_check(sched, [10.0, 20.0], bad, seed=0)
 
 
 def test_wlln_consistent_with_mean_criterion():

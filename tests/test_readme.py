@@ -1,9 +1,11 @@
-"""The README's library quick start runs, its commented results hold, and its run keys are the CLI's."""
+"""The README's library quick start runs, its commented results hold, its run keys are the CLI's, and the
+package namespace is the union it states."""
 
 import re
 from pathlib import Path
 
-from semilevy import Decision, cli
+import semilevy
+from semilevy import Decision, classify, cli, lln, models, schedule, skeleton, util
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,3 +38,14 @@ def test_readme_and_cli_docstring_list_the_run_keys_of_the_table():
     pattern = r"^ *(simulate|classify [a-z-]+|skeleton|lln): ((?:[a-z_0-9]+=\S+ ?)+)$"
     for text in (README.read_text(), cli.__doc__):
         assert dict(re.findall(pattern, text, re.MULTILINE)) == expected
+
+
+def test_package_namespace_is_the_union_of_the_modules_public_names():
+    modules = (models, schedule, skeleton, classify, lln)
+    union = [name for module in modules for name in module.__all__] + ["split_seed"]
+    assert semilevy.__all__ == union
+    assert len(set(union)) == len(union)
+    # every name resolves, to its own module's object
+    owner = {name: module for module in modules for name in module.__all__} | {"split_seed": util}
+    for name in union:
+        assert getattr(semilevy, name) is getattr(owner[name], name)

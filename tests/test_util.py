@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semilevy.classify import empirical_diagnostic
-from semilevy.lln import slln_check, wlln_conditions
+from semilevy.lln import strong_law_check, wlln_conditions
 from semilevy.models import BrownianDrift
 from semilevy.schedule import make_splice, sample_path, single_segment
 from semilevy.skeleton import RationalStep, ball_visit_curve, occupations_csv, sample_walks
@@ -110,7 +110,7 @@ def test_every_csv_writer_matches_row_by_row_formatting():
         expected = _reference_csv("path_id,occupation", [np.arange(n_paths), occupations], 1)
         assert occupations_csv(occupations) == expected
     for horizons in (np.arange(1.0, 301.0), [10.0, 100.0]):
-        report = slln_check(splice, horizons, 50, seed=8)
+        report = strong_law_check(splice, horizons, 50, seed=8)
         expected = _reference_csv("T,mean_dev,max_dev", [report.horizons, report.mean_dev, report.max_dev])
         assert report.deviations_csv() == expected
     for t_grid in (np.linspace(0.5, 5.0, 200), [1.0, 2.0, 4.0]):
