@@ -10,8 +10,7 @@ Two analytic routes and one empirical diagnostic:
   once, on Gauss-Kronrod boxes in dimensions 1-3 or scrambled-Sobol nodes
   from dimension 4 (see _ladder), and reads every q off the same values.
 * The one-dimensional mean criterion: with a finite one-period mean, the
-  process is recurrent exactly when that mean vanishes.  The drift test is
-  the same zero test applied to a plain Levy model.
+  process is recurrent exactly when that mean vanishes.
 * Occupation-time growth across horizons, a Monte Carlo diagnostic that
   corroborates the analytic verdicts but never proves either alternative.
 """
@@ -27,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .models import DimensionMismatch, LevyModel
+from .models import DimensionMismatch, LevyModel, SumModel
 from .schedule import (
     SemiLevySchedule,
     _ensemble,
@@ -37,7 +36,7 @@ from .schedule import (
     period_mean,
 )
 from .skeleton import _occupation
-from .util import check_counts, check_increasing, check_positive, check_size, format_float, split_seeds
+from .util import check_counts, check_finite, check_increasing, check_positive, check_size, format_float, split_seeds
 
 __all__ = [
     "Decision",
@@ -50,7 +49,6 @@ __all__ = [
     "chung_fuchs_verdict",
     "radius_sweep",
     "mean_criterion",
-    "drift_test",
     "empirical_diagnostic",
     "empirical_verdict",
 ]
@@ -69,7 +67,8 @@ PSI_POINT_BUDGET = 2**24
 # QMC ladder draws QMC_REPLICATES scrambled Sobol streams of this many nodes
 PSI_CHUNK = 2**16
 QMC_REPLICATES = 16
-# analytic zero test for means computed in closed form
+# analytic zero test for means computed in closed form, relative to the
+# summed magnitude of the terms the mean adds up
 MEAN_ZERO_TOL = 1e-12
 # q-ladder defaults: ratio 4 separates sqrt-divergence, log-divergence and
 # convergence cleanly within double precision
@@ -103,7 +102,6 @@ class Decision(Enum):
 class Criterion(Enum):
     CHUNG_FUCHS = "ChungFuchs"
     MEAN_CRITERION = "MeanCriterion"
-    DRIFT_TEST = "DriftTest"
     EMPIRICAL = "Empirical"
 
 
@@ -536,37 +534,40 @@ def radius_sweep(
 
 
 # ---------------------------------------------------------------------------
-# mean criterion and drift test (dimension 1)
+# mean criterion (dimension 1)
 # ---------------------------------------------------------------------------
 
 
-def _zero_mean(criterion: Criterion, mu: Optional[np.ndarray], key: str, moment: str) -> Verdict:
-    # recurrent iff the closed-form mean vanishes; None (infinite) decides nothing
-    if mu is None:
-        return Verdict(Decision.INCONCLUSIVE, criterion, {"reason": f"{moment} possibly infinite"})
-    value = float(mu[0])
-    decision = Decision.RECURRENT if abs(value) <= MEAN_ZERO_TOL else Decision.TRANSIENT
-    return Verdict(decision, criterion, {key: value})
+def _unit_means(model: LevyModel):
+    """The unit means a model's mean adds up: each component of a sum on its own."""
+    if isinstance(model, SumModel):
+        for component in model.components:
+            yield from _unit_means(component)
+    else:
+        yield model.mean(1.0)
 
 
 def mean_criterion(schedule: SemiLevySchedule) -> Verdict:
     """Zero test of the one-period mean; stated for dimension 1 only.
 
     Uses analytic segment means, never Monte Carlo: the criterion is an exact
-    zero test and sampling noise would make equality untestable.  An infinite
-    mean yields Inconclusive, since recurrence then cannot be read off the
-    mean at all.
+    zero test and sampling noise would make equality untestable.  Zero is
+    relative, |mean| <= MEAN_ZERO_TOL * sum_k d_k |mean_k| over the terms the
+    mean adds up, so rounding is no drift and scaling every drift keeps the
+    decision.  An infinite mean yields Inconclusive, since recurrence then
+    cannot be read off the mean at all; an overflowing one is an error.
     """
     if schedule.dim != 1:
         raise DimensionMismatch("the mean criterion is stated for dimension 1")
-    return _zero_mean(Criterion.MEAN_CRITERION, period_mean(schedule), "period_mean", "E[|X_p|]")
-
-
-def drift_test(model: LevyModel) -> Verdict:
-    """Recurrent iff E[L_1] = 0, for one-dimensional models with a finite mean."""
-    if model.dim != 1:
-        raise DimensionMismatch("the drift test is stated for dimension 1")
-    return _zero_mean(Criterion.DRIFT_TEST, model.mean(1.0), "unit_mean", "E[|L_1|]")
+    mu = period_mean(schedule)
+    if mu is None:
+        return Verdict(Decision.INCONCLUSIVE, Criterion.MEAN_CRITERION, {"reason": "E[|X_p|] possibly infinite"})
+    check_finite(mu, "the one-period mean")
+    # the tolerance multiplies first, so that large finite terms cannot overflow the bound
+    bound = sum(d * (MEAN_ZERO_TOL * abs(float(m[0]))) for d, model in schedule.segments for m in _unit_means(model))
+    value = float(mu[0])
+    decision = Decision.RECURRENT if abs(value) <= bound else Decision.TRANSIENT
+    return Verdict(decision, Criterion.MEAN_CRITERION, {"period_mean": value})
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,12 @@ never defaulted from system entropy), then those its command reads, each with
 its default or ``needed``; ``none`` leaves out the occupation diagnostic or
 the weak-law estimates, and then the keys only it reads are refused: without
 ``horizons`` a classify run takes no ``n_paths`` or ``step`` (nor ``a`` under
-mean or drift), and without ``t_grid`` lln takes no ``n_samples``.  A classify
-run reads the keys of its criterion (auto is mean on a 1-d schedule with a
-finite one-period mean, else chung-fuchs)::
+mean), and without ``t_grid`` lln takes no ``n_samples``.  A classify run
+reads the keys of its criterion (auto is mean on a 1-d schedule with a finite
+one-period mean, else chung-fuchs)::
 
     simulate: horizon=needed step=needed n_paths=1
     classify mean: criterion=auto a=1.0 horizons=none n_paths=100 step=0.1
-    classify drift: criterion=auto a=1.0 horizons=none n_paths=100 step=0.1
     classify chung-fuchs: criterion=auto a=1.0 horizons=none n_paths=100 step=0.1 levels=8 q0=0.01 sweep=false
     classify empirical: criterion=auto a=1.0 horizons=needed n_paths=100 step=0.1
     skeleton: rs=needed n_steps=needed n_walks=needed a=needed
@@ -68,7 +67,6 @@ from .classify import (
     QuadratureError,
     check_levels,
     chung_fuchs_verdict,
-    drift_test,
     empirical_diagnostic,
     empirical_verdict,
     mean_criterion,
@@ -86,7 +84,7 @@ from .models import (
     SymmetricStable,
     UniformJump,
 )
-from .schedule import SemiLevySchedule, equivalent_levy_model, period_mean, sample_paths
+from .schedule import SemiLevySchedule, period_mean, sample_paths
 from .skeleton import RationalStep, ball_visit_curve, occupations_csv, sample_walks
 from .util import check_counts, check_increasing, check_positive, format_float, split_seed
 
@@ -324,7 +322,6 @@ COMMAND_KEYS = {
     ("simulate", None): {"horizon": (NEEDED, None), "step": (NEEDED, None), "n_paths": (1, None)},
     ("classify", "chung-fuchs"): {**_CLASSIFY, **_LADDER},
     ("classify", "mean"): _CLASSIFY,
-    ("classify", "drift"): _CLASSIFY,
     ("classify", "empirical"): {**_CLASSIFY, "horizons": (NEEDED, _CLASSIFY["horizons"][1])},
     ("skeleton", None): dict.fromkeys(("rs", "n_steps", "n_walks", "a"), (NEEDED, None)),
     ("lln", None): {
@@ -341,7 +338,6 @@ COMMAND_KEYS = {
 SIDE_KEYS = {
     ("classify", "chung-fuchs"): ("horizons", ("n_paths", "step")),
     ("classify", "mean"): ("horizons", ("a", "n_paths", "step")),
-    ("classify", "drift"): ("horizons", ("a", "n_paths", "step")),
     ("lln", None): ("t_grid", ("n_samples",)),
 }
 
@@ -380,8 +376,8 @@ def _settings(config: RunConfig, lines: Optional[dict] = None) -> dict:
         criterion, one_d = config.criterion or "auto", schedule.dim == 1
         if criterion == "auto":
             criterion = "mean" if one_d and period_mean(schedule) is not None else "chung-fuchs"
-        elif criterion in ("mean", "drift") and not one_d:
-            _fail(lines.get("criterion"), f"criterion {criterion} is stated for dimension 1, not {schedule.dim}")
+        elif criterion == "mean" and not one_d:
+            _fail(lines.get("criterion"), f"criterion mean is stated for dimension 1, not {schedule.dim}")
     row = COMMAND_KEYS[config.command, criterion]
     reader = config.command + (f" with criterion {criterion}" if criterion else "")
     given = {key for key, unset in _UNSET.items() if key in lines or getattr(config, key) != unset}
@@ -547,8 +543,6 @@ def _run_classify(schedule, seed, out: Path, criterion, a, horizons, n_paths, st
     lines = []
     if criterion == "mean":
         verdict = mean_criterion(schedule)
-    elif criterion == "drift":
-        verdict = drift_test(equivalent_levy_model(schedule))
     elif criterion == "chung-fuchs":
         verdict = chung_fuchs_verdict(schedule, a=a, seed=seed, **ladder)
         if sweep:

@@ -167,7 +167,6 @@ def wlln_conditions(
     check_size(samples=n_samples, dim=schedule.dim)
     rng = np.random.default_rng(seed)
     x = sample_interval_increment(schedule, 0.0, schedule.period, rng, size=n_samples)
-    check_finite(x, "a one-period draw")
     r = np.linalg.norm(x, axis=1)
 
     tail = np.empty(t.size)

@@ -34,7 +34,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .util import FieldEq, check_counts, check_positive, weighted_sum
+from .util import FieldEq, check_counts, check_finite, check_positive, weighted_sum
 
 __all__ = [
     "DimensionMismatch",
@@ -340,6 +340,7 @@ class LevyModel(FieldEq):
         n = 1 if size is None else size
         check_counts(size=n)
         draws = self._sample_batch(np.full(n, float(dt)), rng)
+        check_finite(draws, "a sampled increment")
         return draws[0] if size is None else draws
 
     def mean(self, t: float) -> Optional[np.ndarray]:

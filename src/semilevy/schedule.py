@@ -231,6 +231,7 @@ def sample_interval_increment(
         if dur > 0.0:
             # equal durations as a stride-0 view, as _ensemble passes them
             out += model._sample_batch(np.broadcast_to(dur, n), rng)
+    check_finite(out, "a sampled increment")
     return out[0] if size is None else out
 
 

@@ -17,7 +17,6 @@ from semilevy.classify import (
     ball_integral_qmc,
     chung_fuchs_integral,
     chung_fuchs_verdict,
-    drift_test,
     empirical_diagnostic,
     empirical_verdict,
     mean_criterion,
@@ -472,7 +471,7 @@ def test_radius_sweep_agrees():
 
 
 # ---------------------------------------------------------------------------
-# mean criterion and drift test
+# mean criterion
 # ---------------------------------------------------------------------------
 
 
@@ -504,20 +503,46 @@ def test_mean_criterion_dimension_error():
         mean_criterion(sched)
 
 
-def test_drift_test():
-    assert drift_test(PureDrift(0.0)).decision is Decision.RECURRENT
-    assert drift_test(PureDrift(1.0)).decision is Decision.TRANSIENT
-    assert drift_test(SymmetricStable(1.0, 1.0, 1)).decision is Decision.INCONCLUSIVE
+def test_mean_criterion_single_segments():
+    assert mean_criterion(single_segment(PureDrift(0.0))).decision is Decision.RECURRENT
+    assert mean_criterion(single_segment(PureDrift(1.0))).decision is Decision.TRANSIENT
+    assert mean_criterion(single_segment(SymmetricStable(1.0, 1.0, 1))).decision is Decision.INCONCLUSIVE
 
 
-def test_drift_test_matches_mean_criterion_on_splice():
-    # time-scaled sum model carrying the splice's one-period mean rate
-    q, p = 1.0, 3.0
-    splice = make_splice(BrownianDrift(1.0, 1.0), BrownianDrift(-0.5, 1.0), q, p)
-    equivalent = SumModel(
-        (BrownianDrift(1.0, 1.0).scaled(q / p), BrownianDrift(-0.5, 1.0).scaled((p - q) / p))
-    )
-    assert drift_test(equivalent).decision == mean_criterion(splice).decision
+# case -> (schedule with every drift scaled by c, decision): one-period means
+# whose terms cancel exactly in decimal but not in floating point, and nonzero
+# means, one of them tiny
+ZERO_TESTS = {
+    "decimal-segments": (
+        lambda c: SemiLevySchedule(1.6, ((0.7, BrownianDrift(9e4 * c, 1.0)), (0.9, BrownianDrift(-7e4 * c, 1.0)))),
+        Decision.RECURRENT,
+    ),
+    "splice": (
+        lambda c: make_splice(BrownianDrift(1.4e5 * c, 1.0), BrownianDrift(-2e4 * c, 1.0), 0.1, 0.8),
+        Decision.RECURRENT,
+    ),
+    # the components of a sum count on their own: 0.1 + 0.2 - 0.3 is 5.6e-17
+    "sum": (
+        lambda c: single_segment(SumModel((PureDrift(0.1 * c), PureDrift(0.2 * c), PureDrift(-0.3 * c)))),
+        Decision.RECURRENT,
+    ),
+    "tiny": (lambda c: make_splice(PureDrift(1e-13 * c), PureDrift(0.0), 1.0, 2.0), Decision.TRANSIENT),
+    "common": (lambda c: make_splice(PureDrift(c), PureDrift(c), 0.7, 2.0), Decision.TRANSIENT),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+@pytest.mark.parametrize("case", list(ZERO_TESTS))
+def test_mean_criterion_zero_test_is_relative(case, scale):
+    # rounding in the sum is no drift, and scaling every drift keeps the decision
+    make, decision = ZERO_TESTS[case]
+    assert mean_criterion(make(scale)).decision is decision
+
+
+def test_mean_criterion_overflowing_mean_raises():
+    sched = make_splice(BrownianDrift(1e308, 1.0), BrownianDrift(-1e308, 1.0), 1.0, 3.0)
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        mean_criterion(sched)
 
 
 def test_criterion_concordance():

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semilevy
-from semilevy.classify import MAX_LEVELS, MIN_LEVELS
-from semilevy.cli import RUN_KEYS, ConfigError, RunConfig, main, parse_config, render_config, run
+from semilevy.classify import MAX_LEVELS, MIN_LEVELS, Criterion
+from semilevy.cli import COMMAND_KEYS, RUN_KEYS, ConfigError, RunConfig, main, parse_config, render_config, run
 from semilevy.models import (
     BrownianDrift,
     CompoundPoisson,
@@ -55,7 +55,6 @@ LADDER = "levels q0 sweep"
 # the keys only that activity reads, refused without it)
 SIDE = {
     ("classify", "mean"): ("horizons", "a n_paths step"),
-    ("classify", "drift"): ("horizons", "a n_paths step"),
     ("classify", "chung-fuchs"): ("horizons", "n_paths step"),
     ("lln", None): ("t_grid", "n_samples"),
 }
@@ -196,7 +195,7 @@ _CONFIG_ERRORS = {
     "matrix-rows": (_segment("brownian drift=0,0 cov=1,0;0"), "line 3: cov: matrix rows have unequal lengths"),
     "boolean": (DRIFT + "sweep = yes\n", "line 6: sweep: expected true or false, got 'yes'"),
     "choice": (DRIFT + "criterion = best\n",
-               "line 6: criterion must be one of auto, chung-fuchs, mean, drift, empirical"),
+               "line 6: criterion must be one of auto, chung-fuchs, mean, empirical"),
     "rs-no-slash": (DRIFT + "rs = 2\n", "line 6: rs must look like n1/n2"),
     "kind-parameter": (_segment("brownian drift=0"), "line 3: brownian model needs cov or var"),
     "jump-kind": (_segment("cpoisson rate=1 jump=cauchy"),
@@ -306,7 +305,7 @@ def configs(draw):
 
     # the reader bounds lln's and the occupation diagnostic's paths and horizons, and lln's draws, from below
     values = {
-        "criterion": st.sampled_from(["auto", "chung-fuchs", "empirical"] + ["mean", "drift"] * (schedule.dim == 1)),
+        "criterion": st.sampled_from(["auto", "chung-fuchs", "empirical"] + ["mean"] * (schedule.dim == 1)),
         "a": positive,
         "horizon": positive,
         "step": positive,
@@ -530,15 +529,35 @@ def test_run_classify_sweep_uses_config_ladder(tmp_path, capsys):
     assert sweep[1] == "sweep a=1.0 " + main_line
 
 
-def test_main_classify_drift_criterion(tmp_path, capsys):
-    # the splice's equivalent Levy model has unit mean 1/3 * 1 + 2/3 * (-0.5) = 0
+def test_main_classify_drift_criterion_refused_at_its_line(tmp_path, capsys):
+    # mean is the one zero-mean test; the retired drift criterion is no choice
     cfg = tmp_path / "c.cfg"
     cfg.write_text(BASIC + "criterion = drift\n")
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: line 10: criterion must be one of auto, chung-fuchs, mean, empirical\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_classify_mean_zero_test_is_relative(tmp_path, capsys):
+    # 0.7 * 90000 - 0.9 * 70000 is 0 in decimal and -7.3e-12 in floating point
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "[schedule]\nperiod = 1.6\nsegment = 0.7 brownian drift=90000 var=1\n"
+        "segment = 0.9 brownian drift=-70000 var=1\n[run]\nseed = 1\n"
+    )
     assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    decision, criterion, mean = (tmp_path / "o" / "verdict.txt").read_text().split()
-    assert (decision, criterion) == ("decision=Recurrent", "criterion=DriftTest")
-    assert mean.startswith("unit_mean=") and abs(float(mean.partition("=")[2])) <= 1e-12
-    assert capsys.readouterr().out == f"classify: {decision} {criterion} {mean}\n"
+    line = "decision=Recurrent criterion=MeanCriterion period_mean=-7.275957614183426e-12"
+    assert (tmp_path / "o" / "verdict.txt").read_text() == line + "\n"
+    assert capsys.readouterr().out == f"classify: {line}\n"
+    # a one-period mean that overflows is a numerical failure
+    cfg.write_text(
+        "[schedule]\nperiod = 3.0\nsegment = 1.0 brownian drift=1e308 var=1\n"
+        "segment = 2.0 brownian drift=-1e308 var=1\n[run]\nseed = 1\n"
+    )
+    with np.errstate(over="ignore"):
+        assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 2
+    assert "numerical failure: the one-period mean overflowed" in capsys.readouterr().err
+    assert not (tmp_path / "p" / "verdict.txt").exists()
 
 
 def test_run_missing_required_key(tmp_path):
@@ -664,7 +683,7 @@ def test_ladder_keys_outside_chung_fuchs_exit_one(tmp_path, capsys):
     assert not (tmp_path / "o" / "verdict.txt").exists()
     cfg.write_text(
         "[schedule]\nperiod = 1.0\nsegment = 1.0 brownian drift=0.0 var=1.0\n"
-        "[run]\nseed = 4\ncriterion = drift\nq0 = 0.1\n"
+        "[run]\nseed = 4\ncriterion = mean\nq0 = 0.1\n"
     )
     assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "q0" in capsys.readouterr().err
@@ -681,7 +700,7 @@ VALUES = {
 @pytest.mark.parametrize(
     "command, criterion",
     [("simulate", None), ("skeleton", None), ("lln", None),
-     *(("classify", criterion) for criterion in ("mean", "drift", "chung-fuchs", "empirical"))],
+     *(("classify", criterion) for criterion in ("mean", "chung-fuchs", "empirical"))],
 )
 def test_each_run_reads_only_its_own_keys(tmp_path, capsys, command, criterion):
     needed, optional = READS[command]
@@ -721,6 +740,20 @@ def test_each_run_reads_only_its_own_keys(tmp_path, capsys, command, criterion):
             parse_config(text.replace(f"{key} = {RUN_KEYS[key][1](VALUES[key])}\n", ""), default_command=command)
 
 
+def test_classify_criteria_match_the_criterion_members_one_to_one(tmp_path, capsys):
+    # a retired criterion leaves neither a row nor a Criterion member behind
+    shown = []
+    for command, criterion in COMMAND_KEYS:
+        if command != "classify":
+            continue
+        side = {"horizons": (5.0, 10.0), "n_paths": 50} if criterion == "empirical" else {}
+        schedule = single_segment(BrownianDrift(0.0, 1.0))
+        run(RunConfig(schedule=schedule, command=command, seed=4, criterion=criterion, **side), tmp_path / criterion)
+        shown.append((tmp_path / criterion / "verdict.txt").read_text().split()[1].partition("=")[2])
+    capsys.readouterr()
+    assert sorted(shown) == sorted(member.value for member in Criterion)
+
+
 # case -> (command, schedule and run lines 1-5 plus its own, the keys of a side
 # activity, the key that switches it on, the one line of the refusal without it)
 _SIDE_ACTIVITY_KEYS = {
@@ -728,8 +761,6 @@ _SIDE_ACTIVITY_KEYS = {
             "line 7: lln does not read run keys without t_grid: n_samples"),
     "mean": ("classify", DRIFT + "criterion = mean\n", "n_paths = 70\nstep = 0.5\na = 3.0\n", "horizons = 5,10\n",
              "line 7: classify with criterion mean does not read run keys without horizons: a, n_paths, step"),
-    "drift": ("classify", DRIFT + "criterion = drift\n", "a = 3.0\n", "horizons = 5,10\n",
-              "line 7: classify with criterion drift does not read run keys without horizons: a"),
     # the ladder reads a, so only the diagnostic's own keys are refused
     "chung-fuchs": ("classify", DRIFT + "criterion = chung-fuchs\nlevels = 6\n", "a = 3.0\nstep = 0.5\n",
                     "horizons = 5,10\n",
@@ -760,7 +791,7 @@ def test_side_activity_keys_refused_at_their_line_while_it_is_out(tmp_path, caps
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("criterion", ["mean", "drift"])
+@pytest.mark.parametrize("criterion", ["mean"])
 def test_one_dimensional_criteria_refused_at_their_line_above_dimension_one(tmp_path, capsys, criterion):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"[schedule]\nperiod = 1.0\nsegment = 1.0 drift gamma=1,0\n[run]\nseed = 4\ncriterion = {criterion}\n")

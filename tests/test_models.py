@@ -124,6 +124,12 @@ def test_stable_parameter_validation():
         BrownianDrift(0.0, 1.0).sample_increment(1.0, np.random.default_rng(0), size=2.5)
 
 
+def test_sample_increment_overflow_raises():
+    # (1e30 t)^(1/0.1) overflows: an error, never a silent inf
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+        SymmetricStable(0.1, 1e30).sample_increment(1.0, np.random.default_rng(0), size=20)
+
+
 def test_uniform_box_width_must_be_finite():
     # each bound is finite, but hi - lo overflows: the draws would be inf or nan
     with pytest.raises(ValueError, match="finite"):

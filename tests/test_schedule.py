@@ -194,6 +194,8 @@ def test_equivalent_levy_model_matches_period_exponent():
     z = np.linspace(-4, 4, 17).reshape(-1, 1)
     eq = single_segment(equivalent_levy_model(SPLICE), SPLICE.period)
     assert np.abs(period_exponent(eq, z) - period_exponent(SPLICE, z)).max() <= 1e-12
+    # the equivalent model's unit mean is the one-period mean per unit time
+    assert equivalent_levy_model(SPLICE).mean(1.0) * SPLICE.period == pytest.approx(period_mean(SPLICE), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +457,13 @@ def test_sampled_period_value_matches_exponent():
         ecf = np.exp(1j * z * xp).mean()
         target = np.exp(period_exponent(SPLICE, float(z)))
         assert abs(ecf - target) < 4.0 / np.sqrt(n)
+
+
+def test_interval_increment_overflow_raises():
+    # (1e30 t)^(1/0.1) overflows: an error, never a silent inf
+    sched = single_segment(SymmetricStable(0.1, 1e30))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+        sample_interval_increment(sched, 0.0, 1.0, np.random.default_rng(0), size=20)
 
 
 def test_interval_increment_periodicity_in_law():
