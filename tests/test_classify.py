@@ -509,6 +509,19 @@ def test_mean_criterion_single_segments():
     assert mean_criterion(single_segment(SymmetricStable(1.0, 1.0, 1))).decision is Decision.INCONCLUSIVE
 
 
+def test_drift_test_matches_mean_criterion_on_splice():
+    # time-scaled sum model carrying the splice's one-period mean rate, read as
+    # a single segment: the same decision as the splice, drifting or not
+    q, p = 1.0, 3.0
+    for second_drift, decision in ((-0.5, Decision.RECURRENT), (-0.25, Decision.TRANSIENT)):
+        splice = make_splice(BrownianDrift(1.0, 1.0), BrownianDrift(second_drift, 1.0), q, p)
+        equivalent = SumModel(
+            (BrownianDrift(1.0, 1.0).scaled(q / p), BrownianDrift(second_drift, 1.0).scaled((p - q) / p))
+        )
+        assert mean_criterion(splice).decision is decision
+        assert mean_criterion(single_segment(equivalent)).decision is decision
+
+
 # case -> (schedule with every drift scaled by c, decision): one-period means
 # whose terms cancel exactly in decimal but not in floating point, and nonzero
 # means, one of them tiny
