@@ -198,7 +198,8 @@ class _Psi:
     def integrand(self, z: np.ndarray) -> np.ndarray:
         """_cf_integrand(psi(z), q) at every level q, shape (levels, len(z))."""
         self.points += len(z)
-        psi = period_exponent(self.schedule, z)
+        with np.errstate(over="ignore", invalid="ignore"):  # _check_integrals refuses what inf and nan give
+            psi = period_exponent(self.schedule, z)
         out = np.empty((self.qs.size, len(z)))
         for level, q in enumerate(self.qs):
             out[level] = _cf_integrand(psi, float(q))
@@ -387,7 +388,7 @@ def _check_integrals(qs: np.ndarray, values: np.ndarray, dim: int, a: float) -> 
     """QuadratureError unless every I(q) is finite and positive, as it is for every Levy exponent."""
     for q, value in zip(qs, values):
         if not (np.isfinite(value) and value > 0.0):
-            raise QuadratureError(f"{dim}-d Chung-Fuchs integral is {value!r} at q={q:g}, a={a:g}")
+            raise QuadratureError(f"{dim}-d Chung-Fuchs integral is {value} at q={q:g}, a={a:g}")
 
 
 def ball_integral_qmc(schedule: SemiLevySchedule, a: float, q: float, seed: int = 0) -> tuple[float, float]:

@@ -20,6 +20,9 @@ each member from its own Generator and finishes a block of members at once,
 so an ensemble's values depend neither on its block size nor on its pool
 size: member i is bit for bit the batch its own Generator gives.
 
+Every moment of a model is read off one hook, its exponent's small-|z|
+expansion `expansion()`; `_moments` states once which moments are finite.
+
 Jump distributions for the compound Poisson model come from a small closed
 catalog (point mass, uniform box, Gaussian, two-sided exponential) so that
 their Fourier transforms and moments stay in closed form.
@@ -29,12 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Optional, Union
 
 import numpy as np
 
-from .util import FieldEq, check_counts, check_finite, check_positive, weighted_sum
+from .util import FieldEq, check_counts, check_finite, check_positive
 
 __all__ = [
     "DimensionMismatch",
@@ -144,11 +146,9 @@ class PointMass(FieldEq):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.broadcast_to(self.x, (size, self.dim)).copy()
 
-    def mean(self) -> np.ndarray:
-        return self.x.copy()
-
-    def second_moment(self) -> np.ndarray:
-        return np.outer(self.x, self.x)
+    def moments(self) -> tuple:
+        """(E[J], E[J J^T])."""
+        return self.x.copy(), np.outer(self.x, self.x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,13 +187,9 @@ class UniformJump(FieldEq):
         # checks of array bounds, which cost ten times a short draw
         return self.lo + (self.hi - self.lo) * rng.random((size, self.dim))
 
-    def mean(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
-    def second_moment(self) -> np.ndarray:
-        mid = self.mean()
-        var = (self.hi - self.lo) ** 2 / 12.0
-        return np.diag(var) + np.outer(mid, mid)
+    def moments(self) -> tuple:
+        mid = 0.5 * (self.lo + self.hi)
+        return mid, np.diag((self.hi - self.lo) ** 2 / 12.0) + np.outer(mid, mid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,11 +220,8 @@ class GaussianJump(FieldEq):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.mu + rng.standard_normal((size, self.dim)) @ self._chol.T
 
-    def mean(self) -> np.ndarray:
-        return self.mu.copy()
-
-    def second_moment(self) -> np.ndarray:
-        return self.cov + np.outer(self.mu, self.mu)
+    def moments(self) -> tuple:
+        return self.mu.copy(), self.cov + np.outer(self.mu, self.mu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,11 +258,8 @@ class LaplaceJump(FieldEq):
         # rng.laplace(loc, scale), bit for bit, as for UniformJump.sample
         return self.loc + self.scale * rng.laplace(0.0, 1.0, (size, self.dim))
 
-    def mean(self) -> np.ndarray:
-        return self.loc.copy()
-
-    def second_moment(self) -> np.ndarray:
-        return np.diag(2.0 * self.scale**2) + np.outer(self.loc, self.loc)
+    def moments(self) -> tuple:
+        return self.loc.copy(), np.diag(2.0 * self.scale**2) + np.outer(self.loc, self.loc)
 
 
 JumpDistribution = Union[PointMass, UniformJump, GaussianJump, LaplaceJump]
@@ -317,6 +307,23 @@ def _stack(raws) -> np.ndarray:
     return raws[0][None] if len(raws) == 1 else np.stack(raws)
 
 
+def _weighted_expansion(pairs, dim: int) -> tuple:
+    """Expansion of the sum of w * psi over (w, model) pairs: each w * term added to zero in order."""
+    m, q, stable = np.zeros(dim), np.zeros((dim, dim)), ()
+    for w, model in pairs:
+        mk, qk, sk = model.expansion()
+        m, q, stable = m + w * mk, q + w * qk, stable + tuple((alpha, w * c) for alpha, c in sk)
+    return m, q, stable
+
+
+def _moments(expansion: tuple, t: float) -> tuple:
+    """(mean, covariance) of exp(t psi) from psi's expansion, None where infinite: the mean
+    is finite unless some stable alpha <= 1, the covariance unless some alpha < 2."""
+    m, q, stable = expansion
+    alpha = min((a for a, _ in stable), default=2.0)
+    return (m * t if alpha > 1.0 else None), (q * t if alpha >= 2.0 else None)
+
+
 class LevyModel(FieldEq):
     """Base class of the catalog; subclasses fill in the sampling/transform hooks."""
 
@@ -339,7 +346,8 @@ class LevyModel(FieldEq):
         check_positive(dt=dt)
         n = 1 if size is None else size
         check_counts(size=n)
-        draws = self._sample_batch(np.full(n, float(dt)), rng)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused next
+            draws = self._sample_batch(np.full(n, float(dt)), rng)
         check_finite(draws, "a sampled increment")
         return draws[0] if size is None else draws
 
@@ -349,13 +357,20 @@ class LevyModel(FieldEq):
         None is a value, not an error: it encodes E[|L_1|] = infinity and
         downstream criteria branch on it.
         """
-        mu = self._unit_mean()
-        return None if mu is None else mu * float(t)
+        return _moments(self.expansion(), float(t))[0]
 
     def covariance(self, t: float) -> Optional[np.ndarray]:
         """Covariance matrix of L_t when second moments are finite, else None."""
-        c = self._unit_cov()
-        return None if c is None else c * float(t)
+        return _moments(self.expansion(), float(t))[1]
+
+    def expansion(self) -> tuple:
+        """(m, Q, ((alpha, c), ...)) with psi(z) = i<m, z> - z^T Q z / 2 - sum c |z|**alpha + o(|z|**2).
+
+        Q holds the Gaussian covariance, an alpha = 2 stable part and the
+        jumps' second moments; every stable term left has alpha < 2 (Sato
+        1999, Levy Processes and Infinitely Divisible Distributions, s. 25).
+        """
+        raise NotImplementedError
 
     def scaled(self, s: float) -> "LevyModel":
         """Model with exponent s * psi, i.e. the process run at a positive, finite speed s."""
@@ -385,12 +400,6 @@ class LevyModel(FieldEq):
 
     def _finish(self, dts: np.ndarray, raws: list) -> np.ndarray:
         """Increments (len(raws), k, d) from the draws of several members; no Generator."""
-        raise NotImplementedError
-
-    def _unit_mean(self) -> Optional[np.ndarray]:
-        raise NotImplementedError
-
-    def _unit_cov(self) -> Optional[np.ndarray]:
         raise NotImplementedError
 
     def _scaled(self, s: float) -> "LevyModel":
@@ -429,11 +438,8 @@ class BrownianDrift(LevyModel):
         noise = _stack(raws) @ self._chol.T
         return dts[:, None] * self.drift + np.sqrt(dts)[:, None] * noise
 
-    def _unit_mean(self):
-        return self.drift.copy()
-
-    def _unit_cov(self):
-        return self.cov.copy()
+    def expansion(self):
+        return self.drift.copy(), self.cov.copy(), ()
 
     def _scaled(self, s):
         return BrownianDrift(self.drift * s, self.cov * s)
@@ -486,15 +492,10 @@ class SymmetricStable(LevyModel):
         sub = _positive_stable(self.alpha / 2.0, u, w)
         return (s * np.sqrt(2.0 * sub))[..., None] * noise
 
-    def _unit_mean(self):
-        if self.alpha > 1.0:
-            return np.zeros(self.dim)
-        return None
-
-    def _unit_cov(self):
+    def expansion(self):
         if self.alpha == 2.0:
-            return 2.0 * self.scale * np.eye(self.dim)
-        return None
+            return np.zeros(self.dim), 2.0 * self.scale * np.eye(self.dim), ()
+        return np.zeros(self.dim), np.zeros((self.dim, self.dim)), ((self.alpha, self.scale),)
 
     def _scaled(self, s):
         return SymmetricStable(self.alpha, self.scale * s, self.dim)
@@ -550,11 +551,9 @@ class CompoundPoisson(LevyModel):
         members = np.arange(len(raws))[:, None]
         return cum[members, ends] - cum[members, ends - counts]
 
-    def _unit_mean(self):
-        return self.rate * self.jump.mean()
-
-    def _unit_cov(self):
-        return self.rate * self.jump.second_moment()
+    def expansion(self):
+        mean, second = self.jump.moments()
+        return self.rate * mean, self.rate * second, ()
 
     def _scaled(self, s):
         return CompoundPoisson(self.rate * s, self.jump)
@@ -582,11 +581,8 @@ class PureDrift(LevyModel):
     def _finish(self, dts, raws):
         return np.repeat((dts[:, None] * self.gamma)[None], len(raws), axis=0)
 
-    def _unit_mean(self):
-        return self.gamma.copy()
-
-    def _unit_cov(self):
-        return np.zeros((self.dim, self.dim))
+    def expansion(self):
+        return self.gamma.copy(), np.zeros((self.dim, self.dim)), ()
 
     def _scaled(self, s):
         return PureDrift(self.gamma * s)
@@ -629,13 +625,8 @@ class SumModel(LevyModel):
             out += c._finish(dts, [raw[i] for raw in raws])
         return out
 
-    def _unit_mean(self):
-        means = (c._unit_mean() for c in self.components)
-        return weighted_sum(repeat(1.0), means, np.zeros(self.dim))
-
-    def _unit_cov(self):
-        covs = (c._unit_cov() for c in self.components)
-        return weighted_sum(repeat(1.0), covs, np.zeros((self.dim, self.dim)))
+    def expansion(self):
+        return _weighted_expansion(((1.0, c) for c in self.components), self.dim)
 
     def _scaled(self, s):
         return SumModel(tuple(c._scaled(s) for c in self.components))

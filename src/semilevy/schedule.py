@@ -10,7 +10,8 @@ All increment laws are computed through one primitive, the per-segment
 occupancy of a time interval, which makes periodicity and additivity of the
 log-characteristic function exact by construction.  Sampling draws each grid
 cell's increment from the occupancy decomposition, so splicing introduces no
-discretization bias.
+discretization bias.  The one-period moments are read off one
+small-|z| expansion, `period_expansion`.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .models import DimensionMismatch, LevyModel, SumModel
+from .models import DimensionMismatch, LevyModel, SumModel, _moments, _weighted_expansion
 from .util import (
     FieldEq, check_counts, check_finite, check_positive, check_size, format_csv, map_indexed, split_seeds,
-    stream_states, weighted_sum,
+    stream_states,
 )
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "single_segment",
     "increment_exponent",
     "period_exponent",
+    "period_expansion",
     "period_mean",
     "period_covariance",
     "equivalent_levy_model",
@@ -184,19 +186,24 @@ def period_exponent(schedule: SemiLevySchedule, z):
 
 def _weighted_exponent(schedule: SemiLevySchedule, weights: np.ndarray, z):
     """Sum over segments of weight_k * psi_k(z): a complex scalar, or (m,) for (m, d) points."""
-    return weighted_sum(weights, (model.char_exponent(z) for model in schedule.models), 0.0 + 0.0j)
+    return sum((w * model.char_exponent(z) for w, model in zip(weights, schedule.models)), 0j)
+
+
+def period_expansion(schedule: SemiLevySchedule) -> tuple:
+    """LevyModel.expansion of the one-period exponent, the segments' weighted by their
+    durations; a sum that overflows holds inf or nan, which its readers refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _weighted_expansion(zip(schedule.durations, schedule.models), schedule.dim)
 
 
 def period_mean(schedule: SemiLevySchedule) -> Optional[np.ndarray]:
-    """Mean of the one-period increment, or None when any segment mean is infinite."""
-    means = (model.mean(1.0) for model in schedule.models)
-    return weighted_sum(schedule.durations, means, np.zeros(schedule.dim))
+    """Mean of the one-period increment, or None when it is infinite."""
+    return _moments(period_expansion(schedule), 1.0)[0]
 
 
 def period_covariance(schedule: SemiLevySchedule) -> Optional[np.ndarray]:
     """Covariance of the one-period increment, or None without second moments."""
-    covs = (model.covariance(1.0) for model in schedule.models)
-    return weighted_sum(schedule.durations, covs, np.zeros((schedule.dim, schedule.dim)))
+    return _moments(period_expansion(schedule), 1.0)[1]
 
 
 def equivalent_levy_model(schedule: SemiLevySchedule) -> LevyModel:
@@ -227,10 +234,11 @@ def sample_interval_increment(
     n = 1 if size is None else size
     check_counts(size=n)
     out = np.zeros((n, schedule.dim))
-    for dur, model in zip(occ, schedule.models):
-        if dur > 0.0:
-            # equal durations as a stride-0 view, as _ensemble passes them
-            out += model._sample_batch(np.broadcast_to(dur, n), rng)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused next
+        for dur, model in zip(occ, schedule.models):
+            if dur > 0.0:
+                # equal durations as a stride-0 view, as _ensemble passes them
+                out += model._sample_batch(np.broadcast_to(dur, n), rng)
     check_finite(out, "a sampled increment")
     return out[0] if size is None else out
 
@@ -329,10 +337,11 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list, re
             for drawn, (model, _, dts) in zip(raws, plan):
                 drawn.append(model._draw(dts, rng))
         incr = np.zeros((len(members), cells, dim))
-        for drawn, (model, rows, dts) in zip(raws, plan):
-            incr[:, rows] += model._finish(dts, drawn)
         sums = out[lo : lo + len(members)] if reduce is None else np.zeros((len(members), cells + 1, dim))
-        np.cumsum(incr, axis=1, out=sums[:, 1:])
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused next
+            for drawn, (model, rows, dts) in zip(raws, plan):
+                incr[:, rows] += model._finish(dts, drawn)
+            np.cumsum(incr, axis=1, out=sums[:, 1:])
         # a sum that meets inf or nan stays so: the last row shows any overflow
         check_finite(sums[:, -1], "a sampled path or walk")
         return None if reduce is None else reduce(sums)

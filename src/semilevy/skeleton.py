@@ -31,7 +31,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RationalStep:
-    """Sampling step h = period * num / den, reduced to lowest terms; walks repeat with period den."""
+    """Sampling step h = period * num / den, reduced to lowest terms, each below 2^63; walks repeat with period den."""
 
     num: int
     den: int
@@ -41,6 +41,8 @@ class RationalStep:
         g = math.gcd(self.num, self.den)
         object.__setattr__(self, "num", int(self.num) // g)
         object.__setattr__(self, "den", int(self.den) // g)
+        if max(self.num, self.den) >= 2**63:
+            raise ValueError(f"{self.num}/{self.den} reaches 2^63, past the int64 arithmetic of walk steps")
 
     def step(self, period: float) -> float:
         return period * self.num / self.den

@@ -182,24 +182,11 @@ def map_indexed(fn: Callable[[int], T], n: int, workers: int = 1) -> list[T]:
     return [fn(i) for i in range(n)]
 
 
-def weighted_sum(weights, terms, total):
-    """total + sum of w * t over paired weights and terms.
-
-    None propagates: the result is None as soon as a term is None (an
-    infinite moment stays infinite under positive weights).
-    """
-    for w, t in zip(weights, terms):
-        if t is None:
-            return None
-        total = total + w * t
-    return total
-
-
 def check_positive(**values: float) -> None:
     """ValueError unless every value is positive and finite, naming the first that is not."""
     for name, value in values.items():
         if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def check_counts(least: int = 0, **counts) -> None:

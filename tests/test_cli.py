@@ -204,6 +204,8 @@ _CONFIG_ERRORS = {
     # the library's own rules, reported at the line
     "rs-zero": (DRIFT + "rs = 0/1\n", "line 6: num must be an integer of at least 1, got 0"),
     "rs-negative": (DRIFT + "rs = -1/2\n", "line 6: num must be an integer of at least 1, got -1"),
+    "rs-int64": (DRIFT + "rs = 1/1180591620717411303424\n",
+                 "line 6: 1/1180591620717411303424 reaches 2^63, past the int64 arithmetic of walk steps"),
     "count": (DRIFT + "n_paths = 0\n", "line 6: n_paths must be an integer of at least 1, got 0"),
     "levels": (DRIFT + "levels = 3\n", "line 6: levels must be between 6 and 32, got 3"),
     "positive": (DRIFT + "a = 0\n", "line 6: a must be positive and finite, got 0.0"),
@@ -554,8 +556,7 @@ def test_main_classify_mean_zero_test_is_relative(tmp_path, capsys):
         "[schedule]\nperiod = 3.0\nsegment = 1.0 brownian drift=1e308 var=1\n"
         "segment = 2.0 brownian drift=-1e308 var=1\n[run]\nseed = 1\n"
     )
-    with np.errstate(over="ignore"):
-        assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 2
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 2
     assert "numerical failure: the one-period mean overflowed" in capsys.readouterr().err
     assert not (tmp_path / "p" / "verdict.txt").exists()
 
@@ -612,22 +613,58 @@ def test_main_overflowing_exponent_exits_two(tmp_path, capsys):
     assert not (tmp_path / "o" / "verdict.txt").exists()
 
 
+def _cli_process(tmp_path, command: str, text: str) -> subprocess.CompletedProcess:
+    """The CLI run on the config text in a fresh interpreter, where numpy's warnings reach stderr."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    src = str(Path(semilevy.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-m", "semilevy.cli", command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    return subprocess.run(args, capture_output=True, text=True, timeout=120, env=env)
+
+
 def test_underflowing_ladder_exits_two_with_one_stderr_line(tmp_path):
     # q0 = 1e-300 squares to zero next to the origin; the division by zero is
     # the numerical failure itself, not a RuntimeWarning printed before it
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text(
+    done = _cli_process(
+        tmp_path,
+        "classify",
         "[schedule]\nperiod = 1.0\nsegment = 1.0 brownian drift=0.0 var=1.0\n"
-        "[run]\nseed = 4\ncriterion = chung-fuchs\nq0 = 1e-300\n"
+        "[run]\nseed = 4\ncriterion = chung-fuchs\nq0 = 1e-300\n",
     )
-    src = str(Path(semilevy.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    args = [sys.executable, "-m", "semilevy.cli", "classify", "--config", str(cfg), "--out", str(tmp_path / "o")]
-    done = subprocess.run(args, capture_output=True, text=True, timeout=120, env=env)
     assert done.returncode == 2
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("numerical failure")
     assert not (tmp_path / "o" / "verdict.txt").exists()
+
+
+HUGE_DRIFTS = (
+    "[schedule]\nperiod = 3.0\nsegment = 1.0 brownian drift=1e308 var=1\n"
+    "segment = 2.0 brownian drift=-1e308 var=1\n[run]\nseed = 1\n"
+)
+UNIT_BM = "[schedule]\nperiod = 1.0\nsegment = 1.0 brownian drift=0 var=1\n[run]\nseed = 1\n"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        # the one-period mean and the exponent overflow
+        ("classify", HUGE_DRIFTS + "criterion = auto\n"),
+        ("classify", HUGE_DRIFTS + "criterion = chung-fuchs\n"),
+        # ... and so do the draws and their sums
+        ("lln", HUGE_DRIFTS + "horizons = 10,20\n"),
+        ("simulate", "[schedule]\nperiod = 1.0\nsegment = 1.0 stable alpha=0.3 scale=1e300\n"
+                     "[run]\nseed = 1\nhorizon = 10\nstep = 1\n"),
+        # psi is inf far out in the ball, and the integral nan
+        ("classify", UNIT_BM + "criterion = chung-fuchs\na = 1e200\n"),
+    ],
+)
+def test_overflow_is_one_stderr_line(tmp_path, command, text):
+    # every overflow is read by an explicit check, which is the one line printed
+    done = _cli_process(tmp_path, command, text)
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("numerical failure")
 
 
 # the schedule of each key that is a schedule or model value; run keys go with 1-d BM
@@ -830,8 +867,7 @@ def test_overflowing_draws_exit_two(tmp_path, capsys, command, keys, written):
     # (1e30 t)^(1/0.1) overflows: an error, never inf or nan rows in a CSV
     cfg = tmp_path / "c.cfg"
     cfg.write_text(OVERFLOWING + keys)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "numerical failure" in capsys.readouterr().err
     assert not (tmp_path / "o" / written).exists()
 

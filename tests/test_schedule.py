@@ -25,6 +25,7 @@ from semilevy.schedule import (
     increment_exponent,
     make_splice,
     period_covariance,
+    period_expansion,
     period_exponent,
     period_mean,
     sample_interval_increment,
@@ -196,6 +197,113 @@ def test_equivalent_levy_model_matches_period_exponent():
     assert np.abs(period_exponent(eq, z) - period_exponent(SPLICE, z)).max() <= 1e-12
     # the equivalent model's unit mean is the one-period mean per unit time
     assert equivalent_levy_model(SPLICE).mean(1.0) * SPLICE.period == pytest.approx(period_mean(SPLICE), rel=1e-12)
+
+
+def _moment_models(dim: int) -> dict:
+    """_catalog's models, a -0.0 drift and three sums.
+
+    The mean of "ordered" depends on the order of its terms; "nested" nests
+    sums two deep, and "nested_cauchy" adds a Cauchy part to it.
+    """
+    e = np.eye(dim)[0]
+    models = {**_catalog(dim), "negzero": PureDrift(-0.0 * e)}
+    models["ordered"] = SumModel((PureDrift(e), BrownianDrift(1e-16 * e, 1e-16), PureDrift(-e)))
+    inner = SumModel((models["negzero"], models["stable2.0"]))
+    models["nested"] = SumModel((models["sum"], models["cpoisson_point"], inner))
+    models["nested_cauchy"] = SumModel((models["nested"], models["stable1.0"]))
+    return models
+
+
+def _moment_schedules(dim: int) -> list:
+    """A splice of every ordered pair of _moment_models, and two schedules of three segments."""
+    models = _moment_models(dim)
+    splices = [make_splice(y, z, 0.7, 1.9) for y in models.values() for z in models.values()]
+    three = ((0.9, models["nested"]), (0.4, models["brownian"]), (1.3, models["cpoisson_uniform"]))
+    # its mean depends on the order of its segments
+    ordered = tuple((1.0, m) for m in models["ordered"].components)
+    return splices + [SemiLevySchedule(2.6, three), SemiLevySchedule(3.0, ordered)]
+
+
+def _closed_moments(model):
+    """The unit mean and covariance of a catalog model from its parameters, None where infinite."""
+    d = model.dim
+    if isinstance(model, SumModel):
+        mean, cov = np.zeros(d), np.zeros((d, d))
+        for component in model.components:
+            m, c = _closed_moments(component)
+            mean = None if mean is None or m is None else mean + 1.0 * m
+            cov = None if cov is None or c is None else cov + 1.0 * c
+        return mean, cov
+    if isinstance(model, BrownianDrift):
+        return model.drift, model.cov
+    if isinstance(model, PureDrift):
+        return model.gamma, np.zeros((d, d))
+    if isinstance(model, SymmetricStable):
+        mean = np.zeros(d) if model.alpha > 1.0 else None
+        return mean, (2.0 * model.scale * np.eye(d) if model.alpha == 2.0 else None)
+    jump = model.jump
+    if isinstance(jump, PointMass):
+        mean, second = jump.x, np.outer(jump.x, jump.x)
+    elif isinstance(jump, UniformJump):
+        mean = 0.5 * (jump.lo + jump.hi)
+        second = np.diag((jump.hi - jump.lo) ** 2 / 12.0) + np.outer(mean, mean)
+    elif isinstance(jump, GaussianJump):
+        mean, second = jump.mu, jump.cov + np.outer(jump.mu, jump.mu)
+    else:
+        mean, second = jump.loc, np.diag(2.0 * jump.scale**2) + np.outer(jump.loc, jump.loc)
+    return model.rate * mean, model.rate * second
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_period_moments_are_the_duration_weighted_sums(dim):
+    # bit for bit: from zero, each segment's unit moment times its duration, in
+    # segment order, and a sum's components in their order
+    for sched in _moment_schedules(dim):
+        mean, cov = np.zeros(dim), np.zeros((dim, dim))
+        for dur, model in sched.segments:
+            m, c = _closed_moments(model)
+            mean = None if mean is None or m is None else mean + dur * m
+            cov = None if cov is None or c is None else cov + dur * c
+        for got, want in ((period_mean(sched), mean), (period_covariance(sched), cov)):
+            assert (got is None) == (want is None)
+            assert want is None or got.tobytes() == want.tobytes()
+
+
+def _expansion_remainders(psi, expansion, dim: int) -> list:
+    """|psi(eps u) - (i eps <m, u> - eps^2 u^T Q u / 2 - sum c eps^alpha)| / eps^2 at eps = 1e-2 and 1e-4.
+
+    The largest over unit vectors u: +-1 in d = 1, eight directions in d = 2.
+    """
+    m, q, stable = expansion
+    angles = np.arange(8) * np.pi / 4.0
+    u = np.array([[1.0], [-1.0]]) if dim == 1 else np.column_stack([np.cos(angles), np.sin(angles)])
+    quad, out = np.einsum("ij,jk,ik->i", u, q, u), []
+    for eps in (1e-2, 1e-4):
+        taylor = 1j * eps * (u @ m) - 0.5 * eps**2 * quad - sum(c * eps**alpha for alpha, c in stable)
+        out.append(np.abs(psi(eps * u) - taylor).max() / eps**2)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_expansion_matches_the_exponent_near_zero(dim):
+    # o(|z|^2): the remainder over eps^2 falls at least 20-fold from eps = 1e-2
+    # to 1e-4, up to 1e-6 of rounding; a wrong m makes it grow, a wrong Q keeps it
+    laws = [(model.char_exponent, model.expansion()) for model in _moment_models(dim).values()]
+    laws += [(lambda z, s=s: period_exponent(s, z), period_expansion(s)) for s in _moment_schedules(dim)]
+    for psi, expansion in laws:
+        early, late = _expansion_remainders(psi, expansion, dim)
+        assert late <= 0.05 * early + 1e-6
+
+
+@pytest.mark.parametrize("alphas", [(), (2.0,), (1.5,), (1.0,), (0.7, 2.0), (2.0, 1.9, 1.5), (1.5, 2.0, 1.0)])
+def test_moments_are_infinite_exactly_below_their_index(alphas):
+    # the mean is None exactly when some alpha <= 1, the covariance when some alpha < 2
+    inner = SumModel((BrownianDrift(0.3, 1.0), *(SymmetricStable(alpha, 0.6, 1) for alpha in alphas)))
+    model = SumModel((PureDrift(-1.0), SumModel((inner, CompoundPoisson(1.2, PointMass(0.4))))))
+    sched = make_splice(BM, model, 0.5, 1.5)
+    for mean, cov in ((model.mean(0.7), model.covariance(0.7)), (period_mean(sched), period_covariance(sched))):
+        assert (mean is None) == any(alpha <= 1.0 for alpha in alphas)
+        assert (cov is None) == any(alpha < 2.0 for alpha in alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +570,7 @@ def test_sampled_period_value_matches_exponent():
 def test_interval_increment_overflow_raises():
     # (1e30 t)^(1/0.1) overflows: an error, never a silent inf
     sched = single_segment(SymmetricStable(0.1, 1e30))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError):
         sample_interval_increment(sched, 0.0, 1.0, np.random.default_rng(0), size=20)
 
 

@@ -47,6 +47,11 @@ def test_rational_step_reduction():
         RationalStep(-1, 2)
     with pytest.raises(ValueError, match="^den must be an integer of at least 1, got 0"):
         RationalStep(1, 0)
+    # in lowest terms num and den stay below 2^63, where the walks' int64 arithmetic ends
+    assert (RationalStep(2**70, 3 * 2**70).num, RationalStep(1, 2**63 - 1).den) == (1, 2**63 - 1)
+    for num, den in ((1, 2**70), (2**63, 1), (2**63 + 1, 2)):
+        with pytest.raises(ValueError, match=f"^{num}/{den} reaches 2\\^63, past the int64 arithmetic"):
+            RationalStep(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from semilevy.models import BrownianDrift
 from semilevy.schedule import make_splice, sample_path, single_segment
 from semilevy.skeleton import RationalStep, ball_visit_curve, occupations_csv, sample_walks
 from semilevy.util import (
-    CSV_ARRAY_MIN_VALUES, CSV_CHUNK_VALUES, MAX_VALUES, _csv_tables, _digits, check_counts, check_size, format_csv,
-    split_seed, split_seeds, stream_states,
+    CSV_ARRAY_MIN_VALUES, CSV_CHUNK_VALUES, MAX_VALUES, _csv_tables, _digits, check_counts, check_positive, check_size,
+    format_csv, split_seed, split_seeds, stream_states,
 )
 
 MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 123456789, 0x9E3779B97F4A7C15]
@@ -191,3 +191,7 @@ def test_checks_name_what_they_refuse():
     # a count past the float range is compared as inf, never converted with an error
     with pytest.raises(ValueError, match=r"\(paths inf x dim 1\)"):
         check_size(paths=10**400, dim=1)
+    # numpy scalars print as plain numbers, as Python floats do
+    for bad, text in ((np.float64(-1.0), "-1.0"), (np.float64(np.nan), "nan"), (-1.0, "-1.0"), (0, "0")):
+        with pytest.raises(ValueError, match=f"^a must be positive and finite, got {text}$"):
+            check_positive(a=bad)
