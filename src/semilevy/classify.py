@@ -32,6 +32,7 @@ from .schedule import (
     _ensemble,
     _grid_occupancy,
     _grid_times,
+    _pool_workers,
     period_exponent,
     period_mean,
 )
@@ -577,9 +578,9 @@ def mean_criterion(schedule: SemiLevySchedule) -> Verdict:
 
 FLAG_RECURRENT = "growth-consistent-with-recurrence"
 FLAG_TRANSIENT = "saturation-consistent-with-transience"
-# paths the diagnostic's size check counts on its grid; whole paths are held
-# only a block per pool worker at a time, each reduced to occupations at once
-DIAGNOSTIC_CHUNK = 16
+# whole paths are held a block at a time, each reduced to occupations at once;
+# the size check counts max(this, pool workers) of them, at most n_paths
+DIAGNOSTIC_HELD_PATHS = 16
 # fewest paths and horizons the diagnostic accepts: growth is read off the last pair
 DIAGNOSTIC_MIN_PATHS = 50
 DIAGNOSTIC_MIN_HORIZONS = 2
@@ -636,7 +637,8 @@ def empirical_diagnostic(
     check_positive(a=a)
 
     check_size(paths=n_paths, horizons=horizons.size)
-    grid = _grid_times(float(horizons[-1]), step, min(n_paths, DIAGNOSTIC_CHUNK), schedule.dim)
+    held = min(n_paths, max(DIAGNOSTIC_HELD_PATHS, _pool_workers(n_paths)))
+    grid = _grid_times(float(horizons[-1]), step, held, schedule.dim)
     dt = np.diff(grid)
     idx = np.clip(np.searchsorted(grid, horizons * (1.0 + 1e-12), side="right") - 1, 0, None)
     seeds = split_seeds(seed, range(n_paths))

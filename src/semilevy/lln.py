@@ -164,7 +164,6 @@ def wlln_conditions(
     """
     t = check_increasing(t_grid, "t_grid")
     check_counts(least=MIN_SAMPLES, n_samples=n_samples)
-    check_size(samples=n_samples, dim=schedule.dim)
     rng = np.random.default_rng(seed)
     x = sample_interval_increment(schedule, 0.0, schedule.period, rng, size=n_samples)
     r = np.linalg.norm(x, axis=1)

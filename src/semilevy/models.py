@@ -10,15 +10,15 @@ statistics built on top carry no discretization bias.  Models are immutable
 and safe to share across a thread pool; every sampling call takes the numpy
 Generator it should consume, there is no hidden global state.
 
-Each sampler is split in two hooks.  `_draw(dts, rng)` makes all the
-Generator calls of one batch of durations, in a fixed order, and little else
-(a compound Poisson draw includes its jump law's `sample`).  `_finish(dts,
+Each sampler is split in hooks.  `_draw(dts, rng)` makes all the Generator
+calls of one batch of durations, in a fixed order, and little else (a
+compound Poisson draw includes its jump law's `sample`).  `_finish(dts,
 raws)` never touches a Generator: it is arithmetic over the draws of several
-members stacked together, and returns their increments, (members, k, d).  A
-single batch is `_finish(dts, [_draw(dts, rng)])[0]`, and an ensemble draws
-each member from its own Generator and finishes a block of members at once,
-so an ensemble's values depend neither on its block size nor on its pool
-size: member i is bit for bit the batch its own Generator gives.
+members stacked together, and returns their increments, (members, k, d).
+`_draw_values(dts)` sizes blocks and bounds a batch before any draw.  A
+single batch (`_sample_pieces`) is `_finish(dts, [_draw(dts, rng)])[0]`, and
+an ensemble finishes a block of members, each drawn from its own Generator,
+at once: member i is bit for bit the batch its own Generator gives.
 
 Every moment of a model is read off one hook, its exponent's small-|z|
 expansion `expansion()`; `_moments` states once which moments are finite.
@@ -36,7 +36,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .util import FieldEq, check_counts, check_finite, check_positive
+from .util import FieldEq, check_counts, check_finite, check_positive, check_size
 
 __all__ = [
     "DimensionMismatch",
@@ -307,6 +307,28 @@ def _stack(raws) -> np.ndarray:
     return raws[0][None] if len(raws) == 1 else np.stack(raws)
 
 
+def _repeated(dt: float, k: int) -> np.ndarray:
+    """k durations dt as one value's stride-0 view (np.broadcast_to takes 5x longer), drawn as a scalar."""
+    return np.ndarray((k,), float, np.array([float(dt)]), strides=(0,))
+
+
+def _sample_pieces(pieces, dim: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
+    """Exact draw(s) of a sum of independent increments, one per (duration, model) piece in
+    turn; (d,), or (size, d) when size is given.  Every bound is checked before the first draw."""
+    n = 1 if size is None else size
+    check_counts(size=n)
+    check_size(samples=n, dim=dim)
+    plan = [(_repeated(dt, n), model) for dt, model in pieces if dt > 0.0]
+    for dts, model in plan:
+        model._draw_values(dts)  # refuses an oversized batch before any draw
+    out = np.zeros((n, dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused next
+        for dts, model in plan:
+            out += model._finish(dts, [model._draw(dts, rng)])[0]
+    check_finite(out, "a sampled increment")
+    return out[0] if size is None else out
+
+
 def _weighted_expansion(pairs, dim: int) -> tuple:
     """Expansion of the sum of w * psi over (w, model) pairs: each w * term added to zero in order."""
     m, q, stable = np.zeros(dim), np.zeros((dim, dim)), ()
@@ -344,12 +366,7 @@ class LevyModel(FieldEq):
     def sample_increment(self, dt: float, rng: np.random.Generator, size: Optional[int] = None):
         """Exact draw(s) of L_{t+dt} - L_t; a (d,) vector, or (size, d) when size is given."""
         check_positive(dt=dt)
-        n = 1 if size is None else size
-        check_counts(size=n)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused next
-            draws = self._sample_batch(np.full(n, float(dt)), rng)
-        check_finite(draws, "a sampled increment")
-        return draws[0] if size is None else draws
+        return _sample_pieces([(dt, self)], self.dim, rng, size)
 
     def mean(self, t: float) -> Optional[np.ndarray]:
         """t * E[L_1] when the first absolute moment is finite, else None.
@@ -381,11 +398,6 @@ class LevyModel(FieldEq):
 
     def _exponent(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _sample_batch(self, dts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Independent increments with durations dts (k,); returns (k, d)."""
-        self._draw_values(dts)  # refuses an oversized batch before any draw
-        return self._finish(dts, [self._draw(dts, rng)])[0]
 
     def _draw_values(self, dts: np.ndarray) -> float:
         """About the values one member's batch holds, to size blocks of members.
@@ -529,7 +541,7 @@ class CompoundPoisson(LevyModel):
 
     def _draw(self, dts, rng):
         # jump counts per cell, then the jump law's own draw of all the jumps.
-        # Equal durations come as a stride-0 view (schedule._ensemble): one
+        # Equal durations come as a stride-0 view (_repeated): one
         # scalar rate draws the same counts without checking k rates; an empty
         # batch, which numpy gives stride 0 too, takes the array path
         if dts.strides[0] == 0 and dts.size:

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import DimensionMismatch, LevyModel, SumModel, _moments, _weighted_expansion
+from .models import DimensionMismatch, LevyModel, SumModel, _moments, _repeated, _sample_pieces, _weighted_expansion
 from .util import (
     FieldEq, check_counts, check_finite, check_positive, check_size, format_csv, map_indexed, split_seeds,
     stream_states,
@@ -230,17 +230,7 @@ def sample_interval_increment(
     size: Optional[int] = None,
 ):
     """Exact draw(s) of X_t - X_s; a (d,) vector, or (size, d) when size is given."""
-    occ = schedule.segment_occupancy(s, t)
-    n = 1 if size is None else size
-    check_counts(size=n)
-    out = np.zeros((n, schedule.dim))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused next
-        for dur, model in zip(occ, schedule.models):
-            if dur > 0.0:
-                # equal durations as a stride-0 view, as _ensemble passes them
-                out += model._sample_batch(np.broadcast_to(dur, n), rng)
-    check_finite(out, "a sampled increment")
-    return out[0] if size is None else out
+    return _sample_pieces(zip(schedule.segment_occupancy(s, t), schedule.models), schedule.dim, rng, size)
 
 
 def _grid_times(horizon: float, step: float, members: int, dim: int) -> np.ndarray:
@@ -292,6 +282,11 @@ def _block_members(member_values: float) -> int:
     return max(1, int(_BLOCK_VALUES // max(member_values, 1.0)))
 
 
+def _pool_workers(n_blocks: int) -> int:
+    """Threads _ensemble runs its one-member blocks on: one per CPU, at most one per block."""
+    return min(os.cpu_count() or 1, n_blocks)
+
+
 def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list, reduce=None) -> np.ndarray:
     """Cumulative sums of independent cell draws, shape (n, cells + 1, d), or their reductions.
 
@@ -319,9 +314,7 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list, re
         if rows.size:
             dts = occupancy[rows, k]
             member_values += model._draw_values(dts)
-            if (dts == dts[0]).all():
-                # dts[0] repeated, as a stride-0 view (np.broadcast_to takes 5x longer)
-                dts = np.ndarray(dts.shape, dts.dtype, dts, strides=(0,))
+            dts = _repeated(dts[0], dts.size) if (dts == dts[0]).all() else dts
             plan.append((model, rows, dts))
     out = np.zeros((len(states), cells + 1, dim)) if reduce is None else None
     size = _block_members(member_values)
@@ -347,7 +340,7 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list, re
         return None if reduce is None else reduce(sums)
 
     n_blocks = -(-len(states) // size)
-    workers = min(os.cpu_count() or 1, n_blocks) if size == 1 else 1
+    workers = _pool_workers(n_blocks) if size == 1 else 1
     reduced = map_indexed(block, n_blocks, workers)
     # C order whatever reduce returns, so sums over the members keep one order
     return out if reduce is None else np.ascontiguousarray(np.concatenate(reduced))

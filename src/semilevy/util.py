@@ -190,10 +190,11 @@ def check_positive(**values: float) -> None:
 
 
 def check_counts(least: int = 0, **counts) -> None:
-    """ValueError unless every count is an integer of at least `least`, naming the first that is not."""
+    """ValueError unless every count is an integer, not a bool, of at least `least`, naming the first that is not."""
     for name, value in counts.items():
-        if not (isinstance(value, numbers.Integral) and value >= least):
-            raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least):
+            shown = value.item() if isinstance(value, np.generic) else value  # a numpy scalar as a plain number
+            raise ValueError(f"{name} must be an integer of at least {least}, got {shown!r}")
 
 
 def check_size(**sizes: float) -> None:

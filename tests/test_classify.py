@@ -648,6 +648,22 @@ def test_diagnostic_rows_are_single_path_occupations(sched, monkeypatch):
     assert np.array_equal(report.mean, np.array(report.occupations.tolist()).mean(axis=0))
 
 
+@pytest.mark.parametrize("cpus, refused", [(64, True), (2, False)])
+def test_diagnostic_size_check_counts_a_path_per_pool_worker(monkeypatch, cpus, refused):
+    # 64 one-path blocks in flight hold 64 x 4e6 cells, past the bound; on 2
+    # CPUs 16 paths are counted, which pass it, and the run gets to its seeds
+    class SeedsBuilt(Exception):
+        pass
+
+    def no_seeds(*args, **kwargs):
+        raise SeedsBuilt
+
+    monkeypatch.setattr(schedule_module.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(classify, "split_seeds", no_seeds)
+    with pytest.raises(ValueError if refused else SeedsBuilt, match="more than the bound" if refused else None):
+        empirical_diagnostic(BM1, 1.0, [2e5, 4e5], 64, seed=0, step=0.1)
+
+
 def test_diagnostic_validation_and_verdict():
     with pytest.raises(ValueError):
         empirical_diagnostic(BM1, 1.0, [10.0], 50, seed=0)

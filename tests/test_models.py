@@ -16,6 +16,7 @@ from semilevy.models import (
     SymmetricStable,
     UniformJump,
 )
+from semilevy.schedule import make_splice, sample_interval_increment, single_segment
 
 # one representative per catalog kind, plus multivariate and composite cases
 CATALOG = [
@@ -130,6 +131,38 @@ def test_sample_increment_overflow_raises():
         SymmetricStable(0.1, 1e30).sample_increment(1.0, np.random.default_rng(0), size=20)
 
 
+@pytest.mark.parametrize("size", [None, 0, 1, 1000])
+@pytest.mark.parametrize("model", CATALOG)
+def test_sample_increment_is_a_one_segment_interval_increment(model, size):
+    # one sampler draws both: the same bits from equal seeds
+    dt = 0.7
+    a = model.sample_increment(dt, np.random.default_rng(21), size)
+    b = sample_interval_increment(single_segment(model, dt), 0.0, dt, np.random.default_rng(21), size)
+    assert a.shape == b.shape == ((model.dim,) if size is None else (size, model.dim))
+    assert a.tobytes() == b.tobytes()
+
+
+def test_refused_splice_leaves_generator_untouched():
+    # every segment's bound is checked before the Brownian segment draws
+    splice = make_splice(BrownianDrift(0.0, 1.0), CompoundPoisson(1e9, PointMass(1.0)), 0.5, 1.0)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="jumps"):
+        sample_interval_increment(splice, 0.0, 1.0, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_oversized_single_batches_are_refused_before_any_draw():
+    model = BrownianDrift(0.0, 1.0)
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="more than the bound"):
+        model.sample_increment(1.0, rng, size=10**12)
+    with pytest.raises(ValueError, match="more than the bound"):
+        sample_interval_increment(single_segment(model), 0.0, 1.0, rng, size=10**12)
+    assert rng.bit_generator.state == state
+
+
 def test_uniform_box_width_must_be_finite():
     # each bound is finite, but hi - lo overflows: the draws would be inf or nan
     with pytest.raises(ValueError, match="finite"):
@@ -191,11 +224,11 @@ def test_compound_poisson_refuses_unbounded_draw():
     # the bound is on the whole batch: 1000 cells of 1e5 expected jumps each
     assert 1000 * 1e5 > MAX_EXPECTED_JUMPS
     with pytest.raises(ValueError, match="jumps"):
-        model._sample_batch(np.full(1000, 1e-7), rng)
+        model.sample_increment(1e-7, rng, size=1000)
     assert rng.bit_generator.state == state
     with pytest.raises(ValueError, match="jumps"):
         SumModel((BrownianDrift(0.0, 1.0), model)).sample_increment(1.0, rng)
-    draws = model._sample_batch(np.full(3, 1e-7), rng)
+    draws = model.sample_increment(1e-7, rng, size=3)
     assert draws.shape == (3, 1) and np.all(draws > 9e4)
 
 

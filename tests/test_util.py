@@ -6,7 +6,7 @@ import pytest
 from semilevy.classify import empirical_diagnostic
 from semilevy.lln import strong_law_check, wlln_conditions
 from semilevy.models import BrownianDrift
-from semilevy.schedule import make_splice, sample_path, single_segment
+from semilevy.schedule import make_splice, sample_path, sample_paths, single_segment
 from semilevy.skeleton import RationalStep, ball_visit_curve, occupations_csv, sample_walks
 from semilevy.util import (
     CSV_ARRAY_MIN_VALUES, CSV_CHUNK_VALUES, MAX_VALUES, _csv_tables, _digits, check_counts, check_positive, check_size,
@@ -178,6 +178,22 @@ def test_non_integer_seeds_and_indices_are_refused():
     assert split_seed(np.int64(5), np.uint64(2)) == split_seed(5, 2)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: check_counts(n=True), "n"),
+        (lambda: sample_paths(single_segment(BrownianDrift(0.0, 1.0)), 1.0, 0.5, True, 3), "n_paths"),
+        (lambda: RationalStep(True, 2), "num"),
+        (lambda: BrownianDrift(0.0, 1.0).sample_increment(1.0, np.random.default_rng(0), size=True), "size"),
+    ],
+    ids=["check_counts", "sample_paths", "RationalStep", "sample_increment"],
+)
+def test_a_bool_is_not_a_count(call, name):
+    # bool is an Integral, but True is no count of paths, steps or draws
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least ., got True$"):
+        call()
+
+
 def test_checks_name_what_they_refuse():
     check_counts(least=1, n=1, m=np.int64(3))
     for bad in (0, 1.0, None):
@@ -191,7 +207,12 @@ def test_checks_name_what_they_refuse():
     # a count past the float range is compared as inf, never converted with an error
     with pytest.raises(ValueError, match=r"\(paths inf x dim 1\)"):
         check_size(paths=10**400, dim=1)
-    # numpy scalars print as plain numbers, as Python floats do
+    # numpy scalars print as plain numbers, as Python numbers do
+    for bad in (np.int64(0), np.int32(0)):
+        with pytest.raises(ValueError, match="^n must be an integer of at least 1, got 0$"):
+            check_counts(least=1, n=bad)
+    with pytest.raises(ValueError, match="^num must be an integer of at least 1, got 0$"):
+        RationalStep(np.int64(0), 1)
     for bad, text in ((np.float64(-1.0), "-1.0"), (np.float64(np.nan), "nan"), (-1.0, "-1.0"), (0, "0")):
         with pytest.raises(ValueError, match=f"^a must be positive and finite, got {text}$"):
             check_positive(a=bad)
