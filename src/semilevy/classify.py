@@ -68,6 +68,9 @@ PSI_POINT_BUDGET = 2**24
 # QMC ladder draws QMC_REPLICATES scrambled Sobol streams of this many nodes
 PSI_CHUNK = 2**16
 QMC_REPLICATES = 16
+# the Gauss-Kronrod boxes go through psi in groups of at most this many nodes
+# (one 21^3-node box in d = 3): smaller temporaries fault fewer fresh pages
+GK_CHUNK = 2**14
 # analytic zero test for means computed in closed form, relative to the
 # summed magnitude of the terms the mean adds up
 MEAN_ZERO_TOL = 1e-12
@@ -254,11 +257,11 @@ def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
     # K21 tensor value of every level on each box [lo, hi], shape (n, D), and
     # per axis the qk21 error along it of the K21 sum over the other axes
     # (times their half-widths); f sees the boxes in groups of at most
-    # PSI_CHUNK nodes
+    # GK_CHUNK nodes
     n, dim = lo.shape
     grid = _GK_NODES[np.indices((_GK_NODES.size,) * dim).reshape(dim, -1).T]
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    step = max(1, PSI_CHUNK // len(grid))
+    step = max(1, GK_CHUNK // len(grid))
     values, errs = [], []
     for i in range(0, n, step):
         c, h = center[i : i + step], half[i : i + step]

@@ -11,10 +11,13 @@ and safe to share across a thread pool; every sampling call takes the numpy
 Generator it should consume, there is no hidden global state.
 
 Each sampler is split in hooks.  `_draw(dts, rng)` makes all the Generator
-calls of one batch of durations, in a fixed order, and little else (a
-compound Poisson draw includes its jump law's `sample`).  `_finish(dts,
-raws)` never touches a Generator: it is arithmetic over the draws of several
-members stacked together, and returns their increments, (members, k, d).
+calls of one batch of durations, in a fixed order, and little else.
+`_finish(dts, raws)` never touches a Generator: it is arithmetic over the
+draws of several members stacked together, and returns their increments,
+(members, k, d).  A compound Poisson batch draws each cell's jump count N and
+hands the counts to its jump law's `_draw_cells(counts, rng)` and
+`_cell_sums(counts, draws)`: N x for a point mass, N mu + sqrt(N) L Z for a
+Gaussian, and the drawn jumps added cell by cell for uniform and Laplace.
 `_draw_values(dts)` sizes blocks and bounds a batch before any draw.  A
 single batch (`_sample_pieces`) is `_finish(dts, [_draw(dts, rng)])[0]`, and
 an ensemble finishes a block of members, each drawn from its own Generator,
@@ -56,9 +59,9 @@ __all__ = [
 # tolerance of the positive-semidefinite acceptance check for covariances
 PSD_TOL = 1e-10
 
-# most jumps one compound Poisson batch may expect to draw (rate times the
-# summed durations); a batch draws all its jumps in one array, so this bounds
-# its memory to about 512 MB per coordinate
+# most jumps one compound Poisson batch may expect (rate times the summed
+# durations), for every jump law; a uniform or Laplace batch holds all its
+# jumps in one array, so this bounds its memory to about 512 MB per coordinate
 MAX_EXPECTED_JUMPS = 1 << 26
 
 
@@ -143,16 +146,42 @@ class PointMass(FieldEq):
     def char_function(self, pts: np.ndarray) -> np.ndarray:
         return np.exp(1j * (pts @ self.x))
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.broadcast_to(self.x, (size, self.dim)).copy()
+    def _cell_values(self, k: int, expected: float) -> float:
+        return 0.0
+
+    def _draw_cells(self, counts: np.ndarray, rng: np.random.Generator):
+        return None
+
+    def _cell_sums(self, counts: np.ndarray, draws: list) -> np.ndarray:
+        return counts[..., None] * self.x
 
     def moments(self) -> tuple:
         """(E[J], E[J J^T])."""
         return self.x.copy(), np.outer(self.x, self.x)
 
 
+class _DrawnJumps(FieldEq):
+    """A jump law drawn jump by jump (`_jumps`), each cell's jumps added in draw order."""
+
+    def _cell_values(self, k, expected):
+        return expected * self.dim
+
+    def _draw_cells(self, counts, rng):
+        total = int(counts.sum())
+        return self._jumps(rng, total) if total else None
+
+    def _cell_sums(self, counts, draws):
+        drawn = [jumps for jumps in draws if jumps is not None]
+        if not drawn:
+            return np.zeros((*counts.shape, self.dim))
+        jumps = drawn[0] if len(drawn) == 1 else np.concatenate(drawn)
+        # the (member, cell, coordinate) slot of every jump coordinate, in draw order
+        slots = np.repeat(np.arange(counts.size * self.dim).reshape(-1, self.dim), counts.ravel(), axis=0)
+        return np.bincount(slots.ravel(), jumps.ravel(), counts.size * self.dim).reshape(*counts.shape, self.dim)
+
+
 @dataclass(frozen=True, eq=False)
-class UniformJump(FieldEq):
+class UniformJump(_DrawnJumps):
     """Uniform jump on the box [lo, hi], coordinates independent."""
 
     lo: np.ndarray
@@ -182,7 +211,7 @@ class UniformJump(FieldEq):
         smooth = np.sinc(pts * width / (2.0 * np.pi))
         return np.exp(1j * (pts @ mid)) * np.prod(smooth, axis=1)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def _jumps(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # the arithmetic of rng.uniform(lo, hi), bit for bit, without its
         # checks of array bounds, which cost ten times a short draw
         return self.lo + (self.hi - self.lo) * rng.random((size, self.dim))
@@ -217,15 +246,22 @@ class GaussianJump(FieldEq):
         quad = np.einsum("ij,jk,ik->i", pts, self.cov, pts)
         return np.exp(1j * (pts @ self.mu) - 0.5 * quad)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.mu + rng.standard_normal((size, self.dim)) @ self._chol.T
+    def _cell_values(self, k, expected):
+        return float(k * self.dim)
+
+    def _draw_cells(self, counts, rng):
+        return rng.standard_normal((counts.shape[0], self.dim)) if counts.any() else None
+
+    def _cell_sums(self, counts, draws):
+        noise = _stack([np.zeros((counts.shape[1], self.dim)) if z is None else z for z in draws])
+        return counts[..., None] * self.mu + np.sqrt(counts)[..., None] * (noise @ self._chol.T)
 
     def moments(self) -> tuple:
         return self.mu.copy(), self.cov + np.outer(self.mu, self.mu)
 
 
 @dataclass(frozen=True, eq=False)
-class LaplaceJump(FieldEq):
+class LaplaceJump(_DrawnJumps):
     """Two-sided exponential jump, coordinates independent.
 
     Coordinate j has density exp(-|x - loc_j| / scale_j) / (2 scale_j).
@@ -254,8 +290,8 @@ class LaplaceJump(FieldEq):
         factors = 1.0 / (1.0 + (pts * self.scale) ** 2)
         return np.exp(1j * (pts @ self.loc)) * np.prod(factors, axis=1)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        # rng.laplace(loc, scale), bit for bit, as for UniformJump.sample
+    def _jumps(self, rng, size):
+        # rng.laplace(loc, scale), bit for bit, as for UniformJump._jumps
         return self.loc + self.scale * rng.laplace(0.0, 1.0, (size, self.dim))
 
     def moments(self) -> tuple:
@@ -537,10 +573,10 @@ class CompoundPoisson(LevyModel):
                 f"compound Poisson batch expects {expected:.3g} jumps, "
                 f"more than the bound of {MAX_EXPECTED_JUMPS}; lower the rate or the horizon"
             )
-        return dts.shape[0] + expected * self.dim
+        return dts.shape[0] + self.jump._cell_values(dts.shape[0], expected)
 
     def _draw(self, dts, rng):
-        # jump counts per cell, then the jump law's own draw of all the jumps.
+        # jump counts per cell, then the jump law's draw for those counts.
         # Equal durations come as a stride-0 view (_repeated): one
         # scalar rate draws the same counts without checking k rates; an empty
         # batch, which numpy gives stride 0 too, takes the array path
@@ -548,20 +584,10 @@ class CompoundPoisson(LevyModel):
             counts = rng.poisson(self.rate * dts[0], dts.shape[0])
         else:
             counts = rng.poisson(self.rate * dts)
-        total = int(counts.sum())
-        return counts, (self.jump.sample(rng, total) if total else None)
+        return counts, self.jump._draw_cells(counts, rng)
 
     def _finish(self, dts, raws):
-        counts = _stack([c for c, _ in raws])
-        # row i: 0, then member i's running jump sums; a cell's increment is
-        # the difference of the sums at its last and its first jump
-        cum = np.zeros((len(raws), counts.sum(axis=1).max() + 1, self.dim))
-        for row, (_, jumps) in zip(cum, raws):
-            if jumps is not None:
-                np.cumsum(jumps, axis=0, out=row[1 : jumps.shape[0] + 1])
-        ends = np.cumsum(counts, axis=1)
-        members = np.arange(len(raws))[:, None]
-        return cum[members, ends] - cum[members, ends - counts]
+        return self.jump._cell_sums(_stack([c for c, _ in raws]), [draw for _, draw in raws])
 
     def expansion(self):
         mean, second = self.jump.moments()

@@ -1,5 +1,7 @@
 """Model catalog: exponents against closed forms, samplers against transforms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -169,7 +171,8 @@ def test_uniform_box_width_must_be_finite():
         UniformJump(-1e308, 1e308)
     with pytest.raises(ValueError, match="finite"):
         UniformJump([0.0, -1e308], [1.0, 1e308])
-    assert UniformJump(-1e307, 1e307).sample(np.random.default_rng(0), 4).shape == (4, 1)
+    jumps = UniformJump(-1e307, 1e307)._draw_cells(np.array([4]), np.random.default_rng(0))
+    assert jumps.shape == (4, 1) and np.all(np.isfinite(jumps))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +267,93 @@ def test_zero_size_batch_is_empty_and_draws_nothing(model):
         state = rng.bit_generator.state
         assert draw(rng).shape == (0, model.dim)
         assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("members", [1, 3])
+def test_compound_poisson_cells_are_direct_sums_of_their_jumps(dim, members):
+    # a cell's increment adds its own jumps; differences of running sums over
+    # the whole batch would lose the low bits of every cell
+    e, k = np.ones(dim), 20_000
+    dts = np.full(k, 1.0)
+    point = CompoundPoisson(10.0, PointMass(0.1 * e))
+    raws = [point._draw(dts, np.random.default_rng(seed)) for seed in range(members)]
+    for (counts, _), got in zip(raws, point._finish(dts, raws)):
+        assert got.tobytes() == (counts[:, None] * (0.1 * e)).tobytes()
+    for jump in (UniformJump(1.0 * e, 3.0 * e), LaplaceJump(0.5 * e, 1.0)):
+        model = CompoundPoisson(4.0, jump)
+        raws = [model._draw(dts, np.random.default_rng(seed)) for seed in range(members)]
+        for (counts, jumps), got in zip(raws, model._finish(dts, raws)):
+            cells = np.split(jumps, np.cumsum(counts)[:-1])  # each cell's jumps, in draw order
+            exact = np.array([[math.fsum(c[:, j]) for j in range(dim)] for c in cells])
+            scale = np.array([[math.fsum(np.abs(c[:, j])) for j in range(dim)] for c in cells])
+            assert np.all(np.abs(got - exact) <= 4.0 * np.spacing(scale)), jump
+
+
+# fixed before the first run, never re-picked: cells per sample, the p-value
+# below which a KS comparison fails, and one seed per (law, N, dim, side)
+LAW_CELLS = 4000
+LAW_P_FLOOR = 1e-4
+
+
+def _law_jumps(dim):
+    e = np.eye(dim)[0]
+    return {
+        "uniform": (UniformJump(-1.0 * e - 0.5, 2.0 * e + 0.5), lambda j, rng, size: rng.uniform(j.lo, j.hi, size)),
+        "gauss": (
+            GaussianJump(0.2 * e, 0.5 * np.eye(dim) + 0.1),
+            lambda j, rng, size: rng.multivariate_normal(j.mu, j.cov, size[:2]),
+        ),
+        "laplace": (LaplaceJump(-0.1 * e, 0.7), lambda j, rng, size: rng.laplace(j.loc, j.scale, size)),
+    }
+
+
+def _cell_sums(jump, counts, rng):
+    return jump._cell_sums(counts[None], [jump._draw_cells(counts, rng)])[0]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 500])
+@pytest.mark.parametrize("kind", ["uniform", "gauss", "laplace"])
+def test_cell_sums_match_enumerated_jumps_in_law(kind, n, dim):
+    # two-sample KS of the law's cell sums of n jumps against n jumps drawn by
+    # numpy's own samplers and added, per coordinate and along (1, 1)
+    from scipy.stats import ks_2samp
+
+    jump, enumerate_jumps = _law_jumps(dim)[kind]
+    index = ("uniform", "gauss", "laplace").index(kind)
+    got = _cell_sums(jump, np.full(LAW_CELLS, n), np.random.default_rng([index, n, dim, 0]))
+    want = enumerate_jumps(jump, np.random.default_rng([index, n, dim, 1]), (LAW_CELLS, n, dim)).sum(axis=1)
+    assert got.shape == want.shape == (LAW_CELLS, dim)
+    directions = np.eye(dim) if dim == 1 else np.vstack([np.eye(dim), np.ones(dim)])
+    for direction in directions:
+        assert ks_2samp(got @ direction, want @ direction).pvalue > LAW_P_FLOOR, direction
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_point_cell_sums_are_n_times_the_jump(dim):
+    jump = PointMass(0.1 * np.arange(1, dim + 1))
+    counts = np.array([1, 2, 5, 50, 500])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    got = _cell_sums(jump, counts, rng)
+    assert rng.bit_generator.state == state
+    assert got.tobytes() == (counts[:, None] * jump.x).tobytes()
+    added = np.array([np.sum(np.tile(jump.x, (c, 1)), axis=0) for c in counts])
+    assert np.allclose(got, added, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("counts", [np.zeros(7, dtype=np.int64), np.zeros(0, dtype=np.int64)])
+def test_cells_without_jumps_sum_to_zero_without_a_draw(counts, dim):
+    # N = 0 in every cell, and an empty batch: exact zeros, the Generator untouched
+    jumps = [PointMass(0.7 * np.ones(dim))] + [jump for jump, _ in _law_jumps(dim).values()]
+    for jump in jumps:
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        got = _cell_sums(jump, counts, rng)
+        assert rng.bit_generator.state == state
+        assert got.shape == (counts.size, dim) and not np.any(got)
 
 
 # ---------------------------------------------------------------------------

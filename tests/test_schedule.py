@@ -538,8 +538,10 @@ def test_worker_count_follows_stream_length(monkeypatch):
         (BM, 16385, 3, 64, (3, 3)),  # one path per block: pooled, one worker per block
         (BM, 16385, 100, 64, (100, 64)),  # ... and at most one per CPU
         (BM, 16385, 3, None, (3, 1)),
-        # four cells whose ~40,000 jumps fill a block
-        (CompoundPoisson(1e4, PointMass(1.0)), 4, 3, 64, (3, 3)),
+        # four cells whose ~40,000 drawn jumps fill a block
+        (CompoundPoisson(1e4, UniformJump(0.0, 1.0)), 4, 3, 64, (3, 3)),
+        # point jumps are summed as N x without a draw, so they fill nothing
+        (CompoundPoisson(1e4, PointMass(1.0)), 4, 3, 64, (1, 1)),
     ]
     for model, cells, n_paths, cpus, pool in rows:
         monkeypatch.setattr(schedule_module.os, "cpu_count", lambda: cpus)
