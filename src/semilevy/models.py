@@ -10,18 +10,21 @@ statistics built on top carry no discretization bias.  Models are immutable
 and safe to share across a thread pool; every sampling call takes the numpy
 Generator it should consume, there is no hidden global state.
 
-Each sampler is split in hooks.  `_draw(dts, rng)` makes all the Generator
-calls of one batch of durations, in a fixed order, and little else.
-`_finish(dts, raws)` never touches a Generator: it is arithmetic over the
-draws of several members stacked together, and returns their increments,
-(members, k, d).  A compound Poisson batch draws each cell's jump count N and
-hands the counts to its jump law's `_draw_cells(counts, rng)` and
-`_cell_sums(counts, draws)`: N x for a point mass, N mu + sqrt(N) L Z for a
-Gaussian, and the drawn jumps added cell by cell for uniform and Laplace.
-`_draw_values(dts)` sizes blocks and bounds a batch before any draw.  A
-single batch (`_sample_pieces`) is `_finish(dts, [_draw(dts, rng)])[0]`, and
-an ensemble finishes a block of members, each drawn from its own Generator,
-at once: member i is bit for bit the batch its own Generator gives.
+Each sampler is split in three hooks.  `_draw(dts, rng)` makes all the
+Generator calls of one batch of durations, in a fixed order, and little else.
+`_coefficients(dts)` computes what depends on the durations alone, once per
+batch however many members share it.  `_finish(coefficients, raws)` never
+touches a Generator: it is arithmetic over those coefficients and the draws
+of several members stacked together, and returns their increments,
+(members, k, d), which its callers only add.  A compound Poisson batch draws
+each cell's jump count N and hands the counts to its jump law's
+`_draw_cells(counts, rng)` and `_cell_sums(counts, draws)`: N x for a point
+mass, N mu + sqrt(N) L Z for a Gaussian, and the drawn jumps added cell by
+cell for uniform and Laplace.  `_draw_values(dts)` sizes blocks and bounds a
+batch before any draw.  A single batch (`_sample_pieces`) is
+`_finish(_coefficients(dts), [_draw(dts, rng)])[0]`, and an ensemble
+finishes a block of members, each drawn from its own Generator, at once:
+member i is bit for bit the batch its own Generator gives.
 
 Every moment of a model is read off one hook, its exponent's small-|z|
 expansion `expansion()`; `_moments` states once which moments are finite.
@@ -360,7 +363,7 @@ def _sample_pieces(pieces, dim: int, rng: np.random.Generator, size: Optional[in
     out = np.zeros((n, dim))
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused next
         for dts, model in plan:
-            out += model._finish(dts, [model._draw(dts, rng)])[0]
+            out += model._finish(model._coefficients(dts), [model._draw(dts, rng)])[0]
     check_finite(out, "a sampled increment")
     return out[0] if size is None else out
 
@@ -446,8 +449,13 @@ class LevyModel(FieldEq):
         """Every Generator call of one batch with durations dts (k,), in a fixed order."""
         raise NotImplementedError
 
-    def _finish(self, dts: np.ndarray, raws: list) -> np.ndarray:
-        """Increments (len(raws), k, d) from the draws of several members; no Generator."""
+    def _coefficients(self, dts: np.ndarray):
+        """Everything _finish computes from the durations dts (k,) alone, once per batch."""
+        return dts
+
+    def _finish(self, coefficients, raws: list) -> np.ndarray:
+        """Increments (len(raws), k, d) from _coefficients(dts) and the draws of several
+        members; no Generator.  The result may be a read-only view: callers only add it."""
         raise NotImplementedError
 
     def _scaled(self, s: float) -> "LevyModel":
@@ -482,9 +490,15 @@ class BrownianDrift(LevyModel):
     def _draw(self, dts, rng):
         return rng.standard_normal((dts.shape[0], self.dim))
 
-    def _finish(self, dts, raws):
+    def _coefficients(self, dts):
+        return dts[:, None] * self.drift, np.sqrt(dts)[:, None]
+
+    def _finish(self, coefficients, raws):
+        shift, root = coefficients
         noise = _stack(raws) @ self._chol.T
-        return dts[:, None] * self.drift + np.sqrt(dts)[:, None] * noise
+        noise *= root
+        noise += shift
+        return noise
 
     def expansion(self):
         return self.drift.copy(), self.cov.copy(), ()
@@ -527,11 +541,15 @@ class SymmetricStable(LevyModel):
         w = rng.exponential(1.0, k)
         return u, w, rng.standard_normal((k, self.dim))
 
-    def _finish(self, dts, raws):
+    def _coefficients(self, dts):
+        if self.alpha == 2.0:
+            return np.sqrt(2.0 * self.scale * dts)[:, None]
+        return (self.scale * dts) ** (1.0 / self.alpha)
+
+    def _finish(self, s, raws):
         parts = [_stack(part) for part in zip(*raws)]
         if self.alpha == 2.0:
-            return np.sqrt(2.0 * self.scale * dts)[:, None] * parts[0]
-        s = (self.scale * dts) ** (1.0 / self.alpha)
+            return s * parts[0]
         if self.dim == 1:
             return (s * _standard_symmetric_stable(self.alpha, *parts))[..., None]
         # subordination: sqrt(2 A) N(0, I) is standard isotropic alpha-stable
@@ -586,7 +604,7 @@ class CompoundPoisson(LevyModel):
             counts = rng.poisson(self.rate * dts)
         return counts, self.jump._draw_cells(counts, rng)
 
-    def _finish(self, dts, raws):
+    def _finish(self, coefficients, raws):
         return self.jump._cell_sums(_stack([c for c, _ in raws]), [draw for _, draw in raws])
 
     def expansion(self):
@@ -616,8 +634,11 @@ class PureDrift(LevyModel):
     def _draw(self, dts, rng):
         return None
 
-    def _finish(self, dts, raws):
-        return np.repeat((dts[:, None] * self.gamma)[None], len(raws), axis=0)
+    def _coefficients(self, dts):
+        return dts[:, None] * self.gamma
+
+    def _finish(self, shift, raws):
+        return np.broadcast_to(shift, (len(raws), *shift.shape))
 
     def expansion(self):
         return self.gamma.copy(), np.zeros((self.dim, self.dim)), ()
@@ -657,10 +678,13 @@ class SumModel(LevyModel):
     def _draw(self, dts, rng):
         return tuple(c._draw(dts, rng) for c in self.components)
 
-    def _finish(self, dts, raws):
-        out = np.zeros((len(raws), dts.shape[0], self.dim))
-        for i, c in enumerate(self.components):
-            out += c._finish(dts, [raw[i] for raw in raws])
+    def _coefficients(self, dts):
+        return tuple(c._coefficients(dts) for c in self.components)
+
+    def _finish(self, coefficients, raws):
+        out = 0.0  # each component added in turn to zero, into a new array
+        for i, (c, coef) in enumerate(zip(self.components, coefficients)):
+            out = out + c._finish(coef, [raw[i] for raw in raws])
         return out
 
     def expansion(self):

@@ -295,13 +295,16 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list, re
     time in it.  Every member's PCG64 state is derived up front in one array
     pass (util.stream_states); each block of members then resets one
     Generator to each state in turn and draws, and each segment is finished
-    and added for the whole block at once.  The rows and durations of each
-    segment are found once per call; durations that are all equal are passed
-    as a stride-0 view of the one value, which a sampler may draw with a
-    scalar argument.  Member i therefore depends neither on the other
-    members nor on the block or pool size.  Blocks of one member each run on
-    a thread pool, one worker per CPU; larger blocks run in the calling
-    thread.  Each seed must lie in [0, 2**64).
+    for the whole block at once and added in place into the block's sums, at
+    the segment's flat (cell, coordinate) columns; one in-place cumsum then
+    turns the increments into sums.  The columns, durations and duration
+    coefficients (_coefficients) of each segment are found once per call;
+    durations that are all equal are passed as a stride-0 view of the one
+    value, which a sampler may draw with a scalar argument.  Member i
+    therefore depends neither on the other members nor on the block or pool
+    size.  Blocks of one member each run on a thread pool, one worker per
+    CPU; larger blocks run in the calling thread.  Each seed must lie in
+    [0, 2**64).
     With reduce, each block's (members, cells + 1, d) sums are checked and
     passed to it on the pool, and its rows are returned in member order.
     """
@@ -315,7 +318,9 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list, re
             dts = occupancy[rows, k]
             member_values += model._draw_values(dts)
             dts = _repeated(dts[0], dts.size) if (dts == dts[0]).all() else dts
-            plan.append((model, rows, dts))
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused after the draws
+                coefficients = model._coefficients(dts)
+            plan.append((model, (rows[:, None] * dim + np.arange(dim)).ravel(), dts, coefficients))
     out = np.zeros((len(states), cells + 1, dim)) if reduce is None else None
     size = _block_members(member_values)
 
@@ -327,14 +332,20 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list, re
         rng = np.random.Generator(np.random.PCG64(0))
         for state in members:
             rng.bit_generator.state = state
-            for drawn, (model, _, dts) in zip(raws, plan):
+            for drawn, (model, _, dts, _) in zip(raws, plan):
                 drawn.append(model._draw(dts, rng))
-        incr = np.zeros((len(members), cells, dim))
         sums = out[lo : lo + len(members)] if reduce is None else np.zeros((len(members), cells + 1, dim))
+        # the increments as (members, cells * d) columns of the sums; a reshape that
+        # copied would take the adds away from them, so it is refused
+        flat = sums[:, 1:].reshape(len(members), -1)
+        if not np.may_share_memory(flat, sums):
+            raise RuntimeError("the block's sums cannot be viewed as flat columns")
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused next
-            for drawn, (model, rows, dts) in zip(raws, plan):
-                incr[:, rows] += model._finish(dts, drawn)
-            np.cumsum(incr, axis=1, out=sums[:, 1:])
+            # a segment's columns never repeat, and a cell straddling several
+            # segments gets each one's += in turn
+            for drawn, (model, cols, _, coefficients) in zip(raws, plan):
+                flat[:, cols] += model._finish(coefficients, drawn).reshape(len(members), -1)
+            np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
         # a sum that meets inf or nan stays so: the last row shows any overflow
         check_finite(sums[:, -1], "a sampled path or walk")
         return None if reduce is None else reduce(sums)

@@ -17,6 +17,9 @@ from semilevy.models import (
     SumModel,
     SymmetricStable,
     UniformJump,
+    _positive_stable,
+    _repeated,
+    _standard_symmetric_stable,
 )
 from semilevy.schedule import make_splice, sample_interval_increment, single_segment
 
@@ -288,6 +291,66 @@ def test_compound_poisson_cells_are_direct_sums_of_their_jumps(dim, members):
             exact = np.array([[math.fsum(c[:, j]) for j in range(dim)] for c in cells])
             scale = np.array([[math.fsum(np.abs(c[:, j])) for j in range(dim)] for c in cells])
             assert np.all(np.abs(got - exact) <= 4.0 * np.spacing(scale)), jump
+
+
+def _finish_from_durations(model, dts, raws):
+    """Increments by the formulas _finish applied to the durations themselves, before
+    everything computed from the durations alone moved to _coefficients."""
+    stack = lambda parts: parts[0][None] if len(parts) == 1 else np.stack(parts)  # noqa: E731
+    if isinstance(model, BrownianDrift):
+        return dts[:, None] * model.drift + np.sqrt(dts)[:, None] * (stack(raws) @ model._chol.T)
+    if isinstance(model, SymmetricStable):
+        parts = [stack(part) for part in zip(*raws)]
+        if model.alpha == 2.0:
+            return np.sqrt(2.0 * model.scale * dts)[:, None] * parts[0]
+        s = (model.scale * dts) ** (1.0 / model.alpha)
+        if model.dim == 1:
+            return (s * _standard_symmetric_stable(model.alpha, *parts))[..., None]
+        u, w, noise = parts
+        return (s * np.sqrt(2.0 * _positive_stable(model.alpha / 2.0, u, w)))[..., None] * noise
+    if isinstance(model, CompoundPoisson):
+        return model.jump._cell_sums(stack([c for c, _ in raws]), [draw for _, draw in raws])
+    if isinstance(model, PureDrift):
+        return np.repeat((dts[:, None] * model.gamma)[None], len(raws), axis=0)
+    out = np.zeros((len(raws), dts.shape[0], model.dim))
+    for i, c in enumerate(model.components):
+        out += _finish_from_durations(c, dts, [raw[i] for raw in raws])
+    return out
+
+
+def _hook_catalog(dim):
+    e = np.eye(dim)[0]
+    models = [
+        BrownianDrift(0.3 * e, np.eye(dim) + 0.2),
+        *(SymmetricStable(alpha, 0.8, dim) for alpha in (0.8, 1.0, 1.5, 2.0)),
+        CompoundPoisson(2.5, PointMass(0.7 * e)),
+        CompoundPoisson(2.5, UniformJump(-1.0 * e, 2.0 * e)),
+        CompoundPoisson(2.5, GaussianJump(0.2 * e, 0.5 * np.eye(dim) + 0.1)),
+        CompoundPoisson(2.5, LaplaceJump(-0.1 * e, 0.7)),
+        PureDrift(-0.4 * e),
+    ]
+    return models + [SumModel((models[0], models[7], models[3], models[-1]))]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("members", [1, 3])
+@pytest.mark.parametrize(
+    "dts",
+    [
+        _repeated(0.37, 6),
+        np.array([0.1, 0.1 + 2**-56, 0.1 - 2**-55, 0.25, 1.3, 1e-3]),  # unequal, some by an ulp
+        _repeated(0.37, 0),
+        np.zeros(0),
+    ],
+    ids=["repeated", "unequal", "empty-repeated", "empty"],
+)
+def test_finish_of_coefficients_matches_finish_of_durations(dim, members, dts):
+    for model in _hook_catalog(dim):
+        raws = [model._draw(dts, np.random.default_rng(seed)) for seed in range(members)]
+        got = model._finish(model._coefficients(dts), raws)
+        want = _finish_from_durations(model, dts, raws)
+        assert got.shape == want.shape == (members, dts.shape[0], dim), model
+        assert got.tobytes() == want.tobytes(), model
 
 
 # fixed before the first run, never re-picked: cells per sample, the p-value

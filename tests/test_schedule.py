@@ -1,5 +1,7 @@
 """Schedules: increment laws, splice construction, and exact path sampling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -481,6 +483,89 @@ def test_ensemble_rows_do_not_depend_on_block_size(monkeypatch, kind, dim, block
         assert paths[i].seed == alone.seed
         assert np.array_equal(paths[i].values, alone.values)
         assert np.array_equal(walks[i].steps, sample_walk(sched, RationalStep(2, 3), 9, seed=split_seed(12, i)).steps)
+
+
+def _float_probe() -> str:
+    """sha256 of the float kernels the samplers call: numpy's sin, cos, tan, power, sqrt,
+    exp, log and matmul and the Generator's draws, which differ in their last bits
+    between SIMD builds and CPUs."""
+    x = np.linspace(-1.5, 1.5, 257)
+    rng = np.random.default_rng(0)
+    parts = [
+        np.sin(x), np.cos(x), np.tan(x), np.exp(x), np.log(x + 2.0), np.sqrt(x + 2.0),
+        (x + 2.0) ** (1.0 / 1.5), (x + 2.0) ** (1.0 / 0.7), (x + 2.0) ** -0.25,
+        rng.standard_normal((3, 40, 2)) @ np.array([[1.0, 0.3], [0.3, 2.0]]).T,
+        rng.exponential(1.0, 64), rng.laplace(0.0, 1.0, 64), rng.uniform(-1.0, 1.0, 64),
+        rng.poisson(2.5, 64).astype(float), rng.poisson(np.linspace(0.1, 9.0, 64)).astype(float),
+    ]
+    return hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
+
+
+def _sampler_bytes(model, other) -> bytes:
+    """Everything sample_paths, sample_walks and sample_interval_increment give for
+    model: on an aligned grid, on cells straddling two and three segments, and a
+    shorter last cell."""
+    three = SemiLevySchedule(period=1.0, segments=((0.3, model), (0.25, other), (0.45, model.scaled(2.0))))
+    paths = (
+        sample_paths(single_segment(model, 1.0), horizon=3.0, step=0.25, n_paths=5, seed=21)
+        + sample_paths(make_splice(model, other, 0.5, 1.0), horizon=3.0, step=0.25, n_paths=5, seed=22)
+        + sample_paths(make_splice(model, other, 0.4, 1.1), horizon=3.0, step=0.3, n_paths=5, seed=23)
+        + sample_paths(three, horizon=4.1, step=0.7, n_paths=5, seed=24)
+    )
+    walks = sample_walks(three, RationalStep(2, 3), 9, 5, seed=25)
+    rng = np.random.default_rng(26)
+    increments = [sample_interval_increment(three, 0.3, 2.9, rng, size=size) for size in (6, None, 1)]
+    arrays = [p.values for p in paths] + [w.steps for w in walks] + increments
+    return b"".join(a.tobytes() for a in arrays)
+
+
+# The digests were taken on numpy 2.4.6, x86-64 with AVX-512, where _float_probe
+# reads FLOAT_PROBE; a build whose kernels round differently draws other bits.
+FLOAT_PROBE = "7a951adf50baa27912c1d5f58ac2d0ee61bdec6520844ed860059d22ac0662c2"
+SAMPLER_DIGESTS = {
+    "brownian-d1": "8bd01224ef02d1d71f32d16df7140b3d9bce926e71c310618ffe27f9a0b84684",
+    "stable0.7-d1": "06b29c588345368a5b34b52167247201c61fd2436f3ec90cab7e46a94c843ba3",
+    "stable1.0-d1": "5c6a11bd1d53e350c51faa450f2b026538a474a189619defd7d7ca6ef92876ac",
+    "stable1.5-d1": "437ff0f1e66a1fc966dba0ddc5b5189d26ba7c012af6331e708353ddcdd2e084",
+    "stable2.0-d1": "b34c9bd6145e11714d5546fd18269212d6b01a231c0d59d393caaeb4d032a53c",
+    "cpoisson_point-d1": "d0eafabdd88026a481c7d7135fd981295fa6afe5dc03b11b1c9c5bfef9bb6521",
+    "cpoisson_uniform-d1": "9a89cdaf58cbb50d80c3c750b57bae40e378639049b028e1df3940ca1b650825",
+    "cpoisson_gauss-d1": "96c483e23c8b587ce179a5f9bbb94ebaba10759ee65c490e95f94e1ea86431b5",
+    "cpoisson_laplace-d1": "397334670843c031b90d051d40e565e66d50ec9506c99aff0a225106f0b4692f",
+    "drift-d1": "2b249fbc4f238592aa744fe22698e1903b5b8601daf8f7e7d0ddbfdebebf53c5",
+    "sum-d1": "49c4d19fc605fba18922e9cd0f92920ab31a2b1820792090442f990002674ba0",
+    "stable0.8-d1": "417edcf8b204f73e601dcd43af0794e9d4322b6a2bf567a93a19ec92b445452f",
+    "brownian-d2": "1245ab724ed9090413b2ce12cc174560b0455f922baed29899b3cbcb9ba08ad6",
+    "stable0.7-d2": "59558796236ea4bef6fae32b85609fcc0beb089e8445211ec1e00f40f68dbd2b",
+    "stable1.0-d2": "847893bdf129d86e0c2472aa0973a8b50221687641162a46eb052a4fc360a312",
+    "stable1.5-d2": "6f31361c677b68961013282abd95a877145934588ab3e2cb2d32e1056bd4aea7",
+    "stable2.0-d2": "1045f16707136719cc8904f2d633fb9fbac7f82574698e75af248751ed19b2bd",
+    "cpoisson_point-d2": "67424685613860c5b28558eccfc53604bd6662617e6a9b9e830d186dafe0c8db",
+    "cpoisson_uniform-d2": "b5228b8c2ce76003e35e021108752ed430bece56e49d211ad32104a8c46a2cf3",
+    "cpoisson_gauss-d2": "825f35c518029a9f0f2ed401d8799820471ebc420d31b225ed57a3b8d7678435",
+    "cpoisson_laplace-d2": "3e9ea3ea166d55d1515aa5c051d995672883a79b8d30a5d4747f09535ab167d6",
+    "drift-d2": "1f6e9f5817027772e2040d3101b28a5fc942c102155976a23b611e37b2153dd0",
+    "sum-d2": "db41580a1011e564105bde935e54dc54dd6052f095b43c9238b21b4308e6ccb6",
+    "stable0.8-d2": "b4cf86ea8b99875134af7fc1f23a15dadf49b613d01139a873fa1f6fc697feeb",
+}
+
+
+def _pinned_catalog(dim: int) -> dict:
+    return {**_catalog(dim), "stable0.8": SymmetricStable(0.8, 0.8, dim)}
+
+
+@pytest.mark.parametrize("kind, dim", [(kind, dim) for dim in (1, 2) for kind in _pinned_catalog(dim)])
+def test_sampler_bytes_are_pinned(monkeypatch, kind, dim):
+    # the kernel's output bits, pinned: a change to the ensemble or to a model's hooks
+    # must keep every value, in many-member blocks and in one-member pooled blocks
+    if _float_probe() != FLOAT_PROBE:
+        pytest.skip("numpy's float kernels round differently here from where the digests were taken")
+    models = _pinned_catalog(dim)
+    other = models["stable1.5"] if kind == "brownian" else models["brownian"]
+    serial = hashlib.sha256(_sampler_bytes(models[kind], other)).hexdigest()
+    monkeypatch.setattr(schedule_module, "_BLOCK_VALUES", 1)
+    pooled = hashlib.sha256(_sampler_bytes(models[kind], other)).hexdigest()
+    assert serial == pooled == SAMPLER_DIGESTS[f"{kind}-d{dim}"]
 
 
 def test_ensemble_finishes_each_segment_once_per_block(monkeypatch):
