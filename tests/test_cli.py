@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semilevy
-from semilevy.classify import MAX_LEVELS, MIN_LEVELS, Criterion
+from semilevy.classify import MAX_LEVELS, MIN_LEVELS, Criterion, chung_fuchs_verdict, radius_sweep
 from semilevy.cli import COMMAND_KEYS, RUN_KEYS, ConfigError, RunConfig, main, parse_config, render_config, run
 from semilevy.models import (
     BrownianDrift,
@@ -529,6 +529,93 @@ def test_run_classify_sweep_uses_config_ladder(tmp_path, capsys):
         assert " levels=6 " in line and " q0=0.02 " in line
     # the middle radius is the main verdict itself
     assert sweep[1] == "sweep a=1.0 " + main_line
+
+
+BM_RUN = "[schedule]\nperiod = 1.0\nsegment = 1.0 brownian drift=0.0 var=1.0\n[run]\n"
+DRIFTS_RUN = "[schedule]\nperiod = 1.0\nsegment = 0.5 drift gamma=0.25\nsegment = 0.5 drift gamma=0.5\n[run]\n"
+ONE_DRIFT = single_segment(PureDrift([0.5]), 1.0)
+
+# config (its text, or a RunConfig built in code) -> its stdout line.  The
+# configs built in code set horizon, step and a as integers, printed as floats
+# like the parsed ones.
+PINNED_STDOUT = {
+    "simulate": (
+        BM_RUN + "command = simulate\nseed = 7\nhorizon = 2.0\nstep = 0.5\nn_paths = 3\n",
+        "simulate: n_paths=3 horizon=2.0 step=0.5 seed=7",
+    ),
+    "simulate-code": (
+        RunConfig(schedule=ONE_DRIFT, command="simulate", seed=1, horizon=2, step=1),
+        "simulate: n_paths=1 horizon=2.0 step=1.0 seed=1",
+    ),
+    "skeleton": (
+        DRIFTS_RUN + "command = skeleton\nseed = 3\nrs = 1/2\nn_steps = 20\nn_walks = 4\na = 1.5\n",
+        "skeleton: n_walks=4 n_steps=20 rs=1/2 a=1.5 final_partial_sum=7.0",
+    ),
+    "skeleton-code": (
+        RunConfig(schedule=ONE_DRIFT, command="skeleton", seed=1, rs=RationalStep(1, 1), n_steps=4, n_walks=2, a=1),
+        "skeleton: n_walks=2 n_steps=4 rs=1/1 a=1.0 final_partial_sum=1.0",
+    ),
+    "lln": (BM_RUN + "command = lln\nseed = 5\nhorizons = 10.0,40.0\nn_paths = 50\n", "lln: flag=slln-consistent"),
+    "lln-t_grid": (
+        BM_RUN + "command = lln\nseed = 5\nhorizons = 10.0,40.0\nn_paths = 50\nt_grid = 1.0,5.0\nn_samples = 10000\n",
+        "lln: flag=slln-consistent wlln_flag=tail-vanishes",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_STDOUT)
+def test_stdout_lines_are_pinned(tmp_path, capsys, case):
+    config, line = PINNED_STDOUT[case]
+    assert run(parse_config(config) if isinstance(config, str) else config, out_dir=tmp_path) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
+def _reference_line(pairs) -> str:
+    """key=value pairs by the rule README states: floats in shortest exact form,
+    integers as integers, sequences comma-joined, spaces as _."""
+
+    def text(v):
+        if isinstance(v, str):
+            return v.replace(" ", "_")
+        if isinstance(v, (int, np.integer)):
+            return str(v)
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        return ",".join(repr(float(x)) for x in np.ravel(v))
+
+    return " ".join(f"{key}={text(value)}" for key, value in pairs)
+
+
+def _reference_verdict_line(verdict) -> str:
+    pairs = [("decision", verdict.decision.value), ("criterion", verdict.criterion.value)]
+    return _reference_line(pairs + sorted(verdict.evidence.items()))
+
+
+@pytest.mark.parametrize("config, a, diagnostic", [
+    (
+        parse_config(DRIFTS_RUN + "command = classify\nseed = 2\ncriterion = chung-fuchs\nlevels = 6\nsweep = true\n"
+                     "horizons = 5.0,10.0\nn_paths = 50\nstep = 0.25\n"),
+        1.0,
+        "diagnostic flag=saturation-consistent-with-transience mean_occupation=2.75,2.75",
+    ),
+    (
+        RunConfig(schedule=ONE_DRIFT, command="classify", seed=1, criterion="chung-fuchs", levels=6, sweep=True, a=1,
+                  horizons=(5.0, 10.0), n_paths=50, step=1),
+        1,
+        "diagnostic flag=saturation-consistent-with-transience mean_occupation=2.0,2.0",
+    ),
+], ids=["text", "code"])
+def test_sweep_and_diagnostic_lines_are_pinned(tmp_path, capsys, config, a, diagnostic):
+    # the ladder's sums run through BLAS, whose last bits vary by CPU: its verdicts are
+    # drawn here and rendered by the stated rule; the line shapes around them are pinned
+    schedule = config.schedule
+    verdict = chung_fuchs_verdict(schedule, a=a, seed=config.seed, levels=6)
+    (_, low), (_, high) = radius_sweep(schedule, (0.5 * a, 2.0 * a), seed=config.seed, levels=6)
+    main_line = _reference_verdict_line(verdict)
+    sweep = [f"sweep a={r} {_reference_verdict_line(v)}" for r, v in (("0.5", low), ("1.0", verdict), ("2.0", high))]
+    assert run(config, out_dir=tmp_path) == 0
+    assert capsys.readouterr().out == f"classify: {main_line}\n"
+    assert (tmp_path / "verdict.txt").read_text() == "\n".join([main_line, *sweep, diagnostic]) + "\n"
 
 
 def test_main_classify_drift_criterion_refused_at_its_line(tmp_path, capsys):
