@@ -37,7 +37,7 @@ from .schedule import (
     period_mean,
 )
 from .skeleton import _occupation
-from .util import check_counts, check_finite, check_increasing, check_positive, check_size, format_float, split_seeds
+from .util import check_counts, check_finite, check_increasing, check_positive, check_size, render_line, split_seeds
 
 __all__ = [
     "Decision",
@@ -121,26 +121,13 @@ class Verdict:
         if self.decision is Decision.INCONCLUSIVE and "reason" not in self.evidence:
             raise ValueError("Inconclusive verdicts must carry a reason")
 
+    def pairs(self) -> list:
+        """The (key, value) pairs of to_line: decision, criterion, then the evidence by key."""
+        return [("decision", self.decision.value), ("criterion", self.criterion.value), *sorted(self.evidence.items())]
+
     def to_line(self) -> str:
         """One diffable line: decision=... criterion=... key=value ... (keys sorted)."""
-        parts = [f"decision={self.decision.value}", f"criterion={self.criterion.value}"]
-        for key in sorted(self.evidence):
-            parts.append(f"{key}={_render_value(self.evidence[key])}")
-        return " ".join(parts)
-
-
-def _render_value(v) -> str:
-    if isinstance(v, str):
-        return v.replace(" ", "_")
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format_float(float(v))
-    if isinstance(v, (tuple, list, np.ndarray)):
-        return ",".join(format_float(float(x)) for x in np.asarray(v).ravel())
-    return str(v)
+        return render_line(self.pairs())
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +578,8 @@ DIAGNOSTIC_MIN_HORIZONS = 2
 
 @dataclass(frozen=True)
 class OccupationReport:
-    """Occupation-time growth of the ball B_a across horizons and paths.
+    """Occupation-time growth of the ball B_a across horizons and paths: each
+    path's occupation time at each horizon, and their mean per horizon.
 
     A Monte Carlo diagnostic, never a proof: the flag only records whether
     the observed growth pattern is consistent with one alternative.
@@ -602,18 +590,7 @@ class OccupationReport:
     horizons: np.ndarray
     occupations: np.ndarray  # (n_paths, n_horizons)
     mean: np.ndarray
-    q10: np.ndarray
-    q50: np.ndarray
-    q90: np.ndarray
     flag: Optional[str]
-    seed: int
-
-    @property
-    def n_paths(self) -> int:
-        return self.occupations.shape[0]
-
-    def final_occupations(self) -> np.ndarray:
-        return self.occupations[:, -1]
 
 
 def empirical_diagnostic(
@@ -661,11 +638,7 @@ def empirical_diagnostic(
         horizons=horizons,
         occupations=occ,
         mean=mean,
-        q10=np.quantile(occ, 0.1, axis=0),
-        q50=np.quantile(occ, 0.5, axis=0),
-        q90=np.quantile(occ, 0.9, axis=0),
         flag=flag,
-        seed=int(seed),
     )
 
 

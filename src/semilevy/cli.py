@@ -86,7 +86,7 @@ from .models import (
 )
 from .schedule import SemiLevySchedule, period_mean, sample_paths
 from .skeleton import RationalStep, ball_visit_curve, occupations_csv, sample_walks
-from .util import check_counts, check_increasing, check_positive, format_float, split_seed
+from .util import check_counts, check_increasing, check_positive, format_float, format_value, render_line, split_seed
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "render_config", "run", "main"]
 
@@ -206,12 +206,8 @@ def _floats(s: str, lineno: int, name: str) -> tuple:
     return tuple(_float(tok, lineno, name) for tok in s.split(","))
 
 
-def _render_vector(v) -> str:
-    return ",".join(format_float(x) for x in np.atleast_1d(v))
-
-
 def _render_matrix(m: np.ndarray) -> str:
-    return ";".join(_render_vector(row) for row in np.atleast_2d(m))
+    return ";".join(format_value(row) for row in np.atleast_2d(m))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +253,7 @@ def _param(read, write):
     return (lambda params, name, lineno: read(params.pop(name), lineno, name)), write
 
 
-_VECTOR = _param(_vector, _render_vector)
+_VECTOR = _param(_vector, format_value)
 _MATRIX = _param(_matrix, _render_matrix)
 _DIAGONAL = _param(_diagonal, None)  # the diagonal spelling of a matrix, never written
 _FLOAT = _param(_float, format_float)
@@ -356,10 +352,10 @@ RUN_KEYS = {
     "n_steps": (_COUNT, str),
     "n_walks": (_COUNT, str),
     "criterion": (_choice(("auto", *(criterion for _, criterion in COMMAND_KEYS if criterion))), str),
-    "sweep": (_bool, lambda v: str(v).lower()),
+    "sweep": (_bool, format_value),
     "rs": (_rational_step, lambda rs: f"{rs.num}/{rs.den}"),
-    "horizons": (_INCREASING, _render_vector),
-    "t_grid": (_INCREASING, _render_vector),
+    "horizons": (_INCREASING, format_value),
+    "t_grid": (_INCREASING, format_value),
 }
 
 
@@ -527,17 +523,22 @@ def render_config(config: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _run_simulate(schedule, seed, out: Path, horizon, step, n_paths) -> str:
+# Each runner writes its command's artifacts and returns the (key, value)
+# pairs of its stdout summary line.  Floats are passed as floats, so that a
+# config built in code with integer values prints what its text form would.
+
+
+def _run_simulate(schedule, seed, out: Path, horizon, step, n_paths) -> list:
     paths = sample_paths(schedule, horizon, step, n_paths, seed)
     for i, path in enumerate(paths):
         (out / f"path_{i:04d}.csv").write_text(path.to_csv())
-    return f"simulate: n_paths={n_paths} horizon={format_float(horizon)} step={format_float(step)} seed={seed}"
+    return [("n_paths", n_paths), ("horizon", float(horizon)), ("step", float(step)), ("seed", seed)]
 
 
-def _run_classify(schedule, seed, out: Path, criterion, a, horizons, n_paths, step, sweep=False, **ladder) -> str:
+def _run_classify(schedule, seed, out: Path, criterion, a, horizons, n_paths, step, sweep=False, **ladder) -> list:
     def diagnostic(horizons):
         report = empirical_diagnostic(schedule, a, horizons, n_paths, split_seed(seed, 1), step=step)
-        (out / "occupation.csv").write_text(occupations_csv(report.final_occupations()))
+        (out / "occupation.csv").write_text(occupations_csv(report.occupations[:, -1]))
         return report
 
     lines = []
@@ -549,37 +550,35 @@ def _run_classify(schedule, seed, out: Path, criterion, a, horizons, n_paths, st
             # the middle radius is the main verdict's own
             low, high = radius_sweep(schedule, (0.5 * a, 2.0 * a), seed=seed, **ladder)
             for a_value, sweep_verdict in (low, (a, verdict), high):
-                lines.append(f"sweep a={format_float(a_value)} {sweep_verdict.to_line()}")
+                lines.append("sweep " + render_line([("a", float(a_value)), *sweep_verdict.pairs()]))
     else:  # empirical, whose horizons are needed
         verdict = empirical_verdict(diagnostic(horizons))
 
     lines.insert(0, verdict.to_line())
     if criterion != "empirical" and horizons is not None:
         report = diagnostic(horizons)
-        lines.append(f"diagnostic flag={report.flag or 'none'} mean_occupation={_render_vector(report.mean)}")
+        lines.append("diagnostic " + render_line([("flag", report.flag or "none"), ("mean_occupation", report.mean)]))
     (out / "verdict.txt").write_text("\n".join(lines) + "\n")
-    return "classify: " + verdict.to_line()
+    return verdict.pairs()
 
 
-def _run_skeleton(schedule, seed, out: Path, rs, n_steps, n_walks, a) -> str:
+def _run_skeleton(schedule, seed, out: Path, rs, n_steps, n_walks, a) -> list:
     walks = sample_walks(schedule, rs, n_steps, n_walks, seed)
     curve = ball_visit_curve(walks, a)
     (out / "ball_visits.csv").write_text(curve.to_csv())
-    return (
-        f"skeleton: n_walks={n_walks} n_steps={n_steps} rs={rs.num}/{rs.den} "
-        f"a={format_float(a)} final_partial_sum={format_float(curve.partial_sum[-1])}"
-    )
+    return [("n_walks", n_walks), ("n_steps", n_steps), ("rs", RUN_KEYS["rs"][1](rs)), ("a", float(a)),
+            ("final_partial_sum", curve.partial_sum[-1])]
 
 
-def _run_lln(schedule, seed, out: Path, horizons, n_paths, t_grid, n_samples) -> str:
+def _run_lln(schedule, seed, out: Path, horizons, n_paths, t_grid, n_samples) -> list:
     report = strong_law_check(schedule, horizons, n_paths, seed)
     conditions = None if t_grid is None else wlln_conditions(schedule, t_grid, n_samples, split_seed(seed, 1))
     # both reports exist before either file is written, so a failed run leaves neither
     (out / "lln.csv").write_text(report.deviations_csv())
-    summary = f"lln: flag={report.flag or 'none'}"
+    summary = [("flag", report.flag or "none")]
     if conditions is not None:
         (out / "wlln.csv").write_text(conditions.conditions_csv())
-        summary += f" wlln_flag={conditions.flag or 'none'}"
+        summary.append(("wlln_flag", conditions.flag))
     return summary
 
 
@@ -603,7 +602,8 @@ def run(config: RunConfig, out_dir) -> int:
     settings = _settings(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    print(_RUNNERS[config.command][0](config.schedule, config.seed, out, **settings))
+    summary = _RUNNERS[config.command][0](config.schedule, config.seed, out, **settings)
+    print(f"{config.command}: {render_line(summary)}")
     return 0
 
 

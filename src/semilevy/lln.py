@@ -2,11 +2,12 @@
 
 With a finite one-period mean, X_t / t converges almost surely to the
 per-period mean rate; with an infinite one-period absolute moment the ratio
-|X_t| / t has unbounded upper limits instead.  One strong-law check reads
-whichever of the two the one-period mean picks.  The weak law holds exactly
-when the one-period law satisfies two tail conditions, which are estimated
-here directly from draws of the one-period increment (no path grid involved,
-the conditions concern that law alone).
+|X_t| / t has unbounded upper limits instead.  One strong-law check,
+strong_law_check, reads whichever of the two the one-period mean picks and
+returns an LLNReport.  The weak law holds exactly when the one-period law
+satisfies two tail conditions, which wlln_conditions estimates directly from
+draws of the one-period increment (no path grid involved, the conditions
+concern that law alone) and returns as a WLLNReport.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .schedule import (
 )
 from .util import check_counts, check_finite, check_increasing, check_size, format_csv, split_seeds
 
-__all__ = ["LLNReport", "strong_law_check", "wlln_conditions"]
+__all__ = ["LLNReport", "WLLNReport", "strong_law_check", "wlln_conditions"]
 
 # fewest paths a law-of-large-numbers check, and fewest draws a weak-law estimate, accepts
 MIN_PATHS = 50
@@ -41,34 +42,36 @@ FLAG_TAIL_PERSISTS = "tail-persists"
 
 @dataclass(frozen=True)
 class LLNReport:
-    """Results of a law-of-large-numbers check; unused blocks stay None.
+    """The strong-law check: per-horizon statistics of |X_T / T - c| about the
+    per-period mean rate c = target, or of |X_T| / T when the one-period mean
+    is infinite, target is None and running_max_median holds the median
+    running maximum of that ratio."""
 
-    deviations block: per-horizon statistics of |X_T / T - c| (or of
-    |X_T| / T when divergence is expected and no target c exists).
-    conditions block: estimates of t * P(|X_p| > t) and of the truncated
-    mean E[X_p 1{|X_p| <= t}] over a t-grid, with standard errors.
-    """
-
-    seed: int
-    horizons: Optional[np.ndarray] = None
-    mean_dev: Optional[np.ndarray] = None
-    max_dev: Optional[np.ndarray] = None
-    target: Optional[np.ndarray] = None
-    divergence_expected: bool = False
-    running_max_median: Optional[np.ndarray] = None
-    tail_t: Optional[np.ndarray] = None
-    tail: Optional[np.ndarray] = None
-    tail_se: Optional[np.ndarray] = None
-    trunc_mean: Optional[np.ndarray] = None
-    trunc_se: Optional[np.ndarray] = None
-    implied_c: Optional[np.ndarray] = None
-    flag: Optional[str] = None
+    horizons: np.ndarray
+    mean_dev: np.ndarray
+    max_dev: np.ndarray
+    target: Optional[np.ndarray]
+    running_max_median: Optional[np.ndarray]
+    flag: Optional[str]
 
     def deviations_csv(self) -> str:
         """CSV block `T,mean_dev,max_dev`."""
-        if self.horizons is None:
-            raise ValueError("this report has no deviations block")
         return format_csv("T,mean_dev,max_dev", [self.horizons, self.mean_dev, self.max_dev])
+
+
+@dataclass(frozen=True)
+class WLLNReport:
+    """The weak-law tail conditions: estimates of t * P(|X_p| > t) and of the
+    truncated mean E[X_p 1{|X_p| <= t}] over the t-grid tail_t, with standard
+    errors; implied_c is None when the tail persists."""
+
+    tail_t: np.ndarray
+    tail: np.ndarray
+    tail_se: np.ndarray
+    trunc_mean: np.ndarray
+    trunc_se: np.ndarray
+    implied_c: Optional[np.ndarray]
+    flag: str
 
     def conditions_csv(self) -> str:
         """CSV block `t,tail,tail_se,trunc_mean,trunc_se`.
@@ -76,8 +79,6 @@ class LLNReport:
         For dimension > 1 the truncated-mean columns report the Euclidean
         norm of the vector estimate.
         """
-        if self.tail_t is None:
-            raise ValueError("this report has no conditions block")
         tm = np.linalg.norm(np.atleast_2d(self.trunc_mean), axis=1)
         ts = np.linalg.norm(np.atleast_2d(self.trunc_se), axis=1)
         return format_csv("t,tail,tail_se,trunc_mean,trunc_se", [self.tail_t, self.tail, self.tail_se, tm, ts])
@@ -136,16 +137,7 @@ def strong_law_check(
     else:
         running = np.median(np.maximum.accumulate(dev, axis=1), axis=0)
         flag = FLAG_DIVERGENCE if running[-1] >= 1.5 * running[0] else None
-    return LLNReport(
-        seed=int(seed),
-        horizons=h,
-        mean_dev=mean_dev,
-        max_dev=max_dev,
-        target=c,
-        divergence_expected=mu is None,
-        running_max_median=running,
-        flag=flag,
-    )
+    return LLNReport(horizons=h, mean_dev=mean_dev, max_dev=max_dev, target=c, running_max_median=running, flag=flag)
 
 
 def wlln_conditions(
@@ -153,7 +145,7 @@ def wlln_conditions(
     t_grid: Sequence[float],
     n_samples: int,
     seed: int,
-) -> LLNReport:
+) -> WLLNReport:
     """Monte Carlo estimates of the weak-law tail conditions on the one-period law.
 
     Estimates t * P(|X_p| > t) and E[X_p 1{|X_p| <= t}] over the t-grid with
@@ -183,8 +175,7 @@ def wlln_conditions(
     tail_gone = tail[-1] <= 3.0 * max(tail_se[-1], 1e-300) or tail[-1] == 0.0
     implied_c = trunc_mean[-1] / schedule.period if tail_gone else None
     flag = FLAG_TAIL_VANISHES if tail_gone else FLAG_TAIL_PERSISTS
-    return LLNReport(
-        seed=int(seed),
+    return WLLNReport(
         tail_t=t,
         tail=tail,
         tail_se=tail_se,

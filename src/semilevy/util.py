@@ -233,6 +233,27 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+def format_value(v) -> str:
+    """One value of a key=value line: a float in shortest exact form, an integer
+    as one, a sequence's floats comma-joined, a string with its spaces as _."""
+    if isinstance(v, str):
+        return v.replace(" ", "_")
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return format_float(v)
+    if isinstance(v, (tuple, list, np.ndarray)):
+        return ",".join(format_float(x) for x in np.asarray(v).ravel())
+    return str(v)
+
+
+def render_line(pairs: Iterable) -> str:
+    """`key=value ...` of (key, value) pairs in the order given, each value by format_value."""
+    return " ".join(f"{key}={format_value(value)}" for key, value in pairs)
+
+
 # values formatted per chunk by format_csv (whole rows, at least one): bounds
 # its working set at about 250 bytes a value
 CSV_CHUNK_VALUES = 8192

@@ -641,7 +641,7 @@ def test_diagnostic_rows_are_single_path_occupations(sched, monkeypatch):
     monkeypatch.setattr(schedule_module, "_block_members", lambda values: 7)
     seed, step, horizons = 8, 0.1, [4.0, 9.3]
     report = empirical_diagnostic(sched, 1.0, horizons, 50, seed=seed, step=step)
-    for i in range(report.n_paths):
+    for i in range(report.occupations.shape[0]):
         path = sample_path(sched, horizons[-1], step, split_seed(seed, i))
         assert report.occupations[i, -1] == occupation_time(path, 1.0)
     # the mean sums the rows in C order, however the blocks laid them out

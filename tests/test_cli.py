@@ -22,6 +22,7 @@ from semilevy.models import (
     LaplaceJump,
     PointMass,
     PureDrift,
+    SumModel,
     SymmetricStable,
     UniformJump,
 )
@@ -371,6 +372,10 @@ def test_render_covers_all_catalog_kinds():
     )
     config = RunConfig(schedule=schedule, command="simulate", seed=9, horizon=2.0, step=0.5)
     assert parse_config(render_config(config)) == config
+    # a sum of models has no segment kind
+    summed = replace(config, schedule=single_segment(SumModel((PureDrift(1.0), BrownianDrift(0.0, 1.0)))))
+    with pytest.raises(ConfigError, match="^SumModel is not expressible in the config grammar$"):
+        render_config(summed)
 
 
 CANONICAL = """\

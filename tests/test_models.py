@@ -97,6 +97,27 @@ def test_dimension_mismatch():
         SumModel((PureDrift(1.0), PureDrift([1.0, 2.0])))
 
 
+# each refusal of a catalog parameter or an evaluation point, with its exact message
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: PureDrift([[1.0, 2.0]]), ValueError, "gamma must be a scalar or a 1-d vector"),
+    (lambda: PointMass(np.nan), ValueError, "x must be finite"),
+    (lambda: BrownianDrift([0.0, 0.0], [1.0, 2.0, 3.0]), DimensionMismatch, "cov diagonal has length 3, expected 2"),
+    (lambda: BrownianDrift([0.0, 0.0], np.eye(3)), DimensionMismatch, r"cov must be 2x2, got \(3, 3\)"),
+    (lambda: BrownianDrift(0.0, np.inf), ValueError, "cov must be finite"),
+    (lambda: PureDrift(1.0).char_exponent(np.zeros((3, 2))), DimensionMismatch, "z points have dimension 2, model has 1"),
+    (lambda: PureDrift(1.0).char_exponent(np.zeros((2, 2, 1))), ValueError,
+     r"z must be a scalar, a d-vector, or an \(m, d\) array of points"),
+    (lambda: UniformJump([0.0, 0.0], [1.0]), DimensionMismatch, "lo and hi must have the same length"),
+    (lambda: UniformJump(1.0, 0.0), ValueError, "hi must be >= lo componentwise"),
+    (lambda: LaplaceJump([0.0, 0.0], [1.0, 1.0, 1.0]), DimensionMismatch, "loc and scale must have the same length"),
+    (lambda: LaplaceJump(0.0, 0.0), ValueError, "scale must be positive"),
+    (lambda: SumModel(()), ValueError, "SumModel needs at least one component"),
+])
+def test_catalog_refusals(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
 def test_covariance_validation():
     with pytest.raises(ValueError):
         BrownianDrift(0.0, -1.0)  # negative variance

@@ -12,6 +12,7 @@ from semilevy.lln import _horizon_values
 from semilevy.models import (
     BrownianDrift,
     CompoundPoisson,
+    DimensionMismatch,
     GaussianJump,
     LaplaceJump,
     PointMass,
@@ -58,6 +59,14 @@ def test_splice_validation():
         SemiLevySchedule(period=2.0, segments=((0.7, PureDrift(1.0)), (1.2, PureDrift(1.0))))
     with pytest.raises(ValueError):
         SemiLevySchedule(period=1.0, segments=())
+    with pytest.raises(TypeError, match="^segment models must be LevyModel instances$"):
+        SemiLevySchedule(period=1.0, segments=((1.0, "brownian"),))
+    with pytest.raises(DimensionMismatch, match=r"^segment models disagree on dimension: \[1, 2\]$"):
+        SemiLevySchedule(period=1.0, segments=((0.5, PureDrift(1.0)), (0.5, PureDrift([1.0, 2.0]))))
+    with pytest.raises(DimensionMismatch, match="^splice models must share a dimension$"):
+        make_splice(BM, PureDrift([1.0, 2.0]), 0.5, 1.0)
+    with pytest.raises(ValueError, match="^horizon must be at least one step$"):
+        sample_paths(SPLICE, horizon=0.2, step=0.23, n_paths=1, seed=5)
     # infinite periods and durations: abs(inf - inf) is nan, which passes the tiling check
     with pytest.raises(ValueError, match="^period must be positive and finite"):
         SemiLevySchedule(period=np.inf, segments=((np.inf, BM),))

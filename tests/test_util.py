@@ -10,7 +10,7 @@ from semilevy.schedule import make_splice, sample_path, sample_paths, single_seg
 from semilevy.skeleton import RationalStep, ball_visit_curve, occupations_csv, sample_walks
 from semilevy.util import (
     CSV_ARRAY_MIN_VALUES, CSV_CHUNK_VALUES, MAX_VALUES, _csv_tables, _digits, check_counts, check_positive, check_size,
-    format_csv, split_seed, split_seeds, stream_states,
+    format_csv, render_line, split_seed, split_seeds, stream_states,
 )
 
 MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 123456789, 0x9E3779B97F4A7C15]
@@ -106,7 +106,7 @@ def test_every_csv_writer_matches_row_by_row_formatting():
         curve = ball_visit_curve(sample_walks(splice, RationalStep(1, 2), n_steps, 10, seed=6), 1.0)
         assert curve.to_csv() == _reference_csv("n,p_hat,partial_sum", [curve.n, curve.p_hat, curve.partial_sum], 1)
     for n_paths in (400, 50):
-        occupations = empirical_diagnostic(bm, 1.0, [5.0, 10.0], n_paths, seed=7).final_occupations()
+        occupations = empirical_diagnostic(bm, 1.0, [5.0, 10.0], n_paths, seed=7).occupations[:, -1]
         expected = _reference_csv("path_id,occupation", [np.arange(n_paths), occupations], 1)
         assert occupations_csv(occupations) == expected
     for horizons in (np.arange(1.0, 301.0), [10.0, 100.0]):
@@ -118,6 +118,15 @@ def test_every_csv_writer_matches_row_by_row_formatting():
         columns = [report.tail_t, report.tail, report.tail_se, np.abs(report.trunc_mean).ravel(),
                    np.abs(report.trunc_se).ravel()]
         assert report.conditions_csv() == _reference_csv("t,tail,tail_se,trunc_mean,trunc_se", columns)
+
+
+def test_render_line_keeps_the_order_given_and_one_rule_per_value_type():
+    # a repeated key stays repeated: a sweep line leads with its radius, and the verdict's evidence holds one too
+    pairs = [("a", 2.0), ("a", 2), ("n", np.int64(3)), ("sweep", True), ("reason", "not a proof"),
+             ("qs", np.array([0.5, 1e-5])), ("horizons", (5, 10.5)), ("rate", np.float32(0.1)), ("other", None)]
+    assert render_line(pairs) == (
+        "a=2.0 a=2 n=3 sweep=true reason=not_a_proof qs=0.5,1e-05 horizons=5.0,10.5 rate=0.10000000149011612 other=None"
+    )
 
 
 def _reference_split(master, index):
