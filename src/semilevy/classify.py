@@ -457,7 +457,8 @@ def chung_fuchs_verdict(
 
     qs = q0 * Q_RATIO ** (-np.arange(levels, dtype=float))
     values, errors, report = _ladder(schedule, a, qs, seed)
-    evidence: dict = {"a": a, "q0": q0, "levels": levels, "qs": qs, "integrals": values, **report}
+    # floats however given, so an integer a prints as the sweep's float does
+    evidence: dict = {"a": float(a), "q0": float(q0), "levels": levels, "qs": qs, "integrals": values, **report}
 
     last = float(values[-1])
     scale = max(abs(last), 1e-300)

@@ -18,13 +18,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .models import _sample_chunks
 from .schedule import (
     SemiLevySchedule,
     _ensemble,
     _grid_occupancy,
     period_covariance,
     period_mean,
-    sample_interval_increment,
 )
 from .util import check_counts, check_finite, check_increasing, check_size, format_csv, split_seeds
 
@@ -33,6 +33,11 @@ __all__ = ["LLNReport", "WLLNReport", "strong_law_check", "wlln_conditions"]
 # fewest paths a law-of-large-numbers check, and fewest draws a weak-law estimate, accepts
 MIN_PATHS = 50
 MIN_SAMPLES = 10**4
+
+# the weak-law draws are taken and reduced in chunks of this many samples, so
+# no array of all of them exists and each chunk reuses the memory the last one
+# freed; 2^15 to 2^17 time alike, while 2^13 pays numpy's per-call costs
+WLLN_CHUNK = 1 << 16
 
 FLAG_SLLN = "slln-consistent"
 FLAG_DIVERGENCE = "divergence-consistent"
@@ -149,28 +154,46 @@ def wlln_conditions(
     """Monte Carlo estimates of the weak-law tail conditions on the one-period law.
 
     Estimates t * P(|X_p| > t) and E[X_p 1{|X_p| <= t}] over the t-grid with
-    standard errors, from direct draws of the one-period increment.  When the
+    standard errors, from direct draws of the one-period increment: n_samples
+    of them from default_rng(seed), drawn and reduced WLLN_CHUNK at a time,
+    with every bound checked for the whole call before the first.  When the
     tail estimate at the largest t is statistically indistinguishable from 0,
     the implied limit constant c = (truncated mean) / p is reported; a tail
     that persists means no constant exists and the weak law fails.
     """
     t = check_increasing(t_grid, "t_grid")
     check_counts(least=MIN_SAMPLES, n_samples=n_samples)
-    rng = np.random.default_rng(seed)
-    x = sample_interval_increment(schedule, 0.0, schedule.period, rng, size=n_samples)
-    r = np.linalg.norm(x, axis=1)
+    pieces = zip(schedule.segment_occupancy(0.0, schedule.period), schedule.models)
+    chunks = _sample_chunks(pieces, schedule.dim, np.random.default_rng(seed), n_samples, WLLN_CHUNK)
 
-    tail = np.empty(t.size)
-    tail_se = np.empty(t.size)
-    trunc_mean = np.empty((t.size, schedule.dim))
-    trunc_se = np.empty((t.size, schedule.dim))
-    for j, tj in enumerate(t):
-        p_hat = float(np.mean(r > tj))
-        tail[j] = tj * p_hat
-        tail_se[j] = tj * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_samples)
-        w = x * (r <= tj)[:, None]
-        trunc_mean[j] = w.mean(axis=0)
-        trunc_se[j] = w.std(axis=0, ddof=1) / math.sqrt(n_samples)
+    above = np.zeros(t.size, dtype=np.int64)
+    trunc_mean = np.zeros((t.size, schedule.dim))
+    sq_dev = np.zeros((t.size, schedule.dim))
+    seen = 0
+    for x in chunks:
+        k = x.shape[0]
+        r = np.linalg.norm(x, axis=1)
+        for j, tj in enumerate(t):
+            inside = r <= tj
+            above[j] += k - np.count_nonzero(inside)
+            w = x * inside[:, None]
+            mean = w.mean(axis=0)
+            w -= mean
+            dev = (w * w).sum(axis=0)
+            if seen:
+                # the chunk's mean and squared deviations merged into the running ones
+                # by the pairwise update of Chan, Golub & LeVeque (1979)
+                delta = mean - trunc_mean[j]
+                trunc_mean[j] += delta * (k / (seen + k))
+                sq_dev[j] += dev + delta * delta * (seen * k / (seen + k))
+            else:
+                trunc_mean[j], sq_dev[j] = mean, dev
+        seen += k
+
+    p_hat = above / n_samples
+    tail = t * p_hat
+    tail_se = t * np.sqrt(p_hat * (1.0 - p_hat) / n_samples)
+    trunc_se = np.sqrt(sq_dev / (n_samples - 1)) / math.sqrt(n_samples)
 
     tail_gone = tail[-1] <= 3.0 * max(tail_se[-1], 1e-300) or tail[-1] == 0.0
     implied_c = trunc_mean[-1] / schedule.period if tail_gone else None

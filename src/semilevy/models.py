@@ -22,7 +22,8 @@ each cell's jump count N and hands the counts to its jump law's
 mass, N mu + sqrt(N) L Z for a Gaussian, and the drawn jumps added cell by
 cell for uniform and Laplace.  `_draw_values(dts)` sizes blocks and bounds a
 batch before any draw.  A single batch (`_sample_pieces`) is
-`_finish(_coefficients(dts), [_draw(dts, rng)])[0]`, and an ensemble
+`_finish(_coefficients(dts), [_draw(dts, rng)])[0]`, or a run of such batches
+drawn one chunk at a time from one Generator (`_sample_chunks`), and an ensemble
 finishes a block of members, each drawn from its own Generator, at once:
 member i is bit for bit the batch its own Generator gives.
 
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -351,20 +352,34 @@ def _repeated(dt: float, k: int) -> np.ndarray:
     return np.ndarray((k,), float, np.array([float(dt)]), strides=(0,))
 
 
-def _sample_pieces(pieces, dim: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
-    """Exact draw(s) of a sum of independent increments, one per (duration, model) piece in
-    turn; (d,), or (size, d) when size is given.  Every bound is checked before the first draw."""
-    n = 1 if size is None else size
+def _sample_chunks(pieces, dim: int, rng: np.random.Generator, n: int, chunk: Optional[int] = None) -> Iterator:
+    """n exact draws of a sum of independent increments, one per (duration, model) piece in
+    turn, as consecutive (rows, d) chunks of at most chunk rows (one chunk without chunk),
+    each drawn from rng when it is taken.  Every bound is checked for all n draws at
+    once, before the first draw, so a call is refused whatever its chunks."""
     check_counts(size=n)
     check_size(samples=n, dim=dim)
-    plan = [(_repeated(dt, n), model) for dt, model in pieces if dt > 0.0]
-    for dts, model in plan:
-        model._draw_values(dts)  # refuses an oversized batch before any draw
-    out = np.zeros((n, dim))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused next
-        for dts, model in plan:
-            out += model._finish(model._coefficients(dts), [model._draw(dts, rng)])[0]
-    check_finite(out, "a sampled increment")
+    plan = [(dt, model) for dt, model in pieces if dt > 0.0]
+    for dt, model in plan:
+        model._draw_values(_repeated(dt, n))  # refuses an oversized call before any draw
+
+    def draw(k: int) -> np.ndarray:
+        out = np.zeros((k, dim))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused next
+            for dt, model in plan:
+                dts = _repeated(dt, k)
+                out += model._finish(model._coefficients(dts), [model._draw(dts, rng)])[0]
+        check_finite(out, "a sampled increment")
+        return out
+
+    step = chunk or max(n, 1)  # an empty call is one empty chunk
+    return map(draw, [min(step, n - lo) for lo in range(0, max(n, 1), step)])
+
+
+def _sample_pieces(pieces, dim: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:
+    """Exact draw(s) of a sum of independent increments, one per (duration, model) piece in
+    turn; (d,), or (size, d) when size is given: _sample_chunks' one chunk."""
+    (out,) = _sample_chunks(pieces, dim, rng, 1 if size is None else size)
     return out[0] if size is None else out
 
 

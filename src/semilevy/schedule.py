@@ -135,10 +135,6 @@ class PathSample:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def horizon(self) -> float:
-        return float(self.grid[-1])
-
     def to_csv(self) -> str:
         """CSV text: header t,x1,...,xd then one row per grid point."""
         header = "t," + ",".join(f"x{j + 1}" for j in range(self.dim))

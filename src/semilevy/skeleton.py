@@ -64,10 +64,6 @@ class WalkSample:
     def n_steps(self) -> int:
         return self.steps.shape[0] - 1
 
-    @property
-    def dim(self) -> int:
-        return self.steps.shape[1]
-
 
 def _walk_occupancy(schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, n_walks: int) -> np.ndarray:
     """Per-segment occupancy of each walk step, via exact integer period counts.

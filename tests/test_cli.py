@@ -376,6 +376,10 @@ def test_render_covers_all_catalog_kinds():
     summed = replace(config, schedule=single_segment(SumModel((PureDrift(1.0), BrownianDrift(0.0, 1.0)))))
     with pytest.raises(ConfigError, match="^SumModel is not expressible in the config grammar$"):
         render_config(summed)
+    # as a later segment of a splice too
+    spliced = replace(config, schedule=make_splice(PureDrift(1.0), summed.schedule.models[0], 0.5, 1.0))
+    with pytest.raises(ConfigError, match="^SumModel is not expressible in the config grammar$"):
+        render_config(spliced)
 
 
 CANONICAL = """\
@@ -621,6 +625,19 @@ def test_sweep_and_diagnostic_lines_are_pinned(tmp_path, capsys, config, a, diag
     assert run(config, out_dir=tmp_path) == 0
     assert capsys.readouterr().out == f"classify: {main_line}\n"
     assert (tmp_path / "verdict.txt").read_text() == "\n".join([main_line, *sweep, diagnostic]) + "\n"
+
+
+def test_config_built_in_code_runs_as_its_rendered_text(tmp_path, capsys):
+    # integers given for the float keys a and q0 print as the parsed floats, in the
+    # verdict's evidence as in its sweep lines
+    config = RunConfig(schedule=ONE_DRIFT, command="classify", seed=1, criterion="chung-fuchs", levels=6, sweep=True,
+                       a=1, q0=1, horizons=(5.0, 10.0), n_paths=50, step=1)
+    written = []
+    for case, run_config in enumerate((config, parse_config(render_config(config)))):
+        assert run(run_config, out_dir=tmp_path / str(case)) == 0
+        written.append((capsys.readouterr().out, (tmp_path / str(case) / "verdict.txt").read_text()))
+    assert written[0] == written[1]
+    assert " a=1.0 " in written[0][0] and " q0=1.0 " in written[0][0]
 
 
 def test_main_classify_drift_criterion_refused_at_its_line(tmp_path, capsys):

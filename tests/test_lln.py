@@ -1,12 +1,18 @@
 """Law-of-large-numbers checks against CLT scales and stable-tail oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
 from semilevy.classify import Decision, mean_criterion
-from semilevy.lln import strong_law_check, wlln_conditions
-from semilevy.models import BrownianDrift, CompoundPoisson, PureDrift, SymmetricStable, UniformJump
-from semilevy.schedule import make_splice, single_segment
+from semilevy.lln import WLLN_CHUNK, strong_law_check, wlln_conditions
+from semilevy.models import (
+    MAX_EXPECTED_JUMPS, BrownianDrift, CompoundPoisson, GaussianJump, LaplaceJump, PointMass, PureDrift,
+    SymmetricStable, UniformJump,
+)
+from semilevy.schedule import make_splice, sample_interval_increment, single_segment
+from semilevy.util import MAX_VALUES
 
 BM = single_segment(BrownianDrift(0.0, 1.0), 1.0)
 CAUCHY = single_segment(SymmetricStable(1.0, 1.0, 1), 1.0)
@@ -157,3 +163,70 @@ def test_conditions_csv():
     lines = report.conditions_csv().strip().split("\n")
     assert lines[0] == "t,tail,tail_se,trunc_mean,trunc_se"
     assert len(lines) == 3
+
+
+def test_wlln_bounds_hold_for_the_whole_call():
+    # a chunk of the draws alone would pass the jump bound; the whole call does not
+    assert WLLN_CHUNK * 1000 <= MAX_EXPECTED_JUMPS < 10**5 * 1000
+    sched = single_segment(CompoundPoisson(1000.0, PointMass(1.0)))
+    with pytest.raises(ValueError, match="^compound Poisson batch expects 1e\\+08 jumps, more than the bound of"):
+        wlln_conditions(sched, [1.0], 10**5, 1)
+    # nor does the size bound look at one chunk
+    bm2 = single_segment(BrownianDrift([0.0, 0.0], 1.0))
+    n = MAX_VALUES // 2 + 1
+    with pytest.raises(ValueError, match=re.escape(f"(samples {n:.6g} x dim 2), more than the bound of {MAX_VALUES}")):
+        wlln_conditions(bm2, [1.0], n, 1)
+
+
+def _two_pass_conditions(x: np.ndarray, t: list) -> tuple:
+    """(tail, tail_se, trunc_mean, trunc_se) of the samples x (n, d), each t in one pass over all
+    of them.  Each coordinate is reduced as one contiguous row, which numpy sums pairwise."""
+    n = x.shape[0]
+    r = np.linalg.norm(x, axis=1)
+    p_hat = np.array([np.mean(r > tj) for tj in t])
+    w = [np.ascontiguousarray(x.T) * (r <= tj) for tj in t]
+    return (
+        np.array(t) * p_hat,
+        np.array(t) * np.sqrt(p_hat * (1.0 - p_hat) / n),
+        np.array([wj.mean(axis=1) for wj in w]),
+        np.array([wj.std(axis=1, ddof=1) for wj in w]) / np.sqrt(n),
+    )
+
+
+# one- and two-dimensional laws whose batches make several Generator calls, across two segments
+CHUNKED = {
+    1: make_splice(BrownianDrift(0.5, 1.0), CompoundPoisson(2.0, LaplaceJump(-0.25, 0.5)), 1.0, 2.0),
+    2: make_splice(
+        SymmetricStable(1.5, 0.5, 2), CompoundPoisson(3.0, GaussianJump([0.5, -1.0], [[1.0, 0.3], [0.3, 0.5]])),
+        0.5, 1.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [WLLN_CHUNK - 5000, WLLN_CHUNK, 2 * WLLN_CHUNK + 12345])
+def test_wlln_chunks_merge_to_the_two_pass_estimates(dim, n):
+    # the chunks are drawn by hand from the one stream, in turn, and reduced in one pass
+    sched, t, seed = CHUNKED[dim], [0.5, 2.0, 8.0], 40 + n
+    rng = np.random.default_rng(seed)
+    sizes = [min(WLLN_CHUNK, n - lo) for lo in range(0, n, WLLN_CHUNK)]
+    x = np.concatenate([sample_interval_increment(sched, 0.0, sched.period, rng, size=k) for k in sizes])
+    tail, tail_se, trunc_mean, trunc_se = _two_pass_conditions(x, t)
+    report = wlln_conditions(sched, t, n, seed)
+    assert np.array_equal(report.tail, tail)
+    assert np.array_equal(report.tail_se, tail_se)
+    assert (trunc_mean != 0.0).all()
+    np.testing.assert_allclose(report.trunc_mean, trunc_mean, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(report.trunc_se, trunc_se, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("sched", [BM, CAUCHY], ids=["brownian", "cauchy"])
+def test_wlln_tail_of_one_call_laws_is_the_one_batch_tail(sched):
+    # a law that makes one Generator call per batch reads the same stream in chunks as in
+    # one batch of all the draws, so its tail counts are those of that one batch
+    n, t, seed = 2 * WLLN_CHUNK + 12345, [0.5, 2.0, 8.0], 41
+    x = sample_interval_increment(sched, 0.0, sched.period, np.random.default_rng(seed), size=n)
+    tail, tail_se, _, _ = _two_pass_conditions(x, t)
+    report = wlln_conditions(sched, t, n, seed)
+    assert np.array_equal(report.tail, tail)
+    assert np.array_equal(report.tail_se, tail_se)

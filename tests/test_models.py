@@ -112,6 +112,12 @@ def test_dimension_mismatch():
     (lambda: LaplaceJump([0.0, 0.0], [1.0, 1.0, 1.0]), DimensionMismatch, "loc and scale must have the same length"),
     (lambda: LaplaceJump(0.0, 0.0), ValueError, "scale must be positive"),
     (lambda: SumModel(()), ValueError, "SumModel needs at least one component"),
+    (lambda: BrownianDrift([0.0, 0.0], [[1.0, 0.9], [0.2, 1.0]]), ValueError, "cov must be symmetric"),
+    (lambda: BrownianDrift([0.0, 0.0], 1.0).char_exponent(1.0), DimensionMismatch,
+     "scalar z given to a model of dimension 2"),
+    (lambda: UniformJump(-1e308, 1e308), ValueError, r"hi - lo must be finite"),
+    (lambda: SumModel((PureDrift(1.0), PureDrift([1.0, 2.0]))), DimensionMismatch,
+     r"components disagree on dimension: \[1, 2\]"),
 ])
 def test_catalog_refusals(build, error, message):
     with pytest.raises(error, match=f"^{message}$"):
