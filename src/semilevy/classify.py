@@ -61,7 +61,7 @@ QUAD_REL_TOL = 1e-6
 PANEL_REL_TOL = 1e-9
 # refinement budget per ladder, in place of an unbounded bisection: boxes
 # (G10/K21 panels in d = 1, their tensor products over (r, theta) in d = 2
-# and over (r, cos theta, phi) in d = 3), and psi points
+# and with G7/K15 over (r, cos theta, phi) in d = 3), and psi points
 MAX_PANELS = 2000
 PSI_POINT_BUDGET = 2**24
 # psi is evaluated on at most this many points per period_exponent call; a
@@ -69,7 +69,7 @@ PSI_POINT_BUDGET = 2**24
 PSI_CHUNK = 2**16
 QMC_REPLICATES = 16
 # the Gauss-Kronrod boxes go through psi in groups of at most this many nodes
-# (one 21^3-node box in d = 3): smaller temporaries fault fewer fresh pages
+# (three 21 x 15^2-node boxes in d = 3): smaller temporaries fault fewer fresh pages
 GK_CHUNK = 2**14
 # analytic zero test for means computed in closed form, relative to the
 # summed magnitude of the terms the mean adds up
@@ -154,27 +154,34 @@ def _origin_ladder(a: float) -> np.ndarray:
     return a * 10.0 ** (-np.arange(1, 17, dtype=float))
 
 
-# QUADPACK qk21 (Piessens et al. 1983) on [-1, 1], listed from the node
-# 0.9956... down to 0: the 21-point Kronrod nodes and weights, and the
-# 10-point Gauss weights, which sit on every other node.  Mirroring gives the
-# whole rule with its nodes ascending.
-_XGK = np.array([
-    0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
-    0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
-    0.2943928627014602, 0.14887433898163122, 0.0,
-])
-_WGK = np.array([
-    0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996,
-    0.0931254545836976, 0.10938715880229764, 0.12349197626206584, 0.13470921731147334,
-    0.14277593857706009, 0.14773910490133849, 0.1494455540029169,
-])
-_WG = np.array([
-    0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0, 0.21908636251598204,
-    0.0, 0.26926671930999635, 0.0, 0.29552422471475287, 0.0,
-])
-_GK_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
-_GK_KRONROD = np.concatenate([_WGK, _WGK[-2::-1]])
-_GK_GAUSS = np.concatenate([_WG, _WG[-2::-1]])
+# QUADPACK qk21 and qk15 (Piessens et al. 1983) on [-1, 1], each listed from
+# its largest node down to 0: the Kronrod nodes and weights, and the Gauss
+# weights (G10 and G7), which sit on every other node.  Mirroring gives the
+# whole rule with its nodes ascending: (nodes, Kronrod weights, Gauss weights).
+def _gk_rule(xgk, wgk, wg) -> tuple:
+    xgk, wgk, wg = (np.array(v) for v in (xgk, wgk, wg))
+    return np.concatenate([-xgk, xgk[-2::-1]]), np.concatenate([wgk, wgk[-2::-1]]), np.concatenate([wg, wg[-2::-1]])
+
+
+# keyed by their number of Kronrod nodes
+_GK_RULES = {
+    21: _gk_rule(
+        [0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845, 0.7808177265864169,
+         0.6794095682990244, 0.5627571346686047, 0.4333953941292472, 0.2943928627014602, 0.14887433898163122, 0.0],
+        [0.011694638867371874, 0.032558162307964725, 0.054755896574351995, 0.07503967481091996, 0.0931254545836976,
+         0.10938715880229764, 0.12349197626206584, 0.13470921731147334, 0.14277593857706009, 0.14773910490133849,
+         0.1494455540029169],
+        [0.0, 0.06667134430868814, 0.0, 0.1494513491505806, 0.0, 0.21908636251598204, 0.0, 0.26926671930999635, 0.0,
+         0.29552422471475287, 0.0],
+    ),
+    15: _gk_rule(
+        [0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945, 0.5860872354676911,
+         0.4058451513773972, 0.20778495500789848, 0.0],
+        [0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592, 0.1690047266392679,
+         0.19035057806478542, 0.20443294007529889, 0.20948214108472782],
+        [0.0, 0.1294849661688697, 0.0, 0.27970539148927664, 0.0, 0.3818300505051189, 0.0, 0.4179591836734694],
+    ),
+}
 
 
 class _Psi:
@@ -228,53 +235,57 @@ class _Psi:
         return r ** (x.shape[1] - 1) * self.integrand(r[:, None] * directions)
 
 
-def _qk21(fx: np.ndarray, half: np.ndarray):
-    # QUADPACK qk21 along the last axis of fx: the K21 value and its error estimate
-    resk = fx @ _GK_KRONROD
-    err = np.abs(resk - fx @ _GK_GAUSS) * half
-    resasc = np.abs(fx - 0.5 * resk[..., None]) @ _GK_KRONROD * half
+def _qk(fx: np.ndarray, half: np.ndarray, kronrod: np.ndarray, gauss: np.ndarray):
+    # QUADPACK qk21 / qk15 along the last axis of fx: the Kronrod value and its error estimate
+    resk = fx @ kronrod
+    err = np.abs(resk - fx @ gauss) * half
+    resasc = np.abs(fx - 0.5 * resk[..., None]) @ kronrod * half
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where((resasc > 0.0) & (err > 0.0), scaled, err)
-    err = np.maximum(50.0 * np.finfo(float).eps * (np.abs(fx) @ _GK_KRONROD) * half, err)
+    err = np.maximum(50.0 * np.finfo(float).eps * (np.abs(fx) @ kronrod) * half, err)
     return resk * half, err
 
 
-def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
-    # K21 tensor value of every level on each box [lo, hi], shape (n, D), and
-    # per axis the qk21 error along it of the K21 sum over the other axes
+def _gk_panels(f, lo: np.ndarray, hi: np.ndarray, rules: Sequence[tuple]):
+    # tensor Kronrod value of every level on each box [lo, hi], shape (n, D),
+    # with rules[k] = (nodes, Kronrod weights, Gauss weights) along axis k, and
+    # per axis the _qk error along it of the Kronrod sum over the other axes
     # (times their half-widths); f sees the boxes in groups of at most
     # GK_CHUNK nodes
     n, dim = lo.shape
-    grid = _GK_NODES[np.indices((_GK_NODES.size,) * dim).reshape(dim, -1).T]
+    shape = tuple(nodes.size for nodes, _, _ in rules)
+    grid = np.stack(np.meshgrid(*(nodes for nodes, _, _ in rules), indexing="ij"), axis=-1).reshape(-1, dim)
     center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     step = max(1, GK_CHUNK // len(grid))
     values, errs = [], []
     for i in range(0, n, step):
         c, h = center[i : i + step], half[i : i + step]
         nodes = (c[:, None] + h[:, None] * grid).reshape(-1, dim)
-        fx = f(nodes).reshape(-1, len(c), *(_GK_NODES.size,) * dim)
+        fx = f(nodes).reshape(-1, len(c), *shape)
         parts = []
         for axis in range(dim):
             # contracting the last other axis first keeps this one in place
             g = fx
             for other in reversed(range(dim)):
                 if other != axis:
-                    g = np.moveaxis(g, 2 + other, -1) @ _GK_KRONROD
-            parts.append(_qk21(g * np.prod(np.delete(h, axis, axis=1), axis=1)[:, None], h[:, axis]))
+                    g = np.moveaxis(g, 2 + other, -1) @ rules[other][1]
+            parts.append(_qk(g * np.prod(np.delete(h, axis, axis=1), axis=1)[:, None], h[:, axis], *rules[axis][1:]))
         values.append(parts[0][0])
         errs.append(np.stack([err for _, err in parts], axis=-1))
     return np.concatenate(values, axis=1), np.concatenate(errs, axis=1)
 
 
-def _gk_ladder(f, psi: _Psi, lo: np.ndarray, hi: np.ndarray):
-    """Tensor G10/K21 integral of every level of f over the boxes [lo, hi], shape (n, D).
+def _gk_ladder(f, psi: _Psi, lo: np.ndarray, hi: np.ndarray, rules: Sequence[tuple]):
+    """Tensor Gauss-Kronrod integral of every level of f over the boxes [lo, hi], shape (n, D),
+    with the rule rules[k] along axis k.
 
     Boxes are halved, all levels at once, along their axis of largest error
     where their error estimate exceeds an equal share of PANEL_REL_TOL, until
     the summed estimate meets it at every level or a budget runs out.
     """
-    value, err = _gk_panels(f, lo, hi)
+    value, err = _gk_panels(f, lo, hi, rules)
+    box_nodes = math.prod(nodes.size for nodes, _, _ in rules)
     while True:
         total = np.maximum(np.abs(value.sum(axis=1)), 1e-300)
         box_err = err.sum(axis=2)
@@ -282,7 +293,7 @@ def _gk_ladder(f, psi: _Psi, lo: np.ndarray, hi: np.ndarray):
             break
         bad = np.max(box_err / total[:, None], axis=0) > PANEL_REL_TOL / len(lo)
         n_bad = int(bad.sum())  # zero only when an estimate is NaN
-        cost = 2 * n_bad * _GK_NODES.size ** lo.shape[1]
+        cost = 2 * n_bad * box_nodes
         if not 0 < n_bad <= MAX_PANELS - len(lo) or not psi.affords(cost):
             break
         axis = np.argmax(np.max(err[:, bad] / total[:, None, None], axis=0), axis=1)
@@ -290,7 +301,7 @@ def _gk_ladder(f, psi: _Psi, lo: np.ndarray, hi: np.ndarray):
         mid = 0.5 * (lo[bad] + hi[bad])
         new_lo = np.concatenate([lo[bad], np.where(split, mid, lo[bad])])
         new_hi = np.concatenate([np.where(split, mid, hi[bad]), hi[bad]])
-        parts = zip((value, err), _gk_panels(f, new_lo, new_hi))
+        parts = zip((value, err), _gk_panels(f, new_lo, new_hi, rules))
         value, err = (np.concatenate([old[:, ~bad], new], axis=1) for old, new in parts)
         lo, hi = np.concatenate([lo[~bad], new_lo]), np.concatenate([hi[~bad], new_hi])
     return value.sum(axis=1), box_err.sum(axis=1)
@@ -345,10 +356,12 @@ def _ladder(schedule: SemiLevySchedule, a: float, qs, seed: int):
     The only code that maps a dimension to an engine.  psi does not depend
     on q, so one _Psi evaluates it once on a fixed node set and every level
     is a weighted sum of _cf_integrand(psi, q) over it.  d <= 3: tensor
-    G10/K21 boxes, radial panels on the _origin_ladder breakpoints (mirrored
-    onto the negative axis in d = 1) times the whole sphere in _Psi.sphere's
-    angles, with absolute error estimates that must stay within QUAD_REL_TOL
-    of their values; the report's quad_rel_err is their largest ratio.
+    Gauss-Kronrod boxes, radial panels on the _origin_ladder breakpoints
+    (G10/K21) times _Psi.sphere's angles: none in d = 1, half the circle in
+    d = 2, whose doubled values and errors stand for the whole ball since the
+    integrand is even in z, and the whole sphere in d = 3 on G7/K15 angle
+    axes.  Their absolute error estimates must stay within QUAD_REL_TOL of
+    their values; the report's quad_rel_err is their largest ratio.
     d >= 4: scrambled-Sobol batches, whose standard errors the report holds
     as stderrs.  The report also holds psi_points.
     """
@@ -357,14 +370,17 @@ def _ladder(schedule: SemiLevySchedule, a: float, qs, seed: int):
         values, errors = _qmc_ladder(psi, a, seed)
         _check_integrals(psi.qs, values, dim, a)
         return values, errors, {"psi_points": psi.points, "stderrs": errors}
-    radii, f = np.concatenate([[0.0], _origin_ladder(a)[::-1], [a]]), psi.sphere
-    if dim == 1:  # no angle axis: the radial panels mirrored onto the negative axis
-        radii, f = np.concatenate([-radii[:0:-1], radii]), psi.integrand
-    # angle spans of the sphere: none in d = 1, theta in d = 2, (cos theta, phi) in d = 3
-    spans = [(-1.0, 1.0), (0.0, 2.0 * np.pi)][3 - dim :]
+    radii = np.concatenate([[0.0], _origin_ladder(a)[::-1], [a]])
+    # Re 1/(q - psi(z)) is even in z, since psi(-z) is the conjugate of psi(z):
+    # d <= 2 integrates half the ball, r >= 0 in d = 1 and theta in [0, pi] in
+    # d = 2, and doubles it; d = 3 takes the whole sphere, (cos theta, phi)
+    spans = {1: [], 2: [(0.0, np.pi)], 3: [(-1.0, 1.0), (0.0, 2.0 * np.pi)]}[dim]
+    # G10/K21 along r, G7/K15 along the d = 3 angles
+    rules = [_GK_RULES[21]] + [_GK_RULES[21 if dim < 3 else 15]] * len(spans)
     lo = np.column_stack([radii[:-1], *(np.full(radii.size - 1, low) for low, _ in spans)])
     hi = np.column_stack([radii[1:], *(np.full(radii.size - 1, high) for _, high in spans)])
-    values, errors = _gk_ladder(f, psi, lo, hi)
+    fold = 2.0 if dim < 3 else 1.0
+    values, errors = (fold * x for x in _gk_ladder(psi.integrand if dim == 1 else psi.sphere, psi, lo, hi, rules))
     _check_integrals(psi.qs, values, dim, a)
     for q, value, error in zip(psi.qs, values, errors):
         if not error <= QUAD_REL_TOL * value:
@@ -457,8 +473,9 @@ def chung_fuchs_verdict(
 
     qs = q0 * Q_RATIO ** (-np.arange(levels, dtype=float))
     values, errors, report = _ladder(schedule, a, qs, seed)
-    # floats however given, so an integer a prints as the sweep's float does
-    evidence: dict = {"a": float(a), "q0": float(q0), "levels": levels, "qs": qs, "integrals": values, **report}
+    # a and q0 as floats and levels as an integer however given, so a config
+    # built in code prints what its text form would
+    evidence: dict = {"a": float(a), "q0": float(q0), "levels": int(levels), "qs": qs, "integrals": values, **report}
 
     last = float(values[-1])
     scale = max(abs(last), 1e-300)

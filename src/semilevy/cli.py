@@ -346,7 +346,8 @@ RUN_KEYS = {
     "horizon": (_POSITIVE, format_float),
     "q0": (_POSITIVE, format_float),
     "step": (_POSITIVE, format_float),
-    "levels": (_checked(_int, lambda value, name: check_levels(value)), str),
+    # a whole float such as 6.0 passes check_levels, and is written as the integer it is
+    "levels": (_checked(_int, lambda value, name: check_levels(value)), lambda value: str(int(value))),
     "n_paths": (_COUNT, str),
     "n_samples": (_COUNT, str),
     "n_steps": (_COUNT, str),

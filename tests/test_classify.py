@@ -27,10 +27,12 @@ from semilevy.models import (
     CompoundPoisson,
     DimensionMismatch,
     GaussianJump,
+    LaplaceJump,
     PointMass,
     PureDrift,
     SumModel,
     SymmetricStable,
+    UniformJump,
 )
 from semilevy.schedule import SemiLevySchedule, make_splice, period_exponent, sample_path, single_segment
 from semilevy.skeleton import occupation_time
@@ -189,17 +191,21 @@ BM2 = single_segment(BrownianDrift(np.zeros(2), np.eye(2)), 1.0)
 
 
 def test_gauss_kronrod_constants():
-    # the odd positions are the 10-point Gauss-Legendre rule; G10 is exact to
-    # degree 19 and K21 to degree 31
-    x, w = np.polynomial.legendre.leggauss(10)
-    assert classify._GK_NODES[1::2] == pytest.approx(x, abs=1e-15)
-    assert classify._GK_GAUSS[1::2] == pytest.approx(w, abs=1e-15)
-    for degree in range(32):
-        exact = (1.0 + (-1.0) ** degree) / (degree + 1)
-        values = classify._GK_NODES**degree
-        assert values @ classify._GK_KRONROD == pytest.approx(exact, abs=1e-15)
-        if degree < 20:
-            assert values @ classify._GK_GAUSS == pytest.approx(exact, abs=1e-15)
+    # the odd positions are the n-point Gauss-Legendre rule, exact to degree
+    # 2n - 1: G10 to 19 and G7 to 13; K21 is exact to degree 31 and K15 to 23
+    for points, n, kronrod_degree in ((21, 10, 31), (15, 7, 23)):
+        nodes, kronrod, gauss = classify._GK_RULES[points]
+        assert nodes.size == kronrod.size == gauss.size == points
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert nodes[1::2] == pytest.approx(x, abs=1e-15)
+        assert gauss[1::2] == pytest.approx(w, abs=1e-15)
+        assert not gauss[::2].any()
+        for degree in range(kronrod_degree + 1):
+            exact = (1.0 + (-1.0) ** degree) / (degree + 1)
+            values = nodes**degree
+            assert values @ kronrod == pytest.approx(exact, abs=1e-15)
+            if degree < 2 * n:
+                assert values @ gauss == pytest.approx(exact, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -323,6 +329,85 @@ def test_ladder_point_budget_raises(monkeypatch):
     sched = single_segment(BrownianDrift(np.array([0.5, 0.0]), np.eye(2)), 1.0)
     with pytest.raises(QuadratureError):
         chung_fuchs_verdict(sched)
+
+
+def _premise_schedules(dim):
+    # every catalog kind in dimension dim, off the axes where it has a direction
+    v = np.array([0.7, -0.4, 0.25])[:dim]
+    cov = np.eye(dim) + 0.2
+    models = [
+        BrownianDrift(0.3 * v, cov),
+        *(SymmetricStable(alpha, 0.8, dim) for alpha in (0.8, 1.0, 1.5)),
+        PureDrift(-0.4 * v),
+        CompoundPoisson(2.5, PointMass(v)),
+        CompoundPoisson(2.5, UniformJump(v - 1.0, v + 0.5)),
+        CompoundPoisson(2.5, GaussianJump(0.2 * v, 0.5 * cov)),
+        CompoundPoisson(2.5, LaplaceJump(-0.1 * v, 0.7)),
+    ]
+    mix = SumModel((models[0], models[7], models[2], models[4]))
+    return [single_segment(m, 1.0) for m in (*models, mix)] + [make_splice(models[3], models[8], 0.4, 1.5)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_integrand_is_even_in_z(dim):
+    # the half ball's premise: psi(-z) is the conjugate of psi(z), so Re 1/(q - psi) takes
+    # the same value at -z as at z, for every kind, splice and sum
+    z = np.random.default_rng(dim).normal(size=(64, dim)) * np.geomspace(1e-3, 30.0, 64)[:, None]
+    for sched in _premise_schedules(dim):
+        for q in (1e-2, 1e-7):
+            at_z = classify._cf_integrand(period_exponent(sched, z), q)
+            np.testing.assert_allclose(classify._cf_integrand(period_exponent(sched, -z), q), at_z, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize(
+    "sched",
+    [
+        BM1,
+        CAUCHY,
+        make_splice(SymmetricStable(1.5, 0.5, 1), CompoundPoisson(1.0, LaplaceJump(0.3, 0.6)), 1.0, 3.0),
+        BM2,
+        single_segment(BrownianDrift(np.array([0.5, 0.0]), np.eye(2)), 1.0),
+        single_segment(BrownianDrift(np.array([3.0, 4.0]), [[1.0, 0.3], [0.3, 0.5]]), 1.0),
+        single_segment(SymmetricStable(1.9, 1.0, 2), 1.0),
+        make_splice(
+            BrownianDrift([0.2, -0.1], np.eye(2)), CompoundPoisson(2.0, GaussianJump([0.3, 0.1], np.eye(2))), 0.5, 1.0
+        ),
+    ],
+)
+def test_half_ball_ladder_matches_the_mirrored_full_ball(sched):
+    # d <= 2 integrates r >= 0 (d = 1) or theta in [0, pi] (d = 2) and doubles; the
+    # reference adds the mirror image z -> -z of every box and does not double
+    values, errors, _ = classify._ladder(sched, 1.0, LADDER_QS, seed=0)
+    psi = classify._Psi(sched, LADDER_QS)
+    radii = np.concatenate([[0.0], classify._origin_ladder(1.0)[::-1], [1.0]])
+    k21 = classify._GK_RULES[21]
+    if sched.dim == 1:
+        lo, hi = radii[:-1, None], radii[1:, None]
+        f, rules, mirror_lo, mirror_hi = psi.integrand, [k21], -hi, -lo
+    else:
+        lo = np.column_stack([radii[:-1], np.zeros(radii.size - 1)])
+        hi = np.column_stack([radii[1:], np.full(radii.size - 1, np.pi)])
+        f, rules, mirror_lo, mirror_hi = psi.sphere, [k21, k21], lo + [0.0, np.pi], hi + [0.0, np.pi]
+    boxes = np.concatenate([lo, mirror_lo]), np.concatenate([hi, mirror_hi])
+    full, full_errors = classify._gk_ladder(f, psi, *boxes, rules)
+    np.testing.assert_allclose(values, full, rtol=1e-13, atol=0)
+    assert np.all(full_errors <= classify.QUAD_REL_TOL * full)
+
+
+@pytest.mark.parametrize(
+    "sched, points",
+    [
+        (BM1, 1_218 // 2),  # exactly half the whole line's panels
+        (BM2, 12_789),
+        (single_segment(BrownianDrift(np.array([0.5, 0.0]), np.eye(2)), 1.0), 120_393),
+        (BM3, 108_675),
+    ],
+    ids=["bm1", "bm2", "bm2-drift", "bm3"],
+)
+def test_ladder_psi_points_are_pinned(sched, points):
+    # the work of the half ball in d <= 2 and of the G7/K15 angle axes in d = 3:
+    # a change that gives either back fails here
+    assert chung_fuchs_verdict(sched).evidence["psi_points"] == points
 
 
 def test_nan_exponent_raises_instead_of_refining(monkeypatch):

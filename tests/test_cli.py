@@ -640,6 +640,21 @@ def test_config_built_in_code_runs_as_its_rendered_text(tmp_path, capsys):
     assert " a=1.0 " in written[0][0] and " q0=1.0 " in written[0][0]
 
 
+def test_whole_float_levels_round_trip(tmp_path, capsys):
+    # check_levels takes 6.0 as 6 levels; its text form is the integer, which
+    # parse_config reads back, and the verdict prints the same integer either way
+    config = RunConfig(schedule=ONE_DRIFT, command="classify", seed=1, criterion="chung-fuchs", levels=6.0)
+    text = render_config(config)
+    assert "\nlevels = 6\n" in text
+    assert parse_config(text) == config
+    written = []
+    for case, run_config in enumerate((config, parse_config(text))):
+        assert run(run_config, out_dir=tmp_path / str(case)) == 0
+        written.append((capsys.readouterr().out, (tmp_path / str(case) / "verdict.txt").read_text()))
+    assert written[0] == written[1]
+    assert " levels=6 " in written[0][0]
+
+
 def test_main_classify_drift_criterion_refused_at_its_line(tmp_path, capsys):
     # mean is the one zero-mean test; the retired drift criterion is no choice
     cfg = tmp_path / "c.cfg"

@@ -380,6 +380,20 @@ def test_finish_of_coefficients_matches_finish_of_durations(dim, members, dts):
         assert got.tobytes() == want.tobytes(), model
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("k", [1, 6, 2**16 + 3])
+def test_one_row_of_coefficients_finishes_equal_durations(dim, k):
+    # _sample_chunks finds a piece's coefficients once, for one duration, and adds
+    # what _finish makes of them over every chunk of k equal durations
+    dts = _repeated(0.37, k)
+    for model in _hook_catalog(dim):
+        raws = [model._draw(dts, np.random.default_rng(7))]
+        want, got = np.zeros((k, dim)), np.zeros((k, dim))
+        want += model._finish(model._coefficients(dts), raws)[0]
+        got += model._finish(model._coefficients(_repeated(0.37, 1)), raws)[0]
+        assert got.tobytes() == want.tobytes(), model
+
+
 # fixed before the first run, never re-picked: cells per sample, the p-value
 # below which a KS comparison fails, and one seed per (law, N, dim, side)
 LAW_CELLS = 4000
