@@ -36,7 +36,9 @@ MIN_SAMPLES = 10**4
 
 # the weak-law draws are taken and reduced in chunks of this many samples, so
 # no array of all of them exists and each chunk reuses the memory the last one
-# freed; 2^15 to 2^17 time alike, while 2^13 pays numpy's per-call costs
+# freed; 2^15 to 2^17 time alike, while 2^13 pays numpy's per-call costs.  A
+# call of three chunks or more draws one chunk ahead on a worker thread
+# (models._sample_chunks), so at most two chunks' draws are held at once
 WLLN_CHUNK = 1 << 16
 
 FLAG_SLLN = "slln-consistent"
@@ -84,9 +86,27 @@ class WLLNReport:
         For dimension > 1 the truncated-mean columns report the Euclidean
         norm of the vector estimate.
         """
-        tm = np.linalg.norm(np.atleast_2d(self.trunc_mean), axis=1)
-        ts = np.linalg.norm(np.atleast_2d(self.trunc_se), axis=1)
+        tm = _norms(np.atleast_2d(self.trunc_mean))
+        ts = _norms(np.atleast_2d(self.trunc_se))
         return format_csv("t,tail,tail_se,trunc_mean,trunc_se", [self.tail_t, self.tail, self.tail_se, tm, ts])
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, with no square that overflows or underflows.
+
+    In d = 1 that is |x|: the bits of np.linalg.norm's root of the square wherever the
+    square neither overflows nor underflows (|x| above about 1.5e-154), at a thirtieth of
+    its cost.  Above d = 1, np.linalg.norm's root of the summed squares, except for norms
+    beyond 1e150 or below 1e-150, which np.hypot takes without squaring.
+    """
+    if x.shape[-1] == 1:
+        return np.abs(x[..., 0])
+    with np.errstate(over="ignore", under="ignore"):
+        r = np.linalg.norm(x, axis=-1)
+    far = ~((r > 1e-150) & (r < 1e150))
+    if far.any():
+        r[far] = np.hypot.reduce(x[far], axis=-1)
+    return r
 
 
 def _horizon_values(
@@ -126,19 +146,24 @@ def strong_law_check(
     check_counts(least=MIN_PATHS, n_paths=n_paths)
     mu = period_mean(schedule)
     vals = _horizon_values(schedule, h, n_paths, seed)  # (paths, T, d)
-    if mu is not None:
-        c = mu / schedule.period
-        dev = np.linalg.norm(vals / h[None, :, None] - c, axis=2)
-    else:
-        c = None
-        dev = np.linalg.norm(vals, axis=2) / h[None, :]
-    mean_dev, max_dev = dev.mean(axis=0), dev.max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused next
+        if mu is not None:
+            c = mu / schedule.period
+            dev = _norms(vals / h[None, :, None] - c)
+        else:
+            c = None
+            dev = _norms(vals) / h[None, :]
+        mean_dev, max_dev = dev.mean(axis=0), dev.max(axis=0)
     check_finite([mean_dev, max_dev], "an LLN deviation" if mu is not None else "an LLN ratio")
     flag = running = None
     if mu is not None:
         cov = period_covariance(schedule)
-        if cov is not None and mean_dev[-1] <= 3.0 * math.sqrt(np.trace(cov) / (schedule.period * float(h[-1]))):
-            flag = FLAG_SLLN
+        if cov is not None:
+            # sqrt(tr Cov / (p T)) taken apart, so that neither the trace nor p T leaves the float
+            # range where the scale does not; a diagonal rounded below 0 counts as 0
+            scale = math.hypot(*(math.sqrt(max(v, 0.0)) for v in np.diag(cov).tolist()))
+            scale = scale / math.sqrt(schedule.period) / math.sqrt(float(h[-1]))
+            flag = FLAG_SLLN if mean_dev[-1] <= 3.0 * scale else None
     else:
         running = np.median(np.maximum.accumulate(dev, axis=1), axis=0)
         flag = FLAG_DIVERGENCE if running[-1] >= 1.5 * running[0] else None
@@ -156,7 +181,11 @@ def wlln_conditions(
     Estimates t * P(|X_p| > t) and E[X_p 1{|X_p| <= t}] over the t-grid with
     standard errors, from direct draws of the one-period increment: n_samples
     of them from default_rng(seed), drawn and reduced WLLN_CHUNK at a time,
-    with every bound checked for the whole call before the first.  When the
+    with every bound checked for the whole call before the first.  From three
+    chunks on, and with more than one CPU, the next chunk's Generator calls run
+    on one worker thread while this one is finished and reduced; the calls and
+    the estimates are the same either way.  An estimate that overflows is an
+    error (FloatingPointError), never an inf in the report.  When the
     tail estimate at the largest t is statistically indistinguishable from 0,
     the implied limit constant c = (truncated mean) / p is reported; a tail
     that persists means no constant exists and the weak law fails.
@@ -170,33 +199,39 @@ def wlln_conditions(
     trunc_mean = np.zeros((t.size, schedule.dim))
     sq_dev = np.zeros((t.size, schedule.dim))
     seen = 0
-    for x in chunks:
-        k = x.shape[0]
-        r = np.linalg.norm(x, axis=1)
-        for j, tj in enumerate(t):
-            inside = r <= tj
-            above[j] += k - np.count_nonzero(inside)
-            w = x * inside[:, None]
-            mean = w.mean(axis=0)
-            w -= mean
-            dev = (w * w).sum(axis=0)
-            if seen:
-                # the chunk's mean and squared deviations merged into the running ones
-                # by the pairwise update of Chan, Golub & LeVeque (1979)
-                delta = mean - trunc_mean[j]
-                trunc_mean[j] += delta * (k / (seen + k))
-                sq_dev[j] += dev + delta * delta * (seen * k / (seen + k))
-            else:
-                trunc_mean[j], sq_dev[j] = mean, dev
-        seen += k
+    with np.errstate(over="ignore", invalid="ignore"):  # an estimate that overflows is refused below
+        for x in chunks:
+            k = x.shape[0]
+            r = _norms(x)
+            for j, tj in enumerate(t):
+                inside = r <= tj
+                above[j] += k - np.count_nonzero(inside)
+                w = x * inside[:, None]
+                mean = w.mean(axis=0)
+                w -= mean
+                dev = (w * w).sum(axis=0)
+                if seen:
+                    # the chunk's mean and squared deviations merged into the running ones
+                    # by the pairwise update of Chan, Golub & LeVeque (1979)
+                    delta = mean - trunc_mean[j]
+                    trunc_mean[j] += delta * (k / (seen + k))
+                    sq_dev[j] += dev + delta * delta * (seen * k / (seen + k))
+                else:
+                    trunc_mean[j], sq_dev[j] = mean, dev
+            seen += k
+        trunc_se = np.sqrt(sq_dev / (n_samples - 1)) / math.sqrt(n_samples)
+        implied_c = trunc_mean[-1] / schedule.period
+    check_finite([trunc_mean, trunc_se], "a weak-law truncated mean")
 
     p_hat = above / n_samples
     tail = t * p_hat
     tail_se = t * np.sqrt(p_hat * (1.0 - p_hat) / n_samples)
-    trunc_se = np.sqrt(sq_dev / (n_samples - 1)) / math.sqrt(n_samples)
 
     tail_gone = tail[-1] <= 3.0 * max(tail_se[-1], 1e-300) or tail[-1] == 0.0
-    implied_c = trunc_mean[-1] / schedule.period if tail_gone else None
+    if tail_gone:
+        check_finite(implied_c, "the implied weak-law constant")
+    else:
+        implied_c = None
     flag = FLAG_TAIL_VANISHES if tail_gone else FLAG_TAIL_PERSISTS
     return WLLNReport(
         tail_t=t,

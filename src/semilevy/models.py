@@ -25,7 +25,10 @@ batch before any draw.  A single batch (`_sample_pieces`) is
 `_finish(_coefficients(dts), [_draw(dts, rng)])[0]`, or a run of such batches
 drawn one chunk at a time from one Generator (`_sample_chunks`); their
 durations are all equal, so the coefficients of one duration serve every row
-and every chunk.  An ensemble finishes a block of members, each drawn from its
+and every chunk.  Since only `_draw` touches the Generator, a run of three
+chunks or more makes each chunk's `_draw` calls on one worker thread, a
+chunk ahead of the caller's `_finish`: the same calls in the same order, so
+the same bits.  An ensemble finishes a block of members, each drawn from its
 own Generator, at once: member i is bit for bit the batch its own Generator
 gives.
 
@@ -39,13 +42,15 @@ their Fourier transforms and moments stay in closed form.
 
 from __future__ import annotations
 
+import os
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .util import FieldEq, check_counts, check_finite, check_positive, check_size
+from .util import FieldEq, check_counts, check_finite, check_positive, check_size, map_ahead
 
 __all__ = [
     "DimensionMismatch",
@@ -98,9 +103,11 @@ def _psd_matrix(m, dim: int, name: str = "cov") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be finite")
     scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > PSD_TOL * scale:
+    with np.errstate(over="ignore"):  # a difference beyond the float range is refused as asymmetric
+        asymmetry = np.abs(a - a.T).max()
+    if asymmetry > PSD_TOL * scale:
         raise ValueError(f"{name} must be symmetric")
-    a = 0.5 * (a + a.T)
+    a = a + 0.5 * (a.T - a)  # the mean of a and a.T, a itself when symmetric, and never past the float range
     w = np.linalg.eigvalsh(a)
     if w.min() < -PSD_TOL * scale:
         raise ValueError(f"{name} must be positive semi-definite (min eigenvalue {w.min():g})")
@@ -360,9 +367,16 @@ def _repeated(dt: float, k: int) -> np.ndarray:
 
 def _sample_chunks(pieces, dim: int, rng: np.random.Generator, n: int, chunk: Optional[int] = None) -> Iterator:
     """n exact draws of a sum of independent increments, one per (duration, model) piece in
-    turn, as consecutive (rows, d) chunks of at most chunk rows (one chunk without chunk),
-    each drawn from rng when it is taken.  Every bound is checked for all n draws at
-    once, before the first draw, so a call is refused whatever its chunks."""
+    turn, as a generator of consecutive (rows, d) chunks of at most chunk rows (one chunk
+    without chunk).  Every bound is checked for all n draws at once, before the first
+    draw, so a call is refused whatever its chunks.
+
+    A chunk's Generator calls (draws: every piece's _draw, in piece order) are separate
+    from its arithmetic (finish: the pieces' _finish summed from zeros, then checked).
+    With three chunks or more and more than one CPU, the draws run on one worker thread
+    a chunk ahead (util.map_ahead), so chunk i + 1 is drawn while the caller finishes
+    and uses chunk i; the calls and their order, and so every bit, stay the same.  rng
+    belongs to the generator until it is exhausted or closed."""
     check_counts(size=n)
     check_size(samples=n, dim=dim)
     plan = [(dt, model) for dt, model in pieces if dt > 0.0]
@@ -371,19 +385,33 @@ def _sample_chunks(pieces, dim: int, rng: np.random.Generator, n: int, chunk: Op
 
     # the durations of a piece are all equal, so its coefficients are one row, found
     # once per call and broadcast by _finish over every chunk
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused after each draw
+    with np.errstate(all="ignore"):  # inf and nan are refused after each draw
         rows = [model._coefficients(_repeated(dt, 1)) for dt, model in plan]
 
-    def draw(k: int) -> np.ndarray:
+    def draws(k: int) -> list:
+        # errstate is per thread, and this may run on the worker
+        with np.errstate(all="ignore"):  # inf and nan are refused in finish
+            return [model._draw(_repeated(dt, k), rng) for dt, model in plan]
+
+    def finish(k: int, raws: list) -> np.ndarray:
         out = np.zeros((k, dim))
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused next
-            for (dt, model), coefficients in zip(plan, rows):
-                out += model._finish(coefficients, [model._draw(_repeated(dt, k), rng)])[0]
+        with np.errstate(all="ignore"):  # inf and nan are refused next
+            for (_, model), coefficients, raw in zip(plan, rows, raws):
+                out += model._finish(coefficients, [raw])[0]
         check_finite(out, "a sampled increment")
         return out
 
     step = chunk or max(n, 1)  # an empty call is one empty chunk
-    return map(draw, [min(step, n - lo) for lo in range(0, max(n, 1), step)])
+    sizes = [min(step, n - lo) for lo in range(0, max(n, 1), step)]
+
+    def chunks() -> Iterator:
+        # two chunks overlap one draw with one finish, too little to pay for starting a thread
+        drawn = map_ahead(draws, sizes, ahead=len(sizes) >= 3 and (os.cpu_count() or 1) > 1)
+        with closing(drawn):  # a failed finish or a closed generator joins the worker
+            for k, raws in zip(sizes, drawn):
+                yield finish(k, raws)
+
+    return chunks()
 
 
 def _sample_pieces(pieces, dim: int, rng: np.random.Generator, size: Optional[int]) -> np.ndarray:

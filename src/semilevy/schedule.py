@@ -246,7 +246,9 @@ def _grid_occupancy(schedule: SemiLevySchedule, times: np.ndarray) -> np.ndarray
     # period boundary are snapped onto it
     p = schedule.period
     r = np.fmod(times, p)
-    n = np.rint((times - r) / p)
+    with np.errstate(over="ignore"):  # refused next
+        n = np.rint((times - r) / p)
+    check_finite(n, "a time's count of periods")
     on_boundary = p - r <= PERIOD_TOL * p
     return _occupancy(schedule, np.where(on_boundary, n + 1.0, n), np.where(on_boundary, 0.0, r))
 
@@ -314,7 +316,7 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list, re
             dts = occupancy[rows, k]
             member_values += model._draw_values(dts)
             dts = _repeated(dts[0], dts.size) if (dts == dts[0]).all() else dts
-            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused after the draws
+            with np.errstate(all="ignore"):  # inf and nan are refused after the draws
                 coefficients = model._coefficients(dts)
             plan.append((model, (rows[:, None] * dim + np.arange(dim)).ravel(), dts, coefficients))
     out = np.zeros((len(states), cells + 1, dim)) if reduce is None else None
@@ -326,17 +328,18 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list, re
         raws = [[] for _ in plan]
         # one Generator per block; its state is set to each member's stream
         rng = np.random.Generator(np.random.PCG64(0))
-        for state in members:
-            rng.bit_generator.state = state
-            for drawn, (model, _, dts, _) in zip(raws, plan):
-                drawn.append(model._draw(dts, rng))
+        with np.errstate(all="ignore"):  # inf and nan are refused after the sums
+            for state in members:
+                rng.bit_generator.state = state
+                for drawn, (model, _, dts, _) in zip(raws, plan):
+                    drawn.append(model._draw(dts, rng))
         sums = out[lo : lo + len(members)] if reduce is None else np.zeros((len(members), cells + 1, dim))
         # the increments as (members, cells * d) columns of the sums; a reshape that
         # copied would take the adds away from them, so it is refused
         flat = sums[:, 1:].reshape(len(members), -1)
         if not np.may_share_memory(flat, sums):
             raise RuntimeError("the block's sums cannot be viewed as flat columns")
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused next
+        with np.errstate(all="ignore"):  # inf and nan are refused next
             # a segment's columns never repeat, and a cell straddling several
             # segments gets each one's += in turn
             for drawn, (model, cols, _, coefficients) in zip(raws, plan):

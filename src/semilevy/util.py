@@ -31,10 +31,11 @@ import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
+A = TypeVar("A")
 T = TypeVar("T")
 
 # seeds and stream indices lie in [0, SEED_BOUND): at most two 32-bit words
@@ -182,6 +183,29 @@ def map_indexed(fn: Callable[[int], T], n: int, workers: int = 1) -> list[T]:
     return [fn(i) for i in range(n)]
 
 
+def map_ahead(fn: Callable[[A], T], items: Iterable[A], ahead: bool) -> Iterator[T]:
+    """fn(a) for each a of items, in order, as a generator: plain map unless ahead.
+
+    With ahead, fn runs on one worker thread, one item ahead of the caller:
+    fn of the next item is computed while the caller uses the current result,
+    and fn is never called for an item past the last.  The calls keep their
+    order and never overlap each other.  The thread starts at the first next()
+    and is joined, after the call it is running, when the generator is
+    exhausted, raises or is closed.
+    """
+    if not ahead:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = None
+        for a in items:
+            current, pending = pending, worker.submit(fn, a)
+            if current is not None:
+                yield current.result()
+        if pending is not None:
+            yield pending.result()
+
+
 def check_positive(**values: float) -> None:
     """ValueError unless every value is positive and finite, naming the first that is not."""
     for name, value in values.items():
@@ -217,7 +241,7 @@ def check_increasing(times, name: str, least: int = 1) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < least:
         raise ValueError(f"{name} must be a 1-d sequence of at least {least} values")
-    if not (t[0] > 0.0 and t[-1] < math.inf and (np.diff(t) > 0.0).all()):
+    if not (np.isfinite(t).all() and t[0] > 0.0 and (np.diff(t) > 0.0).all()):
         raise ValueError(f"{name} must be positive and finite, and strictly increasing")
     return t
 

@@ -3,13 +3,16 @@
 import os
 import subprocess
 import sys
+import tempfile
+import threading
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import semilevy
@@ -777,6 +780,9 @@ UNIT_BM = "[schedule]\nperiod = 1.0\nsegment = 1.0 brownian drift=0 var=1\n[run]
         ("classify", HUGE_DRIFTS + "criterion = chung-fuchs\n"),
         # ... and so do the draws and their sums
         ("lln", HUGE_DRIFTS + "horizons = 10,20\n"),
+        # only the weak law's jumps overflow, in three chunks drawn one ahead on a worker
+        ("lln", "[schedule]\nperiod = 1.0\nsegment = 1.0 cpoisson rate=1 jump=laplace jump_loc=0 jump_scale=1e308\n"
+                "[run]\nseed = 1\nhorizons = 1e-6\nn_paths = 50\nt_grid = 1\nn_samples = 196608\n"),
         ("simulate", "[schedule]\nperiod = 1.0\nsegment = 1.0 stable alpha=0.3 scale=1e300\n"
                      "[run]\nseed = 1\nhorizon = 10\nstep = 1\n"),
         # psi is inf far out in the ball, and the integral nan
@@ -1064,3 +1070,107 @@ def test_d3_verdict_leaves_scipy_stats_and_special_unloaded():
         "chung_fuchs_verdict(single_segment(BrownianDrift(np.zeros(3), np.eye(3)), 1.0))"
     )
     assert _scipy_stats_and_special_loaded_after(code) == "[]"
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract under random lln configs
+# ---------------------------------------------------------------------------
+
+# parameter texts at the edges of the float range, in the spellings the reader takes: most
+# valid, so that most configs reach the samplers, and a few that the reader refuses
+POSITIVE = ["5e-324", "2.2250738585072014e-308", "1e-300", "0.5", "1", "1e300", "1.7976931348623157e308"]
+NONNEGATIVE = ["0", "-0.0", *POSITIVE]
+EDGE = [*NONNEGATIVE, "-1", "-1e300", "-1.7976931348623157e308"]
+ALPHAS = ["1e-300", "0.01", "0.3", "1", "1.5", "1.9999999999999998", "2"]
+# rates near MAX_EXPECTED_JUMPS = 2**26 expected jumps: a weak-law call of 10^4 samples reaches
+# it at rate 6710.8864, a horizon of 1 at 2**26.  Uniform and Laplace jumps are drawn one by one,
+# and a batch just below the bound holds about 512 MB of them per coordinate, so they take rates
+# whose batches, on these durations and times, hold a few thousand jumps or pass the bound
+RATES = ["1e-300", "0.5", "3", "6710.8864", "6710.8865", "67108864", "67108864.00000001", "1e300"]
+DRAWN_RATES = ["0.5", "3", "1e300"]
+TIMES = ["5e-324", "1e-300", "1e-6", "0.5", "1", "10", "1e3", "1e300", "1.7976931348623157e308"]
+REFUSED = ["nan", "NaN", "inf", "-inf", "Infinity", "0", "-1", "2.0000000000000004"]
+# one to three weak-law chunks, with the thresholds between them
+N_SAMPLES = [10**4, 2**16, 2**16 + 1, 2 * 2**16, 2 * 2**16 + 1, 3 * 2**16]
+
+
+@st.composite
+def lln_texts(draw):
+    """(config text, whether it sets t_grid): an lln run on a 1- or 2-d schedule of edge values."""
+    dim = draw(st.sampled_from([1, 2]))
+
+    def value(values):
+        # one value in about twenty is one the reader may refuse
+        return draw(st.sampled_from(REFUSED if draw(st.integers(0, 19)) == 0 else values))
+
+    def vec(values=EDGE):
+        return ",".join(value(values) for _ in range(dim))
+
+    def box():
+        lo, hi = zip(*(sorted(draw(st.lists(st.sampled_from(EDGE), min_size=2, max_size=2)), key=float)
+                       for _ in range(dim)))
+        return f"jump_lo={','.join(lo)} jump_hi={','.join(hi)}"
+
+    jumps = {
+        "point": lambda: f"jump_x={vec()}",
+        "uniform": box,
+        "gauss": lambda: f"jump_mean={vec()} jump_var={vec(NONNEGATIVE)}",
+        "laplace": lambda: f"jump_loc={vec()} jump_scale={vec(POSITIVE)}",
+    }
+    kinds = {
+        "brownian": lambda: f"drift={vec()} var={vec(NONNEGATIVE)}",
+        "stable": lambda: f"alpha={value(ALPHAS)} scale={value(POSITIVE)} dim={dim}",
+        "cpoisson": lambda: (lambda jump: f"rate={value(DRAWN_RATES if jump in ('uniform', 'laplace') else RATES)} "
+                                          f"jump={jump} {jumps[jump]()}")(draw(st.sampled_from(list(jumps)))),
+        "drift": lambda: f"gamma={vec()}",
+    }
+    # 1e290, not 1e300: a period of 1e300 would take 1.8e308 to about 2e8 periods, and a drawn
+    # jump law's batch over them below the jump bound
+    durations = draw(st.lists(st.sampled_from([0.1, 0.2, 0.7, 1.0, 1e-300, 1e290]), min_size=1, max_size=3))
+    # a period that misses the durations' sum by a few ulps
+    period = float(np.sum(durations))
+    for _ in range(draw(st.integers(-3, 3))):
+        period = float(np.nextafter(period, np.inf))
+    lines = ["[schedule]", f"period = {period!r}"]
+    for d in durations:
+        kind = draw(st.sampled_from(list(kinds)))
+        lines.append(f"segment = {d!r} {kind} {kinds[kind]()}")
+
+    def times():
+        # increasing, but now and then with a refused value among them
+        picked = draw(st.lists(st.sampled_from(TIMES), min_size=1, max_size=3, unique=True))
+        return ", ".join([value(["1"]) if t == "1" else t for t in sorted(picked, key=float)])
+
+    lines += ["[run]", "command = lln", f"seed = {draw(st.integers(0, 2**64 - 1))}", f"horizons = {times()}",
+              f"n_paths = {draw(st.sampled_from([50, 64]))}"]
+    weak = draw(st.booleans())
+    if weak:
+        lines += [f"t_grid = {times()}", f"n_samples = {draw(st.sampled_from(N_SAMPLES))}"]
+    return "\n".join(lines) + "\n", weak
+
+
+# 400 fixed examples, about 4 s
+@settings(
+    max_examples=400, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=lln_texts())
+def test_lln_configs_keep_the_cli_contract(capsys, case):
+    text, weak = case
+    capsys.readouterr()
+    before = threading.active_count()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg, out = Path(tmp) / "c.cfg", Path(tmp) / "o"
+        cfg.write_text(text)
+        code = main(["lln", "--config", str(cfg), "--out", str(out)])
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    stdout, stderr = capsys.readouterr()
+    assert not caught, [str(w.message) for w in caught]
+    assert threading.active_count() == before
+    assert code in (0, 1, 2)
+    if code:
+        assert len(stderr.splitlines()) == 1 and stdout == "" and written == []
+        assert stderr.startswith("numerical failure: " if code == 2 else "error: ")
+    else:
+        assert stderr == "" and stdout.startswith("lln: flag=")
+        assert written == (["lln.csv", "wlln.csv"] if weak else ["lln.csv"])

@@ -1,9 +1,12 @@
 """Law-of-large-numbers checks against CLT scales and stable-tail oracles."""
 
 import re
+import threading
 
 import numpy as np
 import pytest
+
+from semilevy import models as models_module
 
 from semilevy.classify import Decision, mean_criterion
 from semilevy.lln import WLLN_CHUNK, strong_law_check, wlln_conditions
@@ -11,7 +14,7 @@ from semilevy.models import (
     MAX_EXPECTED_JUMPS, BrownianDrift, CompoundPoisson, GaussianJump, LaplaceJump, PointMass, PureDrift,
     SymmetricStable, UniformJump,
 )
-from semilevy.schedule import make_splice, sample_interval_increment, single_segment
+from semilevy.schedule import SemiLevySchedule, make_splice, sample_interval_increment, single_segment
 from semilevy.util import MAX_VALUES
 
 BM = single_segment(BrownianDrift(0.0, 1.0), 1.0)
@@ -230,3 +233,124 @@ def test_wlln_tail_of_one_call_laws_is_the_one_batch_tail(sched):
     report = wlln_conditions(sched, t, n, seed)
     assert np.array_equal(report.tail, tail)
     assert np.array_equal(report.tail_se, tail_se)
+
+
+@pytest.mark.parametrize("cpus, n, ahead", [
+    (2, 2 * WLLN_CHUNK, False),  # two chunks: drawn in the calling thread
+    (2, 2 * WLLN_CHUNK + 1, True),  # three: a chunk ahead on one worker
+    (1, 3 * WLLN_CHUNK, False),  # one CPU: never a worker
+])
+def test_weak_law_draws_run_ahead_past_two_chunks_only(monkeypatch, cpus, n, ahead):
+    monkeypatch.setattr(models_module.os, "cpu_count", lambda: cpus)
+    seen, draw = set(), BrownianDrift._draw
+
+    def spy(self, dts, rng):
+        seen.add(threading.get_ident())
+        return draw(self, dts, rng)
+
+    monkeypatch.setattr(BrownianDrift, "_draw", spy)
+    before = threading.active_count()
+    report = wlln_conditions(BM, [1.0, 2.0], n, 7)
+    assert threading.active_count() == before
+    assert len(seen) == 1 and (threading.get_ident() not in seen) == ahead
+    # the same report either way
+    monkeypatch.setattr(models_module.os, "cpu_count", lambda: 3 - cpus)
+    other = wlln_conditions(BM, [1.0, 2.0], n, 7)
+    assert report.conditions_csv() == other.conditions_csv() and report.flag == other.flag
+
+
+def test_weak_law_overflow_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(models_module.os, "cpu_count", lambda: 2)
+    before = threading.active_count()
+    sched = single_segment(CompoundPoisson(1.0, LaplaceJump(0.0, 1e308)))
+    with pytest.raises(FloatingPointError, match="^a sampled increment overflowed"):
+        wlln_conditions(sched, [1.0], 3 * WLLN_CHUNK, 8)
+    assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# edge values: each failure the random lln configs of test_cli found, as a regression test
+# ---------------------------------------------------------------------------
+
+
+def test_strong_law_scale_of_a_degenerate_law_at_an_underflowing_horizon():
+    # p T underflows to 0 and the trace of the covariance is 0: the CLT scale was 0 / 0
+    # (a RuntimeWarning, then no flag); the deviation is exactly 0, within a scale of 0
+    sched = single_segment(BrownianDrift(0.0, 0.0), 0.1)
+    report = strong_law_check(sched, [5e-324], 50, 1)
+    assert report.flag == "slln-consistent" and report.mean_dev[-1] == 0.0
+
+
+def test_strong_law_scale_of_a_trace_beyond_the_float_range():
+    # tr Cov = 3.6e308 overflowed (a RuntimeWarning); the scale, sqrt(tr Cov / (p T)) = 1.9e154, does not
+    sched = single_segment(BrownianDrift([0.0, 0.0], 1.7976931348623157e308), 1.0)
+    assert strong_law_check(sched, [1.0], 50, 2).flag == "slln-consistent"
+
+
+def test_strong_law_deviations_do_not_square_past_the_float_range():
+    # |X_T / T - c| is about 1e284 here, whose square overflowed into an inf deviation
+    sched = single_segment(PureDrift(1e300), 0.1)
+    report = strong_law_check(sched, [1e-300], 50, 1)
+    assert np.isfinite(report.mean_dev).all()
+
+
+@pytest.mark.parametrize(
+    "gamma, t, tail",
+    [
+        # |x| = 1e160 lies inside t = 1e250; squared, it overflowed and counted as beyond
+        (1e160, 1e250, 0.0),
+        ([1e160, -1e160], 1e250, 0.0),
+        # |x| = 1e-200 lies beyond t = 1e-250; squared, it underflowed to 0 and counted as inside
+        (1e-200, 1e-250, 1e-250),
+        ([1e-200, 0.0], 1e-250, 1e-250),
+    ],
+)
+def test_weak_law_norms_neither_overflow_nor_underflow(gamma, t, tail):
+    report = wlln_conditions(single_segment(PureDrift(gamma), 1.0), [t], 10**4, 1)
+    assert report.tail.tolist() == [tail]
+    assert report.flag == ("tail-vanishes" if tail == 0.0 else "tail-persists")
+    if tail == 0.0:
+        np.testing.assert_allclose(report.implied_c, np.broadcast_to(gamma, report.implied_c.shape), rtol=1e-12)
+
+
+def test_conditions_csv_norms_do_not_overflow():
+    # the truncated-mean column is a norm, whose square overflowed: inf where 1e299 belongs
+    report = wlln_conditions(single_segment(PureDrift(1e300), 0.1), [1e300], 10**4, 1)
+    row = report.conditions_csv().splitlines()[1].split(",")
+    assert float(row[3]) == pytest.approx(1e299, rel=1e-12)
+
+
+def test_weak_law_truncated_mean_that_overflows_is_refused():
+    # every sample is 1e308 and inside t; their chunk sums overflow
+    with pytest.raises(FloatingPointError, match="^a weak-law truncated mean overflowed"):
+        wlln_conditions(single_segment(PureDrift(1e308), 1.0), [1.7976931348623157e308], 10**4, 1)
+
+
+def test_implied_constant_that_overflows_is_refused():
+    # a truncated mean of about 1e10 over a period of 1e-300, with no sample beyond t
+    sched = single_segment(CompoundPoisson(1e300, PointMass(1e10)), 1e-300)
+    with pytest.raises(FloatingPointError, match="^the implied weak-law constant overflowed"):
+        wlln_conditions(sched, [1e20], 10**4, 1)
+
+
+def test_stable_draw_that_divides_by_zero_is_refused():
+    # a standard exponential w near 0 raised to a power of about 100 is 0, and the positive
+    # stable variate divides by it: a RuntimeWarning came before the refusal
+    sched = single_segment(SymmetricStable(0.01, 5e-324, 2), 1e300)
+    with pytest.raises(FloatingPointError, match="^a sampled path or walk overflowed"):
+        strong_law_check(sched, [1e-6, 10.0], 64, 715839)
+
+
+def test_ensemble_draw_that_overflows_is_refused():
+    # Laplace jumps of scale 1e308 overflow in the draw itself, which ran with numpy's
+    # default errstate in an ensemble: a RuntimeWarning came before the refusal
+    sched = single_segment(CompoundPoisson(5.0, LaplaceJump(0.0, 1e308)))
+    with pytest.raises(FloatingPointError, match="^a sampled path or walk overflowed"):
+        strong_law_check(sched, [1.0, 2.0], 50, 3)
+
+
+def test_horizon_beyond_the_float_range_of_periods_is_refused():
+    # 1.8e308 / 0.1 periods is no float
+    sched = single_segment(BrownianDrift([0.0, 0.0], 1.0), 0.1)
+    with pytest.raises(FloatingPointError, match="^a time's count of periods overflowed"):
+        strong_law_check(sched, [1.7976931348623157e308], 64, 14)

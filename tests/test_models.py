@@ -1,10 +1,12 @@
 """Model catalog: exponents against closed forms, samplers against transforms."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from semilevy import models as models_module
 from semilevy.models import (
     MAX_EXPECTED_JUMPS,
     BrownianDrift,
@@ -19,6 +21,7 @@ from semilevy.models import (
     UniformJump,
     _positive_stable,
     _repeated,
+    _sample_chunks,
     _standard_symmetric_stable,
 )
 from semilevy.schedule import make_splice, sample_interval_increment, single_segment
@@ -133,6 +136,16 @@ def test_covariance_validation():
     m = BrownianDrift([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
     x = m.sample_increment(1.0, np.random.default_rng(0), size=100)
     assert np.allclose(x[:, 0], x[:, 1])
+
+
+def test_covariances_near_the_float_range_are_checked_without_overflow():
+    # a + a.T overflowed for entries above half the largest float, with a RuntimeWarning
+    big = 1.7976931348623157e308
+    assert BrownianDrift(0.0, big).cov.tolist() == [[big]]
+    assert GaussianJump([0.0, 0.0], [big, 1.0]).cov.tolist() == [[big, 0.0], [0.0, 1.0]]
+    # and a - a.T, whose overflow is a refusal
+    with pytest.raises(ValueError, match="^cov must be symmetric$"):
+        BrownianDrift([0.0, 0.0], [[1.0, big], [-big, 1.0]])
 
 
 def test_stable_parameter_validation():
@@ -515,3 +528,120 @@ def test_scale_time_halves_exponent():
 def test_scaled_rejects_nonpositive_speed(model, s):
     with pytest.raises(ValueError, match="time scale must be positive"):
         model.scaled(s)
+
+
+# ---------------------------------------------------------------------------
+# chunked draws: the Generator calls run a chunk ahead on one worker
+# ---------------------------------------------------------------------------
+
+# (duration, model) pieces of every catalog kind, a splice and a sum
+_E2 = np.eye(2)[0]
+CHUNK_PIECES = {
+    "bm-d1": [(0.7, BrownianDrift(0.3, 1.5))],
+    "bm-d2": [(0.7, BrownianDrift([0.5, -0.2], [[1.0, 0.3], [0.3, 0.8]]))],
+    **{f"stable{alpha}-d1": [(0.7, SymmetricStable(alpha, 0.9, 1))] for alpha in (0.8, 1.0, 1.5, 2.0)},
+    "stable1.5-d2": [(0.7, SymmetricStable(1.5, 0.9, 2))],
+    "drift": [(0.7, PureDrift([1.0, -2.0]))],
+    "cp-point": [(0.7, CompoundPoisson(2.0, PointMass(0.5)))],
+    "cp-uniform": [(0.7, CompoundPoisson(2.5, UniformJump(-1.0 * _E2, 2.0 * _E2)))],
+    "cp-gauss": [(0.7, CompoundPoisson(1.5, GaussianJump([0.1, 0.2], [[0.5, 0.1], [0.1, 0.4]])))],
+    "cp-laplace": [(0.7, CompoundPoisson(2.5, LaplaceJump(0.3, 0.6)))],
+    "splice": [
+        (0.4, BrownianDrift(0.2, 1.0)),
+        (0.35, SymmetricStable(1.5, 0.5, 1)),
+        (0.25, CompoundPoisson(3.0, LaplaceJump(-0.1, 0.7))),
+    ],
+    "sum": [(0.7, SumModel((
+        BrownianDrift(0.1, 1.0), CompoundPoisson(2.0, UniformJump(-1.0, 1.0)), SymmetricStable(1.0, 0.5, 1),
+        PureDrift(-0.4),
+    )))],
+}
+CHUNK = 40
+
+
+def _serial_chunks(pieces, dim, rng, n, chunk):
+    """The chunks drawn in the calling thread from the model hooks: per chunk, every
+    piece's _draw in turn, then their _finish results summed from zeros."""
+    out = []
+    for lo in range(0, n, chunk):
+        k = min(chunk, n - lo)
+        raws = [model._draw(_repeated(dt, k), rng) for dt, model in pieces]
+        x = np.zeros((k, dim))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (dt, model), raw in zip(pieces, raws):
+                x += model._finish(model._coefficients(_repeated(dt, k)), [raw])[0]
+        out.append(x)
+    return out
+
+
+def _draw_threads(monkeypatch, cls) -> set:
+    """The threads that run cls._draw from now on, by identity."""
+    seen, draw = set(), cls._draw
+
+    def spy(self, dts, rng):
+        seen.add(threading.get_ident())
+        return draw(self, dts, rng)
+
+    monkeypatch.setattr(cls, "_draw", spy)
+    return seen
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("case", CHUNK_PIECES)
+def test_chunks_drawn_ahead_are_the_serial_chunks(monkeypatch, case, cpus):
+    monkeypatch.setattr(models_module.os, "cpu_count", lambda: cpus)
+    pieces = CHUNK_PIECES[case]
+    dim = pieces[0][1].dim
+    # 1, 2, 3 and 7 chunks, the last one short or full
+    for n_chunks, last in ((1, 33), (2, 17), (3, 5), (7, CHUNK)):
+        n = (n_chunks - 1) * CHUNK + last
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        got = list(_sample_chunks(pieces, dim, rng, n, CHUNK))
+        want = _serial_chunks(pieces, dim, ref, n, CHUNK)
+        assert [x.shape for x in got] == [x.shape for x in want]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), (case, n_chunks)
+        # and no draw ran past the last chunk
+        assert rng.bit_generator.state == ref.bit_generator.state, (case, n_chunks)
+
+
+@pytest.mark.parametrize("cpus, n_chunks, ahead", [(1, 7, False), (2, 2, False), (2, 3, True), (2, 7, True)])
+def test_chunk_draws_run_ahead_from_three_chunks_on_more_than_one_cpu(monkeypatch, cpus, n_chunks, ahead):
+    monkeypatch.setattr(models_module.os, "cpu_count", lambda: cpus)
+    seen = _draw_threads(monkeypatch, BrownianDrift)
+    list(_sample_chunks([(1.0, BrownianDrift(0.0, 1.0))], 1, np.random.default_rng(3), n_chunks * CHUNK, CHUNK))
+    # every draw on one worker, or every draw in the calling thread
+    assert len(seen) == 1
+    assert (threading.get_ident() not in seen) == ahead
+
+
+def test_single_batches_draw_in_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(models_module.os, "cpu_count", lambda: 2)
+    seen = _draw_threads(monkeypatch, BrownianDrift)
+    BrownianDrift(0.0, 1.0).sample_increment(1.0, np.random.default_rng(3), size=3 * 2**16 + 1)
+    assert seen == {threading.get_ident()}
+
+
+@pytest.mark.parametrize(
+    "model",
+    # the draws themselves overflow, on the worker; the finish does, in the caller
+    [CompoundPoisson(1.0, LaplaceJump(0.0, 1e308)), SymmetricStable(0.1, 1e30)],
+    ids=["draw", "finish"],
+)
+def test_failed_chunk_leaves_no_thread_behind(monkeypatch, model):
+    monkeypatch.setattr(models_module.os, "cpu_count", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="^a sampled increment overflowed") as excinfo:
+        list(_sample_chunks([(1.0, model)], 1, np.random.default_rng(4), 7 * CHUNK, CHUNK))
+    # joined before the error left the call, though its traceback still holds the frames
+    assert excinfo.traceback and threading.active_count() == before
+
+
+def test_dropped_chunks_leave_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(models_module.os, "cpu_count", lambda: 2)
+    before = threading.active_count()
+    chunks = _sample_chunks([(1.0, BrownianDrift(0.0, 1.0))], 1, np.random.default_rng(5), 7 * CHUNK, CHUNK)
+    assert threading.active_count() == before  # nothing starts before the first chunk is taken
+    next(chunks)
+    assert threading.active_count() == before + 1  # the worker draws the next chunk
+    del chunks
+    assert threading.active_count() == before

@@ -1,5 +1,7 @@
 """Shared plumbing: seed splitting, input checks and CSV formatting."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from semilevy.models import BrownianDrift
 from semilevy.schedule import make_splice, sample_path, sample_paths, single_segment
 from semilevy.skeleton import RationalStep, ball_visit_curve, occupations_csv, sample_walks
 from semilevy.util import (
-    CSV_ARRAY_MIN_VALUES, CSV_CHUNK_VALUES, MAX_VALUES, _csv_tables, _digits, check_counts, check_positive, check_size,
-    format_csv, render_line, split_seed, split_seeds, stream_states,
+    CSV_ARRAY_MIN_VALUES, CSV_CHUNK_VALUES, MAX_VALUES, _csv_tables, _digits, check_counts, check_increasing,
+    check_positive, check_size, format_csv, map_ahead, render_line, split_seed, split_seeds, stream_states,
 )
 
 MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 123456789, 0x9E3779B97F4A7C15]
@@ -225,3 +227,45 @@ def test_checks_name_what_they_refuse():
     for bad, text in ((np.float64(-1.0), "-1.0"), (np.float64(np.nan), "nan"), (-1.0, "-1.0"), (0, "0")):
         with pytest.raises(ValueError, match=f"^a must be positive and finite, got {text}$"):
             check_positive(a=bad)
+
+
+@pytest.mark.parametrize("ahead", [False, True])
+def test_map_ahead_is_map_in_order_one_call_at_a_time(ahead):
+    calls, threads = [], set()
+
+    def fn(a):
+        calls.append(a)
+        threads.add(threading.get_ident())
+        return a * a
+
+    before = threading.active_count()
+    results = map_ahead(fn, range(5), ahead)
+    assert calls == []  # nothing runs before the first result is asked for
+    assert next(results) == 0
+    # with ahead, the next item may be under way or done, never the one after it
+    assert calls in ([0], [0, 1]) if ahead else calls == [0]
+    assert list(results) == [1, 4, 9, 16]
+    assert calls == list(range(5)) and threading.active_count() == before
+    assert (threading.get_ident() in threads) != ahead and len(threads) == 1
+    assert list(map_ahead(fn, [], ahead)) == []
+
+
+def test_map_ahead_joins_its_worker_when_fn_raises():
+    def fn(a):
+        if a == 1:
+            raise ZeroDivisionError("item 1")
+        return a
+
+    before = threading.active_count()
+    results = map_ahead(fn, range(4), True)
+    assert next(results) == 0
+    with pytest.raises(ZeroDivisionError, match="^item 1$"):
+        next(results)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("times", [[np.inf, np.inf, 10.0], [1.0, np.inf, np.inf], [-np.inf, -np.inf], [np.nan, 1.0]])
+def test_increasing_times_with_infinities_are_refused_without_a_warning(times):
+    # inf - inf in the differences was a RuntimeWarning ahead of the refusal
+    with pytest.raises(ValueError, match="^t must be positive and finite, and strictly increasing$"):
+        check_increasing(times, "t")
