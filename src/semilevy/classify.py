@@ -7,8 +7,11 @@ Two analytic routes and one empirical diagnostic:
   is equivalent to I(q) diverging as q decreases to 0; any finite procedure
   can only fit the divergence, so the verdict states its evidence and admits
   an honest Inconclusive.  psi does not depend on q: a verdict evaluates it
-  once, on Gauss-Kronrod boxes in dimensions 1-3 or scrambled-Sobol nodes
-  from dimension 4 (see _ladder), and reads every q off the same values.
+  once and reads every q off the same values.  In dimensions 1-3 its nodes
+  are Gauss-Kronrod boxes, along the radius alone in d = 1 and for a
+  rotation-invariant law, whose angular integral is exact, and along the
+  radius and the angles for every other law; from dimension 4 they are
+  scrambled-Sobol nodes (see _ladder).
 * The one-dimensional mean criterion: with a finite one-period mean, the
   process is recurrent exactly when that mean vanishes.
 * Occupation-time growth across horizons, a Monte Carlo diagnostic that
@@ -60,8 +63,8 @@ QUAD_REL_TOL = 1e-6
 # is below this fraction of every ladder level
 PANEL_REL_TOL = 1e-9
 # refinement budget per ladder, in place of an unbounded bisection: boxes
-# (G10/K21 panels in d = 1, their tensor products over (r, theta) in d = 2
-# and with G7/K15 over (r, cos theta, phi) in d = 3), and psi points
+# (G10/K21 panels in r, their tensor products over (r, theta) in d = 2 and
+# with G7/K15 over (r, cos theta, phi) in d = 3), and psi points
 MAX_PANELS = 2000
 PSI_POINT_BUDGET = 2**24
 # psi is evaluated on at most this many points per period_exponent call; a
@@ -221,18 +224,23 @@ class _Psi:
         return frame
 
     def sphere(self, x: np.ndarray) -> np.ndarray:
-        """r^(d-1) times the integrand at z = r (s cos phi, s sin phi[, u]), per (r, phi) or (r, u, phi) row.
+        """r^(d-1) times the integrand at z = r times a unit direction, per row of x.
 
-        In d = 2 s = 1; in d = 3 s = sqrt(1 - u^2) and z is reflected by pole.
+        A (r,) row takes the direction e_1.  A (r, phi) row in d = 2 takes
+        (cos phi, sin phi); a (r, u, phi) row in d = 3 takes
+        (s cos phi, s sin phi, u) with s = sqrt(1 - u^2), reflected by pole.
         """
-        r, phi = x[:, 0], x[:, -1]
-        if x.shape[1] == 2:
+        r, dim = x[:, 0], self.schedule.dim
+        if x.shape[1] == 1:
+            directions = np.eye(1, dim)
+        elif dim == 2:
+            phi = x[:, 1]
             directions = np.column_stack([np.cos(phi), np.sin(phi)])
         else:
-            u = x[:, 1]
+            u, phi = x[:, 1], x[:, 2]
             s = np.sqrt(1.0 - u * u)
             directions = np.column_stack([s * np.cos(phi), s * np.sin(phi), u]) @ self.pole
-        return r ** (x.shape[1] - 1) * self.integrand(r[:, None] * directions)
+        return r ** (dim - 1) * self.integrand(r[:, None] * directions)
 
 
 def _qk(fx: np.ndarray, half: np.ndarray, kronrod: np.ndarray, gauss: np.ndarray):
@@ -307,6 +315,32 @@ def _gk_ladder(f, psi: _Psi, lo: np.ndarray, hi: np.ndarray, rules: Sequence[tup
     return value.sum(axis=1), box_err.sum(axis=1)
 
 
+def _invariant(schedule: SemiLevySchedule) -> bool:
+    """Whether the one-period psi is rotation invariant: every segment model says so (LevyModel._invariant)."""
+    return all(model._invariant() for model in schedule.models)
+
+
+def _gk_boxes(dim: int, a: float, radial: bool) -> tuple:
+    """The starting boxes of a d <= 3 ladder over B_a, (lo, hi, rules, area): I(q) is
+    area times the integral of _Psi.sphere over the boxes.
+
+    Each radial panel on the _origin_ladder breakpoints starts as one box,
+    G10/K21 along r.  radial: the panel alone, on the ray along e_1, and area
+    is the sphere's, |S^(d-1)| = 2, 2 pi, 4 pi, which is exact when psi is
+    rotation invariant.  Otherwise the angles join it.  Re 1/(q - psi(z)) is
+    even in z, since psi(-z) is the conjugate of psi(z), so d = 2 takes theta
+    in [0, pi] on K21 and area 2; d = 3 takes the whole sphere,
+    (cos theta, phi) on G7/K15, and area 1.
+    """
+    radii = np.concatenate([[0.0], _origin_ladder(a)[::-1], [a]])
+    spans = [] if radial else {2: [(0.0, np.pi)], 3: [(-1.0, 1.0), (0.0, 2.0 * np.pi)]}[dim]
+    rules = [_GK_RULES[21]] + [_GK_RULES[21 if dim < 3 else 15]] * len(spans)
+    lo = np.column_stack([radii[:-1], *(np.full(radii.size - 1, low) for low, _ in spans)])
+    hi = np.column_stack([radii[1:], *(np.full(radii.size - 1, high) for _, high in spans)])
+    area = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[dim] if radial else {2: 2.0, 3: 1.0}[dim]
+    return lo, hi, rules, area
+
+
 def _ball_volume(dim: int, a: float) -> float:
     # scipy.special and scipy.stats are imported where d >= 4 needs them:
     # they take most of a cold start, which every command would pay
@@ -353,34 +387,27 @@ def _qmc_ladder(psi: _Psi, a: float, seed: int):
 def _ladder(schedule: SemiLevySchedule, a: float, qs, seed: int):
     """I(q) over B_a at every q, the error estimate of each value, and a report of the work.
 
-    The only code that maps a dimension to an engine.  psi does not depend
-    on q, so one _Psi evaluates it once on a fixed node set and every level
-    is a weighted sum of _cf_integrand(psi, q) over it.  d <= 3: tensor
-    Gauss-Kronrod boxes, radial panels on the _origin_ladder breakpoints
-    (G10/K21) times _Psi.sphere's angles: none in d = 1, half the circle in
-    d = 2, whose doubled values and errors stand for the whole ball since the
-    integrand is even in z, and the whole sphere in d = 3 on G7/K15 angle
-    axes.  Their absolute error estimates must stay within QUAD_REL_TOL of
-    their values; the report's quad_rel_err is their largest ratio.
-    d >= 4: scrambled-Sobol batches, whose standard errors the report holds
-    as stderrs.  The report also holds psi_points.
+    The only code that maps a dimension and a law to an engine.  psi does
+    not depend on q, so one _Psi evaluates it once on a fixed node set and
+    every level is a weighted sum of _cf_integrand(psi, q) over it.  d <= 3:
+    tensor Gauss-Kronrod boxes (_gk_boxes), of two kinds.  Radial, in d = 1
+    and for a rotation-invariant law (_invariant) in d = 2, 3: G10/K21
+    panels in r alone, on r^(d-1) times the integrand along e_1, times the
+    sphere's area; in d = 1 that is the half line r >= 0, doubled.  Angular,
+    for every other law in d = 2, 3: the same panels times _Psi.sphere's
+    angles, half the circle in d = 2, doubled, and the whole sphere in
+    d = 3 on G7/K15 angle axes.  Their absolute error estimates must stay
+    within QUAD_REL_TOL of their values; the report's quad_rel_err is their
+    largest ratio.  d >= 4: scrambled-Sobol batches, whose standard errors
+    the report holds as stderrs.  The report also holds psi_points.
     """
     psi, dim = _Psi(schedule, np.asarray(qs, dtype=float)), schedule.dim
     if dim >= 4:
         values, errors = _qmc_ladder(psi, a, seed)
         _check_integrals(psi.qs, values, dim, a)
         return values, errors, {"psi_points": psi.points, "stderrs": errors}
-    radii = np.concatenate([[0.0], _origin_ladder(a)[::-1], [a]])
-    # Re 1/(q - psi(z)) is even in z, since psi(-z) is the conjugate of psi(z):
-    # d <= 2 integrates half the ball, r >= 0 in d = 1 and theta in [0, pi] in
-    # d = 2, and doubles it; d = 3 takes the whole sphere, (cos theta, phi)
-    spans = {1: [], 2: [(0.0, np.pi)], 3: [(-1.0, 1.0), (0.0, 2.0 * np.pi)]}[dim]
-    # G10/K21 along r, G7/K15 along the d = 3 angles
-    rules = [_GK_RULES[21]] + [_GK_RULES[21 if dim < 3 else 15]] * len(spans)
-    lo = np.column_stack([radii[:-1], *(np.full(radii.size - 1, low) for low, _ in spans)])
-    hi = np.column_stack([radii[1:], *(np.full(radii.size - 1, high) for _, high in spans)])
-    fold = 2.0 if dim < 3 else 1.0
-    values, errors = (fold * x for x in _gk_ladder(psi.integrand if dim == 1 else psi.sphere, psi, lo, hi, rules))
+    lo, hi, rules, area = _gk_boxes(dim, a, radial=dim == 1 or _invariant(schedule))
+    values, errors = (area * x for x in _gk_ladder(psi.sphere, psi, lo, hi, rules))
     _check_integrals(psi.qs, values, dim, a)
     for q, value, error in zip(psi.qs, values, errors):
         if not error <= QUAD_REL_TOL * value:
@@ -417,7 +444,7 @@ def chung_fuchs_integral(
     """I(q) = integral over B_a of Re(1/(q - psi(z))) dz for the one-period law.
 
     Computed by the verdict's ladder integrator (see _ladder for the engine
-    each dimension uses), so a failure to reach its accuracy raises
+    each dimension and law uses), so a failure to reach its accuracy raises
     QuadratureError rather than returning a silently wrong value; the
     standard error of the d >= 4 quasi-Monte Carlo value is available
     through ball_integral_qmc.

@@ -34,6 +34,8 @@ gives.
 
 Every moment of a model is read off one hook, its exponent's small-|z|
 expansion `expansion()`; `_moments` states once which moments are finite.
+`_invariant()` says, from the exact parameters, whether psi is rotation
+invariant; the Chung-Fuchs ladder then integrates the radius alone.
 
 Jump distributions for the compound Poisson model come from a small closed
 catalog (point mass, uniform box, Gaussian, two-sided exponential) so that
@@ -125,6 +127,11 @@ def _quadratic_form(pts: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", pts @ a, pts)
 
 
+def _centered_isotropic(mean: np.ndarray, cov: np.ndarray) -> bool:
+    """Whether mean is 0 and cov is c I, exactly: compared entry by entry with no tolerance."""
+    return not mean.any() and bool(np.array_equal(cov, cov[0, 0] * np.eye(cov.shape[0])))
+
+
 def _as_points(z, dim: int) -> tuple[np.ndarray, bool]:
     """Normalize z to an (m, dim) array; also report whether input was a single point."""
     pts = np.asarray(z, dtype=float)
@@ -164,6 +171,9 @@ class PointMass(FieldEq):
     def char_function(self, pts: np.ndarray) -> np.ndarray:
         return np.exp(1j * (pts @ self.x))
 
+    def _invariant(self) -> bool:
+        return not self.x.any()
+
     def _cell_values(self, k: int, expected: float) -> float:
         return 0.0
 
@@ -183,6 +193,10 @@ class _DrawnJumps(FieldEq):
 
     def _cell_values(self, k, expected):
         return expected * self.dim
+
+    def _invariant(self):
+        # a box or a product of one-dimensional laws: never rotation invariant in d >= 2
+        return False
 
     def _draw_cells(self, counts, rng):
         total = int(counts.sum())
@@ -262,6 +276,9 @@ class GaussianJump(FieldEq):
 
     def char_function(self, pts: np.ndarray) -> np.ndarray:
         return np.exp(1j * (pts @ self.mu) - 0.5 * _quadratic_form(pts, self.cov))
+
+    def _invariant(self) -> bool:
+        return _centered_isotropic(self.mu, self.cov)
 
     def _cell_values(self, k, expected):
         return float(k * self.dim)
@@ -491,6 +508,11 @@ class LevyModel(FieldEq):
     def _exponent(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _invariant(self) -> bool:
+        """Whether psi(R z) = psi(z) for every rotation R, read off the exact parameters with no
+        tolerance; a jump law answers the same question for its characteristic function."""
+        return False
+
     def _draw_values(self, dts: np.ndarray) -> float:
         """About the values one member's batch holds, to size blocks of members.
 
@@ -541,6 +563,9 @@ class BrownianDrift(LevyModel):
     def _exponent(self, pts):
         return 1j * (pts @ self.drift) - 0.5 * _quadratic_form(pts, self.cov)
 
+    def _invariant(self):
+        return _centered_isotropic(self.drift, self.cov)
+
     def _draw(self, dts, rng):
         return rng.standard_normal((dts.shape[0], self.dim))
 
@@ -583,6 +608,9 @@ class SymmetricStable(LevyModel):
     def _exponent(self, pts):
         norms = np.linalg.norm(pts, axis=1)
         return -self.scale * norms**self.alpha + 0j
+
+    def _invariant(self):
+        return True
 
     def _draw(self, dts, rng):
         k = dts.shape[0]
@@ -638,6 +666,9 @@ class CompoundPoisson(LevyModel):
     def _exponent(self, pts):
         return self.rate * (self.jump.char_function(pts) - 1.0)
 
+    def _invariant(self):
+        return self.jump._invariant()
+
     def _draw_values(self, dts):
         expected = self.rate * float(dts.sum())
         if expected > MAX_EXPECTED_JUMPS:
@@ -685,6 +716,9 @@ class PureDrift(LevyModel):
     def _exponent(self, pts):
         return 1j * (pts @ self.gamma)
 
+    def _invariant(self):
+        return not self.gamma.any()
+
     def _draw(self, dts, rng):
         return None
 
@@ -725,6 +759,9 @@ class SumModel(LevyModel):
         for c in self.components:
             out += c._exponent(pts)
         return out
+
+    def _invariant(self):
+        return all(c._invariant() for c in self.components)
 
     def _draw_values(self, dts):
         return sum(c._draw_values(dts) for c in self.components)

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from semilevy import classify
@@ -188,6 +190,9 @@ def test_quadrature_failure_is_explicit():
 
 LADDER_QS = 1e-2 * 4.0 ** (-np.arange(8, dtype=float))
 BM2 = single_segment(BrownianDrift(np.zeros(2), np.eye(2)), 1.0)
+# laws that are not rotation invariant keep the angular boxes in d = 2, 3
+BM2_ANISO = single_segment(BrownianDrift(np.zeros(2), np.diag([1.0, 2.0])), 1.0)
+BM3_ANISO = single_segment(BrownianDrift(np.zeros(3), np.diag([1.0, 1.0, 2.0])), 1.0)
 
 
 def test_gauss_kronrod_constants():
@@ -318,7 +323,10 @@ def test_ladder_evaluates_psi_in_few_bounded_calls(monkeypatch):
     assert max(sizes) <= classify.PSI_CHUNK
     assert v.evidence["psi_points"] == sum(sizes)
     sizes.clear()
-    v = chung_fuchs_verdict(BM3)
+    # the angular d = 3 boxes: more than PSI_CHUNK points, in bounded calls
+    assert not classify._invariant(BM3_ANISO)
+    v = chung_fuchs_verdict(BM3_ANISO)
+    assert v.evidence["psi_points"] > classify.PSI_CHUNK
     assert max(sizes) <= classify.PSI_CHUNK
     assert v.evidence["psi_points"] == sum(sizes)
 
@@ -375,8 +383,9 @@ def test_integrand_is_even_in_z(dim):
     ],
 )
 def test_half_ball_ladder_matches_the_mirrored_full_ball(sched):
-    # d <= 2 integrates r >= 0 (d = 1) or theta in [0, pi] (d = 2) and doubles; the
-    # reference adds the mirror image z -> -z of every box and does not double
+    # d <= 2 integrates r >= 0 (d = 1, and on the ray of an invariant law in d = 2) or
+    # theta in [0, pi] (d = 2) and doubles; the reference adds the mirror image z -> -z
+    # of every box and does not double
     values, errors, _ = classify._ladder(sched, 1.0, LADDER_QS, seed=0)
     psi = classify._Psi(sched, LADDER_QS)
     radii = np.concatenate([[0.0], classify._origin_ladder(1.0)[::-1], [1.0]])
@@ -394,25 +403,131 @@ def test_half_ball_ladder_matches_the_mirrored_full_ball(sched):
     assert np.all(full_errors <= classify.QUAD_REL_TOL * full)
 
 
+def _rotation(dim, rng):
+    # a random rotation: the Q of a Gaussian matrix's QR, signs fixed, with determinant +1
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def _invariant_models(draw, dim):
+    # a model of one invariant kind, or a SumModel of two
+    c = draw(st.floats(0.05, 20.0))
+    kinds = [
+        lambda: BrownianDrift(np.zeros(dim), c * np.eye(dim)),
+        lambda: SymmetricStable(draw(st.floats(0.2, 2.0)), c, dim),
+        lambda: CompoundPoisson(c, GaussianJump(np.zeros(dim), draw(st.floats(0.05, 5.0)) * np.eye(dim))),
+        lambda: CompoundPoisson(c, PointMass(np.zeros(dim))),
+        lambda: PureDrift(np.zeros(dim)),
+    ]
+    model = kinds[draw(st.integers(0, len(kinds) - 1))]()
+    if draw(st.booleans()):
+        model = SumModel((model, kinds[draw(st.integers(0, len(kinds) - 1))]()))
+    return model
+
+
+@st.composite
+def invariant_schedules(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    first = _invariant_models(draw, dim)
+    if draw(st.booleans()):
+        return single_segment(first, draw(st.floats(0.1, 3.0)))
+    return make_splice(first, _invariant_models(draw, dim), draw(st.floats(0.1, 0.9)), 1.0)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(sched=invariant_schedules(), seed=st.integers(0, 2**32 - 1))
+def test_invariant_schedules_have_rotation_invariant_exponents(sched, seed):
+    # the radial ladder's premise: a schedule whose every segment says it is invariant has
+    # psi(R z) = psi(z) under rotations R, to rounding
+    assert classify._invariant(sched)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(64, sched.dim))
+    z *= (np.geomspace(0.3, 30.0, 64) / np.linalg.norm(z, axis=1))[:, None]
+    at_z = period_exponent(sched, z)
+    for _ in range(3):
+        np.testing.assert_allclose(period_exponent(sched, z @ _rotation(sched.dim, rng).T), at_z, rtol=1e-13, atol=0)
+
+
+def _near_misses():
+    # one exact change away from an invariant law: each must keep the angular boxes
+    bm2, zero2 = BrownianDrift(np.zeros(2), np.eye(2)), np.zeros(2)
+    stable2 = SymmetricStable(1.5, 1.0, 2)
+    return {
+        "cov diag(1, 1 + 2^-52)": single_segment(BrownianDrift(zero2, np.diag([1.0, 1.0 + 2.0**-52])), 1.0),
+        "cov with an off-diagonal 1e-300": single_segment(BrownianDrift(zero2, [[1.0, 1e-300], [1e-300, 1.0]]), 1.0),
+        "BM drift 1e-300 on one axis": single_segment(BrownianDrift([0.0, 1e-300], np.eye(2)), 1.0),
+        "pure drift 1e-300 on one axis": single_segment(PureDrift([1e-300, 0.0, 0.0]), 1.0),
+        "Gaussian jump with mean": single_segment(CompoundPoisson(1.0, GaussianJump([0.0, 1e-300], np.eye(2))), 1.0),
+        "Gaussian jump cov diag(1, 2)": single_segment(CompoundPoisson(1.0, GaussianJump(zero2, np.diag([1.0, 2.0]))), 1.0),
+        "uniform jumps": single_segment(CompoundPoisson(1.0, UniformJump(-np.ones(2), np.ones(2))), 1.0),
+        "Laplace jumps": single_segment(CompoundPoisson(1.0, LaplaceJump(zero2, 1.0)), 1.0),
+        "point mass off 0": single_segment(CompoundPoisson(1.0, PointMass([0.0, 1e-300])), 1.0),
+        "sum with one drift": single_segment(SumModel((stable2, bm2, PureDrift([0.0, 0.1]))), 1.0),
+        "splice with one anisotropic part": make_splice(stable2, BrownianDrift(zero2, np.diag([1.0, 2.0])), 0.5, 1.0),
+        "3-d splice with Laplace jumps": make_splice(
+            SymmetricStable(0.8, 1.0, 3), CompoundPoisson(1.0, LaplaceJump(np.zeros(3), 1.0)), 0.5, 1.0
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_near_misses()))
+def test_near_invariant_schedules_are_refused(name):
+    assert not classify._invariant(_near_misses()[name])
+
+
+def _radial_laws(dim):
+    # invariant laws of every kind the radial engine serves
+    zero, eye = np.zeros(dim), np.eye(dim)
+    return [
+        single_segment(BrownianDrift(zero, 1.3 * eye), 1.0),
+        *(single_segment(SymmetricStable(alpha, 1.0, dim), 1.0) for alpha in (0.8, 1.0, 1.5, 1.9)),
+        single_segment(SumModel((SymmetricStable(1.5, 0.5, dim), BrownianDrift(zero, 0.7 * eye))), 1.0),
+        single_segment(CompoundPoisson(2.0, GaussianJump(zero, 0.5 * eye)), 1.0),
+        make_splice(SymmetricStable(1.2, 1.0, dim), CompoundPoisson(1.5, GaussianJump(zero, eye)), 0.4, 1.0),
+    ]
+
+
+@pytest.mark.parametrize("sched", [*_radial_laws(2), *_radial_laws(3)])
+def test_radial_ladder_matches_the_angular_boxes(sched):
+    # for an invariant law the angular integral is exact: the radial _ladder and the angular
+    # boxes it replaces agree at every level, and the radial one costs fewer psi points
+    assert classify._invariant(sched)
+    values, errors, work = classify._ladder(sched, 1.0, LADDER_QS, seed=0)
+    psi = classify._Psi(sched, LADDER_QS)
+    lo, hi, rules, area = classify._gk_boxes(sched.dim, 1.0, radial=False)
+    angular, angular_errors = (area * x for x in classify._gk_ladder(psi.sphere, psi, lo, hi, rules))
+    np.testing.assert_allclose(values, angular, rtol=1e-12, atol=0)
+    assert np.all(errors <= classify.QUAD_REL_TOL * values)
+    assert np.all(angular_errors <= classify.QUAD_REL_TOL * angular)
+    assert work["psi_points"] < psi.points
+
+
 @pytest.mark.parametrize(
     "sched, points",
     [
         (BM1, 1_218 // 2),  # exactly half the whole line's panels
-        (BM2, 12_789),
+        (BM2, 609),  # radial: the panels of d = 1
+        (BM2_ANISO, 19_845),
         (single_segment(BrownianDrift(np.array([0.5, 0.0]), np.eye(2)), 1.0), 120_393),
-        (BM3, 108_675),
+        (BM3, 483),
+        (BM3_ANISO, 165_375),
     ],
-    ids=["bm1", "bm2", "bm2-drift", "bm3"],
+    ids=["bm1", "bm2", "bm2-aniso", "bm2-drift", "bm3", "bm3-aniso"],
 )
 def test_ladder_psi_points_are_pinned(sched, points):
-    # the work of the half ball in d <= 2 and of the G7/K15 angle axes in d = 3:
-    # a change that gives either back fails here
+    # the work of the half ball in d <= 2, of the G7/K15 angle axes in d = 3 and of
+    # the radial panels alone for invariant laws in d = 2, 3: a change that gives any
+    # of them back fails here
     assert chung_fuchs_verdict(sched).evidence["psi_points"] == points
 
 
 def test_nan_exponent_raises_instead_of_refining(monkeypatch):
     monkeypatch.setattr(classify, "period_exponent", lambda schedule, z: np.full(len(z), np.nan + 0j))
-    for sched in (BM1, BM2, BM3):
+    # both engines: radial (d = 1 and invariant laws) and angular
+    for sched in (BM1, BM2, BM2_ANISO, BM3, BM3_ANISO):
         # the value prints as a plain number
         with pytest.raises(QuadratureError, match=r"-d Chung-Fuchs integral is nan at q=0\.01, a=1$"):
             chung_fuchs_integral(sched, 1.0, 1e-2)
@@ -421,7 +536,7 @@ def test_nan_exponent_raises_instead_of_refining(monkeypatch):
 def test_underflowing_integral_raises():
     # on the smallest positive radius every I(q) rounds to 0: an error, not a
     # relative error estimate of 0/0
-    for sched in (BM1, BM2, BM3):
+    for sched in (BM1, BM2, BM2_ANISO, BM3, BM3_ANISO):
         with pytest.raises(QuadratureError, match="Chung-Fuchs integral is"):
             chung_fuchs_integral(sched, 5e-324, 1e-2)
 
