@@ -7,11 +7,12 @@ Two analytic routes and one empirical diagnostic:
   is equivalent to I(q) diverging as q decreases to 0; any finite procedure
   can only fit the divergence, so the verdict states its evidence and admits
   an honest Inconclusive.  psi does not depend on q: a verdict evaluates it
-  once and reads every q off the same values.  In dimensions 1-3 its nodes
-  are Gauss-Kronrod boxes, along the radius alone in d = 1 and for a
-  rotation-invariant law, whose angular integral is exact, and along the
-  radius and the angles for every other law; from dimension 4 they are
-  scrambled-Sobol nodes (see _ladder).
+  once and reads every q off the same values.  Its nodes are Gauss-Kronrod
+  boxes along the radius alone in d = 1 and for a rotation-invariant law
+  plus a drift, psi(z) = i<m, z> - phi(|z|), whose angular integral has a
+  closed form (in d >= 4 only with m = 0); along the radius and the angles
+  for every other law in d = 2, 3; and scrambled-Sobol nodes for every
+  other law from dimension 4 (see _ladder).
 * The one-dimensional mean criterion: with a finite one-period mean, the
   process is recurrent exactly when that mean vanishes.
 * Occupation-time growth across horizons, a Monte Carlo diagnostic that
@@ -57,7 +58,7 @@ __all__ = [
     "empirical_verdict",
 ]
 
-# relative tolerance demanded of deterministic quadrature (d <= 3)
+# relative tolerance demanded of deterministic quadrature (the Gauss-Kronrod boxes)
 QUAD_REL_TOL = 1e-6
 # composite Gauss-Kronrod boxes are refined until the summed error estimate
 # is below this fraction of every ladder level
@@ -150,6 +151,31 @@ def _cf_integrand(psi: np.ndarray, q: float) -> np.ndarray:
         raise QuadratureError(f"Chung-Fuchs integrand out of range at q={q:g}") from exc
 
 
+def _radial_integrand(qs: np.ndarray, re_psi: np.ndarray, r: np.ndarray, drift: float, dim: int) -> np.ndarray:
+    # r^(d-1) times the mean over the unit sphere of Re(1/(q - psi(r u))) at
+    # every level q, shape (levels, len(r)), for psi(z) = i<m, z> - phi(|z|):
+    # with A = q + phi(r) = q - re_psi, B = r |m| and t the cosine to m, the
+    # mean of A / (A^2 + B^2 t^2) is 1 / sqrt(A^2 + B^2) in d = 2 and
+    # arctan(B/A) / B in d = 3 (1/A at B = 0), and 1/A from d = 4 on, where
+    # m = 0.  As in _cf_integrand, a square that overflows or underflows
+    # raises, and so does an infinite A or B, whose mean would be a silent
+    # zero; a nan passes on to _check_integrals
+    a, b = qs[:, None] - re_psi, r * drift
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        square = a * a + b * b
+        if dim == 2:
+            mean = 1.0 / np.sqrt(square)
+        elif dim == 3 and drift:
+            x = b / a
+            mean = np.where(x == 0.0, 1.0, np.arctan(x) / x) / a
+        else:
+            mean = 1.0 / a
+    bad = (np.isinf(square) | (square == 0.0)).any(axis=1)
+    if bad.any():
+        raise QuadratureError(f"Chung-Fuchs integrand out of range at q={qs[bad.argmax()]:g}")
+    return r ** (dim - 1) * mean
+
+
 def _origin_ladder(a: float) -> np.ndarray:
     # geometric breakpoints accumulating at 0: the integrand peak at the
     # origin can be as narrow as O(q), far below what adaptive subdivision
@@ -196,15 +222,28 @@ class _Psi:
     def affords(self, n: int) -> bool:
         return self.points + n <= PSI_POINT_BUDGET
 
-    def integrand(self, z: np.ndarray) -> np.ndarray:
-        """_cf_integrand(psi(z), q) at every level q, shape (levels, len(z))."""
+    def exponent(self, z: np.ndarray) -> np.ndarray:
+        """psi(z), counted."""
         self.points += len(z)
         with np.errstate(over="ignore", invalid="ignore"):  # _check_integrals refuses what inf and nan give
-            psi = period_exponent(self.schedule, z)
+            return period_exponent(self.schedule, z)
+
+    def integrand(self, z: np.ndarray) -> np.ndarray:
+        """_cf_integrand(psi(z), q) at every level q, shape (levels, len(z))."""
+        psi = self.exponent(z)
         out = np.empty((self.qs.size, len(z)))
         for level, q in enumerate(self.qs):
             out[level] = _cf_integrand(psi, float(q))
         return out
+
+    @cached_property
+    def drift(self) -> Optional[float]:
+        """|m| where the integrand's mean over each sphere has a closed form (_radial_integrand):
+        psi(z) = i<m, z> - phi(|z|) with phi real (_invariant_drift) in d = 2, 3, and with
+        m = 0 from d = 4 on; None for every other law, and in d = 1."""
+        dim = self.schedule.dim
+        m = None if dim == 1 else _invariant_drift(self.schedule)
+        return None if m is None or (dim >= 4 and m.any()) else math.hypot(*m)
 
     @cached_property
     def pole(self) -> np.ndarray:
@@ -213,7 +252,11 @@ class _Psi:
         A drift m puts a sharp peak on the plane <m, z> = 0; with the pole
         along m that plane is u = 0, where the first halving along u puts a
         box edge.  A reflection maps the ball onto itself, keeping volume, so
-        it changes the cost of I(q), never its value.
+        it changes the cost of I(q), never its value.  Only the angular boxes
+        read it, so it serves the drifting laws in d = 3 that are not rotation
+        invariant.  It pays there: BM with drift (0.2, -0.4, 0.1) and cov
+        diag(1, 2, 0.5) settles in 6,062,175 psi points, where the identity
+        frame runs out of budget at an error of 3.8e-4 of I(0.01).
         """
         m, frame = period_mean(self.schedule), np.eye(3)
         norm = 0.0 if m is None else float(np.linalg.norm(m))
@@ -226,11 +269,15 @@ class _Psi:
     def sphere(self, x: np.ndarray) -> np.ndarray:
         """r^(d-1) times the integrand at z = r times a unit direction, per row of x.
 
-        A (r,) row takes the direction e_1.  A (r, phi) row in d = 2 takes
-        (cos phi, sin phi); a (r, u, phi) row in d = 3 takes
+        A (r,) row takes the direction e_1 in d = 1, and from d = 2 on the
+        integrand's mean over the sphere of radius r, in closed form from
+        psi(r e_1) and drift (_radial_integrand).  A (r, phi) row in d = 2
+        takes (cos phi, sin phi); a (r, u, phi) row in d = 3 takes
         (s cos phi, s sin phi, u) with s = sqrt(1 - u^2), reflected by pole.
         """
         r, dim = x[:, 0], self.schedule.dim
+        if x.shape[1] == 1 and dim > 1:
+            return _radial_integrand(self.qs, self.exponent(r[:, None] * np.eye(1, dim)).real, r, self.drift, dim)
         if x.shape[1] == 1:
             directions = np.eye(1, dim)
         elif dim == 2:
@@ -315,35 +362,51 @@ def _gk_ladder(f, psi: _Psi, lo: np.ndarray, hi: np.ndarray, rules: Sequence[tup
     return value.sum(axis=1), box_err.sum(axis=1)
 
 
-def _invariant(schedule: SemiLevySchedule) -> bool:
-    """Whether the one-period psi is rotation invariant: every segment model says so (LevyModel._invariant)."""
-    return all(model._invariant() for model in schedule.models)
+def _invariant_drift(schedule: SemiLevySchedule) -> Optional[np.ndarray]:
+    """The m with the one-period psi(z) - i<m, z> real and rotation invariant: the segment
+    models' (LevyModel._invariant_drift) weighted by their durations, or None when one has none."""
+    m = np.zeros(schedule.dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # an m of inf or nan fails the ladder later
+        for duration, model in schedule.segments:
+            part = model._invariant_drift()
+            if part is None:
+                return None
+            m = m + duration * part
+    return m
+
+
+def _sphere_area(dim: int) -> float:
+    # |S^(d-1)| = 2 pi^(d/2) / Gamma(d/2), written out as 2, 2 pi and 4 pi in d <= 3; math.lgamma,
+    # not scipy.special, since a cold import of scipy.special would cost more than the whole ladder
+    if dim <= 3:
+        return {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[dim]
+    return 2.0 * math.exp(0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim))
 
 
 def _gk_boxes(dim: int, a: float, radial: bool) -> tuple:
-    """The starting boxes of a d <= 3 ladder over B_a, (lo, hi, rules, area): I(q) is
+    """The starting boxes of a Gauss-Kronrod ladder over B_a, (lo, hi, rules, area): I(q) is
     area times the integral of _Psi.sphere over the boxes.
 
     Each radial panel on the _origin_ladder breakpoints starts as one box,
-    G10/K21 along r.  radial: the panel alone, on the ray along e_1, and area
-    is the sphere's, |S^(d-1)| = 2, 2 pi, 4 pi, which is exact when psi is
-    rotation invariant.  Otherwise the angles join it.  Re 1/(q - psi(z)) is
-    even in z, since psi(-z) is the conjugate of psi(z), so d = 2 takes theta
-    in [0, pi] on K21 and area 2; d = 3 takes the whole sphere,
-    (cos theta, phi) on G7/K15, and area 1.
+    G10/K21 along r.  radial, in any dimension: the panel alone, on the ray
+    along e_1 in d = 1 and on the mean over each sphere from d = 2 on, and
+    area is the sphere's, |S^(d-1)| (_sphere_area).  Otherwise, in d = 2, 3,
+    the angles join it.  Re 1/(q - psi(z)) is even in z, since psi(-z) is the
+    conjugate of psi(z), so d = 2 takes theta in [0, pi] on K21 and area 2;
+    d = 3 takes the whole sphere, (cos theta, phi) on G7/K15, and area 1.
     """
     radii = np.concatenate([[0.0], _origin_ladder(a)[::-1], [a]])
     spans = [] if radial else {2: [(0.0, np.pi)], 3: [(-1.0, 1.0), (0.0, 2.0 * np.pi)]}[dim]
     rules = [_GK_RULES[21]] + [_GK_RULES[21 if dim < 3 else 15]] * len(spans)
     lo = np.column_stack([radii[:-1], *(np.full(radii.size - 1, low) for low, _ in spans)])
     hi = np.column_stack([radii[1:], *(np.full(radii.size - 1, high) for _, high in spans)])
-    area = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[dim] if radial else {2: 2.0, 3: 1.0}[dim]
+    area = _sphere_area(dim) if radial else {2: 2.0, 3: 1.0}[dim]
     return lo, hi, rules, area
 
 
 def _ball_volume(dim: int, a: float) -> float:
-    # scipy.special and scipy.stats are imported where d >= 4 needs them:
-    # they take most of a cold start, which every command would pay
+    # scipy.special and scipy.stats are imported where the QMC engine needs
+    # them: they take most of a cold start, which every command would pay
     from scipy.special import gammaln
 
     return math.exp(0.5 * dim * math.log(math.pi) - gammaln(0.5 * dim + 1.0)) * a**dim
@@ -389,24 +452,29 @@ def _ladder(schedule: SemiLevySchedule, a: float, qs, seed: int):
 
     The only code that maps a dimension and a law to an engine.  psi does
     not depend on q, so one _Psi evaluates it once on a fixed node set and
-    every level is a weighted sum of _cf_integrand(psi, q) over it.  d <= 3:
-    tensor Gauss-Kronrod boxes (_gk_boxes), of two kinds.  Radial, in d = 1
-    and for a rotation-invariant law (_invariant) in d = 2, 3: G10/K21
-    panels in r alone, on r^(d-1) times the integrand along e_1, times the
-    sphere's area; in d = 1 that is the half line r >= 0, doubled.  Angular,
-    for every other law in d = 2, 3: the same panels times _Psi.sphere's
-    angles, half the circle in d = 2, doubled, and the whole sphere in
-    d = 3 on G7/K15 angle axes.  Their absolute error estimates must stay
-    within QUAD_REL_TOL of their values; the report's quad_rel_err is their
-    largest ratio.  d >= 4: scrambled-Sobol batches, whose standard errors
-    the report holds as stderrs.  The report also holds psi_points.
+    every level is a weighted sum over it.  Tensor Gauss-Kronrod boxes
+    (_gk_boxes), of two kinds.  Radial: G10/K21 panels in r alone, times
+    the sphere's area.  In d = 1 they take the integrand along e_1, on the
+    half line r >= 0, doubled.  From d = 2 on they take r^(d-1) times the
+    integrand's mean over the sphere of radius r, in closed form from
+    psi(r e_1) (_radial_integrand), for a law with psi(z) = i<m, z> -
+    phi(|z|), phi real (_invariant_drift): any m in d = 2, 3, and m = 0
+    from d = 4 on (_Psi.drift).  Angular, for every other law in d = 2, 3:
+    the same panels times _Psi.sphere's angles, half the circle in d = 2,
+    doubled, and the whole sphere in d = 3 on G7/K15 angle axes.  Their
+    absolute error estimates must stay within QUAD_REL_TOL of their values;
+    the report's quad_rel_err is their largest ratio.  Every other law from
+    d = 4 on: scrambled-Sobol batches, whose standard errors the report
+    holds as stderrs.  The report also holds psi_points.
     """
     psi, dim = _Psi(schedule, np.asarray(qs, dtype=float)), schedule.dim
-    if dim >= 4:
+    if dim >= 4 and psi.drift is None:
         values, errors = _qmc_ladder(psi, a, seed)
         _check_integrals(psi.qs, values, dim, a)
         return values, errors, {"psi_points": psi.points, "stderrs": errors}
-    lo, hi, rules, area = _gk_boxes(dim, a, radial=dim == 1 or _invariant(schedule))
+    # the boxes go through psi in groups of at most GK_CHUNK nodes of dim coordinates
+    check_size(nodes=GK_CHUNK, coordinates=dim)
+    lo, hi, rules, area = _gk_boxes(dim, a, radial=dim == 1 or psi.drift is not None)
     values, errors = (area * x for x in _gk_ladder(psi.sphere, psi, lo, hi, rules))
     _check_integrals(psi.qs, values, dim, a)
     for q, value, error in zip(psi.qs, values, errors):
@@ -429,9 +497,11 @@ def ball_integral_qmc(schedule: SemiLevySchedule, a: float, q: float, seed: int 
     """Quasi-Monte Carlo value of the Chung-Fuchs integral with its standard error.
 
     Uses QMC_REPLICATES = 16 independently scrambled Sobol streams of
-    PSI_CHUNK = 2**16 nodes each (2**20 > 1e6 nodes), the same as a d >= 4
-    ladder; the standard error is the spread of the per-stream estimates.
-    In d = 3 it stays QMC, an independent check on the Gauss-Kronrod ladder.
+    PSI_CHUNK = 2**16 nodes each (2**20 > 1e6 nodes), the same as the
+    ladder of a d >= 4 law that is not rotation invariant or has a drift;
+    the standard error is the spread of the per-stream estimates.  In every
+    other case it stays QMC, an independent check on the Gauss-Kronrod
+    ladder.
     """
     check_positive(a=a, q=q)
     values, stderrs = _qmc_ladder(_Psi(schedule, np.array([q], dtype=float)), a, seed)
@@ -446,8 +516,8 @@ def chung_fuchs_integral(
     Computed by the verdict's ladder integrator (see _ladder for the engine
     each dimension and law uses), so a failure to reach its accuracy raises
     QuadratureError rather than returning a silently wrong value; the
-    standard error of the d >= 4 quasi-Monte Carlo value is available
-    through ball_integral_qmc.
+    standard error of a quasi-Monte Carlo value is available through
+    ball_integral_qmc.
     """
     check_positive(a=a, q=q)
     values, _, _ = _ladder(schedule, a, [q], seed)
@@ -460,7 +530,8 @@ def chung_fuchs_integral(
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope and R^2 of y against x."""
+    """Least-squares slope and R^2 of y against x; R^2 is 0 when the spread of y squares to 0,
+    as the values of a ladder over a ball of radius 1e-70 in d = 3 do (about 1e-205 each)."""
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))

@@ -34,8 +34,14 @@ gives.
 
 Every moment of a model is read off one hook, its exponent's small-|z|
 expansion `expansion()`; `_moments` states once which moments are finite.
-`_invariant()` says, from the exact parameters, whether psi is rotation
-invariant; the Chung-Fuchs ladder then integrates the radius alone.
+`_invariant_drift()` returns the m with psi(z) - i <m, z> real and rotation
+invariant, or None when there is none: gamma for a pure drift, the drift of
+a Brownian motion whose covariance is exactly c I, 0 for a stable law and
+for compound Poisson jumps whose characteristic function is real and
+invariant, and the sum of the parts' m for a sum.  It reads the exact
+parameters with no tolerance, never the mean, which no law with a stable
+part of alpha <= 1 has.  The Chung-Fuchs ladder then integrates the radius
+alone, on the angular mean of its integrand in closed form.
 
 Jump distributions for the compound Poisson model come from a small closed
 catalog (point mass, uniform box, Gaussian, two-sided exponential) so that
@@ -127,9 +133,9 @@ def _quadratic_form(pts: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", pts @ a, pts)
 
 
-def _centered_isotropic(mean: np.ndarray, cov: np.ndarray) -> bool:
-    """Whether mean is 0 and cov is c I, exactly: compared entry by entry with no tolerance."""
-    return not mean.any() and bool(np.array_equal(cov, cov[0, 0] * np.eye(cov.shape[0])))
+def _isotropic(cov: np.ndarray) -> bool:
+    """Whether cov is c I, exactly: compared entry by entry with no tolerance."""
+    return bool(np.array_equal(cov, cov[0, 0] * np.eye(cov.shape[0])))
 
 
 def _as_points(z, dim: int) -> tuple[np.ndarray, bool]:
@@ -171,8 +177,8 @@ class PointMass(FieldEq):
     def char_function(self, pts: np.ndarray) -> np.ndarray:
         return np.exp(1j * (pts @ self.x))
 
-    def _invariant(self) -> bool:
-        return not self.x.any()
+    def _invariant_drift(self):
+        return None if self.x.any() else np.zeros(self.dim)
 
     def _cell_values(self, k: int, expected: float) -> float:
         return 0.0
@@ -194,9 +200,9 @@ class _DrawnJumps(FieldEq):
     def _cell_values(self, k, expected):
         return expected * self.dim
 
-    def _invariant(self):
+    def _invariant_drift(self):
         # a box or a product of one-dimensional laws: never rotation invariant in d >= 2
-        return False
+        return None
 
     def _draw_cells(self, counts, rng):
         total = int(counts.sum())
@@ -277,8 +283,8 @@ class GaussianJump(FieldEq):
     def char_function(self, pts: np.ndarray) -> np.ndarray:
         return np.exp(1j * (pts @ self.mu) - 0.5 * _quadratic_form(pts, self.cov))
 
-    def _invariant(self) -> bool:
-        return _centered_isotropic(self.mu, self.cov)
+    def _invariant_drift(self):
+        return None if self.mu.any() or not _isotropic(self.cov) else np.zeros(self.dim)
 
     def _cell_values(self, k, expected):
         return float(k * self.dim)
@@ -508,10 +514,12 @@ class LevyModel(FieldEq):
     def _exponent(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _invariant(self) -> bool:
-        """Whether psi(R z) = psi(z) for every rotation R, read off the exact parameters with no
-        tolerance; a jump law answers the same question for its characteristic function."""
-        return False
+    def _invariant_drift(self) -> Optional[np.ndarray]:
+        """The m with psi(z) - i<m, z> real and rotation invariant, psi(z) = i<m, z> - phi(|z|),
+        read off the exact parameters with no tolerance, or None.  A jump law answers for the
+        compound Poisson process of its jumps at rate 1: 0 when its characteristic function is
+        real and rotation invariant, else None."""
+        return None
 
     def _draw_values(self, dts: np.ndarray) -> float:
         """About the values one member's batch holds, to size blocks of members.
@@ -563,8 +571,8 @@ class BrownianDrift(LevyModel):
     def _exponent(self, pts):
         return 1j * (pts @ self.drift) - 0.5 * _quadratic_form(pts, self.cov)
 
-    def _invariant(self):
-        return _centered_isotropic(self.drift, self.cov)
+    def _invariant_drift(self):
+        return self.drift.copy() if _isotropic(self.cov) else None
 
     def _draw(self, dts, rng):
         return rng.standard_normal((dts.shape[0], self.dim))
@@ -609,8 +617,8 @@ class SymmetricStable(LevyModel):
         norms = np.linalg.norm(pts, axis=1)
         return -self.scale * norms**self.alpha + 0j
 
-    def _invariant(self):
-        return True
+    def _invariant_drift(self):
+        return np.zeros(self.dim)
 
     def _draw(self, dts, rng):
         k = dts.shape[0]
@@ -666,8 +674,8 @@ class CompoundPoisson(LevyModel):
     def _exponent(self, pts):
         return self.rate * (self.jump.char_function(pts) - 1.0)
 
-    def _invariant(self):
-        return self.jump._invariant()
+    def _invariant_drift(self):
+        return self.jump._invariant_drift()
 
     def _draw_values(self, dts):
         expected = self.rate * float(dts.sum())
@@ -716,8 +724,8 @@ class PureDrift(LevyModel):
     def _exponent(self, pts):
         return 1j * (pts @ self.gamma)
 
-    def _invariant(self):
-        return not self.gamma.any()
+    def _invariant_drift(self):
+        return self.gamma.copy()
 
     def _draw(self, dts, rng):
         return None
@@ -760,8 +768,10 @@ class SumModel(LevyModel):
             out += c._exponent(pts)
         return out
 
-    def _invariant(self):
-        return all(c._invariant() for c in self.components)
+    def _invariant_drift(self):
+        drifts = [c._invariant_drift() for c in self.components]
+        # each part added in turn to zero, as _weighted_expansion adds the means
+        return None if any(m is None for m in drifts) else sum(drifts, np.zeros(self.dim))
 
     def _draw_values(self, dts):
         return sum(c._draw_values(dts) for c in self.components)

@@ -42,8 +42,9 @@ from semilevy.util import split_seed
 
 BM1 = single_segment(BrownianDrift(0.0, 1.0), 1.0)
 BM3 = single_segment(BrownianDrift(np.zeros(3), np.eye(3)), 1.0)
-# d >= 4 ladders keep the QMC engine
+# d >= 4: the radial engine for rotation-invariant laws without a drift, QMC for every other law
 BM4 = single_segment(BrownianDrift(np.zeros(4), np.eye(4)), 1.0)
+BM4_ANISO = single_segment(BrownianDrift(np.zeros(4), np.diag([1.0, 2.0, 1.0, 1.0])), 1.0)
 CAUCHY = single_segment(SymmetricStable(1.0, 1.0, 1), 1.0)
 
 
@@ -77,6 +78,11 @@ def bm3_drift_reference(m, a, q):
     # BrownianDrift(m, I) in d = 3: the cos(theta) integral of Re 1/(q + r^2/2 - i |m| r u) over
     # [-1, 1] is 2 arctan(|m| r / (q + r^2/2)) / (|m| r)
     return radial_reference(lambda r, q: np.arctan(m * r / (q + 0.5 * r * r)) / (m * r), a, q)
+
+
+def bm4_oracle(a, q):
+    # 2 pi^2 times the integral over [0, a] of r^3 / (q + r^2 / 2)
+    return np.pi**2 * (2.0 * a * a - 4.0 * q * np.log1p(a * a / (2.0 * q)))
 
 
 def bm2_drift_oracle(m, a, q):
@@ -161,13 +167,30 @@ def test_ball_integral_qmc_bounds_its_draws(monkeypatch):
 
     monkeypatch.setattr(classify, "_ball_points", no_draw)
     # 16 replicates of 2**16 nodes of 129 coordinates: refused from the sizes
-    # alone, by the verdict's ladder as by the single integral
+    # alone, by the verdict's ladder as by the single integral; a drift keeps
+    # the ladder on QMC, which a rotation-invariant law without one leaves
     bm128 = single_segment(BrownianDrift(np.zeros(128), 1.0), 1.0)
-    for call in (lambda: ball_integral_qmc(bm128, 1.0, 1e-3), lambda: chung_fuchs_verdict(bm128)):
+    drifting = single_segment(BrownianDrift(np.eye(1, 128)[0], 1.0), 1.0)
+    for call in (lambda: ball_integral_qmc(bm128, 1.0, 1e-3), lambda: chung_fuchs_verdict(drifting)):
         with pytest.raises(ValueError, match="more than the bound") as refused:
             call()
         # the refusal names its factors: the dimension is the only one a user sets
         assert "(replicates 16 x nodes 65536 x coordinates 129)" in str(refused.value)
+
+
+def test_radial_ladder_bounds_its_nodes(monkeypatch):
+    def no_psi(*args):
+        raise AssertionError("psi evaluated before the checks")
+
+    # groups of GK_CHUNK = 2**14 radial nodes of 8193 coordinates each: refused before any psi
+    monkeypatch.setattr(classify, "period_exponent", no_psi)
+    with pytest.raises(ValueError, match=r"\(nodes 16384 x coordinates 8193\), more than the bound"):
+        chung_fuchs_verdict(single_segment(SymmetricStable(1.5, 1.0, 8193), 1.0))
+    monkeypatch.undo()
+    # 128 coordinates, which QMC refuses, take the radial panels
+    v = chung_fuchs_verdict(single_segment(BrownianDrift(np.zeros(128), 1.0), 1.0))
+    assert v.decision is Decision.TRANSIENT
+    assert 0.0 < v.evidence["quad_rel_err"] <= classify.QUAD_REL_TOL
 
 
 def test_quadrature_failure_is_explicit():
@@ -193,6 +216,9 @@ BM2 = single_segment(BrownianDrift(np.zeros(2), np.eye(2)), 1.0)
 # laws that are not rotation invariant keep the angular boxes in d = 2, 3
 BM2_ANISO = single_segment(BrownianDrift(np.zeros(2), np.diag([1.0, 2.0])), 1.0)
 BM3_ANISO = single_segment(BrownianDrift(np.zeros(3), np.diag([1.0, 1.0, 2.0])), 1.0)
+BM2_DRIFT = single_segment(BrownianDrift(np.array([0.5, 0.0]), np.eye(2)), 1.0)
+BM2_DRIFT_ANISO = single_segment(BrownianDrift(np.array([0.5, 0.0]), np.diag([1.0, 2.0])), 1.0)
+BM3_DRIFT = single_segment(BrownianDrift(np.array([0.2, -0.4, 0.1]), np.eye(3)), 1.0)
 
 
 def test_gauss_kronrod_constants():
@@ -231,13 +257,19 @@ def test_gauss_kronrod_constants():
             lambda q: bm2_drift_oracle(5.0, 1.0, q),
             1e-8,
         ),
-        # d = 3 on (r, cos theta, phi) boxes
         (BM3, lambda q: bm3_oracle(1.0, q), classify.QUAD_REL_TOL),
         (
             single_segment(SymmetricStable(1.5, 1.0, 3), 1.0),
             lambda q: stable3_reference(1.5, 1.0, q),
             classify.QUAD_REL_TOL,
         ),
+        # the radial panels in d = 3 with a drift, and in d = 4
+        (
+            single_segment(BrownianDrift(np.array([0.0, 0.3, 0.4]), np.eye(3)), 1.0),
+            lambda q: bm3_drift_reference(0.5, 1.0, q),
+            classify.QUAD_REL_TOL,
+        ),
+        (BM4, lambda q: bm4_oracle(1.0, q), 1e-8),
     ],
 )
 def test_ladder_every_level_closed_form(sched, oracle, rel):
@@ -291,20 +323,54 @@ def test_ladder_matches_scipy_quad_reference(sched, q):
 
 
 def test_ladder_d4_equals_ball_integral_qmc():
-    values, errors, work = classify._ladder(BM4, 1.0, LADDER_QS, seed=5)
+    # a law that is not rotation invariant keeps QMC in d >= 4
+    assert classify._invariant_drift(BM4_ANISO) is None
+    values, errors, work = classify._ladder(BM4_ANISO, 1.0, LADDER_QS, seed=5)
     for q, value, error in zip(LADDER_QS, values, errors):
-        assert (value, error) == ball_integral_qmc(BM4, 1.0, float(q), seed=5)
+        assert (value, error) == ball_integral_qmc(BM4_ANISO, 1.0, float(q), seed=5)
     assert work["psi_points"] == 2**20
+
+
+@pytest.mark.parametrize(
+    "sched",
+    [
+        BM4,
+        single_segment(BrownianDrift(np.zeros(6), 0.5 * np.eye(6)), 1.0),
+        single_segment(SymmetricStable(1.5, 1.0, 4), 1.0),
+        make_splice(SymmetricStable(0.8, 1.0, 5), CompoundPoisson(2.0, GaussianJump(np.zeros(5), 1.0)), 0.5, 1.0),
+    ],
+    ids=["bm4", "bm6", "stable15-d4", "stable08-splice-d5"],
+)
+def test_radial_ladder_d4_and_up_agrees_with_qmc(sched):
+    # the radial panels times |S^(d-1)| against the 2**20 QMC nodes they replace, at one level
+    q = float(LADDER_QS[-1])
+    value, qmc_error = ball_integral_qmc(sched, 1.0, q, seed=3)
+    values, errors, work = classify._ladder(sched, 1.0, [q], seed=3)
+    assert abs(values[0] - value) <= 4.0 * qmc_error
+    assert errors[0] <= classify.QUAD_REL_TOL * values[0]
+    assert work["psi_points"] < 1000 and "stderrs" not in work
+
+
+def test_sphere_area_from_lgamma():
+    # |S^(d-1)| = 2 pi^(d/2) / Gamma(d/2): 2 pi^2, 8 pi^2 / 3 and pi^3 in d = 4, 5, 6
+    for dim, area in ((4, 2.0 * np.pi**2), (5, 8.0 * np.pi**2 / 3.0), (6, np.pi**3)):
+        assert classify._sphere_area(dim) == pytest.approx(area, rel=1e-15)
+    assert [classify._sphere_area(d) for d in (1, 2, 3)] == [2.0, 2.0 * np.pi, 4.0 * np.pi]
 
 
 @pytest.mark.parametrize("direction", [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], np.ones(3) / np.sqrt(3.0)])
 def test_ladder_d3_drift_direction_leaves_the_integral(direction):
-    # the pole follows the one-period mean, so any direction of the same drift gives the same I(q)
+    # any direction of the same drift gives the same I(q): on the radial panels, which read
+    # only |m|, and on the angular boxes, whose pole follows the one-period mean
     sched = single_segment(BrownianDrift(0.5 * np.asarray(direction), np.eye(3)), 1.0)
     values, errors, _ = classify._ladder(sched, 1.0, LADDER_QS, seed=0)
-    for q, value in zip(LADDER_QS, values):
-        assert value == pytest.approx(bm3_drift_reference(0.5, 1.0, q), rel=classify.QUAD_REL_TOL)
-    assert np.all(errors <= classify.QUAD_REL_TOL * values)
+    psi = classify._Psi(sched, LADDER_QS)
+    lo, hi, rules, area = classify._gk_boxes(3, 1.0, radial=False)
+    angular, angular_errors = (area * x for x in classify._gk_ladder(psi.sphere, psi, lo, hi, rules))
+    for engine_values, engine_errors in ((values, errors), (angular, angular_errors)):
+        for q, value in zip(LADDER_QS, engine_values):
+            assert value == pytest.approx(bm3_drift_reference(0.5, 1.0, q), rel=classify.QUAD_REL_TOL)
+        assert np.all(engine_errors <= classify.QUAD_REL_TOL * engine_values)
 
 
 def test_ladder_evaluates_psi_in_few_bounded_calls(monkeypatch):
@@ -319,12 +385,15 @@ def test_ladder_evaluates_psi_in_few_bounded_calls(monkeypatch):
     assert len(sizes) <= 24
     assert v.evidence["psi_points"] == sum(sizes)
     sizes.clear()
-    v = chung_fuchs_verdict(single_segment(BrownianDrift(np.array([0.5, 0.0]), np.eye(2)), 1.0))
+    # the angular d = 2 boxes of a drifting law that is not rotation invariant
+    assert classify._invariant_drift(BM2_DRIFT_ANISO) is None
+    v = chung_fuchs_verdict(BM2_DRIFT_ANISO)
+    assert v.evidence["psi_points"] > classify.PSI_CHUNK
     assert max(sizes) <= classify.PSI_CHUNK
     assert v.evidence["psi_points"] == sum(sizes)
     sizes.clear()
     # the angular d = 3 boxes: more than PSI_CHUNK points, in bounded calls
-    assert not classify._invariant(BM3_ANISO)
+    assert classify._invariant_drift(BM3_ANISO) is None
     v = chung_fuchs_verdict(BM3_ANISO)
     assert v.evidence["psi_points"] > classify.PSI_CHUNK
     assert max(sizes) <= classify.PSI_CHUNK
@@ -332,11 +401,10 @@ def test_ladder_evaluates_psi_in_few_bounded_calls(monkeypatch):
 
 
 def test_ladder_point_budget_raises(monkeypatch):
-    # the sharp angular peak of 2-d BM with drift needs far more than this
+    # the sharp angular peak of 2-d BM with drift and an anisotropic covariance needs far more than this
     monkeypatch.setattr(classify, "PSI_POINT_BUDGET", 100_000)
-    sched = single_segment(BrownianDrift(np.array([0.5, 0.0]), np.eye(2)), 1.0)
     with pytest.raises(QuadratureError):
-        chung_fuchs_verdict(sched)
+        chung_fuchs_verdict(BM2_DRIFT_ANISO)
 
 
 def _premise_schedules(dim):
@@ -440,9 +508,9 @@ def invariant_schedules(draw):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(sched=invariant_schedules(), seed=st.integers(0, 2**32 - 1))
 def test_invariant_schedules_have_rotation_invariant_exponents(sched, seed):
-    # the radial ladder's premise: a schedule whose every segment says it is invariant has
-    # psi(R z) = psi(z) under rotations R, to rounding
-    assert classify._invariant(sched)
+    # the radial ladder's premise: a schedule whose every segment says it is invariant with
+    # m = 0 has psi(R z) = psi(z) under rotations R, to rounding
+    assert np.array_equal(classify._invariant_drift(sched), np.zeros(sched.dim))
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(64, sched.dim))
     z *= (np.geomspace(0.3, 30.0, 64) / np.linalg.norm(z, axis=1))[:, None]
@@ -453,19 +521,19 @@ def test_invariant_schedules_have_rotation_invariant_exponents(sched, seed):
 
 def _near_misses():
     # one exact change away from an invariant law: each must keep the angular boxes
-    bm2, zero2 = BrownianDrift(np.zeros(2), np.eye(2)), np.zeros(2)
-    stable2 = SymmetricStable(1.5, 1.0, 2)
+    zero2, stable2 = np.zeros(2), SymmetricStable(1.5, 1.0, 2)
     return {
         "cov diag(1, 1 + 2^-52)": single_segment(BrownianDrift(zero2, np.diag([1.0, 1.0 + 2.0**-52])), 1.0),
         "cov with an off-diagonal 1e-300": single_segment(BrownianDrift(zero2, [[1.0, 1e-300], [1e-300, 1.0]]), 1.0),
-        "BM drift 1e-300 on one axis": single_segment(BrownianDrift([0.0, 1e-300], np.eye(2)), 1.0),
-        "pure drift 1e-300 on one axis": single_segment(PureDrift([1e-300, 0.0, 0.0]), 1.0),
         "Gaussian jump with mean": single_segment(CompoundPoisson(1.0, GaussianJump([0.0, 1e-300], np.eye(2))), 1.0),
         "Gaussian jump cov diag(1, 2)": single_segment(CompoundPoisson(1.0, GaussianJump(zero2, np.diag([1.0, 2.0]))), 1.0),
         "uniform jumps": single_segment(CompoundPoisson(1.0, UniformJump(-np.ones(2), np.ones(2))), 1.0),
         "Laplace jumps": single_segment(CompoundPoisson(1.0, LaplaceJump(zero2, 1.0)), 1.0),
         "point mass off 0": single_segment(CompoundPoisson(1.0, PointMass([0.0, 1e-300])), 1.0),
-        "sum with one drift": single_segment(SumModel((stable2, bm2, PureDrift([0.0, 0.1]))), 1.0),
+        "drifting BM with cov diag(1, 2)": single_segment(BrownianDrift([0.5, 0.0], np.diag([1.0, 2.0])), 1.0),
+        "sum with one anisotropic part": single_segment(
+            SumModel((stable2, PureDrift([0.0, 0.1]), BrownianDrift(zero2, np.diag([1.0, 2.0])))), 1.0
+        ),
         "splice with one anisotropic part": make_splice(stable2, BrownianDrift(zero2, np.diag([1.0, 2.0])), 0.5, 1.0),
         "3-d splice with Laplace jumps": make_splice(
             SymmetricStable(0.8, 1.0, 3), CompoundPoisson(1.0, LaplaceJump(np.zeros(3), 1.0)), 0.5, 1.0
@@ -475,7 +543,74 @@ def _near_misses():
 
 @pytest.mark.parametrize("name", list(_near_misses()))
 def test_near_invariant_schedules_are_refused(name):
-    assert not classify._invariant(_near_misses()[name])
+    assert classify._invariant_drift(_near_misses()[name]) is None
+
+
+def _drifts_accepted():
+    # a drift is no near miss: psi(z) - i<m, z> stays rotation invariant, and the hook returns
+    # m, the durations' weighted sum of the parts' m, however small, and read off the exact
+    # parameters where the one-period mean is infinite
+    bm2, stable2 = BrownianDrift(np.zeros(2), np.eye(2)), SymmetricStable(1.5, 1.0, 2)
+    return {
+        "BM drift 1e-300 on one axis": (single_segment(BrownianDrift([0.0, 1e-300], np.eye(2)), 1.0), [0.0, 1e-300]),
+        "pure drift 1e-300 on one axis": (single_segment(PureDrift([1e-300, 0.0, 0.0]), 1.0), [1e-300, 0.0, 0.0]),
+        "sum with one drift": (single_segment(SumModel((stable2, bm2, PureDrift([0.0, 0.1]))), 1.0), [0.0, 0.1]),
+        "splice of drifts": (
+            SemiLevySchedule(3.0, ((1.0, BrownianDrift([1.0, 2.0], 0.5)), (2.0, PureDrift([-0.25, 0.5])))),
+            [0.5, 3.0],
+        ),
+        "Cauchy with a drift, no mean": (
+            single_segment(SumModel((SymmetricStable(1.0, 1.0, 3), PureDrift([0.0, 0.0, 2.0]))), 0.5),
+            [0.0, 0.0, 1.0],
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_drifts_accepted()))
+def test_invariant_laws_with_a_drift_return_it(name):
+    sched, m = _drifts_accepted()[name]
+    assert np.array_equal(classify._invariant_drift(sched), m)
+
+
+def _drifting_invariant_models(draw, dim):
+    # an invariant model, perhaps with a stable part of alpha <= 1, plus a drift of size
+    # 1e-300 to about 5: a pure drift beside it in a SumModel, or a BM's own drift
+    model = _invariant_models(draw, dim)
+    if draw(st.booleans()):
+        model = SumModel((model, SymmetricStable(draw(st.floats(0.2, 1.0)), draw(st.floats(0.05, 20.0)), dim)))
+    direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+    drift = direction * 10.0 ** draw(st.floats(-300.0, 0.5))
+    if draw(st.booleans()):
+        return SumModel((model, PureDrift(drift)))
+    return SumModel((BrownianDrift(drift, draw(st.floats(0.05, 20.0)) * np.eye(dim)), model))
+
+
+@st.composite
+def drifting_invariant_schedules(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    first = _drifting_invariant_models(draw, dim)
+    if draw(st.booleans()):
+        return single_segment(first, draw(st.floats(0.1, 3.0)))
+    second = _drifting_invariant_models(draw, dim) if draw(st.booleans()) else _invariant_models(draw, dim)
+    return make_splice(first, second, draw(st.floats(0.1, 0.9)), 1.0)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(sched=drifting_invariant_schedules())
+def test_radial_ladder_with_a_drift_matches_the_angular_boxes(sched):
+    # psi(z) = i<m, z> - phi(|z|): the radial panels on the closed-form angular mean and the
+    # angular boxes they replace agree at every level and decide alike
+    assert classify._invariant_drift(sched) is not None
+    radial = chung_fuchs_verdict(sched)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify._Psi, "drift", None)  # every _Psi takes the angular boxes
+        angular = chung_fuchs_verdict(sched)
+    np.testing.assert_allclose(
+        radial.evidence["integrals"], angular.evidence["integrals"], rtol=classify.QUAD_REL_TOL, atol=0
+    )
+    assert radial.evidence["quad_rel_err"] <= classify.QUAD_REL_TOL and "stderrs" not in radial.evidence
+    assert radial.decision is angular.decision
+    assert radial.evidence["psi_points"] < angular.evidence["psi_points"]
 
 
 def _radial_laws(dim):
@@ -494,7 +629,7 @@ def _radial_laws(dim):
 def test_radial_ladder_matches_the_angular_boxes(sched):
     # for an invariant law the angular integral is exact: the radial _ladder and the angular
     # boxes it replaces agree at every level, and the radial one costs fewer psi points
-    assert classify._invariant(sched)
+    assert not classify._invariant_drift(sched).any()
     values, errors, work = classify._ladder(sched, 1.0, LADDER_QS, seed=0)
     psi = classify._Psi(sched, LADDER_QS)
     lo, hi, rules, area = classify._gk_boxes(sched.dim, 1.0, radial=False)
@@ -511,23 +646,25 @@ def test_radial_ladder_matches_the_angular_boxes(sched):
         (BM1, 1_218 // 2),  # exactly half the whole line's panels
         (BM2, 609),  # radial: the panels of d = 1
         (BM2_ANISO, 19_845),
-        (single_segment(BrownianDrift(np.array([0.5, 0.0]), np.eye(2)), 1.0), 120_393),
+        (BM2_DRIFT, 567),  # radial: the drift enters the closed-form angular mean
+        (BM2_DRIFT_ANISO, 116_865),
         (BM3, 483),
         (BM3_ANISO, 165_375),
+        (BM4, 441),  # radial, in place of 2**20 QMC nodes
     ],
-    ids=["bm1", "bm2", "bm2-aniso", "bm2-drift", "bm3", "bm3-aniso"],
+    ids=["bm1", "bm2", "bm2-aniso", "bm2-drift", "bm2-drift-aniso", "bm3", "bm3-aniso", "bm4"],
 )
 def test_ladder_psi_points_are_pinned(sched, points):
     # the work of the half ball in d <= 2, of the G7/K15 angle axes in d = 3 and of
-    # the radial panels alone for invariant laws in d = 2, 3: a change that gives any
-    # of them back fails here
+    # the radial panels alone for invariant laws with or without a drift in d = 2, 3,
+    # and without one from d = 4 on: a change that gives any of them back fails here
     assert chung_fuchs_verdict(sched).evidence["psi_points"] == points
 
 
 def test_nan_exponent_raises_instead_of_refining(monkeypatch):
     monkeypatch.setattr(classify, "period_exponent", lambda schedule, z: np.full(len(z), np.nan + 0j))
-    # both engines: radial (d = 1 and invariant laws) and angular
-    for sched in (BM1, BM2, BM2_ANISO, BM3, BM3_ANISO):
+    # both engines: radial (d = 1 and invariant laws, with a drift in d = 2, 3) and angular
+    for sched in (BM1, BM2, BM2_DRIFT, BM2_ANISO, BM3, BM3_DRIFT, BM3_ANISO, BM4):
         # the value prints as a plain number
         with pytest.raises(QuadratureError, match=r"-d Chung-Fuchs integral is nan at q=0\.01, a=1$"):
             chung_fuchs_integral(sched, 1.0, 1e-2)
@@ -536,7 +673,7 @@ def test_nan_exponent_raises_instead_of_refining(monkeypatch):
 def test_underflowing_integral_raises():
     # on the smallest positive radius every I(q) rounds to 0: an error, not a
     # relative error estimate of 0/0
-    for sched in (BM1, BM2, BM2_ANISO, BM3, BM3_ANISO):
+    for sched in (BM1, BM2, BM2_DRIFT, BM2_ANISO, BM3, BM3_DRIFT, BM3_ANISO, BM4):
         with pytest.raises(QuadratureError, match="Chung-Fuchs integral is"):
             chung_fuchs_integral(sched, 5e-324, 1e-2)
 
@@ -549,6 +686,20 @@ def test_overflowing_exponent_raises():
         chung_fuchs_integral(sched, 1.0, 1e-2)
     with pytest.raises(QuadratureError):
         chung_fuchs_verdict(sched)
+    # the closed-form angular mean of the radial panels: an exponent whose square overflows,
+    # in d = 2, 3 and 4, and a one-period drift of inf, whose mean would be a silent zero
+    for dim in (2, 3, 4):
+        with pytest.raises(QuadratureError, match="integrand out of range"):
+            chung_fuchs_integral(single_segment(SymmetricStable(2.0, 1e200, dim), 1.0), 1.0, 1e-2)
+    drift = PureDrift([1e308, 0.0, 0.0])
+    with pytest.raises(QuadratureError, match="integrand out of range"):
+        chung_fuchs_integral(SemiLevySchedule(2.0, ((1.0, drift), (1.0, drift))), 1.0, 1e-2)
+    # drifts of 2e308 and -2e308 sum to a one-period m of nan, whose mean must not pass as 1/A
+    for dim in (2, 3):
+        up, down = PureDrift(1e308 * np.eye(1, dim)[0]), PureDrift(-1e308 * np.eye(1, dim)[0])
+        sched = SemiLevySchedule(6.0, ((2.0, up), (2.0, down), (2.0, BrownianDrift(np.zeros(dim), 1.0))))
+        with pytest.raises(QuadratureError, match="Chung-Fuchs integral is nan"):
+            chung_fuchs_integral(sched, 1.0, 1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +733,20 @@ def test_verdict_bm3_transient():
 
 
 def test_verdict_bm4_transient():
-    v = chung_fuchs_verdict(BM4, seed=0)
+    # QMC for a 4-d law that is not rotation invariant
+    v = chung_fuchs_verdict(BM4_ANISO, seed=0)
     assert v.decision is Decision.TRANSIENT
     assert v.evidence["remaining_frac"] < 0.01
     assert v.evidence["psi_points"] == 2**20
     assert "quad_rel_err" not in v.evidence
+
+
+def test_verdict_invariant_bm4_radial_transient():
+    v = chung_fuchs_verdict(BM4, seed=0)
+    assert v.decision is Decision.TRANSIENT
+    assert v.evidence["remaining_frac"] < 0.01
+    assert 0.0 < v.evidence["quad_rel_err"] <= classify.QUAD_REL_TOL
+    assert "stderrs" not in v.evidence
 
 
 def test_verdict_evidence_reports_work_and_error():
@@ -613,7 +773,8 @@ def test_verdict_slow_transient_ladder_is_never_recurrent():
 
 
 def test_verdict_d3_strong_drift_transient():
-    # a drift of 50 puts a sharp peak on the plane normal to it, which boxes with their pole along the drift resolve
+    # a drift of 50 puts a sharp peak on the plane normal to it, which the closed-form
+    # angular mean of the radial panels holds exactly
     v = chung_fuchs_verdict(single_segment(BrownianDrift([50.0, 0.0, 0.0], 1.0), 1.0))
     assert v.decision is Decision.TRANSIENT
     assert 0.0 < v.evidence["quad_rel_err"] <= classify.QUAD_REL_TOL
@@ -641,6 +802,39 @@ def test_verdict_d1_d2_ladder_below_noise_floor_is_inconclusive(monkeypatch):
         assert v.evidence["reason"] == "ladder variation below the integration noise floor"
         spread = v.evidence["integrals"].max() - v.evidence["integrals"].min()
         assert 0.0 < spread < v.evidence["noise_floor"]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_verdict_settled_ladder_takes_the_converged_return(dim):
+    # a pure drift of 3e10: I(q) moves by about 3e-13 of its value along the ladder, above
+    # the noise floor of the exact radial panels and below 1e-12 at every step
+    v = chung_fuchs_verdict(single_segment(PureDrift(3e10 * np.eye(1, dim)[0]), 1.0))
+    assert v.decision is Decision.TRANSIENT
+    assert v.evidence["fit"] == "converged" and v.evidence["remaining_frac"] == 0.0
+    assert "rho" not in v.evidence
+    steps = np.abs(np.diff(v.evidence["integrals"]))
+    assert 0.0 < steps.max() <= 1e-12 * v.evidence["integrals"][-1]
+
+
+def test_verdict_both_fits_pass_takes_the_better_r2():
+    # Cauchy of scale 300: I(q) = (2/300) (ln(1/q) + ln 300) + o(1) is logarithmic, and its
+    # offset also makes ln I(q) nearly linear, with beta >= 0.05 and R^2 >= 0.99
+    v = chung_fuchs_verdict(single_segment(SymmetricStable(1.0, 300.0, 1), 1.0))
+    e = v.evidence
+    assert v.decision is Decision.RECURRENT
+    assert e["beta"] >= classify.POWER_BETA_MIN and e["power_r2"] >= classify.FIT_R2_MIN
+    assert e["log_slope"] > 0.0 and e["log_r2"] >= classify.FIT_R2_MIN
+    assert e["log_r2"] > e["power_r2"] and e["fit"] == "log"
+
+
+def test_line_fit_of_an_underflowing_spread_has_r2_zero():
+    # over a ball of radius 1e-70, I(q) of 3-d BM is about 1e-205: the spread of the ladder
+    # squares to 0, so the logarithmic fit has R^2 = 0 where a ratio would divide by zero
+    v = chung_fuchs_verdict(BM3, a=1e-70)
+    assert np.all(v.evidence["integrals"] < 1e-200)
+    assert v.evidence["log_r2"] == 0.0 and v.evidence["log_slope"] > 0.0
+    assert v.evidence["fit"] == "power"
+    assert classify._line_fit(np.arange(4.0), np.full(4, 2.5)) == (pytest.approx(0.0, abs=1e-15), 0.0)
 
 
 def test_verdict_levels_validation():

@@ -1058,7 +1058,7 @@ def _scipy_stats_and_special_loaded_after(code: str) -> str:
 
 
 def test_cli_import_leaves_scipy_stats_and_special_unloaded():
-    # scipy.stats and scipy.special are imported only by the d >= 4 QMC path
+    # scipy.stats and scipy.special are imported only by the QMC path
     assert _scipy_stats_and_special_loaded_after("import sys, semilevy.cli") == "[]"
 
 
@@ -1068,6 +1068,18 @@ def test_d3_verdict_leaves_scipy_stats_and_special_unloaded():
         "import sys, numpy as np; from semilevy.classify import chung_fuchs_verdict; "
         "from semilevy.models import BrownianDrift; from semilevy.schedule import single_segment; "
         "chung_fuchs_verdict(single_segment(BrownianDrift(np.zeros(3), np.eye(3)), 1.0))"
+    )
+    assert _scipy_stats_and_special_loaded_after(code) == "[]"
+
+
+def test_invariant_d4_verdict_leaves_scipy_stats_and_special_unloaded():
+    # a rotation-invariant 4-d law without a drift takes the radial panels, whose sphere area
+    # comes from math.lgamma, so it needs neither module either
+    code = (
+        "import sys, numpy as np; from semilevy.classify import chung_fuchs_verdict; "
+        "from semilevy.models import SymmetricStable; from semilevy.schedule import single_segment; "
+        "v = chung_fuchs_verdict(single_segment(SymmetricStable(1.5, 1.0, 4), 1.0)); "
+        "assert 'quad_rel_err' in v.evidence"
     )
     assert _scipy_stats_and_special_loaded_after(code) == "[]"
 
