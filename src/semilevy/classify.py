@@ -7,12 +7,12 @@ Two analytic routes and one empirical diagnostic:
   is equivalent to I(q) diverging as q decreases to 0; any finite procedure
   can only fit the divergence, so the verdict states its evidence and admits
   an honest Inconclusive.  psi does not depend on q: a verdict evaluates it
-  once and reads every q off the same values.  Its nodes are Gauss-Kronrod
-  boxes along the radius alone in d = 1 and for a rotation-invariant law
-  plus a drift, psi(z) = i<m, z> - phi(|z|), whose angular integral has a
-  closed form (in d >= 4 only with m = 0); along the radius and the angles
-  for every other law in d = 2, 3; and scrambled-Sobol nodes for every
-  other law from dimension 4 (see _ladder).
+  once and reads every q off the same values.  One kernel, _sphere_mean,
+  averages the integrand over the unit sphere of R^k.  Gauss-Kronrod boxes
+  along the radius alone take k = d, in d = 1 and for an invariant law plus
+  a drift, psi(z) = i<m, z> - phi(|z|) (in d >= 4 only with m = 0); boxes
+  along the radius and the angles in d = 2, 3 and scrambled-Sobol nodes
+  from dimension 4 take k = 1 for every other law (see _ladder).
 * The one-dimensional mean criterion: with a finite one-period mean, the
   process is recurrent exactly when that mean vanishes.
 * Occupation-time growth across horizons, a Monte Carlo diagnostic that
@@ -139,33 +139,21 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 
-def _cf_integrand(psi: np.ndarray, q: float) -> np.ndarray:
-    # Re(1/(q - psi)) = (q - Re psi) / ((q - Re psi)^2 + (Im psi)^2) >= 0; an
-    # overflow would turn a huge exponent into a silent zero, and a tiny q
-    # whose square underflows divides by zero, so both raise
-    re = q - psi.real
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return re / (re * re + psi.imag * psi.imag)
-    except FloatingPointError as exc:
-        raise QuadratureError(f"Chung-Fuchs integrand out of range at q={q:g}") from exc
-
-
-def _radial_integrand(qs: np.ndarray, re_psi: np.ndarray, r: np.ndarray, drift: float, dim: int) -> np.ndarray:
-    # r^(d-1) times the mean over the unit sphere of Re(1/(q - psi(r u))) at
-    # every level q, shape (levels, len(r)), for psi(z) = i<m, z> - phi(|z|):
-    # with A = q + phi(r) = q - re_psi, B = r |m| and t the cosine to m, the
-    # mean of A / (A^2 + B^2 t^2) is 1 / sqrt(A^2 + B^2) in d = 2 and
-    # arctan(B/A) / B in d = 3 (1/A at B = 0), and 1/A from d = 4 on, where
-    # m = 0.  As in _cf_integrand, a square that overflows or underflows
-    # raises, and so does an infinite A or B, whose mean would be a silent
-    # zero; a nan passes on to _check_integrals
-    a, b = qs[:, None] - re_psi, r * drift
+def _sphere_mean(qs: np.ndarray, psi: np.ndarray, k: int) -> np.ndarray:
+    # the mean over the unit sphere of R^k of Re 1/(q - psi) at every level q, shape
+    # (levels, len(psi)), with A = q - Re psi, B = Im psi and t the cosine to one axis:
+    # A / (A^2 + B^2 t^2) is A / (A^2 + B^2) in k = 1, its mean 1 / sqrt(A^2 + B^2) in
+    # k = 2, arctan(B/A) / B in k = 3 (1/A at B = 0), and 1/A from k = 4 on (B = 0
+    # there).  A square that overflows (a silent zero) or underflows (a division by
+    # zero) raises; a nan passes on to _check_integrals
+    a, b = qs[:, None] - psi.real, psi.imag
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         square = a * a + b * b
-        if dim == 2:
+        if k == 1:
+            mean = a / square
+        elif k == 2:
             mean = 1.0 / np.sqrt(square)
-        elif dim == 3 and drift:
+        elif k == 3:
             x = b / a
             mean = np.where(x == 0.0, 1.0, np.arctan(x) / x) / a
         else:
@@ -173,7 +161,7 @@ def _radial_integrand(qs: np.ndarray, re_psi: np.ndarray, r: np.ndarray, drift: 
     bad = (np.isinf(square) | (square == 0.0)).any(axis=1)
     if bad.any():
         raise QuadratureError(f"Chung-Fuchs integrand out of range at q={qs[bad.argmax()]:g}")
-    return r ** (dim - 1) * mean
+    return mean
 
 
 def _origin_ladder(a: float) -> np.ndarray:
@@ -229,21 +217,21 @@ class _Psi:
             return period_exponent(self.schedule, z)
 
     def integrand(self, z: np.ndarray) -> np.ndarray:
-        """_cf_integrand(psi(z), q) at every level q, shape (levels, len(z))."""
-        psi = self.exponent(z)
-        out = np.empty((self.qs.size, len(z)))
-        for level, q in enumerate(self.qs):
-            out[level] = _cf_integrand(psi, float(q))
-        return out
+        """Re(1/(q - psi(z))) at every level q, shape (levels, len(z)): _sphere_mean with k = 1."""
+        return _sphere_mean(self.qs, self.exponent(z), 1)
 
     @cached_property
-    def drift(self) -> Optional[float]:
-        """|m| where the integrand's mean over each sphere has a closed form (_radial_integrand):
-        psi(z) = i<m, z> - phi(|z|) with phi real (_invariant_drift) in d = 2, 3, and with
-        m = 0 from d = 4 on; None for every other law, and in d = 1."""
+    def axis(self) -> Optional[np.ndarray]:
+        """The unit vector radial rows read psi along: e_1 in d = 1; for psi(z) = i<m, z> -
+        phi(|z|), phi real (_invariant_drift), in d = 2, 3 and with m = 0 from d = 4 on, the
+        direction of m, so Im psi = r |m| (e_1 where |m| is 0, inf or nan: an infinite m then
+        overflows the integrand, a nan one gives a nan integral); None for every other law."""
         dim = self.schedule.dim
-        m = None if dim == 1 else _invariant_drift(self.schedule)
-        return None if m is None or (dim >= 4 and m.any()) else math.hypot(*m)
+        m = _invariant_drift(self.schedule) if dim > 1 else np.zeros(1)
+        if m is None or (dim >= 4 and m.any()):
+            return None
+        norm = math.hypot(*m)
+        return m / norm if 0.0 < norm < math.inf else np.eye(1, dim)[0]
 
     @cached_property
     def pole(self) -> np.ndarray:
@@ -267,20 +255,18 @@ class _Psi:
         return frame
 
     def sphere(self, x: np.ndarray) -> np.ndarray:
-        """r^(d-1) times the integrand at z = r times a unit direction, per row of x.
+        """r^(d-1) times the integrand's mean over the directions a row of x stands for.
 
-        A (r,) row takes the direction e_1 in d = 1, and from d = 2 on the
-        integrand's mean over the sphere of radius r, in closed form from
-        psi(r e_1) and drift (_radial_integrand).  A (r, phi) row in d = 2
-        takes (cos phi, sin phi); a (r, u, phi) row in d = 3 takes
-        (s cos phi, s sin phi, u) with s = sqrt(1 - u^2), reflected by pole.
+        A (r,) row, in any dimension, takes the mean over the whole sphere of
+        radius r, in closed form from psi(r axis) (_sphere_mean with k = d).
+        A (r, phi) row in d = 2 takes the direction (cos phi, sin phi), and an
+        (r, u, phi) row in d = 3 the direction (s cos phi, s sin phi, u) with
+        s = sqrt(1 - u^2), reflected by pole (_sphere_mean with k = 1).
         """
         r, dim = x[:, 0], self.schedule.dim
-        if x.shape[1] == 1 and dim > 1:
-            return _radial_integrand(self.qs, self.exponent(r[:, None] * np.eye(1, dim)).real, r, self.drift, dim)
         if x.shape[1] == 1:
-            directions = np.eye(1, dim)
-        elif dim == 2:
+            return r ** (dim - 1) * _sphere_mean(self.qs, self.exponent(r[:, None] * self.axis), dim)
+        if dim == 2:
             phi = x[:, 1]
             directions = np.column_stack([np.cos(phi), np.sin(phi)])
         else:
@@ -376,8 +362,9 @@ def _invariant_drift(schedule: SemiLevySchedule) -> Optional[np.ndarray]:
 
 
 def _sphere_area(dim: int) -> float:
-    # |S^(d-1)| = 2 pi^(d/2) / Gamma(d/2), written out as 2, 2 pi and 4 pi in d <= 3; math.lgamma,
-    # not scipy.special, since a cold import of scipy.special would cost more than the whole ladder
+    # |S^(d-1)| = 2 pi^(d/2) / Gamma(d/2), written out as 2, 2 pi and 4 pi in d <= 3, where
+    # lgamma misses by an ulp or more (1.9999999999999993 in d = 1); math.lgamma, not
+    # scipy.special, since a cold import of scipy.special would cost more than the whole ladder
     if dim <= 3:
         return {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}[dim]
     return 2.0 * math.exp(0.5 * dim * math.log(math.pi) - math.lgamma(0.5 * dim))
@@ -388,10 +375,10 @@ def _gk_boxes(dim: int, a: float, radial: bool) -> tuple:
     area times the integral of _Psi.sphere over the boxes.
 
     Each radial panel on the _origin_ladder breakpoints starts as one box,
-    G10/K21 along r.  radial, in any dimension: the panel alone, on the ray
-    along e_1 in d = 1 and on the mean over each sphere from d = 2 on, and
-    area is the sphere's, |S^(d-1)| (_sphere_area).  Otherwise, in d = 2, 3,
-    the angles join it.  Re 1/(q - psi(z)) is even in z, since psi(-z) is the
+    G10/K21 along r.  radial, in any dimension: the panel alone, on the mean
+    over each sphere (in d = 1 the pair of points +-r), and area is the
+    sphere's, |S^(d-1)| (_sphere_area).  Otherwise, in d = 2, 3, the angles
+    join it.  Re 1/(q - psi(z)) is even in z, since psi(-z) is the
     conjugate of psi(z), so d = 2 takes theta in [0, pi] on K21 and area 2;
     d = 3 takes the whole sphere, (cos theta, phi) on G7/K15, and area 1.
     """
@@ -405,11 +392,7 @@ def _gk_boxes(dim: int, a: float, radial: bool) -> tuple:
 
 
 def _ball_volume(dim: int, a: float) -> float:
-    # scipy.special and scipy.stats are imported where the QMC engine needs
-    # them: they take most of a cold start, which every command would pay
-    from scipy.special import gammaln
-
-    return math.exp(0.5 * dim * math.log(math.pi) - gammaln(0.5 * dim + 1.0)) * a**dim
+    return _sphere_area(dim) * a**dim / dim
 
 
 def _ball_points(dim: int, a: float, seed: int) -> np.ndarray:
@@ -453,28 +436,28 @@ def _ladder(schedule: SemiLevySchedule, a: float, qs, seed: int):
     The only code that maps a dimension and a law to an engine.  psi does
     not depend on q, so one _Psi evaluates it once on a fixed node set and
     every level is a weighted sum over it.  Tensor Gauss-Kronrod boxes
-    (_gk_boxes), of two kinds.  Radial: G10/K21 panels in r alone, times
-    the sphere's area.  In d = 1 they take the integrand along e_1, on the
-    half line r >= 0, doubled.  From d = 2 on they take r^(d-1) times the
-    integrand's mean over the sphere of radius r, in closed form from
-    psi(r e_1) (_radial_integrand), for a law with psi(z) = i<m, z> -
-    phi(|z|), phi real (_invariant_drift): any m in d = 2, 3, and m = 0
-    from d = 4 on (_Psi.drift).  Angular, for every other law in d = 2, 3:
-    the same panels times _Psi.sphere's angles, half the circle in d = 2,
-    doubled, and the whole sphere in d = 3 on G7/K15 angle axes.  Their
-    absolute error estimates must stay within QUAD_REL_TOL of their values;
-    the report's quad_rel_err is their largest ratio.  Every other law from
-    d = 4 on: scrambled-Sobol batches, whose standard errors the report
-    holds as stderrs.  The report also holds psi_points.
+    (_gk_boxes), of two kinds.  Radial, wherever _Psi.axis is set: G10/K21
+    panels in r alone, on r^(d-1) times the integrand's mean over the sphere
+    of radius r, in closed form from psi along the axis (_sphere_mean with
+    k = d), times the sphere's area.  That is every law in d = 1, and a law
+    with psi(z) = i<m, z> - phi(|z|), phi real (_invariant_drift), with any m
+    in d = 2, 3 and with m = 0 from d = 4 on.  Angular, for every other law
+    in d = 2, 3: the same panels times _Psi.sphere's angles, half the circle
+    in d = 2, doubled, and the whole sphere in d = 3 on G7/K15 angle axes,
+    on the integrand itself (k = 1).  Their absolute error estimates must
+    stay within QUAD_REL_TOL of their values; the report's quad_rel_err is
+    their largest ratio.  Every other law from d = 4 on: scrambled-Sobol
+    batches of the integrand (k = 1), whose standard errors the report holds
+    as stderrs.  The report also holds psi_points.
     """
     psi, dim = _Psi(schedule, np.asarray(qs, dtype=float)), schedule.dim
-    if dim >= 4 and psi.drift is None:
+    if dim >= 4 and psi.axis is None:
         values, errors = _qmc_ladder(psi, a, seed)
         _check_integrals(psi.qs, values, dim, a)
         return values, errors, {"psi_points": psi.points, "stderrs": errors}
     # the boxes go through psi in groups of at most GK_CHUNK nodes of dim coordinates
     check_size(nodes=GK_CHUNK, coordinates=dim)
-    lo, hi, rules, area = _gk_boxes(dim, a, radial=dim == 1 or psi.drift is not None)
+    lo, hi, rules, area = _gk_boxes(dim, a, radial=psi.axis is not None)
     values, errors = (area * x for x in _gk_ladder(psi.sphere, psi, lo, hi, rules))
     _check_integrals(psi.qs, values, dim, a)
     for q, value, error in zip(psi.qs, values, errors):
@@ -498,10 +481,10 @@ def ball_integral_qmc(schedule: SemiLevySchedule, a: float, q: float, seed: int 
 
     Uses QMC_REPLICATES = 16 independently scrambled Sobol streams of
     PSI_CHUNK = 2**16 nodes each (2**20 > 1e6 nodes), the same as the
-    ladder of a d >= 4 law that is not rotation invariant or has a drift;
-    the standard error is the spread of the per-stream estimates.  In every
-    other case it stays QMC, an independent check on the Gauss-Kronrod
-    ladder.
+    ladder of a d >= 4 law that is not rotation invariant or has a drift,
+    on the integrand of every engine (_sphere_mean with k = 1); the standard
+    error is the spread of the per-stream estimates.  In every other case it
+    stays QMC, an independent check on the Gauss-Kronrod ladder.
     """
     check_positive(a=a, q=q)
     values, stderrs = _qmc_ladder(_Psi(schedule, np.array([q], dtype=float)), a, seed)

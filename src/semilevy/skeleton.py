@@ -161,10 +161,15 @@ def _inside(values: np.ndarray, a: float) -> np.ndarray:
     """|x| < a for each point of values (..., d), as a boolean array (...)."""
     # squares summed one coordinate at a time: several times faster than a
     # reduction over the short last axis, and the same sums as
-    # np.linalg.norm for d < 8 (from 8 on numpy sums in blocks)
-    sq = values[..., 0] ** 2
-    for j in range(1, values.shape[-1]):
-        sq += values[..., j] ** 2
+    # np.linalg.norm for d < 8 (from 8 on numpy sums in blocks).  A square
+    # overflows only from |x| > 1e154 and underflows only below 1e-154, which
+    # read right against an a in (1e-150, 1e150); any other a scales x first
+    with np.errstate(over="ignore", under="ignore"):
+        if not 1e-150 < a < 1e150:
+            values, a = values / a, 1.0
+        sq = values[..., 0] ** 2
+        for j in range(1, values.shape[-1]):
+            sq += values[..., j] ** 2
     return np.sqrt(sq) < a
 
 

@@ -1,5 +1,6 @@
 """Classification: quadrature against closed forms, verdicts on known fixtures."""
 
+import re
 import time
 
 import numpy as np
@@ -280,15 +281,80 @@ def test_ladder_every_level_closed_form(sched, oracle, rel):
     assert work["psi_points"] > 0
 
 
+def test_sphere_mean_k1_is_re_one_over_q_minus_psi_bit_for_bit():
+    # Re 1/(q - psi) = A / (A^2 + B^2), A = q - Re psi and B = Im psi, to the bit at every
+    # level at once, on random psi of magnitude 1e-160 to 1e160 and signs either way, plus
+    # A = 0 and A of about 1e-16 q with B = 0; QuadratureError exactly where A^2 + B^2
+    # overflows to inf or underflows to 0
+    rng = np.random.default_rng(27)
+
+    def draw(n):
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-160.0, 160.0, n)
+
+    qs = 10.0 ** rng.uniform(-160.0, 160.0, 16)
+    psi = draw(2000) + 1j * draw(2000)
+    psi = np.concatenate([psi, *(q * (1.0 + np.arange(-2.0, 3.0) * 2.0**-52) + 0j for q in qs)])
+    a = qs[:, None] - psi.real
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        square = a * a + psi.imag * psi.imag
+        want = a / square
+    ok = (0.0 < square) & (square < np.inf)
+    assert (square == np.inf).sum() > 100 and (square == 0.0).sum() >= len(qs)
+    every_level = ok.all(axis=0)
+    got = classify._sphere_mean(qs, psi[every_level], 1)
+    assert got.tobytes() == want[:, every_level].tobytes()
+    for level, q in enumerate(qs):
+        row = classify._sphere_mean(qs[level : level + 1], psi[ok[level]], 1)
+        assert row.tobytes() == want[level, ok[level]].tobytes()
+        for p in psi[~ok[level]]:
+            with pytest.raises(QuadratureError, match=re.escape(f"integrand out of range at q={q:g}")):
+                classify._sphere_mean(qs[level : level + 1], np.array([p]), 1)
+
+
+def _sphere_mean_reference(big_a, big_b, k):
+    # the mean over the unit sphere of R^k of A / (A^2 + B^2 t^2), t the cosine to one axis,
+    # by scipy quad: (1/pi) int_0^pi over theta with t = cos theta in k = 2, and 1/2 int_-1^1
+    # over t in k = 3.  Both halves mirror, so the integrals run over t >= 0 (in k = 2 over
+    # theta' = pi/2 - theta, t = sin theta'), with breakpoints at decades of A/B about the
+    # peak at t = 0 of width A/B
+    points = [p for p in (big_a / big_b if big_b else 1.0) * 10.0 ** np.arange(-3.0, 13.0) if p < 1.0]
+
+    def f(t):
+        return big_a / (big_a * big_a + big_b * big_b * t * t)
+
+    if k == 2:
+        breaks = [np.arcsin(p) for p in points] or None
+        return integrate.quad(lambda theta: f(np.sin(theta)), 0.0, 0.5 * np.pi, points=breaks, limit=500,
+                              epsabs=0.0, epsrel=1e-12)[0] / (0.5 * np.pi)
+    return integrate.quad(f, 0.0, 1.0, points=points or None, limit=500, epsabs=0.0, epsrel=1e-12)[0]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    q=st.floats(1e-8, 1e2),
+    phi=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+    log_ratio=st.one_of(st.none(), st.floats(-14.0, 12.0)),
+)
+def test_sphere_mean_k2_k3_match_scipy_quad(q, phi, log_ratio):
+    # A = q + phi > 0 and B/A = 0, or 1e-14 to 1e12: the closed forms 1 / sqrt(A^2 + B^2)
+    # and arctan(B/A) / B against the angular integrals they replace
+    big_a = q + phi
+    big_b = 0.0 if log_ratio is None else big_a * 10.0**log_ratio
+    psi = np.array([complex(-phi, big_b)])
+    for k in (2, 3):
+        got = classify._sphere_mean(np.array([q]), psi, k)[0, 0]
+        assert got == pytest.approx(_sphere_mean_reference(q - psi.real[0], big_b, k), rel=1e-10)
+
+
 def _quad_reference(sched, a, q):
     # one q at a time with scalar callbacks, on the same origin breakpoints
     def f(z):
-        return float(classify._cf_integrand(period_exponent(sched, np.array([[z]])), q)[0])
+        return float(classify._sphere_mean(np.array([q]), period_exponent(sched, np.array([[z]])), 1)[0, 0])
 
     def ring(r):
         def g(theta):
             pt = np.array([[r * np.cos(theta), r * np.sin(theta)]])
-            return float(classify._cf_integrand(period_exponent(sched, pt), q)[0])
+            return float(classify._sphere_mean(np.array([q]), period_exponent(sched, pt), 1)[0, 0])
 
         return r * integrate.quad(g, 0.0, 2.0 * np.pi, epsabs=0.0, epsrel=1e-10, limit=200)[0]
 
@@ -430,9 +496,9 @@ def test_integrand_is_even_in_z(dim):
     # the same value at -z as at z, for every kind, splice and sum
     z = np.random.default_rng(dim).normal(size=(64, dim)) * np.geomspace(1e-3, 30.0, 64)[:, None]
     for sched in _premise_schedules(dim):
-        for q in (1e-2, 1e-7):
-            at_z = classify._cf_integrand(period_exponent(sched, z), q)
-            np.testing.assert_allclose(classify._cf_integrand(period_exponent(sched, -z), q), at_z, rtol=1e-14, atol=0)
+        qs = np.array([1e-2, 1e-7])
+        at_z = classify._sphere_mean(qs, period_exponent(sched, z), 1)
+        np.testing.assert_allclose(classify._sphere_mean(qs, period_exponent(sched, -z), 1), at_z, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -603,7 +669,7 @@ def test_radial_ladder_with_a_drift_matches_the_angular_boxes(sched):
     assert classify._invariant_drift(sched) is not None
     radial = chung_fuchs_verdict(sched)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(classify._Psi, "drift", None)  # every _Psi takes the angular boxes
+        patch.setattr(classify._Psi, "axis", None)  # every _Psi takes the angular boxes
         angular = chung_fuchs_verdict(sched)
     np.testing.assert_allclose(
         radial.evidence["integrals"], angular.evidence["integrals"], rtol=classify.QUAD_REL_TOL, atol=0
@@ -755,6 +821,65 @@ def test_verdict_evidence_reports_work_and_error():
         assert 0 < v.evidence["psi_points"] < classify.PSI_POINT_BUDGET
         assert 0.0 < v.evidence["quad_rel_err"] <= classify.QUAD_REL_TOL
         assert "stderrs" not in v.evidence
+
+
+# one verdict line per engine branch: the radial panels in d = 1, with a drift in d = 2 and
+# d = 3 and without one in d = 4, and the angular boxes in d = 3.  The ladder's sums run
+# through BLAS, so another BLAS kernel may move their last bits
+PINNED_VERDICT_LINES = {
+    "bm1": (
+        BM1,
+        "decision=Recurrent criterion=ChungFuchs a=1.0 beta=0.5080661416317166 fit=power "
+        "integrals=40.45518054971207,84.86430550098592,173.7169829441163,351.4310516412284,"
+        "706.8613742671225,1417.7225662520386,2839.445086931752,5682.890162470311 "
+        "levels=8 log_r2=0.723246218208216 log_slope=492.55494378357923 power_r2=0.9999000493541647 "
+        "psi_points=609 q0=0.01 "
+        "qs=0.01,0.0025,0.000625,0.00015625,3.90625e-05,9.765625e-06,2.44140625e-06,6.103515625e-07 "
+        "quad_rel_err=1.0604894148105103e-12 rho=2.0000069172817074"
+    ),
+    "bm2-drift": (
+        BM2_DRIFT,
+        "decision=Transient criterion=ChungFuchs a=1.0 fit=converged "
+        "integrals=10.665440077819262,10.969629169855263,11.048929163707516,11.06896818813816,"
+        "11.073991498510198,11.075248176061809,11.075562398616308,11.075640957578534 "
+        "levels=8 psi_points=567 q0=0.01 "
+        "qs=0.01,0.0025,0.000625,0.00015625,3.90625e-05,9.765625e-06,2.44140625e-06,6.103515625e-07 "
+        "quad_rel_err=1.654993447434194e-10 remaining_frac=2.3696508670142887e-06 rho=0.25042279815465246"
+    ),
+    "bm3-drift": (
+        BM3_DRIFT,
+        "decision=Transient criterion=ChungFuchs a=1.0 fit=converged "
+        "integrals=12.754466660612847,13.078592739831489,13.162740104954073,13.18398137471032,"
+        "13.18930462927887,13.190636254034436,13.190969210957801,13.191052453360166 "
+        "levels=8 psi_points=357 q0=0.01 "
+        "qs=0.01,0.0025,0.000625,0.00015625,3.90625e-05,9.765625e-06,2.44140625e-06,6.103515625e-07 "
+        "quad_rel_err=5.835292933699326e-10 remaining_frac=2.107780004610427e-06 rho=0.25038071401506234"
+    ),
+    "bm4": (
+        BM4,
+        "decision=Transient criterion=ChungFuchs a=1.0 fit=converged "
+        "integrals=18.18698625941664,19.215793587569728,19.574241795608074,19.689421468413563,"
+        "19.724624489957606,19.735028286675828,19.738030059705775,19.73888071289646 "
+        "levels=8 psi_points=441 q0=0.01 "
+        "qs=0.01,0.0025,0.000625,0.00015625,3.90625e-05,9.765625e-06,2.44140625e-06,6.103515625e-07 "
+        "quad_rel_err=7.425670000549697e-12 remaining_frac=1.8521033515147964e-05 rho=0.30058637606881655"
+    ),
+    "bm3-aniso": (
+        BM3_ANISO,
+        "decision=Transient criterion=ChungFuchs a=1.0 fit=converged "
+        "integrals=16.112616962700137,17.845938122853283,18.77243222605426,19.250775883492963,"
+        "19.493730601005584,19.61615422959892,19.677602645606644,19.70838600617939 "
+        "levels=8 psi_points=165375 q0=0.01 "
+        "qs=0.01,0.0025,0.000625,0.00015625,3.90625e-05,9.765625e-06,2.44140625e-06,6.103515625e-07 "
+        "quad_rel_err=8.028508810777223e-10 remaining_frac=0.001599254310013456 rho=0.5059015739873356"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_VERDICT_LINES)
+def test_verdict_lines_are_pinned(case):
+    sched, line = PINNED_VERDICT_LINES[case]
+    assert chung_fuchs_verdict(sched).to_line() == line
 
 
 def test_verdict_drifting_bm_transient():

@@ -688,6 +688,35 @@ def test_main_classify_mean_zero_test_is_relative(tmp_path, capsys):
     assert not (tmp_path / "p" / "verdict.txt").exists()
 
 
+GAMMA_1E160 = "[schedule]\nperiod = 1.0\nsegment = 1.0 drift gamma=1e160\n[run]\nseed = 1\na = 1e200\n"
+
+
+def test_skeleton_ball_of_radius_1e200_holds_steps_whose_squares_overflow(tmp_path, capsys):
+    # every step, 1e160 to 3e160, lies inside B_1e200, though its square overflows
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(GAMMA_1E160 + "rs = 1/1\nn_steps = 3\nn_walks = 2\n")
+    assert main(["skeleton", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "o" / "ball_visits.csv").read_text() == "n,p_hat,partial_sum\n0,1,0\n1,1,1\n2,1,2\n3,1,3\n"
+
+
+def test_empirical_ball_of_radius_1e200_holds_cells_whose_squares_overflow(tmp_path, capsys):
+    # the path never leaves B_1e200: its occupations are the horizons 1 and 2 themselves
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(GAMMA_1E160 + "criterion = empirical\nhorizons = 1,2\nstep = 0.5\nn_paths = 50\n")
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    line = (
+        "decision=Inconclusive criterion=Empirical a=1e+200 flag=growth-consistent-with-recurrence "
+        "horizons=1.0,2.0 mean_occupation=1.0,2.0 reason=occupation_growth_is_a_diagnostic,_not_a_proof step=0.5"
+    )
+    assert captured.out == f"classify: {line}\n"
+    assert (tmp_path / "o" / "occupation.csv").read_text() == "path_id,occupation\n" + "".join(
+        f"{i},2\n" for i in range(50)
+    )
+
+
 def test_run_missing_required_key(tmp_path):
     text = "[schedule]\nperiod = 1.0\nsegment = 1.0 drift gamma=0.0\n[run]\ncommand = simulate\nseed = 1\n"
     with pytest.raises(ConfigError, match="^simulate needs run keys: horizon, step$"):

@@ -227,6 +227,20 @@ def test_occupation_bm_oracle():
     assert abs(occs.mean() - oracle) <= 3.0 * se
 
 
+@pytest.mark.parametrize("a", [1e200, 1e-170, 1e100])
+def test_ball_tests_hold_where_squares_overflow_or_underflow(a):
+    # points at 0.5, 0.99, 1.01, 2 and 1e100 times a: |x|^2 overflows from 1.3e154 on
+    # (a = 1e200, and 1e200 against a = 1e100) and underflows below 1e-154 (a = 1e-170),
+    # yet only the first three points lie inside B_a, and no warning is raised
+    direction = np.array([0.6, 0.8])
+    values = np.array([0.0, 0.5, 0.99, 1.01, 2.0, 1e100])[:, None] * (a * direction)
+    grid = np.arange(6.0)
+    assert occupation_time(PathSample(grid=grid, values=values, seed=0), a) == 3.0
+    walks = [WalkSample(values, RationalStep(1, 1), 0), WalkSample(np.zeros((6, 2)), RationalStep(1, 1), 1)]
+    curve = ball_visit_curve(walks, a)
+    np.testing.assert_array_equal(curve.p_hat, [1.0, 1.0, 1.0, 0.5, 0.5, 0.5])
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     values=arrays(np.float64, (41,), elements=st.floats(-10, 10)),
