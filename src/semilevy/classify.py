@@ -36,7 +36,6 @@ from .schedule import (
     _ensemble,
     _grid_occupancy,
     _grid_times,
-    _pool_workers,
     period_exponent,
     period_mean,
 )
@@ -458,7 +457,8 @@ def _ladder(schedule: SemiLevySchedule, a: float, qs, seed: int):
     # the boxes go through psi in groups of at most GK_CHUNK nodes of dim coordinates
     check_size(nodes=GK_CHUNK, coordinates=dim)
     lo, hi, rules, area = _gk_boxes(dim, a, radial=psi.axis is not None)
-    values, errors = (area * x for x in _gk_ladder(psi.sphere, psi, lo, hi, rules))
+    with np.errstate(over="ignore", invalid="ignore"):  # an integral past the float range is refused next
+        values, errors = (area * x for x in _gk_ladder(psi.sphere, psi, lo, hi, rules))
     _check_integrals(psi.qs, values, dim, a)
     for q, value, error in zip(psi.qs, values, errors):
         if not error <= QUAD_REL_TOL * value:
@@ -514,13 +514,16 @@ def chung_fuchs_integral(
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Least-squares slope and R^2 of y against x; R^2 is 0 when the spread of y squares to 0,
-    as the values of a ladder over a ball of radius 1e-70 in d = 3 do (about 1e-205 each)."""
+    as the values of a ladder over a ball of radius 1e-70 in d = 3 do (about 1e-205 each).
+    Past 1e150 the squares would leave the float range: y / max|y| is fitted, with the same R^2."""
+    scale = max(float(np.abs(y).max()), 1e150) / 1e150
+    y = y / scale
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot <= 0.0:
-        return float(slope), 0.0
-    return float(slope), 1.0 - float(np.sum(resid**2)) / ss_tot
+        return float(slope) * scale, 0.0
+    return float(slope) * scale, 1.0 - float(np.sum(resid**2)) / ss_tot
 
 
 def check_levels(levels: int) -> None:
@@ -667,9 +670,6 @@ def mean_criterion(schedule: SemiLevySchedule) -> Verdict:
 
 FLAG_RECURRENT = "growth-consistent-with-recurrence"
 FLAG_TRANSIENT = "saturation-consistent-with-transience"
-# whole paths are held a block at a time, each reduced to occupations at once;
-# the size check counts max(this, pool workers) of them, at most n_paths
-DIAGNOSTIC_HELD_PATHS = 16
 # fewest paths and horizons the diagnostic accepts: growth is read off the last pair
 DIAGNOSTIC_MIN_PATHS = 50
 DIAGNOSTIC_MIN_HORIZONS = 2
@@ -716,15 +716,16 @@ def empirical_diagnostic(
     check_positive(a=a)
 
     check_size(paths=n_paths, horizons=horizons.size)
-    held = min(n_paths, max(DIAGNOSTIC_HELD_PATHS, _pool_workers(n_paths)))
-    grid = _grid_times(float(horizons[-1]), step, held, schedule.dim)
+    grid = _grid_times(schedule, float(horizons[-1]), step)
     dt = np.diff(grid)
-    idx = np.clip(np.searchsorted(grid, horizons * (1.0 + 1e-12), side="right") - 1, 0, None)
-    seeds = split_seeds(seed, range(n_paths))
-    occ = _ensemble(schedule, _grid_occupancy(schedule, grid), seeds, lambda v: _occupation(v, dt, a)[:, idx])
+    with np.errstate(over="ignore"):  # a horizon next to the float range reads the last grid point either way
+        idx = np.clip(np.searchsorted(grid, horizons * (1.0 + 1e-12), side="right") - 1, 0, None)
+    occ = _ensemble(schedule, _grid_occupancy(schedule, grid), seed, n_paths, lambda v: _occupation(v, dt, a)[:, idx])
 
-    mean = occ.mean(axis=0)
-    growth = mean[-1] / max(mean[-2], 1e-300)
+    with np.errstate(over="ignore"):  # a mean past the float range is refused next; growth past it reads as growth
+        mean = occ.mean(axis=0)
+        growth = mean[-1] / max(mean[-2], 1e-300)
+    check_finite(mean, "the mean occupation")
     if growth >= 1.20:
         flag = FLAG_RECURRENT
     elif growth < 1.02:

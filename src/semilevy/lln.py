@@ -26,7 +26,7 @@ from .schedule import (
     period_covariance,
     period_mean,
 )
-from .util import check_counts, check_finite, check_increasing, check_size, format_csv, split_seeds
+from .util import check_counts, check_finite, check_increasing, format_csv
 
 __all__ = ["LLNReport", "WLLNReport", "strong_law_check", "wlln_conditions"]
 
@@ -113,10 +113,7 @@ def _horizon_values(
     schedule: SemiLevySchedule, horizons: np.ndarray, n_paths: int, seed: int
 ) -> np.ndarray:
     """X at each horizon for each path, (paths, horizons, d), one exact cell per gap."""
-    check_size(paths=n_paths, horizons=horizons.size, dim=schedule.dim)
-    occupancy = _grid_occupancy(schedule, np.concatenate([[0.0], horizons]))
-    seeds = split_seeds(seed, range(n_paths))
-    return _ensemble(schedule, occupancy, seeds)[:, 1:]
+    return _ensemble(schedule, _grid_occupancy(schedule, np.concatenate([[0.0], horizons])), seed, n_paths)[:, 1:]
 
 
 def strong_law_horizons(schedule: SemiLevySchedule, horizons: Sequence[float]) -> np.ndarray:

@@ -20,8 +20,9 @@ of several members stacked together, and returns their increments,
 each cell's jump count N and hands the counts to its jump law's
 `_draw_cells(counts, rng)` and `_cell_sums(counts, draws)`: N x for a point
 mass, N mu + sqrt(N) L Z for a Gaussian, and the drawn jumps added cell by
-cell for uniform and Laplace.  `_draw_values(dts)` sizes blocks and bounds a
-batch before any draw.  A single batch (`_sample_pieces`) is
+cell for uniform and Laplace.  `_draw_values(dts)` counts the values one
+member's batch holds, with no draw: callers size blocks with it and count it
+against the memory budget (util.MAX_VALUES) before any draw.  A single batch (`_sample_pieces`) is
 `_finish(_coefficients(dts), [_draw(dts, rng)])[0]`, or a run of such batches
 drawn one chunk at a time from one Generator (`_sample_chunks`); their
 durations are all equal, so the coefficients of one duration serve every row
@@ -77,11 +78,6 @@ __all__ = [
 
 # tolerance of the positive-semidefinite acceptance check for covariances
 PSD_TOL = 1e-10
-
-# most jumps one compound Poisson batch may expect (rate times the summed
-# durations), for every jump law; a uniform or Laplace batch holds all its
-# jumps in one array, so this bounds its memory to about 512 MB per coordinate
-MAX_EXPECTED_JUMPS = 1 << 26
 
 
 class DimensionMismatch(ValueError):
@@ -198,7 +194,7 @@ class _DrawnJumps(FieldEq):
     """A jump law drawn jump by jump (`_jumps`), each cell's jumps added in draw order."""
 
     def _cell_values(self, k, expected):
-        return expected * self.dim
+        return 2.0 * expected * self.dim  # every jump coordinate, and its slot in _cell_sums
 
     def _invariant_drift(self):
         # a box or a product of one-dimensional laws: never rotation invariant in d >= 2
@@ -391,8 +387,8 @@ def _repeated(dt: float, k: int) -> np.ndarray:
 def _sample_chunks(pieces, dim: int, rng: np.random.Generator, n: int, chunk: Optional[int] = None) -> Iterator:
     """n exact draws of a sum of independent increments, one per (duration, model) piece in
     turn, as a generator of consecutive (rows, d) chunks of at most chunk rows (one chunk
-    without chunk).  Every bound is checked for all n draws at once, before the first
-    draw, so a call is refused whatever its chunks.
+    without chunk).  One check_size counts all n samples, d values and every piece's
+    _draw_values each, before the first draw, so a call is refused whatever its chunks.
 
     A chunk's Generator calls (draws: every piece's _draw, in piece order) are separate
     from its arithmetic (finish: the pieces' _finish summed from zeros, then checked).
@@ -401,10 +397,9 @@ def _sample_chunks(pieces, dim: int, rng: np.random.Generator, n: int, chunk: Op
     and uses chunk i; the calls and their order, and so every bit, stay the same.  rng
     belongs to the generator until it is exhausted or closed."""
     check_counts(size=n)
-    check_size(samples=n, dim=dim)
     plan = [(dt, model) for dt, model in pieces if dt > 0.0]
-    for dt, model in plan:
-        model._draw_values(_repeated(dt, n))  # refuses an oversized call before any draw
+    held = dim + sum(model._draw_values(_repeated(dt, 1)) for dt, model in plan)
+    check_size(samples=n, **{"values per sample": held})
 
     # the durations of a piece are all equal, so its coefficients are one row, found
     # once per call and broadcast by _finish over every chunk
@@ -489,11 +484,13 @@ class LevyModel(FieldEq):
         None is a value, not an error: it encodes E[|L_1|] = infinity and
         downstream criteria branch on it.
         """
-        return _moments(self.expansion(), float(t))[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # a term past the float range is inf or nan
+            return _moments(self.expansion(), float(t))[0]
 
     def covariance(self, t: float) -> Optional[np.ndarray]:
         """Covariance matrix of L_t when second moments are finite, else None."""
-        return _moments(self.expansion(), float(t))[1]
+        with np.errstate(over="ignore", invalid="ignore"):  # as in mean
+            return _moments(self.expansion(), float(t))[1]
 
     def expansion(self) -> tuple:
         """(m, Q, ((alpha, c), ...)) with psi(z) = i<m, z> - z^T Q z / 2 - sum c |z|**alpha + o(|z|**2).
@@ -522,10 +519,8 @@ class LevyModel(FieldEq):
         return None
 
     def _draw_values(self, dts: np.ndarray) -> float:
-        """About the values one member's batch holds, to size blocks of members.
-
-        A ValueError, raised before any draw, refuses a batch beyond a bound.
-        """
+        """About the values one member's batch with durations dts (k,) holds: a count, made
+        before any draw, that sizes blocks of members and is checked against the memory budget."""
         return float(dts.shape[0] * self.dim)
 
     def _draw(self, dts: np.ndarray, rng: np.random.Generator):
@@ -678,13 +673,7 @@ class CompoundPoisson(LevyModel):
         return self.jump._invariant_drift()
 
     def _draw_values(self, dts):
-        expected = self.rate * float(dts.sum())
-        if expected > MAX_EXPECTED_JUMPS:
-            raise ValueError(
-                f"compound Poisson batch expects {expected:.3g} jumps, "
-                f"more than the bound of {MAX_EXPECTED_JUMPS}; lower the rate or the horizon"
-            )
-        return dts.shape[0] + self.jump._cell_values(dts.shape[0], expected)
+        return dts.shape[0] + self.jump._cell_values(dts.shape[0], self.rate * float(dts.sum()))
 
     def _draw(self, dts, rng):
         # jump counts per cell, then the jump law's draw for those counts.

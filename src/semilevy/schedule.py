@@ -229,11 +229,16 @@ def sample_interval_increment(
     return _sample_pieces(zip(schedule.segment_occupancy(s, t), schedule.models), schedule.dim, rng, size)
 
 
-def _grid_times(horizon: float, step: float, members: int, dim: int) -> np.ndarray:
+def _check_cells(schedule: SemiLevySchedule, cells: float) -> None:
+    """Refuse a grid before it is built: per cell its time and 4 temporaries, per segment its occupancy and plan."""
+    check_size(cells=cells, **{"values per cell": 5 + schedule.n_segments * (2 * schedule.dim + 4)})
+
+
+def _grid_times(schedule: SemiLevySchedule, horizon: float, step: float) -> np.ndarray:
     check_positive(horizon=horizon, step=step)
     if horizon < step:
         raise ValueError("horizon must be at least one step")
-    check_size(paths=members, cells=horizon / step, dim=dim)
+    _check_cells(schedule, horizon / step)
     n = int(math.floor(horizon / step + 1e-9))
     times = np.arange(n + 1) * step
     if horizon - times[-1] > 1e-9 * step:
@@ -259,8 +264,11 @@ def _occupancy(schedule: SemiLevySchedule, n: np.ndarray, r: np.ndarray) -> np.n
     Shape (len(n) - 1, n_segments): the differences of the time spent in
     each segment up to each instant, with rounding below 0 clipped.
     """
-    profiles = n[:, None] * schedule.durations + np.clip(r[:, None] - schedule.starts, 0.0, schedule.durations)
-    return np.clip(np.diff(profiles, axis=0), 0.0, None)
+    with np.errstate(over="ignore", invalid="ignore"):  # a time past the float range is refused next
+        profiles = n[:, None] * schedule.durations + np.clip(r[:, None] - schedule.starts, 0.0, schedule.durations)
+        occupancy = np.clip(np.diff(profiles, axis=0), 0.0, None)
+    check_finite(occupancy, "a cell's occupancy of its segments")
+    return occupancy
 
 
 # An ensemble finishes its members in blocks of about this many values
@@ -280,19 +288,22 @@ def _block_members(member_values: float) -> int:
     return max(1, int(_BLOCK_VALUES // max(member_values, 1.0)))
 
 
-def _pool_workers(n_blocks: int) -> int:
-    """Threads _ensemble runs its one-member blocks on: one per CPU, at most one per block."""
-    return min(os.cpu_count() or 1, n_blocks)
+# the values a member's seed and PCG64 state count as: about 770 bytes of Python objects (tracemalloc)
+_MEMBER_VALUES = 100
 
 
-def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list, reduce=None) -> np.ndarray:
+def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seed: int, n=None, reduce=None) -> np.ndarray:
     """Cumulative sums of independent cell draws, shape (n, cells + 1, d), or their reductions.
 
-    Member i starts at the origin and is drawn from default_rng(seeds[i])'s
-    stream: its segments in order, each one _draw over the cells that spend
-    time in it.  Every member's PCG64 state is derived up front in one array
-    pass (util.stream_states); each block of members then resets one
-    Generator to each state in turn and draws, and each segment is finished
+    Member i starts at the origin and is drawn from default_rng(split_seed(seed, i))'s
+    stream, or the one member from default_rng(seed)'s when n is None: its
+    segments in order, each one _draw over the cells that spend time in it.
+    Before any seed is derived, one check_size counts what the call holds at
+    once: every member's seed and state, the sums of every member (of those
+    in flight with reduce), and the draws (_draw_values) of those in flight,
+    a block or one per pool worker.  Every member's PCG64 state is derived up
+    front in one array pass (util.stream_states); each block of members then
+    resets one Generator to each state in turn and draws, and each segment is finished
     for the whole block at once and added in place into the block's sums, at
     the segment's flat (cell, coordinate) columns; one in-place cumsum then
     turns the increments into sums.  The columns, durations and duration
@@ -301,26 +312,33 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list, re
     value, which a sampler may draw with a scalar argument.  Member i
     therefore depends neither on the other members nor on the block or pool
     size.  Blocks of one member each run on a thread pool, one worker per
-    CPU; larger blocks run in the calling thread.  Each seed must lie in
-    [0, 2**64).
+    CPU; larger blocks run in the calling thread.  A seed given alone must
+    lie in [0, 2**64).
     With reduce, each block's (members, cells + 1, d) sums are checked and
     passed to it on the pool, and its rows are returned in member order.
     """
-    states = stream_states(seeds)
     cells, dim = occupancy.shape[0], schedule.dim
     plan = []
-    member_values = float(cells * dim)
+    draws = 0.0
     for k, model in enumerate(schedule.models):
         rows = np.flatnonzero(occupancy[:, k] > 0.0)
         if rows.size:
             dts = occupancy[rows, k]
-            member_values += model._draw_values(dts)
+            draws += model._draw_values(dts)
             dts = _repeated(dts[0], dts.size) if (dts == dts[0]).all() else dts
             with np.errstate(all="ignore"):  # inf and nan are refused after the draws
                 coefficients = model._coefficients(dts)
             plan.append((model, (rows[:, None] * dim + np.arange(dim)).ravel(), dts, coefficients))
-    out = np.zeros((len(states), cells + 1, dim)) if reduce is None else None
-    size = _block_members(member_values)
+    n_members = 1 if n is None else n
+    size = _block_members(cells * dim + draws)
+    n_blocks = -(-n_members // size)
+    workers = min(os.cpu_count() or 1, n_blocks) if size == 1 else 1  # one per CPU, at most one per block
+    flight = min(size * workers, n_members)
+    check_size({"members": n_members, "seed and state each": _MEMBER_VALUES},
+               {"sums held": n_members if reduce is None else flight, "values each": (cells + 1) * dim},
+               {"members in flight": flight, "draws each": draws})
+    states = stream_states([seed] if n is None else split_seeds(seed, range(n)))
+    out = np.zeros((n_members, cells + 1, dim)) if reduce is None else None
 
     def block(b: int):
         lo = b * size
@@ -334,11 +352,8 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list, re
                 for drawn, (model, _, dts, _) in zip(raws, plan):
                     drawn.append(model._draw(dts, rng))
         sums = out[lo : lo + len(members)] if reduce is None else np.zeros((len(members), cells + 1, dim))
-        # the increments as (members, cells * d) columns of the sums; a reshape that
-        # copied would take the adds away from them, so it is refused
+        # the increments as (members, cells * d) columns of the sums: a view, the sums being C-ordered
         flat = sums[:, 1:].reshape(len(members), -1)
-        if not np.may_share_memory(flat, sums):
-            raise RuntimeError("the block's sums cannot be viewed as flat columns")
         with np.errstate(all="ignore"):  # inf and nan are refused next
             # a segment's columns never repeat, and a cell straddling several
             # segments gets each one's += in turn
@@ -349,8 +364,6 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seeds: list, re
         check_finite(sums[:, -1], "a sampled path or walk")
         return None if reduce is None else reduce(sums)
 
-    n_blocks = -(-len(states) // size)
-    workers = _pool_workers(n_blocks) if size == 1 else 1
     reduced = map_indexed(block, n_blocks, workers)
     # C order whatever reduce returns, so sums over the members keep one order
     return out if reduce is None else np.ascontiguousarray(np.concatenate(reduced))
@@ -365,8 +378,8 @@ def sample_path(schedule: SemiLevySchedule, horizon: float, step: float, seed: i
     from np.random.default_rng(seed)'s stream; the seed must lie in
     [0, 2**64) (ValueError otherwise).
     """
-    times = _grid_times(horizon, step, 1, schedule.dim)
-    values = _ensemble(schedule, _grid_occupancy(schedule, times), [seed])[0]
+    times = _grid_times(schedule, horizon, step)
+    values = _ensemble(schedule, _grid_occupancy(schedule, times), seed)[0]
     return PathSample(grid=times, values=values, seed=int(seed))
 
 
@@ -375,7 +388,6 @@ def sample_paths(
 ) -> list[PathSample]:
     """Independent paths; path i is reproduced by sample_path with split_seed(seed, i)."""
     check_counts(n_paths=n_paths)
-    times = _grid_times(horizon, step, n_paths, schedule.dim)
-    seeds = split_seeds(seed, range(n_paths))
-    values = _ensemble(schedule, _grid_occupancy(schedule, times), seeds)
-    return [PathSample(grid=times, values=v, seed=s) for v, s in zip(values, seeds)]
+    times = _grid_times(schedule, horizon, step)
+    values = _ensemble(schedule, _grid_occupancy(schedule, times), seed, n_paths)
+    return [PathSample(grid=times, values=v, seed=s) for v, s in zip(values, split_seeds(seed, range(n_paths)))]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import PathSample, SemiLevySchedule, _ensemble, _occupancy
-from .util import check_counts, check_positive, check_size, format_csv, split_seeds
+from .schedule import PathSample, SemiLevySchedule, _block_members, _check_cells, _ensemble, _occupancy
+from .util import check_counts, check_positive, format_csv, split_seeds
 
 __all__ = [
     "RationalStep",
@@ -65,7 +65,7 @@ class WalkSample:
         return self.steps.shape[0] - 1
 
 
-def _walk_occupancy(schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, n_walks: int) -> np.ndarray:
+def _walk_occupancy(schedule: SemiLevySchedule, rs: RationalStep, n_steps: int) -> np.ndarray:
     """Per-segment occupancy of each walk step, via exact integer period counts.
 
     Step k covers [k h, (k+1) h] with h = p num / den; the position of k h
@@ -73,8 +73,7 @@ def _walk_occupancy(schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, 
     segment boundaries never drift no matter how long the walk is.
     """
     check_counts(least=1, n_steps=n_steps)
-    check_counts(n_walks=n_walks)
-    check_size(walks=n_walks, steps=n_steps, dim=schedule.dim)
+    _check_cells(schedule, n_steps)
     if n_steps * rs.num >= 2**63:
         raise ValueError(
             f"n_steps * num = {n_steps * rs.num} reaches 2^63, past the int64 arithmetic "
@@ -89,7 +88,7 @@ def sample_walk(
     schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, seed: int
 ) -> WalkSample:
     """Exact draw of (X_0, X_h, ..., X_{n h}) at the rational step h; seed in [0, 2**64)."""
-    steps = _ensemble(schedule, _walk_occupancy(schedule, rs, n_steps, 1), [seed])[0]
+    steps = _ensemble(schedule, _walk_occupancy(schedule, rs, n_steps), seed)[0]
     return WalkSample(steps=steps, rational_step=rs, seed=int(seed))
 
 
@@ -97,10 +96,9 @@ def sample_walks(
     schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, n_walks: int, seed: int
 ) -> list[WalkSample]:
     """Independent walks; walk i is reproduced by sample_walk with split_seed(seed, i)."""
-    occupancy = _walk_occupancy(schedule, rs, n_steps, n_walks)
-    seeds = split_seeds(seed, range(n_walks))
-    steps = _ensemble(schedule, occupancy, seeds)
-    return [WalkSample(steps=w, rational_step=rs, seed=s) for w, s in zip(steps, seeds)]
+    check_counts(n_walks=n_walks)
+    steps = _ensemble(schedule, _walk_occupancy(schedule, rs, n_steps), seed, n_walks)
+    return [WalkSample(steps=w, rational_step=rs, seed=s) for w, s in zip(steps, split_seeds(seed, range(n_walks)))]
 
 
 @dataclass(frozen=True)
@@ -134,8 +132,10 @@ def ball_visit_curve(walks: list[WalkSample], a: float) -> BallVisitCurve:
     lengths = {w.steps.shape[0] for w in walks}
     if len(lengths) != 1:
         raise ValueError("walks must share a common length")
-    stacked = np.stack([w.steps for w in walks])  # (W, N+1, d)
-    p_hat = _inside(stacked, a).mean(axis=0)
+    # the walks are counted a block of about 2^16 values at a time, never stacked whole
+    size = _block_members(walks[0].steps.size)
+    blocks = (np.stack([w.steps for w in walks[lo : lo + size]]) for lo in range(0, len(walks), size))
+    p_hat = sum(_inside(block, a).sum(axis=0) for block in blocks) / len(walks)
     partial = np.concatenate([[0.0], np.cumsum(p_hat[1:])])
     return BallVisitCurve(
         n=np.arange(p_hat.shape[0]),

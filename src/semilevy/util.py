@@ -41,8 +41,8 @@ T = TypeVar("T")
 # seeds and stream indices lie in [0, SEED_BOUND): at most two 32-bit words
 SEED_BOUND = 1 << 64
 
-# most values one sampling call may hold (1 GiB of float64); check_size
-# compares the sizes with it before any grid, seed list or array is built
+# the one memory budget: most values one sampling call may hold at once (1 GiB of
+# float64); check_size compares the sizes with it before anything it counts is made
 MAX_VALUES = 1 << 27
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx)
@@ -221,16 +221,17 @@ def check_counts(least: int = 0, **counts) -> None:
             raise ValueError(f"{name} must be an integer of at least {least}, got {shown!r}")
 
 
-def check_size(**sizes: float) -> None:
-    """ValueError when one sampling call of these named sizes would hold more than MAX_VALUES values.
+def check_size(*terms: dict, **sizes: float) -> None:
+    """ValueError when one sampling call would hold over MAX_VALUES values: the sizes' product, or the terms' sum.
 
     The sizes are compared as floats, a count past the float range as inf,
     so no count is too large to check; the message names every factor.
     """
-    floats = {name: float(size) if size <= sys.float_info.max else math.inf for name, size in sizes.items()}
-    values = math.prod(floats.values())
-    if values > MAX_VALUES:
-        factors = " x ".join(f"{name} {size:.6g}" for name, size in floats.items())
+    terms = [{name: float(size) if size <= sys.float_info.max else math.inf for name, size in term.items()}
+             for term in terms or [sizes]]
+    values = sum(math.prod(term.values()) for term in terms)
+    if not values <= MAX_VALUES:
+        factors = " + ".join(" x ".join(f"{name} {size:.6g}" for name, size in term.items()) for term in terms)
         raise ValueError(
             f"one sampling call would hold {values:.3g} values ({factors}), more than the bound of {MAX_VALUES}"
         )

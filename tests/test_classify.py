@@ -962,6 +962,24 @@ def test_line_fit_of_an_underflowing_spread_has_r2_zero():
     assert classify._line_fit(np.arange(4.0), np.full(4, 2.5)) == (pytest.approx(0.0, abs=1e-15), 0.0)
 
 
+def test_line_fit_of_a_spread_past_the_float_range_keeps_its_r2():
+    # values past 1e150 would square past the float range: y / max|y| has the same R^2, and the
+    # zero process over a ball of radius 1e300, I(q) = 2e300 / q, reads as the growth it is
+    x = np.arange(6.0)
+    slope, r2 = classify._line_fit(x, 1e300 * (1.0 + x))
+    assert slope == pytest.approx(1e300) and r2 == pytest.approx(1.0)
+    v = chung_fuchs_verdict(single_segment(BrownianDrift(0.0, 0.0), 1.0), a=1e300, levels=6)
+    assert v.decision is Decision.RECURRENT
+    assert v.evidence["log_r2"] == pytest.approx(classify._line_fit(x, v.evidence["integrals"] / 1e300)[1])
+
+
+def test_integral_past_the_float_range_is_refused_without_a_warning():
+    # the 2-d zero process over a ball of radius 1e300: I(q) = pi a^2 / q is past the float range
+    zero2 = single_segment(BrownianDrift([0.0, 0.0], 0.0), 1.0)
+    with pytest.raises(QuadratureError, match="^2-d Chung-Fuchs integral is inf"):
+        chung_fuchs_verdict(zero2, a=1e300, levels=6)
+
+
 def test_verdict_levels_validation():
     with pytest.raises(ValueError):
         chung_fuchs_verdict(BM1, levels=5)
@@ -1169,8 +1187,9 @@ def test_diagnostic_rows_are_single_path_occupations(sched, monkeypatch):
 
 @pytest.mark.parametrize("cpus, refused", [(64, True), (2, False)])
 def test_diagnostic_size_check_counts_a_path_per_pool_worker(monkeypatch, cpus, refused):
-    # 64 one-path blocks in flight hold 64 x 4e6 cells, past the bound; on 2
-    # CPUs 16 paths are counted, which pass it, and the run gets to its seeds
+    # 64 one-path blocks in flight hold the sums and draws of 64 x 4e6 cells, past the
+    # budget; on 2 CPUs 2 such paths are in flight, which pass it, and the run gets to
+    # its stream states
     class SeedsBuilt(Exception):
         pass
 
@@ -1178,9 +1197,34 @@ def test_diagnostic_size_check_counts_a_path_per_pool_worker(monkeypatch, cpus, 
         raise SeedsBuilt
 
     monkeypatch.setattr(schedule_module.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(classify, "split_seeds", no_seeds)
+    monkeypatch.setattr(schedule_module, "stream_states", no_seeds)
     with pytest.raises(ValueError if refused else SeedsBuilt, match="more than the bound" if refused else None):
         empirical_diagnostic(BM1, 1.0, [2e5, 4e5], 64, seed=0, step=0.1)
+
+
+def test_diagnostic_growth_past_the_float_range_reads_as_growth():
+    # the zero process never leaves a ball: no time inside by 1e-300, all 1e300 of it by 1e300,
+    # a growth past the float range that reads as recurrence
+    zero = single_segment(BrownianDrift(0.0, 0.0), 1.0)
+    report = empirical_diagnostic(zero, 1.0, [1e-300, 1e300], 50, seed=0, step=1e300)
+    assert report.mean[0] == 0.0 and report.mean[1] == pytest.approx(1e300)
+    assert report.flag == classify.FLAG_RECURRENT
+
+
+def test_diagnostic_horizon_at_the_float_range_reads_the_last_grid_point():
+    # a drift leaves the unit ball within the first of 64 cells, so each path's occupation at the
+    # largest float is that cell's length
+    top = 1.7976931348623157e308
+    report = empirical_diagnostic(single_segment(PureDrift(1.0), 1.0), 1.0, [1.0, top], 50, seed=0, step=top / 64)
+    assert np.all(report.occupations == [0.0, top / 64])
+
+
+def test_diagnostic_mean_past_the_float_range_is_refused():
+    # the zero process spends the whole horizon of the largest float in the ball on each of 50
+    # paths: their sum, and so the mean as numpy takes it, passes the float range
+    zero = single_segment(BrownianDrift(0.0, 0.0), 1.0)
+    with pytest.raises(FloatingPointError, match="^the mean occupation overflowed"):
+        empirical_diagnostic(zero, 1.0, [1.0, 1.7976931348623157e308], 50, seed=0, step=1.7976931348623157e308)
 
 
 def test_diagnostic_validation_and_verdict():

@@ -1,11 +1,13 @@
 """Config grammar, round-tripping, command execution, and exit codes."""
 
+import math
 import os
 import subprocess
 import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -16,6 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import semilevy
+from semilevy import classify as classify_module
+from semilevy import models as models_module
 from semilevy.classify import MAX_LEVELS, MIN_LEVELS, Criterion, chung_fuchs_verdict, radius_sweep
 from semilevy.cli import COMMAND_KEYS, RUN_KEYS, ConfigError, RunConfig, main, parse_config, render_config, run
 from semilevy.models import (
@@ -29,10 +33,10 @@ from semilevy.models import (
     SymmetricStable,
     UniformJump,
 )
-from semilevy import lln
 from semilevy import schedule as schedule_module
 from semilevy.schedule import SemiLevySchedule, make_splice, period_mean, single_segment
 from semilevy.skeleton import RationalStep
+from semilevy.util import check_size
 
 BASIC = """
 [schedule]
@@ -1001,13 +1005,14 @@ def test_one_dimensional_criteria_refused_at_their_line_above_dimension_one(tmp_
 
 
 def test_unbounded_compound_poisson_draw_exits_one(tmp_path, capsys):
+    # uniform jumps are held one by one: 5e11 of them per cell pass the memory budget
     cfg = tmp_path / "c.cfg"
     cfg.write_text(
-        "[schedule]\nperiod = 1.0\nsegment = 1.0 cpoisson rate=1e12 jump=point jump_x=1.0\n"
+        "[schedule]\nperiod = 1.0\nsegment = 1.0 cpoisson rate=1e12 jump=uniform jump_lo=0 jump_hi=1\n"
         "[run]\nseed = 4\nhorizon = 1.0\nstep = 0.5\n"
     )
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
-    assert "jumps" in capsys.readouterr().err
+    assert "more than the bound" in capsys.readouterr().err
     assert not (tmp_path / "o" / "path_0000.csv").exists()
 
 
@@ -1035,15 +1040,25 @@ def test_overflowing_draws_exit_two(tmp_path, capsys, command, keys, written):
     "command, keys, module",
     [
         ("simulate", "horizon = 1e18\nstep = 1.0\n", schedule_module),
-        ("lln", "horizons = 10,20\nn_paths = 1000000000000\n", lln),
+        ("lln", "horizons = 10,20\nn_paths = 1000000000000\n", schedule_module),
         # counts past the float range: refused by the bound, not a float overflow
         pytest.param("simulate", "horizon = 10.0\nstep = 1.0\nn_paths = 1" + "0" * 400 + "\n", schedule_module,
                      id="simulate-n_paths-1e400"),
-        pytest.param("lln", "horizons = 10,20\nn_paths = 1" + "0" * 400 + "\n", lln, id="lln-n_paths-1e400"),
+        pytest.param("lln", "horizons = 10,20\nn_paths = 1" + "0" * 400 + "\n", schedule_module,
+                     id="lln-n_paths-1e400"),
+        # 2^26 one-cell members: 2^27 values of sums, but each member's seed and stream
+        # state are Python objects of about 770 bytes, counted as 100 values
+        pytest.param("lln", "horizons = 10\nn_paths = 67108864\n", schedule_module, id="lln-2^26-members"),
+        pytest.param("simulate", "horizon = 1\nstep = 1\nn_paths = 67108864\n", schedule_module,
+                     id="simulate-2^26-members"),
+        pytest.param("classify", "criterion = empirical\nhorizons = 1,2\nstep = 1\nn_paths = 67108864\n",
+                     schedule_module, id="classify-empirical-2^26-members"),
+        pytest.param("skeleton", "rs = 1/1\nn_steps = 1\nn_walks = 67108864\na = 1\n", schedule_module,
+                     id="skeleton-2^26-members"),
     ],
 )
 def test_oversized_runs_exit_one_before_drawing(tmp_path, capsys, monkeypatch, command, keys, module):
-    # the bound is checked from the sizes, before any grid or seed list is built
+    # the bound is checked from the sizes, before any grid, seed list or stream state is built
     def no_seeds(*args, **kwargs):
         raise AssertionError("seed list built before the size check")
 
@@ -1052,6 +1067,78 @@ def test_oversized_runs_exit_one_before_drawing(tmp_path, capsys, monkeypatch, c
     cfg.write_text("[schedule]\nperiod = 1.0\nsegment = 1.0 drift gamma=0.0\n[run]\nseed = 4\n" + keys)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "more than the bound" in capsys.readouterr().err
+
+
+def test_drawn_jumps_on_a_two_worker_pool_exit_one_before_any_draw(tmp_path, capsys, monkeypatch):
+    # each path's last cell expects 5.4e7 uniform jumps in d = 2, each coordinate held with its
+    # slot index, and two paths are in flight on a two-worker pool: past the budget, so no jump is
+    # drawn (such a run once peaked at 3.3 GB)
+    def no_draw(*args):
+        raise AssertionError("a compound Poisson batch was drawn before the size check")
+
+    monkeypatch.setattr(schedule_module.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(CompoundPoisson, "_draw", no_draw)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "[schedule]\nperiod = 1e300\nsegment = 0.1 cpoisson rate=3 jump=uniform jump_lo=0,0 jump_hi=1,1\n"
+        "segment = 1e300 brownian drift=0,0 var=1\n"
+        "[run]\nseed = 4\nhorizons = 1, 1e300, 1.7976931348623157e308\nn_paths = 50\n"
+    )
+    assert main(["lln", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: one sampling call would hold") and "more than the bound" in err
+
+
+# A run's traced peak stays within this factor of the values its size checks counted, 8 bytes
+# each: fixed before the first run of the test below
+MEMORY_FACTOR = 4
+SIM = (
+    "[schedule]\nperiod = 1.0\nsegment = 0.5 brownian drift=0.2 var=1\n"
+    "segment = 0.25 cpoisson rate=1 jump=point jump_x=0.5\nsegment = 0.25 drift gamma=-0.4\n[run]\nseed = 3\n"
+)
+THREE = (
+    "[schedule]\nperiod = 3.0\nsegment = 1.0 brownian drift=0.1 var=1\nsegment = 1.0 stable alpha=1.5 scale=0.5\n"
+    "segment = 1.0 cpoisson rate=2 jump=uniform jump_lo=-1 jump_hi=1\n[run]\nseed = 3\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("simulate", SIM + "horizon = 4096\nstep = 0.125\nn_paths = 2\n"),
+        ("classify", "[schedule]\nperiod = 1.0\nsegment = 1.0 brownian drift=0,0 var=1\n[run]\nseed = 3\n"
+                     "criterion = empirical\nhorizons = 100,200\nn_paths = 60\nstep = 0.1\n"),
+        ("skeleton", THREE + "rs = 1/2\nn_steps = 32768\nn_walks = 4\na = 1\n"),
+        ("lln", "[schedule]\nperiod = 2.0\nsegment = 1.0 brownian drift=0.5 var=1\n"
+                "segment = 1.0 cpoisson rate=2 jump=gauss jump_mean=-0.25 jump_var=0.5\n[run]\nseed = 3\n"
+                "horizons = 10,40,160,640\nn_paths = 200\nt_grid = 1,4,16\nn_samples = 200000\n"),
+    ],
+)
+def test_each_command_peaks_within_a_factor_of_what_its_size_checks_count(tmp_path, capsys, monkeypatch, command,
+                                                                        text):
+    # the sampling commands at a moderate size; a Chung-Fuchs verdict draws nothing, and the
+    # arrays of its ladder are bounded by its own chunk sizes
+    counted = []
+
+    def spy(*terms, **sizes):
+        counted.append(sum(math.prod(map(float, term.values())) for term in terms or [sizes]))
+        check_size(*terms, **sizes)
+
+    for module in (schedule_module, models_module, classify_module):
+        monkeypatch.setattr(module, "check_size", spy)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    # a first run fills the caches built on first use (the CSV formatter's tables)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "warm")]) == 0
+    counted.clear()
+    tracemalloc.start()
+    try:
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert counted and peak <= MEMORY_FACTOR * 8 * sum(counted)
 
 
 def test_huge_levels_exit_one_before_any_ladder(tmp_path, capsys):
@@ -1123,11 +1210,12 @@ POSITIVE = ["5e-324", "2.2250738585072014e-308", "1e-300", "0.5", "1", "1e300", 
 NONNEGATIVE = ["0", "-0.0", *POSITIVE]
 EDGE = [*NONNEGATIVE, "-1", "-1e300", "-1.7976931348623157e308"]
 ALPHAS = ["1e-300", "0.01", "0.3", "1", "1.5", "1.9999999999999998", "2"]
-# rates near MAX_EXPECTED_JUMPS = 2**26 expected jumps: a weak-law call of 10^4 samples reaches
-# it at rate 6710.8864, a horizon of 1 at 2**26.  Uniform and Laplace jumps are drawn one by one,
-# and a batch just below the bound holds about 512 MB of them per coordinate, so they take rates
-# whose batches, on these durations and times, hold a few thousand jumps or pass the bound
-RATES = ["1e-300", "0.5", "3", "6710.8864", "6710.8865", "67108864", "67108864.00000001", "1e300"]
+# point and Gaussian jumps hold only a count (and a normal) per cell, so the memory budget
+# admits any rate; a cell's count then needs a Poisson mean numpy takes, at most about 9.2e18.
+# Uniform and Laplace jumps are drawn one by one, and a batch just below the budget holds about
+# 1 GB of them and their slots, so they take rates whose batches, on these durations and times,
+# hold a few thousand jumps or pass the budget
+RATES = ["1e-300", "0.5", "3", "6710.8864", "67108864", "9.2e18", "9.3e18", "1e300"]
 DRAWN_RATES = ["0.5", "3", "1e300"]
 TIMES = ["5e-324", "1e-300", "1e-6", "0.5", "1", "10", "1e3", "1e300", "1.7976931348623157e308"]
 REFUSED = ["nan", "NaN", "inf", "-inf", "Infinity", "0", "-1", "2.0000000000000004"]
@@ -1135,9 +1223,15 @@ REFUSED = ["nan", "NaN", "inf", "-inf", "Infinity", "0", "-1", "2.00000000000000
 N_SAMPLES = [10**4, 2**16, 2**16 + 1, 2 * 2**16, 2 * 2**16 + 1, 3 * 2**16]
 
 
+# simulate and empirical steps: every admitted grid, on these times, has at most 4000 cells
+STEPS = ["5e-324", "1e-300", "0.25", "0.5", "1", "10", "1e300", "1.7976931348623157e308"]
+RATIONAL_STEPS = ["1/1", "1/2", "3/7", "2/1", "9223372036854775807/1", "1/9223372036854775807"]
+
+
 @st.composite
-def lln_texts(draw):
-    """(config text, whether it sets t_grid): an lln run on a 1- or 2-d schedule of edge values."""
+def config_texts(draw, command: str):
+    """(config text, the files a successful run writes): a run of command on a 1- or 2-d
+    schedule of edge values, with run keys of edge values too."""
     dim = draw(st.sampled_from([1, 2]))
 
     def value(values):
@@ -1166,7 +1260,7 @@ def lln_texts(draw):
         "drift": lambda: f"gamma={vec()}",
     }
     # 1e290, not 1e300: a period of 1e300 would take 1.8e308 to about 2e8 periods, and a drawn
-    # jump law's batch over them below the jump bound
+    # jump law's batch over them below the memory budget on one CPU
     durations = draw(st.lists(st.sampled_from([0.1, 0.2, 0.7, 1.0, 1e-300, 1e290]), min_size=1, max_size=3))
     # a period that misses the durations' sum by a few ulps
     period = float(np.sum(durations))
@@ -1177,33 +1271,63 @@ def lln_texts(draw):
         kind = draw(st.sampled_from(list(kinds)))
         lines.append(f"segment = {d!r} {kind} {kinds[kind]()}")
 
-    def times():
+    def times(least=1):
         # increasing, but now and then with a refused value among them
-        picked = draw(st.lists(st.sampled_from(TIMES), min_size=1, max_size=3, unique=True))
+        picked = draw(st.lists(st.sampled_from(TIMES), min_size=least, max_size=3, unique=True))
         return ", ".join([value(["1"]) if t == "1" else t for t in sorted(picked, key=float)])
 
-    lines += ["[run]", "command = lln", f"seed = {draw(st.integers(0, 2**64 - 1))}", f"horizons = {times()}",
-              f"n_paths = {draw(st.sampled_from([50, 64]))}"]
-    weak = draw(st.booleans())
-    if weak:
-        lines += [f"t_grid = {times()}", f"n_samples = {draw(st.sampled_from(N_SAMPLES))}"]
-    return "\n".join(lines) + "\n", weak
+    def pick(values):
+        return draw(st.sampled_from(values))
+
+    def step(horizon):
+        # mostly no longer than the horizon, as a grid needs
+        return value([s for s in STEPS if float(s) <= float(horizon)] or STEPS)
+
+    lines += ["[run]", f"command = {command}", f"seed = {draw(st.integers(0, 2**64 - 1))}"]
+    if command == "lln":
+        lines += [f"horizons = {times()}", f"n_paths = {pick([50, 64])}"]
+        weak = draw(st.booleans())
+        if weak:
+            lines += [f"t_grid = {times()}", f"n_samples = {pick(N_SAMPLES)}"]
+        return "\n".join(lines) + "\n", ["lln.csv", "wlln.csv"] if weak else ["lln.csv"]
+    if command == "simulate":
+        n_paths, horizon = pick([1, 3]), value(TIMES)
+        lines += [f"horizon = {horizon}", f"step = {step(horizon)}", f"n_paths = {n_paths}"]
+        return "\n".join(lines) + "\n", [f"path_{i:04d}.csv" for i in range(n_paths)]
+    if command == "skeleton":
+        lines += [f"rs = {pick(RATIONAL_STEPS)}", f"n_steps = {pick([1, 10, 100])}", f"n_walks = {pick([1, 3])}",
+                  f"a = {value(POSITIVE)}"]
+        return "\n".join(lines) + "\n", ["ball_visits.csv"]
+    # classify: each criterion with the keys it reads, the occupation diagnostic now and then
+    criterion = pick(["auto", "mean", "chung-fuchs", "empirical"])
+    if criterion != "auto" or draw(st.booleans()):
+        lines.append(f"criterion = {criterion}")
+    diagnostic = criterion == "empirical" or draw(st.booleans())
+    if diagnostic:
+        horizons = times(least=2)
+        lines += [f"horizons = {horizons}", f"n_paths = {pick([50, 64])}", f"step = {step(horizons.split(',')[-1])}"]
+    if diagnostic or criterion == "chung-fuchs":
+        lines.append(f"a = {value(POSITIVE)}")
+    if criterion == "chung-fuchs":
+        lines += [f"levels = {pick([6, 8])}", f"q0 = {value(['1e-300', '0.01', '1', '1e300'])}",
+                  f"sweep = {pick(['true', 'false'])}"]
+    return "\n".join(lines) + "\n", ["occupation.csv", "verdict.txt"] if diagnostic else ["verdict.txt"]
 
 
-# 400 fixed examples, about 4 s
-@settings(
-    max_examples=400, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
-@given(case=lln_texts())
-def test_lln_configs_keep_the_cli_contract(capsys, case):
-    text, weak = case
+# the first key of each command's summary line
+SUMMARY_KEYS = {"simulate": "n_paths", "classify": "decision", "skeleton": "n_walks", "lln": "flag"}
+
+
+def _keeps_the_cli_contract(capsys, command: str, text: str, files: list):
+    """Exit 0, 1 or 2, no warning and no thread left; a failure prints one stderr line and
+    writes no file, a success prints its summary line alone and writes files."""
     capsys.readouterr()
     before = threading.active_count()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cfg, out = Path(tmp) / "c.cfg", Path(tmp) / "o"
         cfg.write_text(text)
-        code = main(["lln", "--config", str(cfg), "--out", str(out)])
+        code = main([command, "--config", str(cfg), "--out", str(out)])
         written = sorted(p.name for p in out.iterdir()) if out.exists() else []
     stdout, stderr = capsys.readouterr()
     assert not caught, [str(w.message) for w in caught]
@@ -1213,5 +1337,38 @@ def test_lln_configs_keep_the_cli_contract(capsys, case):
         assert len(stderr.splitlines()) == 1 and stdout == "" and written == []
         assert stderr.startswith("numerical failure: " if code == 2 else "error: ")
     else:
-        assert stderr == "" and stdout.startswith("lln: flag=")
-        assert written == (["lln.csv", "wlln.csv"] if weak else ["lln.csv"])
+        assert stderr == "" and stdout.startswith(f"{command}: {SUMMARY_KEYS[command]}=")
+        assert len(stdout.splitlines()) == 1
+        assert written == files
+
+
+def _contract(examples: int):
+    return settings(max_examples=examples, derandomize=True, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+# 400 fixed examples, about 4 s
+@_contract(400)
+@given(case=config_texts("lln"))
+def test_lln_configs_keep_the_cli_contract(capsys, case):
+    _keeps_the_cli_contract(capsys, "lln", *case)
+
+
+# the example counts are fixed with the derandomized seed: 200 runs of each command but
+# classify, whose four criteria and diagnostic take 400
+@_contract(200)
+@given(case=config_texts("simulate"))
+def test_simulate_configs_keep_the_cli_contract(capsys, case):
+    _keeps_the_cli_contract(capsys, "simulate", *case)
+
+
+@_contract(400)
+@given(case=config_texts("classify"))
+def test_classify_configs_keep_the_cli_contract(capsys, case):
+    _keeps_the_cli_contract(capsys, "classify", *case)
+
+
+@_contract(200)
+@given(case=config_texts("skeleton"))
+def test_skeleton_configs_keep_the_cli_contract(capsys, case):
+    _keeps_the_cli_contract(capsys, "skeleton", *case)

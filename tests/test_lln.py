@@ -11,7 +11,7 @@ from semilevy import models as models_module
 from semilevy.classify import Decision, mean_criterion
 from semilevy.lln import WLLN_CHUNK, strong_law_check, wlln_conditions
 from semilevy.models import (
-    MAX_EXPECTED_JUMPS, BrownianDrift, CompoundPoisson, GaussianJump, LaplaceJump, PointMass, PureDrift,
+    BrownianDrift, CompoundPoisson, GaussianJump, LaplaceJump, PointMass, PureDrift,
     SymmetricStable, UniformJump,
 )
 from semilevy.schedule import SemiLevySchedule, make_splice, sample_interval_increment, single_segment
@@ -169,15 +169,18 @@ def test_conditions_csv():
 
 
 def test_wlln_bounds_hold_for_the_whole_call():
-    # a chunk of the draws alone would pass the jump bound; the whole call does not
-    assert WLLN_CHUNK * 1000 <= MAX_EXPECTED_JUMPS < 10**5 * 1000
-    sched = single_segment(CompoundPoisson(1000.0, PointMass(1.0)))
-    with pytest.raises(ValueError, match="^compound Poisson batch expects 1e\\+08 jumps, more than the bound of"):
-        wlln_conditions(sched, [1.0], 10**5, 1)
-    # nor does the size bound look at one chunk
+    # a chunk of the draws alone would pass the budget; the whole call does not.  A sample of
+    # uniform jumps at rate 1000 holds its value, its count and 1000 expected jumps, each with its slot
+    assert WLLN_CHUNK * 2002 <= MAX_VALUES < 2 * 10**5 * 2002
+    sched = single_segment(CompoundPoisson(1000.0, UniformJump(0.0, 1.0)))
+    message = f"(samples 200000 x values per sample 2002), more than the bound of {MAX_VALUES}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        wlln_conditions(sched, [1.0], 2 * 10**5, 1)
+    # nor does it look at one chunk of Brownian draws, d values and d normals a sample
     bm2 = single_segment(BrownianDrift([0.0, 0.0], 1.0))
-    n = MAX_VALUES // 2 + 1
-    with pytest.raises(ValueError, match=re.escape(f"(samples {n:.6g} x dim 2), more than the bound of {MAX_VALUES}")):
+    n = MAX_VALUES // 4 + 1
+    message = f"(samples {n:.6g} x values per sample 4), more than the bound of {MAX_VALUES}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         wlln_conditions(bm2, [1.0], n, 1)
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from semilevy import models as models_module
 from semilevy.models import (
-    MAX_EXPECTED_JUMPS,
     BrownianDrift,
     CompoundPoisson,
     DimensionMismatch,
@@ -25,6 +24,7 @@ from semilevy.models import (
     _standard_symmetric_stable,
 )
 from semilevy.schedule import make_splice, sample_interval_increment, single_segment
+from semilevy.util import MAX_VALUES
 
 # one representative per catalog kind, plus multivariate and composite cases
 CATALOG = [
@@ -188,13 +188,22 @@ def test_sample_increment_is_a_one_segment_interval_increment(model, size):
 
 
 def test_refused_splice_leaves_generator_untouched():
-    # every segment's bound is checked before the Brownian segment draws
-    splice = make_splice(BrownianDrift(0.0, 1.0), CompoundPoisson(1e9, PointMass(1.0)), 0.5, 1.0)
+    # the budget counts every segment's draws before the Brownian segment draws; uniform jumps
+    # hold an array of all 5e8 expected jumps
+    splice = make_splice(BrownianDrift(0.0, 1.0), CompoundPoisson(1e9, UniformJump(0.0, 1.0)), 0.5, 1.0)
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="jumps"):
+    with pytest.raises(ValueError, match="more than the bound"):
         sample_interval_increment(splice, 0.0, 1.0, rng)
     assert rng.bit_generator.state == state
+
+
+def test_moments_of_a_law_whose_second_moment_overflows_warn_nothing():
+    # rate 1e-300 of jumps of 1e300: a unit mean of 1 and a second moment past the float range,
+    # which reads inf, never a numpy warning (an error in the CLI contract)
+    model = CompoundPoisson(1e-300, PointMass(1e300))
+    assert model.mean(1.0) == pytest.approx([1.0])
+    assert np.isinf(model.covariance(1.0)).all()
 
 
 def test_oversized_single_batches_are_refused_before_any_draw():
@@ -260,22 +269,26 @@ def test_compound_poisson_mean():
 
 
 def test_compound_poisson_refuses_unbounded_draw():
-    # rate 1e12 over one time unit would need terabytes of jumps; the bound is
-    # checked before any draw, so the generator is left untouched
+    # uniform jumps at rate 1e12 over one time unit would need terabytes of jumps; the
+    # budget counts them before any draw, so the generator is left untouched
     rng = np.random.default_rng(3)
     state = rng.bit_generator.state
-    model = CompoundPoisson(1e12, PointMass(1.0))
-    with pytest.raises(ValueError, match="jumps"):
+    model = CompoundPoisson(1e12, UniformJump(0.0, 1.0))
+    with pytest.raises(ValueError, match="more than the bound"):
         model.sample_increment(1.0, rng)
-    # the bound is on the whole batch: 1000 cells of 1e5 expected jumps each
-    assert 1000 * 1e5 > MAX_EXPECTED_JUMPS
-    with pytest.raises(ValueError, match="jumps"):
+    # the budget counts the whole batch: 1000 cells of 1e5 expected jumps each, a jump and its
+    # slot index per jump
+    assert 500 * 2e5 < MAX_VALUES < 1000 * 2e5
+    with pytest.raises(ValueError, match="more than the bound"):
         model.sample_increment(1e-7, rng, size=1000)
     assert rng.bit_generator.state == state
-    with pytest.raises(ValueError, match="jumps"):
+    with pytest.raises(ValueError, match="more than the bound"):
         SumModel((BrownianDrift(0.0, 1.0), model)).sample_increment(1.0, rng)
     draws = model.sample_increment(1e-7, rng, size=3)
-    assert draws.shape == (3, 1) and np.all(draws > 9e4)
+    assert draws.shape == (3, 1) and np.all(draws > 4e4)
+    # point jumps hold no jump array, only a count per cell, whatever the rate
+    count = CompoundPoisson(1e9, PointMass(1.0)).sample_increment(1.0, rng)
+    assert count.shape == (1,) and abs(count[0] - 1e9) < 1e6
 
 
 @pytest.mark.parametrize("model", [m for m in CATALOG if isinstance(m, CompoundPoisson)])

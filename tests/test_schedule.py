@@ -1,6 +1,8 @@
 """Schedules: increment laws, splice construction, and exact path sampling."""
 
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from semilevy.schedule import (
     single_segment,
 )
 from semilevy.skeleton import RationalStep, WalkSample, sample_walk, sample_walks
-from semilevy.util import map_indexed, split_seed
+from semilevy.util import check_size, map_indexed, split_seed
 
 BM = BrownianDrift(0.0, 1.0)
 SPLICE = make_splice(
@@ -422,7 +424,7 @@ def test_sample_seeds_outside_2_64_are_refused(bad):
     with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
         sample_walk(SPLICE, RationalStep(2, 3), 12, seed=bad)
     with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
-        schedule_module._ensemble(SPLICE, np.full((3, 2), 0.5), [0, bad])
+        schedule_module._ensemble(SPLICE, np.full((3, 2), 0.5), bad)
 
 
 def test_largest_seed_draws_the_default_rng_stream():
@@ -642,6 +644,29 @@ def test_worker_count_follows_stream_length(monkeypatch):
         seen.clear()
         sample_paths(single_segment(model), horizon=float(cells), step=1.0, n_paths=n_paths, seed=3)
         assert seen == [pool], (model, cells, n_paths, cpus)
+
+
+@pytest.mark.parametrize("segments", [1, 4, 16])
+def test_grid_occupancy_is_counted_by_the_size_checks(monkeypatch, segments):
+    # a path of 2^18 cells whose every cell spends time in each of S segments: the grid, its
+    # occupancy's temporaries (once 4 + 3 S times the grid, uncounted) and the plan the ensemble
+    # builds from it, with the path itself, hold no more than the size checks counted
+    counted = []
+
+    def spy(*terms, **sizes):
+        counted.append(sum(math.prod(map(float, term.values())) for term in terms or [sizes]))
+        check_size(*terms, **sizes)
+
+    monkeypatch.setattr(schedule_module, "check_size", spy)
+    sched = SemiLevySchedule(0.5, tuple((0.5 / segments, BrownianDrift(0.0, 1.0)) for _ in range(segments)))
+    tracemalloc.start()
+    try:
+        path = sample_path(sched, float(1 << 18), 1.0, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.values.shape == ((1 << 18) + 1, 1)
+    assert peak <= 8 * sum(counted)
 
 
 def test_splice_variance_of_period_value():

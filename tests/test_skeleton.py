@@ -81,6 +81,14 @@ def test_walk_occupancy_refuses_int64_overflow():
     assert walk.n_steps == 10**6
 
 
+def test_walk_whose_time_passes_the_float_range_is_refused():
+    # a step of 2^63 - 1 periods of 1e290 ends past the float range: its occupancy is an error,
+    # never a silent nan that drops the cell from the walk
+    sched = make_splice(PureDrift(1.0), BrownianDrift(0.0, 1.0), 0.1, 1e290)
+    with pytest.raises(FloatingPointError, match="^a cell's occupancy of its segments overflowed"):
+        sample_walk(sched, RationalStep(2**63 - 1, 1), 1, seed=0)
+
+
 def test_walk_reproducibility_and_split():
     walks = sample_walks(BM, RationalStep(1, 2), 10, 5, seed=7)
     for i, w in enumerate(walks):
@@ -159,6 +167,15 @@ def test_ball_visits_bm_gaussian_oracle():
         oracle = 2.0 * norm.cdf(1.0 / np.sqrt(n)) - 1.0
         se = np.sqrt(oracle * (1.0 - oracle) / n_walks)
         assert abs(curve.p_hat[n] - oracle) <= 3.0 * se
+
+
+def test_ball_visits_count_blocks_of_walks_as_the_stacked_mean():
+    # 4 walks of 10^4 steps fill a block of about 2^16 values, so 25 walks take 7 blocks; the
+    # counts summed over them and divided by the walks are the mean over all walks stacked
+    walks = sample_walks(BM, RationalStep(1, 3), 10**4, 25, seed=4)
+    curve = ball_visit_curve(walks, 0.5)
+    stacked = np.stack([w.steps for w in walks])
+    assert np.array_equal(curve.p_hat, (np.linalg.norm(stacked, axis=-1) < 0.5).mean(axis=0))
 
 
 def test_ball_visits_validation():
