@@ -720,7 +720,8 @@ def empirical_diagnostic(
     dt = np.diff(grid)
     with np.errstate(over="ignore"):  # a horizon next to the float range reads the last grid point either way
         idx = np.clip(np.searchsorted(grid, horizons * (1.0 + 1e-12), side="right") - 1, 0, None)
-    occ = _ensemble(schedule, _grid_occupancy(schedule, grid), seed, n_paths, lambda v: _occupation(v, dt, a)[:, idx])
+    occ, _ = _ensemble(schedule, _grid_occupancy(schedule, grid), seed, n_paths,
+                       lambda v: _occupation(v, dt, a)[:, idx])
 
     with np.errstate(over="ignore"):  # a mean past the float range is refused next; growth past it reads as growth
         mean = occ.mean(axis=0)

@@ -85,8 +85,10 @@ from .models import (
     UniformJump,
 )
 from .schedule import SemiLevySchedule, period_mean, sample_paths
-from .skeleton import RationalStep, ball_visit_curve, occupations_csv, sample_walks
-from .util import check_counts, check_increasing, check_positive, format_float, format_value, render_line, split_seed
+from .skeleton import RationalStep, ball_visit_curve, occupations_table, sample_walks
+from .util import (
+    check_counts, check_increasing, check_positive, format_float, format_value, render_line, split_seed, write_csv,
+)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "render_config", "run", "main"]
 
@@ -532,14 +534,14 @@ def render_config(config: RunConfig) -> str:
 def _run_simulate(schedule, seed, out: Path, horizon, step, n_paths) -> list:
     paths = sample_paths(schedule, horizon, step, n_paths, seed)
     for i, path in enumerate(paths):
-        (out / f"path_{i:04d}.csv").write_text(path.to_csv())
+        write_csv(out / f"path_{i:04d}.csv", *path.csv_table())
     return [("n_paths", n_paths), ("horizon", float(horizon)), ("step", float(step)), ("seed", seed)]
 
 
 def _run_classify(schedule, seed, out: Path, criterion, a, horizons, n_paths, step, sweep=False, **ladder) -> list:
     def diagnostic(horizons):
         report = empirical_diagnostic(schedule, a, horizons, n_paths, split_seed(seed, 1), step=step)
-        (out / "occupation.csv").write_text(occupations_csv(report.occupations[:, -1]))
+        write_csv(out / "occupation.csv", *occupations_table(report.occupations[:, -1]))
         return report
 
     lines = []
@@ -566,7 +568,7 @@ def _run_classify(schedule, seed, out: Path, criterion, a, horizons, n_paths, st
 def _run_skeleton(schedule, seed, out: Path, rs, n_steps, n_walks, a) -> list:
     walks = sample_walks(schedule, rs, n_steps, n_walks, seed)
     curve = ball_visit_curve(walks, a)
-    (out / "ball_visits.csv").write_text(curve.to_csv())
+    write_csv(out / "ball_visits.csv", *curve.csv_table())
     return [("n_walks", n_walks), ("n_steps", n_steps), ("rs", RUN_KEYS["rs"][1](rs)), ("a", float(a)),
             ("final_partial_sum", curve.partial_sum[-1])]
 
@@ -575,10 +577,10 @@ def _run_lln(schedule, seed, out: Path, horizons, n_paths, t_grid, n_samples) ->
     report = strong_law_check(schedule, horizons, n_paths, seed)
     conditions = None if t_grid is None else wlln_conditions(schedule, t_grid, n_samples, split_seed(seed, 1))
     # both reports exist before either file is written, so a failed run leaves neither
-    (out / "lln.csv").write_text(report.deviations_csv())
+    write_csv(out / "lln.csv", *report.deviations_table())
     summary = [("flag", report.flag or "none")]
     if conditions is not None:
-        (out / "wlln.csv").write_text(conditions.conditions_csv())
+        write_csv(out / "wlln.csv", *conditions.conditions_table())
         summary.append(("wlln_flag", conditions.flag))
     return summary
 

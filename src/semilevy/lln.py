@@ -61,9 +61,13 @@ class LLNReport:
     running_max_median: Optional[np.ndarray]
     flag: Optional[str]
 
+    def deviations_table(self) -> tuple:
+        """(header, columns): `T,mean_dev,max_dev`."""
+        return "T,mean_dev,max_dev", [self.horizons, self.mean_dev, self.max_dev]
+
     def deviations_csv(self) -> str:
-        """CSV block `T,mean_dev,max_dev`."""
-        return format_csv("T,mean_dev,max_dev", [self.horizons, self.mean_dev, self.max_dev])
+        """CSV text of deviations_table."""
+        return format_csv(*self.deviations_table())
 
 
 @dataclass(frozen=True)
@@ -80,15 +84,19 @@ class WLLNReport:
     implied_c: Optional[np.ndarray]
     flag: str
 
-    def conditions_csv(self) -> str:
-        """CSV block `t,tail,tail_se,trunc_mean,trunc_se`.
+    def conditions_table(self) -> tuple:
+        """(header, columns): `t,tail,tail_se,trunc_mean,trunc_se`.
 
         For dimension > 1 the truncated-mean columns report the Euclidean
         norm of the vector estimate.
         """
         tm = _norms(np.atleast_2d(self.trunc_mean))
         ts = _norms(np.atleast_2d(self.trunc_se))
-        return format_csv("t,tail,tail_se,trunc_mean,trunc_se", [self.tail_t, self.tail, self.tail_se, tm, ts])
+        return "t,tail,tail_se,trunc_mean,trunc_se", [self.tail_t, self.tail, self.tail_se, tm, ts]
+
+    def conditions_csv(self) -> str:
+        """CSV text of conditions_table."""
+        return format_csv(*self.conditions_table())
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -113,7 +121,7 @@ def _horizon_values(
     schedule: SemiLevySchedule, horizons: np.ndarray, n_paths: int, seed: int
 ) -> np.ndarray:
     """X at each horizon for each path, (paths, horizons, d), one exact cell per gap."""
-    return _ensemble(schedule, _grid_occupancy(schedule, np.concatenate([[0.0], horizons])), seed, n_paths)[:, 1:]
+    return _ensemble(schedule, _grid_occupancy(schedule, np.concatenate([[0.0], horizons])), seed, n_paths)[0][:, 1:]
 
 
 def strong_law_horizons(schedule: SemiLevySchedule, horizons: Sequence[float]) -> np.ndarray:

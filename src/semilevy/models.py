@@ -652,6 +652,11 @@ class SymmetricStable(LevyModel):
         return SymmetricStable(self.alpha, self.scale * s, self.dim)
 
 
+# the largest mean numpy's Poisson sampler takes (POISSON_LAM_MAX in numpy/random/_common.pyx);
+# past it Generator.poisson raises "lam value too large" mid-batch
+_POISSON_MEAN_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+
+
 @dataclass(frozen=True, eq=False)
 class CompoundPoisson(LevyModel):
     """Compound Poisson process: jumps from `jump` arriving at rate `rate`."""
@@ -674,6 +679,19 @@ class CompoundPoisson(LevyModel):
 
     def _draw_values(self, dts):
         return dts.shape[0] + self.jump._cell_values(dts.shape[0], self.rate * float(dts.sum()))
+
+    def _coefficients(self, dts):
+        # every sampler finds its coefficients before its first draw, so a cell's mean
+        # count past numpy's bound is refused with the caller's Generator unmoved
+        if dts.size:
+            longest = float(dts.max())
+            if not self.rate * longest <= _POISSON_MEAN_MAX:
+                raise ValueError(
+                    f"compound Poisson rate {self.rate!r} over a duration of {longest!r} expects "
+                    f"{self.rate * longest:.6g} jumps, more than numpy's Poisson sampler takes "
+                    f"({_POISSON_MEAN_MAX:.6g})"
+                )
+        return dts
 
     def _draw(self, dts, rng):
         # jump counts per cell, then the jump law's draw for those counts.

@@ -110,7 +110,7 @@ class SemiLevySchedule(FieldEq):
         """Time spent in each segment over [s, t]; entries sum to t - s."""
         if not 0 <= s <= t < math.inf:
             raise ValueError(f"need 0 <= s <= t < inf, got s={s!r}, t={t!r}")
-        return _grid_occupancy(self, np.array([s, t], dtype=float))[0]
+        return _grid_occupancy(self, np.array([s, t], dtype=float))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,13 @@ class PathSample:
     def dim(self) -> int:
         return self.values.shape[1]
 
+    def csv_table(self) -> tuple:
+        """(header, columns): header t,x1,...,xd then one row per grid point."""
+        return "t," + ",".join(f"x{j + 1}" for j in range(self.dim)), [self.grid, *self.values.T]
+
     def to_csv(self) -> str:
-        """CSV text: header t,x1,...,xd then one row per grid point."""
-        header = "t," + ",".join(f"x{j + 1}" for j in range(self.dim))
-        return format_csv(header, [self.grid, *self.values.T])
+        """CSV text of csv_table."""
+        return format_csv(*self.csv_table())
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +233,8 @@ def sample_interval_increment(
 
 
 def _check_cells(schedule: SemiLevySchedule, cells: float) -> None:
-    """Refuse a grid before it is built: per cell its time and 4 temporaries, per segment its occupancy and plan."""
+    """Refuse a grid before it is built: per cell its time and 4 temporaries, per segment its row of
+    occupancy and its plan."""
     check_size(cells=cells, **{"values per cell": 5 + schedule.n_segments * (2 * schedule.dim + 4)})
 
 
@@ -246,27 +250,84 @@ def _grid_times(schedule: SemiLevySchedule, horizon: float, step: float) -> np.n
     return times
 
 
+# Dekker's splitter 2^27 + 1: x * _SPLIT - (x * _SPLIT - x) is x's high 26 bits
+_SPLIT = 134217729.0
+# periods and quotients within which _periods' remainder is exact: the split
+# halves neither overflow nor underflow, and fl(t / p) is off by at most one
+_EXACT_PERIODS = (2.0**-900, 2.0**900)
+_EXACT_QUOTIENT = 2.0**50
+
+
+def _periods(times: np.ndarray, p: float) -> tuple:
+    """(n, r) with r = np.fmod(times, p) and n = np.rint((times - r) / p) bit for bit,
+    for times >= 0 (at t = -0.0 both are zeros of the other sign; inf and nan give n nan).
+
+    n = floor(fl(t / p)): rounding is monotone and whole numbers below 2^53
+    are doubles, so n is the count of whole periods or, for r near p, one
+    more.  n p = hi + lo exactly (Dekker's two-product), t - hi is exact
+    (Sterbenz: hi lies in [t/2, 2t]), and so is (t - hi) - lo, which is r,
+    or r - p; such an r < 0 takes p back, exactly.  np.fmod takes what
+    this does not cover: quotients of 2^50 or more, inf and nan, and every
+    time when p lies outside 2^±900.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # the far times are redone below
+        n = times / p
+        np.floor(n, out=n)
+        ph = _SPLIT * p
+        ph -= ph - p
+        pl = p - ph
+        hi = n * p
+        nh = n * _SPLIT
+        nh -= nh - n
+        nl = n - nh
+        lo = nh * ph
+        lo -= hi
+        lo += nh * pl
+        lo += nl * ph
+        lo += nl * pl
+        r = times - hi
+        r -= lo
+        under = r < 0.0
+        if under.any():
+            r[under] += p
+            n[under] -= 1.0
+        bound = _EXACT_QUOTIENT if _EXACT_PERIODS[0] <= p <= _EXACT_PERIODS[1] else 0.0
+        far = np.flatnonzero(~(n < bound))
+        if far.size:
+            r[far] = np.fmod(times[far], p)
+            n[far] = np.rint((times[far] - r[far]) / p)
+    return n, r
+
+
 def _grid_occupancy(schedule: SemiLevySchedule, times: np.ndarray) -> np.ndarray:
-    # fmod keeps the period arithmetic exact; instants within PERIOD_TOL of a
-    # period boundary are snapped onto it
+    # the remainder keeps the period arithmetic exact; instants within
+    # PERIOD_TOL of a period boundary are snapped onto it
     p = schedule.period
-    r = np.fmod(times, p)
-    with np.errstate(over="ignore"):  # refused next
-        n = np.rint((times - r) / p)
+    n, r = _periods(times, p)
     check_finite(n, "a time's count of periods")
     on_boundary = p - r <= PERIOD_TOL * p
-    return _occupancy(schedule, np.where(on_boundary, n + 1.0, n), np.where(on_boundary, 0.0, r))
+    if on_boundary.any():
+        n[on_boundary] += 1.0
+        r[on_boundary] = 0.0
+    return _occupancy(schedule, n, r)
 
 
 def _occupancy(schedule: SemiLevySchedule, n: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Time each segment runs between successive instants n_i p + r_i (r_i in [0, p)).
 
-    Shape (len(n) - 1, n_segments): the differences of the time spent in
-    each segment up to each instant, with rounding below 0 clipped.
+    Shape (n_segments, len(n) - 1), one contiguous row per segment: the
+    differences of the time spent in the segment up to each instant, with
+    rounding below 0 raised to 0.
     """
+    profiles = np.empty((schedule.n_segments, n.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):  # a time past the float range is refused next
-        profiles = n[:, None] * schedule.durations + np.clip(r[:, None] - schedule.starts, 0.0, schedule.durations)
-        occupancy = np.clip(np.diff(profiles, axis=0), 0.0, None)
+        for row, start, duration in zip(profiles, schedule.starts, schedule.durations):
+            np.subtract(r, start, out=row)
+            np.maximum(row, 0.0, out=row)
+            np.minimum(row, duration, out=row)
+            row += n * duration
+        occupancy = np.diff(profiles, axis=1)
+        np.maximum(occupancy, 0.0, out=occupancy)
     check_finite(occupancy, "a cell's occupancy of its segments")
     return occupancy
 
@@ -292,21 +353,26 @@ def _block_members(member_values: float) -> int:
 _MEMBER_VALUES = 100
 
 
-def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seed: int, n=None, reduce=None) -> np.ndarray:
-    """Cumulative sums of independent cell draws, shape (n, cells + 1, d), or their reductions.
+def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seed: int, n=None, reduce=None) -> tuple:
+    """Cumulative sums of independent cell draws, shape (n, cells + 1, d), or their reductions,
+    and the members' seeds.
 
     Member i starts at the origin and is drawn from default_rng(split_seed(seed, i))'s
     stream, or the one member from default_rng(seed)'s when n is None: its
-    segments in order, each one _draw over the cells that spend time in it.
-    Before any seed is derived, one check_size counts what the call holds at
-    once: every member's seed and state, the sums of every member (of those
-    in flight with reduce), and the draws (_draw_values) of those in flight,
-    a block or one per pool worker.  Every member's PCG64 state is derived up
-    front in one array pass (util.stream_states); each block of members then
-    resets one Generator to each state in turn and draws, and each segment is finished
-    for the whole block at once and added in place into the block's sums, at
-    the segment's flat (cell, coordinate) columns; one in-place cumsum then
-    turns the increments into sums.  The columns, durations and duration
+    segments in order, each one _draw over the cells that spend time in it
+    (occupancy holds a row of cell times per segment).  Before any seed is
+    derived, one check_size counts what the call holds at once: every member's
+    seed and state, the sums of every member (of those in flight with reduce),
+    and the draws (_draw_values) of those in flight, a block or one per pool
+    worker.  Every member's seed and PCG64 state is derived up front in one
+    array pass (util.split_seeds, util.stream_states); each block of members
+    then resets one Generator to each state in turn and draws, and each
+    segment is finished for the whole block at once and written in place into
+    the block's sums, at the segment's flat (cell, coordinate) columns: assigned
+    when no earlier segment spends time in any of its cells, else added.  One
+    in-place cumsum from the zero row then turns the increments into sums; it
+    adds each cell to a sum that is never -0.0, so a cell assigned -0.0 gives
+    the bits of one added to zero.  The columns, durations and duration
     coefficients (_coefficients) of each segment are found once per call;
     durations that are all equal are passed as a stride-0 view of the one
     value, which a sampler may draw with a scalar argument.  Member i
@@ -317,18 +383,21 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seed: int, n=No
     With reduce, each block's (members, cells + 1, d) sums are checked and
     passed to it on the pool, and its rows are returned in member order.
     """
-    cells, dim = occupancy.shape[0], schedule.dim
+    cells, dim = occupancy.shape[1], schedule.dim
     plan = []
     draws = 0.0
-    for k, model in enumerate(schedule.models):
-        rows = np.flatnonzero(occupancy[:, k] > 0.0)
+    written = np.zeros(cells, bool)  # the cells an earlier segment spends time in
+    for model, times in zip(schedule.models, occupancy):
+        rows = np.flatnonzero(times > 0.0)
         if rows.size:
-            dts = occupancy[rows, k]
+            dts = times[rows]
             draws += model._draw_values(dts)
             dts = _repeated(dts[0], dts.size) if (dts == dts[0]).all() else dts
             with np.errstate(all="ignore"):  # inf and nan are refused after the draws
                 coefficients = model._coefficients(dts)
-            plan.append((model, (rows[:, None] * dim + np.arange(dim)).ravel(), dts, coefficients))
+            add = written[rows].any()
+            written[rows] = True
+            plan.append((model, (rows[:, None] * dim + np.arange(dim)).ravel(), dts, coefficients, add))
     n_members = 1 if n is None else n
     size = _block_members(cells * dim + draws)
     n_blocks = -(-n_members // size)
@@ -337,7 +406,8 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seed: int, n=No
     check_size({"members": n_members, "seed and state each": _MEMBER_VALUES},
                {"sums held": n_members if reduce is None else flight, "values each": (cells + 1) * dim},
                {"members in flight": flight, "draws each": draws})
-    states = stream_states([seed] if n is None else split_seeds(seed, range(n)))
+    seeds = [seed] if n is None else split_seeds(seed, range(n))
+    states = stream_states(seeds)
     out = np.zeros((n_members, cells + 1, dim)) if reduce is None else None
 
     def block(b: int):
@@ -349,24 +419,29 @@ def _ensemble(schedule: SemiLevySchedule, occupancy: np.ndarray, seed: int, n=No
         with np.errstate(all="ignore"):  # inf and nan are refused after the sums
             for state in members:
                 rng.bit_generator.state = state
-                for drawn, (model, _, dts, _) in zip(raws, plan):
+                for drawn, (model, _, dts, _, _) in zip(raws, plan):
                     drawn.append(model._draw(dts, rng))
         sums = out[lo : lo + len(members)] if reduce is None else np.zeros((len(members), cells + 1, dim))
         # the increments as (members, cells * d) columns of the sums: a view, the sums being C-ordered
         flat = sums[:, 1:].reshape(len(members), -1)
         with np.errstate(all="ignore"):  # inf and nan are refused next
-            # a segment's columns never repeat, and a cell straddling several
-            # segments gets each one's += in turn
-            for drawn, (model, cols, _, coefficients) in zip(raws, plan):
-                flat[:, cols] += model._finish(coefficients, drawn).reshape(len(members), -1)
-            np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
+            # a segment's columns never repeat; a segment none of whose cells an
+            # earlier one wrote is assigned, any other is added (onto the zeros
+            # of the cells it is the first in)
+            for drawn, (model, cols, _, coefficients, add) in zip(raws, plan):
+                increments = model._finish(coefficients, drawn).reshape(len(members), -1)
+                if add:
+                    flat[:, cols] += increments
+                else:
+                    flat[:, cols] = increments
+            np.cumsum(sums, axis=1, out=sums)
         # a sum that meets inf or nan stays so: the last row shows any overflow
         check_finite(sums[:, -1], "a sampled path or walk")
         return None if reduce is None else reduce(sums)
 
     reduced = map_indexed(block, n_blocks, workers)
     # C order whatever reduce returns, so sums over the members keep one order
-    return out if reduce is None else np.ascontiguousarray(np.concatenate(reduced))
+    return (out if reduce is None else np.ascontiguousarray(np.concatenate(reduced))), seeds
 
 
 def sample_path(schedule: SemiLevySchedule, horizon: float, step: float, seed: int) -> PathSample:
@@ -379,8 +454,8 @@ def sample_path(schedule: SemiLevySchedule, horizon: float, step: float, seed: i
     [0, 2**64) (ValueError otherwise).
     """
     times = _grid_times(schedule, horizon, step)
-    values = _ensemble(schedule, _grid_occupancy(schedule, times), seed)[0]
-    return PathSample(grid=times, values=values, seed=int(seed))
+    values, _ = _ensemble(schedule, _grid_occupancy(schedule, times), seed)
+    return PathSample(grid=times, values=values[0], seed=int(seed))
 
 
 def sample_paths(
@@ -389,5 +464,5 @@ def sample_paths(
     """Independent paths; path i is reproduced by sample_path with split_seed(seed, i)."""
     check_counts(n_paths=n_paths)
     times = _grid_times(schedule, horizon, step)
-    values = _ensemble(schedule, _grid_occupancy(schedule, times), seed, n_paths)
-    return [PathSample(grid=times, values=v, seed=s) for v, s in zip(values, split_seeds(seed, range(n_paths)))]
+    values, seeds = _ensemble(schedule, _grid_occupancy(schedule, times), seed, n_paths)
+    return [PathSample(grid=times, values=v, seed=s) for v, s in zip(values, seeds)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import PathSample, SemiLevySchedule, _block_members, _check_cells, _ensemble, _occupancy
-from .util import check_counts, check_positive, format_csv, split_seeds
+from .util import check_counts, check_positive, format_csv
 
 __all__ = [
     "RationalStep",
@@ -25,6 +25,7 @@ __all__ = [
     "sample_walks",
     "ball_visit_curve",
     "occupation_time",
+    "occupations_table",
     "occupations_csv",
 ]
 
@@ -66,7 +67,7 @@ class WalkSample:
 
 
 def _walk_occupancy(schedule: SemiLevySchedule, rs: RationalStep, n_steps: int) -> np.ndarray:
-    """Per-segment occupancy of each walk step, via exact integer period counts.
+    """Occupancy of each walk step, a row per segment, via exact integer period counts.
 
     Step k covers [k h, (k+1) h] with h = p num / den; the position of k h
     inside its period is p * ((k num) mod den) / den, an exact rational, so
@@ -88,8 +89,8 @@ def sample_walk(
     schedule: SemiLevySchedule, rs: RationalStep, n_steps: int, seed: int
 ) -> WalkSample:
     """Exact draw of (X_0, X_h, ..., X_{n h}) at the rational step h; seed in [0, 2**64)."""
-    steps = _ensemble(schedule, _walk_occupancy(schedule, rs, n_steps), seed)[0]
-    return WalkSample(steps=steps, rational_step=rs, seed=int(seed))
+    steps, _ = _ensemble(schedule, _walk_occupancy(schedule, rs, n_steps), seed)
+    return WalkSample(steps=steps[0], rational_step=rs, seed=int(seed))
 
 
 def sample_walks(
@@ -97,8 +98,8 @@ def sample_walks(
 ) -> list[WalkSample]:
     """Independent walks; walk i is reproduced by sample_walk with split_seed(seed, i)."""
     check_counts(n_walks=n_walks)
-    steps = _ensemble(schedule, _walk_occupancy(schedule, rs, n_steps), seed, n_walks)
-    return [WalkSample(steps=w, rational_step=rs, seed=s) for w, s in zip(steps, split_seeds(seed, range(n_walks)))]
+    steps, seeds = _ensemble(schedule, _walk_occupancy(schedule, rs, n_steps), seed, n_walks)
+    return [WalkSample(steps=w, rational_step=rs, seed=s) for w, s in zip(steps, seeds)]
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,13 @@ class BallVisitCurve:
     a: float
     n_walks: int
 
+    def csv_table(self) -> tuple:
+        """(header, columns, int_columns): n,p_hat,partial_sum, n an integer."""
+        return "n,p_hat,partial_sum", [self.n, self.p_hat, self.partial_sum], 1
+
     def to_csv(self) -> str:
-        return format_csv("n,p_hat,partial_sum", [self.n, self.p_hat, self.partial_sum], int_columns=1)
+        """CSV text of csv_table."""
+        return format_csv(*self.csv_table())
 
 
 def ball_visit_curve(walks: list[WalkSample], a: float) -> BallVisitCurve:
@@ -184,7 +190,12 @@ def occupation_time(path: PathSample, a: float) -> float:
     return float(_occupation(path.values, np.diff(path.grid), a)[-1])
 
 
-def occupations_csv(occupations: np.ndarray) -> str:
-    """CSV text `path_id,occupation` for a vector of per-path occupation times."""
+def occupations_table(occupations: np.ndarray) -> tuple:
+    """(header, columns, int_columns): `path_id,occupation` for a vector of per-path occupation times."""
     occupations = np.asarray(occupations, dtype=float)
-    return format_csv("path_id,occupation", [np.arange(occupations.shape[0]), occupations], int_columns=1)
+    return "path_id,occupation", [np.arange(occupations.shape[0]), occupations], 1
+
+
+def occupations_csv(occupations: np.ndarray) -> str:
+    """CSV text of occupations_table."""
+    return format_csv(*occupations_table(occupations))

@@ -14,12 +14,14 @@ for bit what numpy computes one member at a time.  That relies on numpy's
 stream-compatibility policy (NEP 19), which fixes SeedSequence and PCG64
 across numpy versions.  Seeds and stream indices lie in [0, 2**64).
 
-CSV text: format_csv writes the bytes of "%.17g" % x.  Tables of 500 values
-or more are formatted by array arithmetic: 17 correctly rounded digits from
-a double-double product with a table of powers of ten, laid out as ASCII by
-table lookups.  The % row template stays the exact fallback for the rows it
-cannot round with certainty (near ties, values next to a power of ten) and
-for nan and inf.
+CSV text: csv_chunks yields the bytes of "%.17g" % x a chunk at a time;
+write_csv writes each chunk to a file as it is made, so no file's text is
+ever held whole, and format_csv joins the same chunks into a str.  Tables
+of 500 values or more are formatted by array arithmetic: 17 correctly
+rounded digits from a double-double product with a table of powers of ten,
+laid out as ASCII by table lookups.  The % row template stays the exact
+fallback for the rows it cannot round with certainty (near ties, values
+next to a power of ten) and for nan and inf.
 """
 
 from __future__ import annotations
@@ -279,8 +281,10 @@ def render_line(pairs: Iterable) -> str:
     return " ".join(f"{key}={format_value(value)}" for key, value in pairs)
 
 
-# values formatted per chunk by format_csv (whole rows, at least one): bounds
-# its working set at about 250 bytes a value
+# values formatted per chunk by csv_chunks (whole rows, at least one): bounds
+# its working set at about 250 bytes a value, 2 MB.  A 64,001-row, 2-column
+# table took 25 ms at 8,192 on a 2-vCPU Xeon guest, 28-29 ms at 4,096 to
+# 32,768 and 41 ms at 2,048
 CSV_CHUNK_VALUES = 8192
 # smaller tables take the row template alone: the array formatter's fixed
 # cost (~0.15 ms a chunk) outweighs its gain below ~400 values
@@ -344,25 +348,25 @@ def _digits(x, pow10, shift):
     return d, k, (np.abs(q - qf - 0.5) < 2.0**-30) | (floor < 10**16) | (d >= 10**17)
 
 
-def _csv_chunk(chunk: np.ndarray, int_columns: int, row: str) -> str:
-    """The text of `row % values` for every row of chunk, from array arithmetic.
+def _csv_chunk(chunk: np.ndarray, int_columns: int, row: str) -> bytes:
+    """The bytes of `row % values` for every row of chunk, from array arithmetic.
 
-    Each value fills 12 uint32 words at fixed places (sign and 17 integer
-    digits, '.' and 20 fraction digits, exponent, separator), NUL where
-    nothing is printed.  Rows _digits flags, or with a nan, an inf or an
-    integer of 10**17 or more, take `row %`.
+    chunk is the caller's own copy: its integer columns are truncated in
+    place.  Each value fills 12 uint32 words at fixed places (sign and 17
+    integer digits, '.' and 20 fraction digits, exponent, separator), NUL
+    where nothing is printed.  Rows _digits flags, or with a nan, an inf or
+    an integer of 10**17 or more, take `row %`.
     """
     pow10, shift, ints, fracs, dots, exps, scales = _csv_tables()
     r, c = chunk.shape
-    values = chunk.copy()
-    values[:, :int_columns] = np.trunc(values[:, :int_columns]) + 0.0  # "%d": truncated, never -0
-    neg = np.signbit(values).ravel()
-    x = np.abs(values).ravel()
+    chunk[:, :int_columns] = np.trunc(chunk[:, :int_columns]) + 0.0  # "%d": truncated, never -0
+    neg = np.signbit(chunk).ravel()
+    x = np.abs(chunk).ravel()
     zero = x == 0.0
     live = (x < np.inf) & ~zero
     d, k, bad = _digits(np.where(live, x, 1.0), pow10, shift)
     bad = (bad & live) | ~(live | zero)
-    bad.reshape(r, c)[:, :int_columns] |= np.abs(values[:, :int_columns]) >= 1e17
+    bad.reshape(r, c)[:, :int_columns] |= np.abs(chunk[:, :int_columns]) >= 1e17
     d[zero], k[zero] = 0, 0
     # the last q digits of d follow the point (16 - k in fixed form, 16 in
     # exponent form); the 20 fraction digits, left-aligned, are a (3) and b (17)
@@ -404,31 +408,51 @@ def _csv_chunk(chunk: np.ndarray, int_columns: int, row: str) -> str:
     words.reshape(r, c, -1)[:, :, -1] |= np.array([ord(",")] * (c - 1) + [ord("\n")], np.uint32) << 16
     text = words.view(np.uint8).reshape(r, -1)
     if not bad.any():
-        return text[text != 0].tobytes().decode("ascii")
+        return text[text != 0].tobytes()
     fallback = bad.reshape(r, c).any(axis=1)
     text[fallback] = 0
     text[fallback, 0] = 1  # a marker where each fallback row goes
-    pieces = text[text != 0].tobytes().decode("ascii").split("\x01")
-    return "".join(p + row % tuple(v) for p, v in zip(pieces, chunk[fallback].tolist())) + pieces[-1]
+    pieces = text[text != 0].tobytes().split(b"\x01")
+    # "%d" of a truncated value is that of the value
+    return b"".join(p + (row % tuple(v)).encode() for p, v in zip(pieces, chunk[fallback].tolist())) + pieces[-1]
 
 
-def format_csv(header: str, columns, int_columns: int = 0) -> str:
-    """CSV text: the header line, then row i of the equal-length columns.
+def csv_chunks(header: str, columns, int_columns: int = 0) -> Iterator[bytes]:
+    """The ASCII bytes of a CSV table, a chunk at a time: the header line, then row i of
+    the equal-length columns.
 
     The first int_columns columns are written as integers ("%d" % x), the
     others in full double precision, 17 significant digits ("%.17g" % x,
     the same text as format(x, ".17g")): the bytes of the row template
     `row % values`.  Tables of CSV_ARRAY_MIN_VALUES values or more are
-    formatted CSV_CHUNK_VALUES values at a time by _csv_chunk; smaller ones,
-    and the rows _csv_chunk cannot round exactly, by the template.
+    formatted CSV_CHUNK_VALUES values at a time by _csv_chunk, each chunk
+    stacked from slices of the columns, so no more than one chunk's text
+    and working set is made at once; smaller tables, and the rows
+    _csv_chunk cannot round exactly, take the template.
     """
+    columns = [np.asarray(c, dtype=float) for c in columns]
     row = ",".join(["%d"] * int_columns + ["%.17g"] * (len(columns) - int_columns)) + "\n"
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    if table.size < CSV_ARRAY_MIN_VALUES:  # fewer rows than a chunk
-        return header + "\n" + row * table.shape[0] % tuple(table.ravel().tolist())
-    rows = max(CSV_CHUNK_VALUES // table.shape[1], 1)
-    chunks = (table[lo : lo + rows] for lo in range(0, table.shape[0], rows))
-    return header + "\n" + "".join(_csv_chunk(chunk, int_columns, row) for chunk in chunks)
+    n = columns[0].shape[0]
+    yield (header + "\n").encode()
+    if n * len(columns) < CSV_ARRAY_MIN_VALUES:  # fewer rows than a chunk
+        yield (row * n % tuple(np.column_stack(columns).ravel().tolist())).encode()
+        return
+    rows = max(CSV_CHUNK_VALUES // len(columns), 1)
+    for lo in range(0, n, rows):
+        yield _csv_chunk(np.column_stack([c[lo : lo + rows] for c in columns]), int_columns, row)
+
+
+def format_csv(header: str, columns, int_columns: int = 0) -> str:
+    """CSV text of the table csv_chunks writes: its chunks joined."""
+    return b"".join(csv_chunks(header, columns, int_columns)).decode("ascii")
+
+
+def write_csv(path, header: str, columns, int_columns: int = 0) -> None:
+    """Write the table csv_chunks writes to the file at path, each chunk as it is made."""
+    with open(path, "wb") as out:
+        out.writelines(csv_chunks(header, columns, int_columns))
+
+
 
 
 def arrays_equal(a, b) -> bool:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import semilevy
 from semilevy import classify as classify_module
 from semilevy import models as models_module
-from semilevy.classify import MAX_LEVELS, MIN_LEVELS, Criterion, chung_fuchs_verdict, radius_sweep
+from semilevy.classify import MAX_LEVELS, MIN_LEVELS, Criterion, chung_fuchs_verdict, empirical_diagnostic, radius_sweep
 from semilevy.cli import COMMAND_KEYS, RUN_KEYS, ConfigError, RunConfig, main, parse_config, render_config, run
 from semilevy.models import (
     BrownianDrift,
@@ -34,9 +34,10 @@ from semilevy.models import (
     UniformJump,
 )
 from semilevy import schedule as schedule_module
-from semilevy.schedule import SemiLevySchedule, make_splice, period_mean, single_segment
-from semilevy.skeleton import RationalStep
-from semilevy.util import check_size
+from semilevy.lln import strong_law_check, wlln_conditions
+from semilevy.schedule import SemiLevySchedule, make_splice, period_mean, sample_path, sample_paths, single_segment
+from semilevy.skeleton import RationalStep, ball_visit_curve, occupations_csv, sample_walks
+from semilevy.util import CSV_CHUNK_VALUES, check_size, split_seed, write_csv
 
 BASIC = """
 [schedule]
@@ -1139,6 +1140,73 @@ def test_each_command_peaks_within_a_factor_of_what_its_size_checks_count(tmp_pa
         tracemalloc.stop()
     capsys.readouterr()
     assert counted and peak <= MEMORY_FACTOR * 8 * sum(counted)
+
+
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        # tables above and below the array formatter's CSV_ARRAY_MIN_VALUES values
+        ("simulate", "horizon = 300\nstep = 0.5\nn_paths = 2\n"),
+        ("simulate", "horizon = 3\nstep = 0.5\n"),
+        ("classify", "criterion = empirical\nhorizons = 5,10\nn_paths = 600\nstep = 0.5\n"),
+        ("skeleton", "rs = 1/2\nn_steps = 300\nn_walks = 5\na = 1\n"),
+        ("lln", "horizons = " + ",".join(str(h) for h in range(10, 2010, 10)) + "\nn_paths = 50\n"
+                "t_grid = 1,2,4\nn_samples = 10000\n"),
+    ],
+)
+def test_each_csv_file_is_its_writers_text(tmp_path, capsys, command, keys):
+    # the CLI streams each table to its file a chunk at a time; the bytes are those of the
+    # writer's to_csv / *_csv text
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SIM + keys)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    c = parse_config(cfg.read_text(), command)
+    s, seed = c.schedule, c.seed
+    if command == "simulate":
+        expected = {f"path_{i:04d}.csv": p.to_csv()
+                    for i, p in enumerate(sample_paths(s, c.horizon, c.step, c.n_paths or 1, seed))}
+    elif command == "classify":
+        report = empirical_diagnostic(s, 1.0, c.horizons, c.n_paths, split_seed(seed, 1), step=c.step)
+        expected = {"occupation.csv": occupations_csv(report.occupations[:, -1])}
+    elif command == "skeleton":
+        walks = sample_walks(s, c.rs, c.n_steps, c.n_walks, seed)
+        expected = {"ball_visits.csv": ball_visit_curve(walks, c.a).to_csv()}
+    else:
+        expected = {"lln.csv": strong_law_check(s, c.horizons, c.n_paths, seed).deviations_csv(),
+                    "wlln.csv": wlln_conditions(s, c.t_grid, c.n_samples, split_seed(seed, 1)).conditions_csv()}
+    written = {f.name: f.read_bytes() for f in (tmp_path / "o").iterdir() if f.suffix == ".csv"}
+    assert written == {name: text.encode() for name, text in expected.items()}
+
+
+def test_writing_a_csv_file_holds_one_chunk_of_text(tmp_path):
+    # a path of 2^18 cells is 6.7 MB of CSV text; the file is written a chunk at a time, and
+    # writing it holds about one chunk's working set beyond the path (the whole text, joined
+    # and encoded, once peaked at 17.6 MB)
+    path = sample_path(single_segment(BrownianDrift(0.0, 1.0)), float(1 << 18), 1.0, seed=5)
+    write_csv(tmp_path / "warm.csv", *path.csv_table())  # the formatter's tables are built on first use
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_csv(tmp_path / "p.csv", *path.csv_table())
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "p.csv").read_bytes() == path.to_csv().encode()
+    assert (tmp_path / "p.csv").stat().st_size > 6e6
+    assert peak <= 300 * CSV_CHUNK_VALUES
+
+
+def test_poisson_mean_past_numpys_bound_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[schedule]\nperiod = 1.0\nsegment = 1.0 cpoisson rate=1e20 jump=point jump_x=1\n"
+                   "[run]\nseed = 4\nhorizon = 1.0\nstep = 0.5\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "error: compound Poisson rate 1e+20 over a duration of 0.5 expects 5e+19 jumps, more than numpy's "
+        "Poisson sampler takes (9.22337e+18)\n"
+    )
+    assert not (tmp_path / "o" / "path_0000.csv").exists()
 
 
 def test_huge_levels_exit_one_before_any_ladder(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semilevy import models as models_module
 from semilevy import schedule as schedule_module
 from semilevy.lln import _horizon_values
 from semilevy.models import (
@@ -39,7 +40,7 @@ from semilevy.schedule import (
     single_segment,
 )
 from semilevy.skeleton import RationalStep, WalkSample, sample_walk, sample_walks
-from semilevy.util import check_size, map_indexed, split_seed
+from semilevy.util import check_size, map_indexed, split_seed, split_seeds
 
 BM = BrownianDrift(0.0, 1.0)
 SPLICE = make_splice(
@@ -161,6 +162,48 @@ def test_increment_exponent_periodic_and_additive(schedule, s, dt, du, z):
     split = increment_exponent(schedule, s, t, z) + increment_exponent(schedule, t, u, z)
     whole = increment_exponent(schedule, s, u, z)
     assert abs(whole - split) <= 1e-12 * (1.0 + abs(whole))
+
+
+def _fmod_periods(times, p):
+    # the remainder and period count _periods replaces
+    r = np.fmod(times, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.rint((times - r) / p), r
+
+
+def _assert_same_bits(a, b):
+    assert np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+# the seed and the example counts were fixed before the first run
+@pytest.mark.parametrize("p", [
+    0.1, 1.0 / 3.0, math.pi, 1.0, np.nextafter(1.0, 2.0), np.nextafter(2.0, 0.0), 7.0,
+    # tiny and huge periods, on both sides of the 2^-900 and 2^900 bounds of the exact path
+    2.0**-900, np.nextafter(2.0**-900, 0.0), 2.0**-1000, 1e-310, 2.0**900, np.nextafter(2.0**900, np.inf), 1e300,
+])
+def test_period_remainder_is_fmod_bit_for_bit(p):
+    rng = np.random.default_rng(29)
+    p = float(p)
+    # random periods with a full 53-bit mantissa beside the listed one
+    for q in (p, p * rng.uniform(1.0, 2.0)):
+        with np.errstate(over="ignore"):
+            uniform = [rng.uniform(0.0, 1.0, 2000) * q * scale for scale in (1.0, 2.0**10, 2.0**30, 2.0**49)]
+            multiples = rng.integers(0, 2**49, 1000).astype(float) * q
+            # quotients just below and just above the 2^50 guard, and beyond it
+            guard = (2.0**50 + np.arange(-64.0, 65.0)) * q
+            beyond = 2.0**60 * q * rng.uniform(1.0, 2.0, 100)
+            times = np.concatenate([*uniform, [0.0, q, 2.0 * q], multiples, guard, beyond])
+        times = times[np.isfinite(times)]
+        times = np.concatenate([times, np.nextafter(times, np.inf), np.nextafter(times, 0.0)])
+        n, r = schedule_module._periods(times, q)
+        n_ref, r_ref = _fmod_periods(times, q)
+        _assert_same_bits(r, r_ref)
+        _assert_same_bits(n, n_ref)
+
+
+def test_period_remainder_of_times_past_the_float_range_is_nan():
+    n, r = schedule_module._periods(np.array([1.0, np.inf, np.nan]), 0.5)
+    assert np.isnan(n[1:]).all() and n[0] == 2.0 and r[0] == 0.0
 
 
 def test_occupancy_sums_to_interval_length():
@@ -360,6 +403,20 @@ def test_sample_paths_split_seeds():
         assert np.array_equal(direct.values, path.values)
 
 
+def test_each_sampling_call_derives_its_split_seeds_once(monkeypatch):
+    calls = []
+
+    def spy(master, indices):
+        calls.append(master)
+        return split_seeds(master, indices)
+
+    monkeypatch.setattr(schedule_module, "split_seeds", spy)
+    paths = sample_paths(SPLICE, horizon=2.3, step=0.23, n_paths=4, seed=5)
+    assert calls == [5] and [p.seed for p in paths] == split_seeds(5, range(4))
+    walks = sample_walks(SPLICE, RationalStep(2, 3), 12, 3, seed=6)
+    assert calls == [5, 6] and [w.seed for w in walks] == split_seeds(6, range(3))
+
+
 def test_serial_and_pooled_ensembles_are_bit_identical(monkeypatch):
     # drive each branch of the pool choice through the block size
     pool_sizes = []
@@ -424,7 +481,7 @@ def test_sample_seeds_outside_2_64_are_refused(bad):
     with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
         sample_walk(SPLICE, RationalStep(2, 3), 12, seed=bad)
     with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
-        schedule_module._ensemble(SPLICE, np.full((3, 2), 0.5), bad)
+        schedule_module._ensemble(SPLICE, np.full((2, 3), 0.5), bad)
 
 
 def test_largest_seed_draws_the_default_rng_stream():
@@ -669,6 +726,23 @@ def test_grid_occupancy_is_counted_by_the_size_checks(monkeypatch, segments):
     assert peak <= 8 * sum(counted)
 
 
+def test_poisson_mean_past_numpys_bound_is_refused_before_any_draw():
+    # numpy raises "lam value too large" past about 9.22e18; the splice's Brownian segment
+    # would have drawn by then, so the refusal comes first and names the rate and duration
+    splice = make_splice(BrownianDrift(0.0, 1.0), CompoundPoisson(1e20, PointMass(1.0)), 0.5, 1.0)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    message = r"compound Poisson rate 1e\+20 over a duration of 0\.5 expects 5e\+19 jumps"
+    with pytest.raises(ValueError, match=message):
+        sample_interval_increment(splice, 0.0, 1.0, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match=message):
+        sample_paths(splice, 2.0, 1.0, 3, seed=4)
+    # the largest mean numpy takes is drawn
+    largest = CompoundPoisson(models_module._POISSON_MEAN_MAX, PointMass(1.0))
+    assert largest.sample_increment(1.0, rng)[0] > 9e18
+
+
 def test_splice_variance_of_period_value():
     # drift-free BM/BM splice: Var X_p = p
     sched = make_splice(BM, BM, 1.0, 2.0)
@@ -705,6 +779,24 @@ def test_interval_increment_periodicity_in_law():
     a = sample_interval_increment(SPLICE, s, t, rng_a, size=4000)[:, 0]
     b = sample_interval_increment(SPLICE, s + 2.3, t + 2.3, rng_b, size=4000)[:, 0]
     assert ks_2samp(a, b).pvalue > 0.01
+
+
+def test_cells_of_a_negative_zero_drift_print_as_zero():
+    # a cell only a PureDrift(-0.0) segment spends time in draws -0.0, and a cell it shares
+    # with a Brownian segment adds -0.0: both read as sums from +0.0, so no "-0" is written
+    first = make_splice(PureDrift(-0.0), BrownianDrift(0.0, 1.0), 0.25, 1.0)
+    assert sample_path(first, 1.5, 0.125, 3).to_csv() == (
+        "t,x1\n0,0\n0.125,0\n0.25,0\n0.375,0.7215738752923766\n0.5,-0.18199016174941762\n"
+        "0.625,-0.034169896886381029\n0.75,-0.23490676620871823\n0.875,-0.39494245818401158\n"
+        "1,-0.47116756619668931\n1.125,-0.47116756619668931\n1.25,-0.47116756619668931\n"
+        "1.375,-1.1853405111080826\n1.5,-1.2673409896125454\n"
+    )
+    second = make_splice(BrownianDrift(0.0, 1.0), PureDrift(-0.0), 0.5, 1.0)
+    assert sample_path(second, 1.0, 0.2, 3).to_csv() == (
+        "t,x1\n0,0\n0.20000000000000001,0.91272677839928251\n0.40000000000000002,-0.23020136914824518\n"
+        "0.60000000000000009,-0.097986904873935826\n0.80000000000000004,-0.097986904873935826\n"
+        "1,-0.097986904873935826\n"
+    )
 
 
 def test_csv_export():
